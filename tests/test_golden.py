@@ -1,0 +1,34 @@
+"""Golden outputs: `orbit` CSV plus summary line, byte for byte.
+
+Each case runs `ballorbits orbit SPEC --zeta ZETA` with default options and
+compares stdout with `golden/orbit_<name>.txt`.  The cases cover every map
+kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
+INI compose, iterate, warped product and a hyperbolic conjugate.  The
+`suite` report golden is checked in test_acceptance.py.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ballorbits import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+ORBIT_CASES = {
+    "blaschke": ("blaschke:a=1/3", "1"),
+    "hyperbolic_offaxis": ("hyperbolic:lam=3,zeta=0.6,0;0,0.8", "0.6,0;0,0.8"),
+    "compose": (str(GOLDEN / "compose.ini"), "1"),
+    "iterate": (str(GOLDEN / "iterate.ini"), "1"),
+    "warped": (str(GOLDEN / "warped.ini"), "1,0;0,0"),
+    "conjugate": (str(GOLDEN / "conjugate.ini"), "1"),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_orbit_golden(name, capsys):
+    spec, zeta = ORBIT_CASES[name]
+    code = cli.main(["orbit", spec, f"--zeta={zeta}"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"orbit_{name}.txt").read_text()
