@@ -19,8 +19,8 @@ from .orbits import OrbitSegment, orbit_diagnostics
 from .sampling import tube_samples
 
 
-def fmt(x: float) -> str:
-    return f"{x:.15g}"
+def fmt(x) -> str:
+    return f"{float(x):.15g}"
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
 def identity_premodel(f: cat.SelfMap, zeta: BoundaryPoint,
                       lam: float) -> PreModel:
     """(B^q, id, f) for f itself an automorphism: the trivial valid triple."""
-    if f.kind != "ball_automorphism":
+    if not isinstance(f, cat.BallAutomorphism):
         raise DomainError("identity premodel needs an automorphism map")
     return PreModel(base_dim=f.q, ell=lambda w: w, tau=f.params[0],
                     repelling=zeta, label="identity")

@@ -1,7 +1,7 @@
 """Catalog of holomorphic self-maps of B^q.
 
-Maps are immutable descriptions (kind + parameters + children); evaluation,
-Jacobians and the boundary-adapted stepping all dispatch on the kind.  The
+Maps are immutable descriptions.  Each map kind is one `SelfMap` subclass
+that defines evaluation, the Jacobian and the boundary-adapted step.  The
 adapted step is what lets forward iteration run exactly against a boundary
 fixed point: each structured kind propagates (delta, tail, margin) by a
 closed cancellation-free recursion.
@@ -12,14 +12,16 @@ mobius           disc automorphism e^{i theta} (z - a)/(1 - conj(a) z)
 blaschke         finite product z^(m) prod (z - a_i)/(1 - conj(a_i) z)
 ball_automorphism  wraps a geometry.Automorphism (hyperbolic/parabolic/unitary)
 warped_product   (z1, z') -> (phi(z1), c z') for a disc map phi
-conjugate        h o f o h^{-1} for an automorphism h
-compose          outer o inner
-iterate          f^n
+compose          children[0] o children[1] o ...: the last child applies first
+conjugate        h o f o h^{-1}: a compose of the children (h, f, h^{-1})
+iterate          f^n: a compose of n children f
+callable         a raw evaluator: finite-difference Jacobian, no adapted step
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,17 +34,201 @@ from .sampling import sample_ball, sample_shell
 
 @dataclass(frozen=True)
 class SelfMap:
+    """A self-map of B^q.  Each subclass is one map kind, with `params` its
+    numbers and `children` its sub-maps.  It names its `kind` and defines
+    `_evaluate(z)` on complex coordinate arrays (broadcasting over leading
+    axes), `_jacobian(z)` at one coordinate vector, and `_astep(ref, delta,
+    tail, margin)`: the map on the boundary-adapted state, or None when the
+    kind cannot keep the defect representation exact.  Callers use the
+    module functions `evaluate`, `jacobian` and `adapted_step`."""
+
     q: int
-    kind: str
     params: tuple = ()
     children: tuple = ()
-    conjugator: geo.Automorphism | None = None
     boundary_fixed: tuple = ()   # ((coords, dilation), ...), analytic metadata
     interior_fixed: np.ndarray | None = None
     label: str = ""
 
     def __call__(self, z):
         return evaluate(self, z)
+
+
+class Blaschke(SelfMap):
+    kind = "blaschke"
+
+    def _evaluate(self, z):
+        facs, theta = self.params
+        z1 = z[..., 0]
+        out = np.full_like(z1, np.exp(1j * theta))
+        for a in facs:
+            out = out * (z1 - a) / (1.0 - np.conj(a) * z1)
+        return out[..., None]
+
+    def _jacobian(self, z):
+        facs, theta = self.params
+        z1 = z[0]
+        vals = [(z1 - a) / (1.0 - np.conj(a) * z1) for a in facs]
+        ders = [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z1) ** 2 for a in facs]
+        total = 0.0 + 0.0j
+        for i in range(len(facs)):
+            prod = ders[i]
+            for j, v in enumerate(vals):
+                if j != i:
+                    prod = prod * v
+            total += prod
+        return np.array([[np.exp(1j * theta) * total]], dtype=complex)
+
+    def _astep(self, ref, delta, tail, margin):
+        """Defect recursion for real-coefficient Blaschke products at ref = +-1.
+
+        Per factor u = (z - a)/(1 - a z):
+            at +1:  1 - u = (1+a) d / ((1-a) + a d),        d = 1 - z
+            at -1:  1 - (-u) = (1-a) d~ / ((1+a) - a d~),   d~ = 1 + z
+        and one-minus values multiply as om(uv) = om_u + om_v - om_u om_v.
+        """
+        facs, theta = self.params
+        if theta != 0.0 or any(a.imag != 0.0 for a in facs):
+            return None
+        at_plus = geo._same_direction(ref, np.array([1.0 + 0.0j]), geo.FIX_TOL)
+        at_minus = geo._same_direction(ref, np.array([-1.0 + 0.0j]), geo.FIX_TOL)
+        if not (at_plus or at_minus):
+            return None
+        if at_minus and len(facs) % 2 == 0:
+            return None
+        om_prod = None
+        m_prod = None
+        for a in facs:
+            ar = a.real
+            if at_plus:
+                den = (1.0 - ar) + ar * delta
+                om = (1.0 + ar) * delta / den
+            else:
+                den = (1.0 + ar) - ar * delta
+                om = (1.0 - ar) * delta / den
+            m_fac = (1.0 - ar * ar) * margin / abs(den) ** 2
+            if om_prod is None:
+                om_prod, m_prod = om, m_fac
+            else:
+                om_prod = om_prod + om - om_prod * om
+                m_prod = m_prod + m_fac - m_prod * m_fac
+        return ref, om_prod, np.zeros_like(ref), float(m_prod)
+
+
+class Mobius(Blaschke):
+    kind = "mobius"
+
+
+class BallAutomorphism(SelfMap):
+    kind = "ball_automorphism"
+
+    def _evaluate(self, z):
+        return geo.apply_raw(self.params[0], z)
+
+    def _jacobian(self, z):
+        """d(U phi_a)/dz: for phi_a,  J v = (phi_a(z) <v,a> - P v - s Q v)/(1-<z,a>)."""
+        g = self.params[0]
+        a = g.center
+        aa = sq_norm(a)
+        if aa < 1e-32:
+            return -np.asarray(g.unitary)
+        s = np.sqrt(1.0 - aa)
+        phi_z = geo.mobius_shift(a, z)
+        den = 1.0 - herm(z, a)
+        cols = []
+        for i in range(g.q):
+            v = np.zeros(g.q, dtype=complex)
+            v[i] = 1.0
+            proj = (herm(v, a) / aa) * a
+            orth = v - proj
+            cols.append((phi_z * herm(v, a) - proj - s * orth) / den)
+        return np.asarray(g.unitary) @ np.stack(cols, axis=1)
+
+    def _astep(self, ref, delta, tail, margin):
+        out = self.params[0].run_stages(
+            geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin))
+        return None if out is None else _state(out)
+
+
+class WarpedProduct(SelfMap):
+    kind = "warped_product"
+
+    def _evaluate(self, z):
+        c, = self.params
+        first = evaluate(self.children[0], z[..., :1])
+        return np.concatenate([first, c * z[..., 1:]], axis=-1)
+
+    def _jacobian(self, z):
+        c, = self.params
+        j = np.zeros((self.q, self.q), dtype=complex)
+        j[0, 0] = jacobian(self.children[0], z[:1])[0, 0]
+        for i in range(1, self.q):
+            j[i, i] = c
+        return j
+
+    def _astep(self, ref, delta, tail, margin):
+        c, = self.params
+        if np.abs(ref[1:]).max() > 1e-14:   # boundary point must be (+-1, 0)
+            return None
+        tail_sq = sq_norm(tail)
+        m1 = margin + tail_sq
+        sub = self.children[0]._astep(ref[:1], delta, np.zeros(1, complex), m1)
+        if sub is None:
+            return None
+        ref1, delta1, _, m1_new = sub
+        new_ref = np.concatenate([ref1, np.zeros(self.q - 1, dtype=complex)])
+        return new_ref, delta1, c * tail, m1_new - abs(c) ** 2 * tail_sq
+
+
+class Compose(SelfMap):
+    kind = "compose"
+
+    def _evaluate(self, z):
+        for g in reversed(self.children):
+            z = evaluate(g, z)
+        return z
+
+    def _jacobian(self, z):
+        # the chain rule, multiplied from the outermost factor inward
+        points = [z]
+        for g in reversed(self.children[1:]):
+            points.append(evaluate(g, points[-1]))
+        j = jacobian(self.children[0], points[-1])
+        for g, w in zip(self.children[1:], reversed(points[:-1])):
+            j = j @ jacobian(g, w)
+        return j
+
+    def _astep(self, ref, delta, tail, margin):
+        state = (ref, delta, tail, margin)
+        for g in reversed(self.children):
+            state = g._astep(*state)
+            if state is None:
+                return None
+        return state
+
+
+class Conjugate(Compose):
+    kind = "conjugate"
+
+
+class Iterate(Compose):
+    kind = "iterate"
+
+
+class CallableMap(SelfMap):
+    kind = "callable"
+
+    def _evaluate(self, z):
+        return np.asarray(self.params[0](z), dtype=complex)
+
+    def _jacobian(self, z):
+        return jacobian_fd(self, z)
+
+    def _astep(self, ref, delta, tail, margin):
+        return None
+
+
+def _state(p: BallPoint):
+    return p.ref, complex(p.delta), p.tail(), float(p.margin)
 
 
 @dataclass(frozen=True)
@@ -74,7 +260,7 @@ def disc_mobius(a, theta: float = 0.0) -> SelfMap:
     a = complex(a)
     if abs(a) >= 1.0:
         raise ConfigError("mobius parameter must satisfy |a| < 1")
-    return _finish_blaschke((a,), float(theta), kind="mobius")
+    return _finish_blaschke((a,), float(theta), Mobius)
 
 
 def blaschke_product(factors, theta: float = 0.0) -> SelfMap:
@@ -83,10 +269,10 @@ def blaschke_product(factors, theta: float = 0.0) -> SelfMap:
         raise ConfigError("blaschke product needs at least one factor")
     if any(abs(a) >= 1.0 for a in facs):
         raise ConfigError("blaschke factors must satisfy |a| < 1")
-    return _finish_blaschke(facs, float(theta), kind="blaschke")
+    return _finish_blaschke(facs, float(theta), Blaschke)
 
 
-def _finish_blaschke(facs, theta, kind) -> SelfMap:
+def _finish_blaschke(facs, theta, cls) -> SelfMap:
     fixed = []
     real_rigid = all(abs(a.imag) == 0.0 for a in facs) and theta == 0.0
     if real_rigid:
@@ -97,16 +283,16 @@ def _finish_blaschke(facs, theta, kind) -> SelfMap:
             lam_minus = sum((1.0 - a.real) / (1.0 + a.real) for a in facs)
             fixed.append((_freeze([-1.0]), float(lam_minus)))
     interior = _freeze([0.0]) if any(a == 0 for a in facs) else None
-    return SelfMap(q=1, kind=kind, params=(facs, theta),
-                   boundary_fixed=tuple(fixed), interior_fixed=interior,
-                   label=f"{kind}({', '.join(f'{a:g}' for a in facs)})")
+    return cls(q=1, params=(facs, theta),
+               boundary_fixed=tuple(fixed), interior_fixed=interior,
+               label=f"{cls.kind}({', '.join(f'{a:g}' for a in facs)})")
 
 
 def ball_automorphism(aut: geo.Automorphism,
                       boundary_fixed=()) -> SelfMap:
-    return SelfMap(q=aut.q, kind="ball_automorphism", params=(aut,),
-                   boundary_fixed=tuple(boundary_fixed),
-                   label=aut.label or "automorphism")
+    return BallAutomorphism(q=aut.q, params=(aut,),
+                            boundary_fixed=tuple(boundary_fixed),
+                            label=aut.label or "automorphism")
 
 
 def hyperbolic_selfmap(zeta: BoundaryPoint, lam: float) -> SelfMap:
@@ -140,9 +326,9 @@ def warped_product(phi: SelfMap, c, q: int = 2) -> SelfMap:
     if phi.interior_fixed is not None and abs(c) < 1.0:
         interior = _freeze(np.concatenate([phi.interior_fixed,
                                            np.zeros(q - 1)]))
-    return SelfMap(q=q, kind="warped_product", params=(c,), children=(phi,),
-                   boundary_fixed=fixed, interior_fixed=interior,
-                   label=f"warped({phi.label}, c={c:g})")
+    return WarpedProduct(q=q, params=(c,), children=(phi,),
+                         boundary_fixed=fixed, interior_fixed=interior,
+                         label=f"warped({phi.label}, c={c:g})")
 
 
 def conjugate_map(f: SelfMap, h: geo.Automorphism) -> SelfMap:
@@ -157,15 +343,17 @@ def conjugate_map(f: SelfMap, h: geo.Automorphism) -> SelfMap:
     interior = None
     if f.interior_fixed is not None:
         interior = _freeze(geo.apply_raw(h, np.asarray(f.interior_fixed)))
-    return SelfMap(q=f.q, kind="conjugate", children=(f,), conjugator=h,
-                   boundary_fixed=tuple(fixed), interior_fixed=interior,
-                   label=f"conj({f.label})")
+    return Conjugate(q=f.q, params=(h,),
+                     children=(ball_automorphism(h), f,
+                               ball_automorphism(geo.inverse(h))),
+                     boundary_fixed=tuple(fixed), interior_fixed=interior,
+                     label=f"conj({f.label})")
 
 
 def compose_maps(outer: SelfMap, inner: SelfMap) -> SelfMap:
     if outer.q != inner.q:
         raise DimensionMismatch("composition dimension mismatch")
-    return SelfMap(q=outer.q, kind="compose", children=(outer, inner),
+    return Compose(q=outer.q, children=(outer, inner),
                    label=f"{outer.label}o{inner.label}")
 
 
@@ -173,50 +361,91 @@ def iterate_map(base: SelfMap, power: int) -> SelfMap:
     if power < 1:
         raise ConfigError("iterate power must be >= 1")
     fixed = tuple((zc, lam ** power) for zc, lam in base.boundary_fixed)
-    return SelfMap(q=base.q, kind="iterate", params=(int(power),),
-                   children=(base,), boundary_fixed=fixed,
-                   interior_fixed=base.interior_fixed,
+    return Iterate(q=base.q, params=(int(power),),
+                   children=(base,) * int(power),
+                   boundary_fixed=fixed, interior_fixed=base.interior_fixed,
                    label=f"{base.label}^{power}")
 
 
 def callable_map(fn, q: int, label: str = "callable") -> SelfMap:
     """Wrap a raw evaluator (..., q) -> (..., q); Jacobians fall back to
     finite differences and there is no boundary-adapted stepping."""
-    return SelfMap(q=q, kind="callable", params=(fn,), label=label)
+    return CallableMap(q=q, params=(fn,), label=label)
 
 
-_KIND_BUILDERS = {
-    "mobius": lambda p: disc_mobius(p["a"], p.get("theta", 0.0)),
-    "blaschke": lambda p: blaschke_product(p["factors"], p.get("theta", 0.0)),
+# ---------------------------------------------------------------------------
+# map specs
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()   # the default of a spec key that must be given
+
+
+@dataclass(frozen=True)
+class SpecForm:
+    """How a spec names a map: the kind it builds, its constructor, and the
+    constructor's keyword arguments: keys with defaults, then child roles."""
+
+    cls: type
+    build: Callable
+    keys: dict = field(default_factory=dict)
+    roles: tuple = ()
+
+
+def _blaschke_spec(factors, a, theta):
+    if a is not None:   # shorthand for z (z - a)/(1 - a z)
+        factors = (0.0, a)
+    if factors is None:
+        raise ConfigError("blaschke spec needs key 'factors' (or 'a')")
+    return blaschke_product(factors, theta)
+
+
+def _conjugate_spec(inner, conjugator):
+    if not isinstance(conjugator, BallAutomorphism):
+        raise ConfigError("conjugator must be a ball_automorphism")
+    return conjugate_map(inner, conjugator.params[0])
+
+
+_E1 = geo.basis_boundary_point(1)
+SPEC_FORMS = {
+    "mobius": SpecForm(Mobius, disc_mobius, {"a": 0.0, "theta": 0.0}),
+    "blaschke": SpecForm(Blaschke, _blaschke_spec,
+                         {"factors": None, "a": None, "theta": 0.0}),
+    "hyperbolic": SpecForm(BallAutomorphism, hyperbolic_selfmap,
+                           {"zeta": _E1, "lam": REQUIRED}),
+    "parabolic": SpecForm(BallAutomorphism, parabolic_selfmap,
+                          {"zeta": _E1, "b": None, "t": 0.0}),
+    "unitary": SpecForm(
+        BallAutomorphism,
+        lambda matrix: ball_automorphism(geo.unitary_automorphism(matrix)),
+        {"matrix": REQUIRED}),
+    "warped_product": SpecForm(WarpedProduct, warped_product,
+                               {"c": 0.5, "q": 2}, ("phi",)),
+    "conjugate": SpecForm(Conjugate, _conjugate_spec,
+                          roles=("inner", "conjugator")),
+    "compose": SpecForm(Compose, compose_maps, roles=("outer", "inner")),
+    "iterate": SpecForm(Iterate, iterate_map, {"power": REQUIRED}, ("base",)),
 }
+# a ball_automorphism spec without a subtype is hyperbolic
+SPEC_FORMS[BallAutomorphism.kind] = SPEC_FORMS["hyperbolic"]
 
 
-def catalog_build(kind: str, **params) -> SelfMap:
-    """Uniform keyword entry point used by the CLI spec parser."""
-    if kind in _KIND_BUILDERS:
-        return _KIND_BUILDERS[kind](params)
-    if kind == "ball_automorphism":
-        sub = params.get("subtype", "hyperbolic")
-        zeta = params["zeta"]
-        if not isinstance(zeta, BoundaryPoint):
-            zeta = geo.boundary_point(zeta)
-        if sub == "hyperbolic":
-            return hyperbolic_selfmap(zeta, float(params["lam"]))
-        if sub == "parabolic":
-            return parabolic_selfmap(zeta, params.get("b"), params.get("t", 0.0))
-        if sub == "unitary":
-            return ball_automorphism(
-                geo.unitary_automorphism(params["matrix"]))
-        raise ConfigError(f"unknown automorphism subtype {sub!r}")
-    if kind == "warped_product":
-        return warped_product(params["phi"], params["c"], params.get("q", 2))
-    if kind == "conjugate":
-        return conjugate_map(params["inner"], params["conjugator"])
-    if kind == "compose":
-        return compose_maps(params["outer"], params["inner"])
-    if kind == "iterate":
-        return iterate_map(params["base"], params["power"])
-    raise ConfigError(f"unknown map kind {kind!r}")
+def spec_form(kind: str, subtype: str | None = None) -> SpecForm:
+    """The spec form a kind names, or the one its subtype names."""
+    form = SPEC_FORMS.get(kind if subtype is None else subtype)
+    if form is None or subtype is not None and form.cls.kind != kind:
+        raise ConfigError(f"unknown map kind {kind!r} (subtype {subtype!r})")
+    return form
+
+
+def catalog_build(kind: str, subtype: str | None = None, **params) -> SelfMap:
+    """Uniform keyword entry point used by the CLI spec parser: `params`
+    holds the form's keys and child maps; absent keys take their defaults."""
+    form = spec_form(kind, subtype)
+    missing = [key for key, default in form.keys.items()
+               if default is REQUIRED and key not in params]
+    if missing:
+        raise ConfigError(f"{kind} spec needs key {missing[0]!r}")
+    return form.build(**{**form.keys, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -225,101 +454,12 @@ def catalog_build(kind: str, **params) -> SelfMap:
 
 def evaluate(f: SelfMap, z):
     """Evaluate on raw coordinates, broadcasting over leading axes."""
-    z = np.asarray(z, dtype=complex)
-    if f.kind in ("mobius", "blaschke"):
-        facs, theta = f.params
-        z1 = z[..., 0]
-        out = np.full_like(z1, np.exp(1j * theta))
-        for a in facs:
-            out = out * (z1 - a) / (1.0 - np.conj(a) * z1)
-        return out[..., None]
-    if f.kind == "ball_automorphism":
-        return geo.apply_raw(f.params[0], z)
-    if f.kind == "warped_product":
-        c, = f.params
-        first = evaluate(f.children[0], z[..., :1])
-        return np.concatenate([first, c * z[..., 1:]], axis=-1)
-    if f.kind == "conjugate":
-        h = f.conjugator
-        return geo.apply_raw(h, evaluate(f.children[0],
-                                         geo.apply_raw(geo.inverse(h), z)))
-    if f.kind == "compose":
-        return evaluate(f.children[0], evaluate(f.children[1], z))
-    if f.kind == "iterate":
-        out = z
-        for _ in range(f.params[0]):
-            out = evaluate(f.children[0], out)
-        return out
-    if f.kind == "callable":
-        return np.asarray(f.params[0](z), dtype=complex)
-    raise ConfigError(f"unknown map kind {f.kind!r}")
+    return f._evaluate(np.asarray(z, dtype=complex))
 
 
 def jacobian(f: SelfMap, z) -> np.ndarray:
     """Complex q x q Jacobian at a single point."""
-    z = geo.as_vector(z, f.q)
-    if f.kind in ("mobius", "blaschke"):
-        facs, theta = f.params
-        z1 = z[0]
-        vals = [(z1 - a) / (1.0 - np.conj(a) * z1) for a in facs]
-        ders = [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z1) ** 2 for a in facs]
-        total = 0.0 + 0.0j
-        for i in range(len(facs)):
-            prod = ders[i]
-            for j, v in enumerate(vals):
-                if j != i:
-                    prod = prod * v
-            total += prod
-        return np.array([[np.exp(1j * theta) * total]], dtype=complex)
-    if f.kind == "ball_automorphism":
-        return _automorphism_jacobian(f.params[0], z)
-    if f.kind == "warped_product":
-        c, = f.params
-        j = np.zeros((f.q, f.q), dtype=complex)
-        j[0, 0] = jacobian(f.children[0], z[:1])[0, 0]
-        for i in range(1, f.q):
-            j[i, i] = c
-        return j
-    if f.kind == "conjugate":
-        h = f.conjugator
-        hinv = geo.inverse(h)
-        w = geo.apply_raw(hinv, z)
-        return (_automorphism_jacobian(h, evaluate(f.children[0], w))
-                @ jacobian(f.children[0], w)
-                @ _automorphism_jacobian(hinv, z))
-    if f.kind == "compose":
-        inner_val = evaluate(f.children[1], z)
-        return jacobian(f.children[0], inner_val) @ jacobian(f.children[1], z)
-    if f.kind == "iterate":
-        j = np.eye(f.q, dtype=complex)
-        cur = z
-        for _ in range(f.params[0]):
-            j = jacobian(f.children[0], cur) @ j
-            cur = evaluate(f.children[0], cur)
-        return j
-    if f.kind == "callable":
-        return jacobian_fd(f, z)
-    raise ConfigError(f"unknown map kind {f.kind!r}")
-
-
-def _automorphism_jacobian(g: geo.Automorphism, z) -> np.ndarray:
-    """d(U phi_a)/dz: for phi_a,  J v = (phi_a(z) <v,a> - P v - s Q v)/(1-<z,a>)."""
-    a = g.center
-    aa = sq_norm(a)
-    q = g.q
-    if aa < 1e-32:
-        return -np.asarray(g.unitary)
-    s = np.sqrt(1.0 - aa)
-    phi_z = geo.mobius_shift(a, z)
-    den = 1.0 - herm(z, a)
-    cols = []
-    for i in range(q):
-        v = np.zeros(q, dtype=complex)
-        v[i] = 1.0
-        proj = (herm(v, a) / aa) * a
-        orth = v - proj
-        cols.append((phi_z * herm(v, a) - proj - s * orth) / den)
-    return np.asarray(g.unitary) @ np.stack(cols, axis=1)
+    return f._jacobian(geo.as_vector(z, f.q))
 
 
 def jacobian_fd(f: SelfMap, z, h: float = 1e-6) -> np.ndarray:
@@ -342,102 +482,11 @@ def adapted_step(f: SelfMap, p: BallPoint) -> BallPoint | None:
     map structure cannot keep the defect representation exact."""
     if p.ref is None:
         return None
-    out = _astep(f, p.ref, complex(p.delta), p.tail(), float(p.margin))
+    out = f._astep(*_state(p))
     if out is None:
         return None
     ref, delta, tail, margin = out
     return geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin)
-
-
-def _astep(f: SelfMap, ref, delta, tail, margin):
-    if f.kind in ("mobius", "blaschke"):
-        return _blaschke_astep(f, ref, delta, margin)
-    if f.kind == "ball_automorphism":
-        aut = f.params[0]
-        p = geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin)
-        out = geo._stage_apply(aut.stages, p) if aut.stages else None
-        if out is None:
-            return None
-        return out.ref, complex(out.delta), out.tail(), float(out.margin)
-    if f.kind == "warped_product":
-        c, = f.params
-        if np.abs(ref[1:]).max() > 1e-14:   # boundary point must be (+-1, 0)
-            return None
-        tail_sq = sq_norm(tail)
-        m1 = margin + tail_sq
-        sub = _astep(f.children[0], ref[:1], delta, np.zeros(1, complex), m1)
-        if sub is None:
-            return None
-        ref1, delta1, _, m1_new = sub
-        new_ref = np.concatenate([ref1, np.zeros(f.q - 1, dtype=complex)])
-        new_tail = c * tail
-        new_margin = m1_new - abs(c) ** 2 * tail_sq
-        return new_ref, delta1, new_tail, max(new_margin, 5e-324)
-    if f.kind == "conjugate":
-        h = f.conjugator
-        p = geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin)
-        p1 = geo._stage_apply(geo.inverse(h).stages, p)
-        if p1 is None:
-            return None
-        mid = _astep(f.children[0], p1.ref, complex(p1.delta), p1.tail(),
-                     float(p1.margin))
-        if mid is None:
-            return None
-        p2 = geo.boundary_adapted_point(mid[0], mid[1], tail=mid[2],
-                                        margin=mid[3])
-        p3 = geo._stage_apply(h.stages, p2)
-        if p3 is None:
-            return None
-        return p3.ref, complex(p3.delta), p3.tail(), float(p3.margin)
-    if f.kind == "compose":
-        mid = _astep(f.children[1], ref, delta, tail, margin)
-        if mid is None:
-            return None
-        return _astep(f.children[0], *mid)
-    if f.kind == "iterate":
-        cur = (ref, delta, tail, margin)
-        for _ in range(f.params[0]):
-            cur = _astep(f.children[0], *cur)
-            if cur is None:
-                return None
-        return cur
-    return None
-
-
-def _blaschke_astep(f: SelfMap, ref, delta, margin):
-    """Defect recursion for real-coefficient Blaschke products at ref = +-1.
-
-    Per factor u = (z - a)/(1 - a z):
-        at +1:  1 - u = (1+a) d / ((1-a) + a d),        d = 1 - z
-        at -1:  1 - (-u) = (1-a) d~ / ((1+a) - a d~),   d~ = 1 + z
-    and one-minus values multiply as om(uv) = om_u + om_v - om_u om_v.
-    """
-    facs, theta = f.params
-    if theta != 0.0 or any(a.imag != 0.0 for a in facs):
-        return None
-    at_plus = geo._same_direction(ref, np.array([1.0 + 0.0j]), geo.FIX_TOL)
-    at_minus = geo._same_direction(ref, np.array([-1.0 + 0.0j]), geo.FIX_TOL)
-    if not (at_plus or at_minus):
-        return None
-    if at_minus and len(facs) % 2 == 0:
-        return None
-    om_prod = None
-    m_prod = None
-    for a in facs:
-        ar = a.real
-        if at_plus:
-            den = (1.0 - ar) + ar * delta
-            om = (1.0 + ar) * delta / den
-        else:
-            den = (1.0 + ar) - ar * delta
-            om = (1.0 - ar) * delta / den
-        m_fac = (1.0 - ar * ar) * margin / abs(den) ** 2
-        if om_prod is None:
-            om_prod, m_prod = om, m_fac
-        else:
-            om_prod = om_prod + om - om_prod * om
-            m_prod = m_prod + m_fac - m_prod * m_fac
-    return ref, om_prod, np.zeros_like(ref), float(m_prod)
 
 
 def step_point(f: SelfMap, p: BallPoint) -> BallPoint:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import acceptance, analysis as ana, catalog as cat, geometry as geo
 from . import orbits as orb
+from .analysis import fmt
 from .errors import (ConfigError, DomainError, InvariantViolation,
                      NumericalError)
 
@@ -26,10 +27,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def fmt(x) -> str:
-    return f"{float(x):.15g}"
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +63,36 @@ def parse_complex_list(text: str) -> list[complex]:
     return [parse_complex(tok) for tok in text.replace(";", " ").split()]
 
 
+# the value syntax of each key in catalog.SPEC_FORMS
+_PARSERS = {"a": parse_complex, "theta": parse_real, "lam": parse_real,
+            "t": parse_real, "c": parse_complex, "q": int, "power": int,
+            "factors": parse_complex_list, "b": parse_complex_list,
+            "zeta": lambda text: geo.boundary_point(parse_point(text)),
+            "matrix": lambda text: np.array(
+                [parse_complex_list(row) for row in text.strip().splitlines()],
+                dtype=complex)}
+
+
 # ---------------------------------------------------------------------------
 # map specifications
 # ---------------------------------------------------------------------------
 
-_INLINE_KINDS = ("blaschke", "mobius", "hyperbolic", "parabolic")
-
-
 def parse_mapspec(spec: str) -> cat.SelfMap:
-    """Inline `kind:key=val,key=val` for leaf kinds, or a spec-file path.
+    """Inline `kind:key=val,key=val` for kinds without child maps, or a
+    spec-file path.
 
     Every parsed map is spot-checked to actually map samples into the ball.
     """
     if ":" in spec and not os.path.exists(spec):
-        f = _parse_inline(spec)
+        sections = {"map": _inline_section(spec)}
     elif os.path.exists(spec):
-        f = _parse_specfile(spec)
+        sections = configparser.ConfigParser()
+        if not sections.read(spec):
+            raise ConfigError(f"cannot read map spec file {spec!r}")
     else:
         raise ConfigError(f"map spec {spec!r}: no such file and not inline "
                           f"syntax kind:key=val")
+    f = _build_section(sections, "map")
     ok, worst, witness = cat.self_map_check(f, 500,
                                             np.random.default_rng(0))
     if not ok:
@@ -94,9 +102,9 @@ def parse_mapspec(spec: str) -> cat.SelfMap:
     return f
 
 
-def _parse_inline(spec: str) -> cat.SelfMap:
+def _inline_section(spec: str) -> dict:
+    """`kind:key=val,key=val` as the key texts of a spec section."""
     kind, _, rest = spec.partition(":")
-    kind = kind.strip()
     # commas separate key=val items, but also appear inside re,im values:
     # a piece without '=' continues the previous value
     items: list[str] = []
@@ -113,82 +121,28 @@ def _parse_inline(spec: str) -> cat.SelfMap:
         if not val:
             raise ConfigError(f"inline map spec needs key=val, got {item!r}")
         kv[key.strip()] = val.strip()
-    if kind == "blaschke":
-        if "a" in kv:  # shorthand for z (z - a)/(1 - a z)
-            return cat.blaschke_product([0.0, parse_real(kv["a"])])
-        return cat.blaschke_product(
-            [parse_complex(c) for c in kv["factors"].split(";")],
-            theta=parse_real(kv.get("theta", "0")))
-    if kind == "mobius":
-        return cat.disc_mobius(parse_complex(kv["a"]),
-                               parse_real(kv.get("theta", "0")))
-    if kind == "hyperbolic":
-        zeta = geo.boundary_point(parse_point(kv.get("zeta", "1")))
-        return cat.hyperbolic_selfmap(zeta, parse_real(kv["lam"]))
-    if kind == "parabolic":
-        zeta = geo.boundary_point(parse_point(kv.get("zeta", "1")))
-        b = parse_complex_list(kv["b"]) if "b" in kv else None
-        return cat.parabolic_selfmap(zeta, b, parse_real(kv.get("t", "0")))
-    raise ConfigError(
-        f"inline kind {kind!r} not supported (one of {_INLINE_KINDS}); use "
-        "a spec file for composite maps")
+    return {**kv, "kind": kind.strip()}
 
 
-def _parse_specfile(path: str) -> cat.SelfMap:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read map spec file {path!r}")
-    if "map" not in cp:
-        raise ConfigError(f"map spec file {path!r} needs a [map] section")
-    return _build_section(cp, "map")
-
-
-def _build_section(cp, section: str) -> cat.SelfMap:
-    if section not in cp:
-        raise ConfigError(f"missing section [{section}]")
-    opts = cp[section]
+def _build_section(sections, name: str) -> cat.SelfMap:
+    """The map that spec section `name` names, with child maps from the
+    sections `name.role`; an inline spec is the one section `map`."""
+    if name not in sections:
+        raise ConfigError(f"missing section [{name}]")
+    opts = sections[name]
     kind = opts.get("kind")
     if kind is None:
-        raise ConfigError(f"section [{section}] needs kind = ...")
-    if kind == "mobius":
-        return cat.disc_mobius(parse_complex(opts.get("a", "0,0")),
-                               parse_real(opts.get("theta", "0")))
-    if kind == "blaschke":
-        return cat.blaschke_product(parse_complex_list(opts["factors"]),
-                                    theta=parse_real(opts.get("theta", "0")))
-    if kind == "ball_automorphism":
-        sub = opts.get("subtype", "hyperbolic")
-        zeta = geo.boundary_point(parse_point(opts.get("zeta", "1,0")))
-        if sub == "hyperbolic":
-            return cat.hyperbolic_selfmap(zeta, parse_real(opts["lam"]))
-        if sub == "parabolic":
-            b = parse_complex_list(opts["b"]) if "b" in opts else None
-            return cat.parabolic_selfmap(zeta, b,
-                                         parse_real(opts.get("t", "0")))
-        if sub == "unitary":
-            rows = [parse_complex_list(r)
-                    for r in opts["matrix"].strip().splitlines()]
-            return cat.catalog_build("ball_automorphism", subtype="unitary",
-                                     matrix=np.array(rows, dtype=complex))
-        raise ConfigError(f"unknown automorphism subtype {sub!r}")
-    if kind == "warped_product":
-        phi = _build_section(cp, f"{section}.phi")
-        return cat.warped_product(phi, parse_complex(opts.get("c", "0.5,0")),
-                                  q=int(opts.get("q", "2")))
-    if kind == "conjugate":
-        inner = _build_section(cp, f"{section}.inner")
-        conj = _build_section(cp, f"{section}.conjugator")
-        if conj.kind != "ball_automorphism":
-            raise ConfigError("conjugator must be a ball_automorphism")
-        return cat.conjugate_map(inner, conj.params[0])
-    if kind == "compose":
-        return cat.compose_maps(_build_section(cp, f"{section}.outer"),
-                                _build_section(cp, f"{section}.inner"))
-    if kind == "iterate":
-        return cat.iterate_map(_build_section(cp, f"{section}.base"),
-                               int(opts["power"]))
-    raise ConfigError(f"unknown map kind {kind!r}")
+        raise ConfigError(f"section [{name}] needs kind = ...")
+    subtype = opts.get("subtype")
+    form = cat.spec_form(kind, subtype)
+    children = {role: _build_section(sections, f"{name}.{role}")
+                for role in form.roles}
+    try:
+        values = {key: _PARSERS[key](opts[key])
+                  for key in form.keys if key in opts}
+        return cat.catalog_build(kind, subtype, **values, **children)
+    except ValueError as exc:   # ConfigError and DomainError included
+        raise ConfigError(f"section [{name}]: {exc}") from exc
 
 
 def _seed(args) -> int:
@@ -198,8 +152,9 @@ def _seed(args) -> int:
     return int(env) if env else 12345
 
 
-def _zeta_for(f: cat.SelfMap, args) -> geo.BoundaryPoint:
-    return geo.boundary_point(parse_point(args.zeta), q=f.q)
+def _map_and_zeta(args):
+    f = parse_mapspec(args.map)
+    return f, geo.boundary_point(parse_point(args.zeta), q=f.q)
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +162,23 @@ def _zeta_for(f: cat.SelfMap, args) -> geo.BoundaryPoint:
 # ---------------------------------------------------------------------------
 
 def cmd_geometry(args) -> int:
+    z = geo.ball_point(parse_point(args.points[0]))
     if args.query == "dist":
-        z = geo.ball_point(parse_point(args.points[0]))
         w = geo.ball_point(parse_point(args.points[1]))
         print(fmt(geo.kob_dist(z, w)))
-    elif args.query == "horo":
-        z = geo.ball_point(parse_point(args.points[0]))
-        zeta = geo.boundary_point(parse_point(args.zeta), q=z.q)
+        return EXIT_OK
+    zeta = geo.boundary_point(parse_point(args.zeta), q=z.q)
+    if args.query == "horo":
         print(fmt(geo.horofunction(z, zeta)))
     elif args.query == "horosphere":
-        z = geo.ball_point(parse_point(args.points[0]))
-        zeta = geo.boundary_point(parse_point(args.zeta), q=z.q)
         inside, margin = geo.horosphere_contains(
             z, geo.Horosphere(center=zeta, radius=args.radius))
         print(f"{'inside' if inside else 'outside'} margin={fmt(margin)}")
     elif args.query == "koranyi":
-        z = geo.ball_point(parse_point(args.points[0]))
-        zeta = geo.boundary_point(parse_point(args.zeta), q=z.q)
         inside, margin = geo.koranyi_contains(
             z, geo.KoranyiRegion(vertex=zeta, amplitude=args.amplitude))
         print(f"{'inside' if inside else 'outside'} margin={fmt(margin)}")
     elif args.query == "tube":
-        z = geo.ball_point(parse_point(args.points[0]))
-        zeta = geo.boundary_point(parse_point(args.zeta), q=z.q)
         d, s_star = geo.dist_to_geodesic(z, zeta)
         print(f"dist={fmt(d)} s_star={fmt(s_star)}")
     else:
@@ -238,8 +187,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_dilation(args) -> int:
-    f = parse_mapspec(args.map)
-    zeta = _zeta_for(f, args)
+    f, zeta = _map_and_zeta(args)
     if not cat.is_boundary_fixed(f, zeta):
         print(f"zeta={args.zeta} is not a K-limit fixed point")
         return EXIT_CHECK_FAILED
@@ -252,28 +200,26 @@ def cmd_dilation(args) -> int:
     return EXIT_OK
 
 
-def _orbit_params(args) -> orb.OrbitParams:
-    return orb.OrbitParams(k_min=args.kmin, k_max=args.kmax,
-                           n_max=args.nmax, eps_sigma=args.eps_sigma,
-                           mode=args.mode)
+def _construct(args):
+    """(zeta, lambda, cleared map, conjugator, backward orbit) of a map spec;
+    lambda is estimated unless given."""
+    f, zeta = _map_and_zeta(args)
+    lam = args.lam if args.lam is not None else \
+        cat.estimate_dilation(f, zeta).lam_hat
+    cleared, conj = cat.ensure_pole_clearance(f, zeta)
+    params = orb.OrbitParams(k_min=args.kmin, k_max=args.kmax,
+                             n_max=args.nmax, eps_sigma=args.eps_sigma,
+                             mode=args.mode)
+    res = orb.construct_backward_orbit(cleared, zeta, lam, params)
+    return zeta, lam, cleared, conj, res
 
 
 def cmd_orbit(args) -> int:
-    f = parse_mapspec(args.map)
-    zeta = _zeta_for(f, args)
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        lam = cat.estimate_dilation(f, zeta).lam_hat
-    cleared, conj = cat.ensure_pole_clearance(f, zeta)
-    res = orb.construct_backward_orbit(cleared, zeta, lam,
-                                       _orbit_params(args))
-    csv_text = orb.orbit_csv(res.orbit)
+    _, _, _, conj, res = _construct(args)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        orb.write_orbit_csv(res.orbit, args.out)
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(orb.orbit_csv(res.orbit))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(orb.orbit_svg(res.orbit))
@@ -320,37 +266,21 @@ def cmd_compare(args) -> int:
         zeta = geo.boundary_point(parse_point(args.zeta))
         xi = read_orbit_csv(args.csv_a, zeta)
         eta = read_orbit_csv(args.csv_b, zeta)
-        comp = ana.orbit_distance_profile(xi, eta,
-                                          eps_plateau=args.eps_plateau)
-        shift = ana.shift_recovery(xi, eta)
-        print(f"window={len(comp.direct)} "
-              f"direct_max={fmt(comp.direct.max())} "
-              f"shifted_max={fmt(comp.c_bound)} plateau={comp.plateau}")
-        print(f"alpha={shift.alpha} c_star={fmt(shift.c_star)} "
-              f"certified_bound={fmt(shift.certified_bound)}")
-        return EXIT_OK if comp.plateau else EXIT_CHECK_FAILED
-    if args.map is None:
-        raise ConfigError("compare needs a map spec or two CSVs")
-    f = parse_mapspec(args.map)
-    zeta = _zeta_for(f, args)
-    lam = args.lam if args.lam is not None else \
-        cat.estimate_dilation(f, zeta).lam_hat
-    cleared, _ = cat.ensure_pole_clearance(f, zeta)
-    res = orb.construct_backward_orbit(cleared, zeta, lam,
-                                       _orbit_params(args))
-    x0 = res.orbit.points[0]
-    offset = geo.ball_point([np.tanh(args.offset / 2.0) * 1j]
-                            if f.q == 1 else
-                            [np.tanh(args.offset / 2.0) * 1j]
-                            + [0.0] * (f.q - 1))
-    seed_pt = geo.apply(geo.mobius_involution(geo.ball_point(x0.coords)),
-                        offset)
-    newton = orb.backward_orbit_via_preimages(cleared, seed_pt, zeta,
-                                              len(res.orbit) - 1,
-                                              lam_hint=lam)
-    comp = ana.orbit_distance_profile(res.orbit, newton.orbit,
-                                      eps_plateau=args.eps_plateau)
-    shift = ana.shift_recovery(res.orbit, newton.orbit)
+    else:
+        if args.map is None:
+            raise ConfigError("compare needs a map spec or two CSVs")
+        zeta, lam, cleared, _, res = _construct(args)
+        x0 = res.orbit.points[0]
+        offset = geo.ball_point([np.tanh(args.offset / 2.0) * 1j]
+                                + [0.0] * (zeta.q - 1))
+        seed_pt = geo.apply(geo.mobius_involution(geo.ball_point(x0.coords)),
+                            offset)
+        newton = orb.backward_orbit_via_preimages(cleared, seed_pt, zeta,
+                                                  len(res.orbit) - 1,
+                                                  lam_hint=lam)
+        xi, eta = res.orbit, newton.orbit
+    comp = ana.orbit_distance_profile(xi, eta, eps_plateau=args.eps_plateau)
+    shift = ana.shift_recovery(xi, eta)
     print(f"window={len(comp.direct)} direct_max={fmt(comp.direct.max())} "
           f"shifted_max={fmt(comp.c_bound)} plateau={comp.plateau}")
     print(f"alpha={shift.alpha} c_star={fmt(shift.c_star)} "
@@ -359,7 +289,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate_premodel(args) -> int:
-    f = parse_mapspec(args.map)
+    f, zeta = _map_and_zeta(args)
     cp = configparser.ConfigParser()
     if not cp.read(args.premodel):
         raise ConfigError(f"cannot read premodel file {args.premodel!r}")
@@ -377,10 +307,8 @@ def cmd_validate_premodel(args) -> int:
         pm = ana.embedded_disc_premodel(tau, f.q, repelling)
     else:
         raise ConfigError(f"unknown intertwiner kind {ell_kind!r}")
-    zeta = _zeta_for(f, args)
-    lam = args.lam
     report = ana.premodel_validate(
-        f, pm, zeta, lam=lam,
+        f, pm, zeta, lam=args.lam,
         rng=np.random.default_rng(_seed(args)))
     print(report.render())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -419,37 +347,33 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--zeta", required=True)
     d.set_defaults(func=cmd_dilation)
 
-    o = sub.add_parser("orbit", help="construct a backward orbit, emit CSV")
+    # the options that _construct reads, shared by orbit and compare
+    orbit_opts = argparse.ArgumentParser(add_help=False)
+    orbit_opts.add_argument("--zeta", required=True)
+    orbit_opts.add_argument("--lambda", dest="lam", type=float, default=None)
+    orbit_opts.add_argument("--kmin", type=int, default=1)
+    orbit_opts.add_argument("--kmax", type=int, default=40)
+    orbit_opts.add_argument("--nmax", type=int, default=100000)
+    orbit_opts.add_argument("--eps-sigma", type=float, default=1e-3)
+    orbit_opts.add_argument("--mode", choices=["single-tail", "cluster"],
+                            default="single-tail")
+
+    o = sub.add_parser("orbit", parents=[orbit_opts],
+                       help="construct a backward orbit, emit CSV")
     o.add_argument("map")
-    o.add_argument("--zeta", required=True)
-    o.add_argument("--lambda", dest="lam", type=float, default=None)
-    o.add_argument("--kmin", type=int, default=1)
-    o.add_argument("--kmax", type=int, default=40)
-    o.add_argument("--nmax", type=int, default=100000)
-    o.add_argument("--eps-sigma", type=float, default=1e-3)
-    o.add_argument("--mode", choices=["single-tail", "cluster"],
-                   default="single-tail")
     o.add_argument("--out", default=None, help="CSV output path")
     o.add_argument("--svg", default=None, help="orbit trace SVG path")
     o.set_defaults(func=cmd_orbit)
 
-    c = sub.add_parser("compare",
+    c = sub.add_parser("compare", parents=[orbit_opts],
                        help="construction orbit vs Newton-preimage orbit, "
                             "or two orbit CSV files")
     c.add_argument("map", nargs="?", default=None)
     c.add_argument("--csv-a", default=None, help="first orbit CSV")
     c.add_argument("--csv-b", default=None, help="second orbit CSV")
-    c.add_argument("--zeta", required=True)
-    c.add_argument("--lambda", dest="lam", type=float, default=None)
     c.add_argument("--offset", type=float, default=0.05,
                    help="Kobayashi offset of the perturbed seed")
     c.add_argument("--eps-plateau", type=float, default=1e-2)
-    c.add_argument("--kmin", type=int, default=1)
-    c.add_argument("--kmax", type=int, default=40)
-    c.add_argument("--nmax", type=int, default=100000)
-    c.add_argument("--eps-sigma", type=float, default=1e-3)
-    c.add_argument("--mode", choices=["single-tail", "cluster"],
-                   default="single-tail")
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("validate-premodel",

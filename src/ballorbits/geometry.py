@@ -456,13 +456,89 @@ def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint,
 # automorphisms
 # ---------------------------------------------------------------------------
 
-# Stage descriptors let structured automorphisms act on boundary-adapted
-# points by exact recursions in (delta, tail, margin):
-#   ("axial", zeta_coords, c)      z |-> -phi_{c zeta}(z), fixes +-zeta
-#   ("unitary", V)                 z |-> V z
-#   ("mobius", a_coords)           z |-> phi_a(z)
-#   ("parabolic", zeta, b, t, R)   Heisenberg translation fixing zeta
-#                                  (R rotates zeta to e_1 for Siegel coords)
+# Stages let structured automorphisms act on boundary-adapted points by exact
+# recursions on the state (ref, delta, tail, margin).  `apply` returns the
+# new state, or None when the stage cannot keep the representation exact;
+# `inverse` is the stage of the inverse map.
+
+@dataclass(frozen=True)
+class AxialStage:
+    """z |-> -phi_{c zeta}(z); fixes +-zeta."""
+
+    zeta: np.ndarray
+    c: float
+
+    def apply(self, ref, delta, tail, margin):
+        if _same_direction(self.zeta, ref, FIX_TOL):
+            cc = self.c
+        elif _same_direction(-self.zeta, ref, FIX_TOL):
+            cc = -self.c
+        else:
+            return None
+        den = (1.0 - cc) + cc * delta
+        return (ref, (1.0 + cc) * delta / den,
+                np.sqrt(1.0 - cc * cc) * tail / den,
+                (1.0 - cc * cc) * margin / abs(den) ** 2)
+
+    def inverse(self):
+        return AxialStage(self.zeta, -self.c)
+
+
+@dataclass(frozen=True)
+class UnitaryStage:
+    """z |-> V z."""
+
+    v: np.ndarray
+
+    def apply(self, ref, delta, tail, margin):
+        new_ref = self.v @ ref
+        return new_ref / np.linalg.norm(new_ref), delta, self.v @ tail, margin
+
+    def inverse(self):
+        return UnitaryStage(self.v.conj().T)
+
+
+@dataclass(frozen=True)
+class MobiusStage:
+    """z |-> phi_a(z); exact on adapted points only for phi_0 = -id."""
+
+    a: np.ndarray
+
+    def apply(self, ref, delta, tail, margin):
+        if sq_norm(self.a) < 1e-32:
+            return -ref, delta, -tail, margin
+        return None
+
+    def inverse(self):
+        return self
+
+
+@dataclass(frozen=True)
+class ParabolicStage:
+    """Heisenberg translation (b, t) fixing zeta; `rot` rotates zeta to e_1
+    for Siegel coordinates."""
+
+    zeta: np.ndarray
+    b: np.ndarray
+    t: float
+    rot: np.ndarray
+
+    def apply(self, ref, delta, tail, margin):
+        if not _same_direction(self.zeta, ref, FIX_TOL):
+            return None
+        tail_e1 = self.rot @ tail
+        w_tan = tail_e1[1:] / delta
+        w1 = 1j * (2.0 - delta) / delta
+        w1n = w1 + self.t + 2j * herm(w_tan, self.b) + 1j * sq_norm(self.b)
+        delta_new = 2j / (w1n + 1j)
+        margin = margin * abs(delta_new / delta) ** 2
+        tail_e1 = np.concatenate([np.zeros(1, dtype=complex),
+                                  (w_tan + self.b) * delta_new])
+        return ref, delta_new, self.rot.conj().T @ tail_e1, margin
+
+    def inverse(self):
+        return ParabolicStage(self.zeta, -self.b, -self.t, self.rot)
+
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -476,6 +552,19 @@ class Automorphism:
     @property
     def q(self) -> int:
         return self.center.shape[0]
+
+    def run_stages(self, p: BallPoint) -> BallPoint | None:
+        """The stage chain on an adapted point; None without a chain or if
+        a stage cannot keep the boundary-defect representation exact."""
+        if not self.stages:
+            return None
+        state = (p.ref, p.delta, p.tail(), p.margin)
+        for st in self.stages:
+            state = st.apply(*state)
+            if state is None:
+                return None
+        ref, delta, tail, margin = state
+        return boundary_adapted_point(ref, delta, tail=tail, margin=margin)
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -498,13 +587,13 @@ def mobius_involution(a: BallPoint) -> Automorphism:
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
     return _aut(a.coords, np.eye(a.q, dtype=complex),
-                stages=(("mobius", a.coords),), label="involution")
+                stages=(MobiusStage(a.coords),), label="involution")
 
 
 def unitary_automorphism(v) -> Automorphism:
     v = np.asarray(v, dtype=complex)
     q = v.shape[0]
-    return _aut(np.zeros(q, dtype=complex), -v, stages=(("unitary", v),),
+    return _aut(np.zeros(q, dtype=complex), -v, stages=(UnitaryStage(v),),
                 label="unitary")
 
 
@@ -517,11 +606,13 @@ def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
     """
     if not lam > 1.0:
         raise DomainError("hyperbolic automorphism needs dilation > 1")
-    c = (lam - 1.0) / (lam + 1.0)
-    q = zeta.q
-    return _aut(c * zeta.coords, -np.eye(q, dtype=complex),
-                stages=(("axial", zeta.coords, c),),
-                label=f"hyperbolic(lam={lam:g})")
+    return _axial(zeta, (lam - 1.0) / (lam + 1.0), f"hyperbolic(lam={lam:g})")
+
+
+def _axial(zeta: BoundaryPoint, c: float, label: str) -> Automorphism:
+    """z |-> -phi_{c zeta}(z) as a one-stage automorphism."""
+    return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
+                stages=(AxialStage(zeta.coords, c),), label=label)
 
 
 def axis_translation(zeta: BoundaryPoint, t: float) -> Automorphism:
@@ -530,10 +621,7 @@ def axis_translation(zeta: BoundaryPoint, t: float) -> Automorphism:
         return identity_automorphism(zeta.q)
     if t > 0.0:
         return hyperbolic_automorphism(zeta, float(np.exp(t)))
-    c = np.tanh(t / 2.0)
-    return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
-                stages=(("axial", zeta.coords, c),),
-                label=f"axial(t={t:g})")
+    return _axial(zeta, np.tanh(t / 2.0), f"axial(t={t:g})")
 
 
 # --- Siegel half-space model, used for parabolic automorphisms ------------
@@ -574,16 +662,14 @@ def parabolic_automorphism(zeta: BoundaryPoint, b, t: float) -> Automorphism:
     t = float(t)
     rot = unitary_taking(zeta.coords, basis_boundary_point(q).coords)
 
-    def action(z):
-        return rot.conj().T @ _inv_cayley(_heisenberg(_cayley(rot @ z), b, t))
+    def action(z, sign):   # sign -1: the inverse translation
+        return rot.conj().T @ _inv_cayley(
+            _heisenberg(_cayley(rot @ z), sign * b, sign * t))
 
-    def action_inv(z):
-        return rot.conj().T @ _inv_cayley(_heisenberg(_cayley(rot @ z), -b, -t))
-
-    center = action_inv(np.zeros(q, dtype=complex))
-    unitary = _linear_part(lambda v: action(mobius_shift(center, v)), q)
+    center = action(np.zeros(q, dtype=complex), -1.0)
+    unitary = _linear_part(lambda v: action(mobius_shift(center, v), 1.0), q)
     return _aut(center, unitary,
-                stages=(("parabolic", zeta.coords, b, t, rot),),
+                stages=(ParabolicStage(zeta.coords, b, t, rot),),
                 label=f"parabolic(|b|={np.linalg.norm(b):g}, t={t:g})")
 
 
@@ -610,89 +696,23 @@ def _margin_through(g: Automorphism, coords, margin):
                  / abs(1.0 - herm(coords, g.center)) ** 2)
 
 
-def _stage_apply(stages, p: BallPoint) -> BallPoint | None:
-    """Run a stage chain on an adapted point; None if a stage cannot keep
-    the boundary-defect representation exact."""
-    ref = p.ref
-    delta = p.delta
-    tail = p.tail()
-    margin = p.margin
-    for st in stages:
-        kind = st[0]
-        if kind == "axial":
-            zeta_c, c = st[1], st[2]
-            if _same_direction(zeta_c, ref, FIX_TOL):
-                cc = c
-            elif _same_direction(-zeta_c, ref, FIX_TOL):
-                cc = -c
-            else:
-                return None
-            den = (1.0 - cc) + cc * delta
-            delta = (1.0 + cc) * delta / den
-            tail = np.sqrt(1.0 - cc * cc) * tail / den
-            margin = (1.0 - cc * cc) * margin / abs(den) ** 2
-        elif kind == "unitary":
-            v = st[1]
-            new_ref = v @ ref
-            new_ref = new_ref / np.linalg.norm(new_ref)
-            tail = v @ tail
-            ref = new_ref
-        elif kind == "mobius":
-            if sq_norm(st[1]) < 1e-32:  # phi_0 = -id
-                ref = -ref
-                tail = -tail
-            else:
-                return None
-        elif kind == "parabolic":
-            zeta_c, b, t, rot = st[1], st[2], st[3], st[4]
-            if not _same_direction(zeta_c, ref, FIX_TOL):
-                return None
-            tail_e1 = rot @ tail
-            w_tan = tail_e1[1:] / delta
-            w1 = 1j * (2.0 - delta) / delta
-            w1n = w1 + t + 2j * herm(w_tan, b) + 1j * sq_norm(b)
-            delta_new = 2j / (w1n + 1j)
-            margin = margin * abs(delta_new / delta) ** 2
-            tail_e1 = np.concatenate([np.zeros(1, dtype=complex),
-                                      (w_tan + b) * delta_new])
-            tail = rot.conj().T @ tail_e1
-            delta = delta_new
-        else:
-            return None
-    return boundary_adapted_point(ref, delta, tail=tail, margin=margin)
-
-
 def apply(g: Automorphism, p: BallPoint) -> BallPoint:
     """Apply an automorphism to a point, preserving boundary-adapted data
     whenever the stage chain supports it."""
     if p.q != g.q:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
-    if p.ref is not None and g.stages:
-        out = _stage_apply(g.stages, p)
-        if out is not None:
-            return out
+    out = g.run_stages(p) if p.ref is not None else None
+    if out is not None:
+        return out
     coords = apply_raw(g, p.coords)
     coords.flags.writeable = False
     return BallPoint(coords=coords, margin=_margin_through(g, p.coords, p.margin))
 
 
 def inverse(g: Automorphism) -> Automorphism:
-    stages = tuple(_invert_stage(st) for st in reversed(g.stages))
+    stages = tuple(st.inverse() for st in reversed(g.stages))
     return _aut(g.unitary @ g.center, g.unitary.conj().T, stages=stages,
                 label=f"inv({g.label})" if g.label else "")
-
-
-def _invert_stage(st):
-    kind = st[0]
-    if kind == "axial":
-        return ("axial", st[1], -st[2])
-    if kind == "unitary":
-        return ("unitary", st[1].conj().T)
-    if kind == "mobius":
-        return st
-    if kind == "parabolic":
-        return ("parabolic", st[1], -st[2], -st[3], st[4])
-    raise DomainError(f"unknown stage {kind!r}")
 
 
 def compose(g2: Automorphism, g1: Automorphism) -> Automorphism:
@@ -754,9 +774,7 @@ def normalizing_automorphism(a: BallPoint, zeta: BoundaryPoint):
     if abs(r) < 1e-16:
         hyper = identity_automorphism(q)
     else:
-        hyper = _aut(r * zeta.coords, -np.eye(q, dtype=complex),
-                     stages=(("axial", zeta.coords, r),),
-                     label="axial")
+        hyper = _axial(zeta, r, "axial")
     g = compose(hyper, parab)
     resid = np.linalg.norm(apply_raw(g, a.coords))
     if resid > 1e-10:

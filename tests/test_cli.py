@@ -86,6 +86,55 @@ def test_specfile_conjugate(tmp_path):
     assert f.kind == "conjugate"
 
 
+def test_specfile_unitary_conjugator(tmp_path, capsys):
+    # the rotation z -> e^{it} z moves the fixed point 1 of b(z) =
+    # z (z - 1/3)/(1 - z/3) to e^{it} and keeps its dilation 3
+    rot = f"{float(np.cos(0.5))!r},{float(np.sin(0.5))!r}"
+    spec = tmp_path / "conj_unitary.map"
+    spec.write_text(
+        "[map]\nkind = conjugate\n\n"
+        "[map.inner]\nkind = blaschke\nfactors = 0,0 0.3333333333333333,0\n\n"
+        "[map.conjugator]\nkind = ball_automorphism\nsubtype = unitary\n"
+        f"matrix = {rot}\n")
+    code, out, _ = run(capsys, "orbit", str(spec), f"--zeta={rot}")
+    assert code == 0
+    sigma = float(out.split("sigma_hat=")[1].split()[0])
+    assert abs(sigma - np.log(3.0)) <= 2e-3
+
+
+@pytest.mark.parametrize("spec, where", [
+    ("[map]\nkind = iterate\npower = two\n\n[map.base]\nkind = mobius\n",
+     "[map]"),
+    ("[map]\nkind = ball_automorphism\nsubtype = unitary\n"
+     "matrix = 1,0 0,0\n  0,0\n", "[map]"),
+], ids=["int", "ragged-matrix"])
+def test_malformed_spec_value_exit_2(tmp_path, capsys, spec, where):
+    path = tmp_path / "bad.map"
+    path.write_text(spec)
+    code, _, err = run(capsys, "dilation", str(path), "--zeta", "1")
+    assert code == 2
+    assert where in err
+
+
+@pytest.mark.parametrize("spec, key, where", [
+    ("hyperbolic:zeta=1", "lam", "[map]"),
+    ("blaschke:theta=0", "factors", "[map]"),
+    ("[map]\nkind = iterate\n\n[map.base]\nkind = blaschke\n"
+     "factors = 0,0 0.5,0\n", "power", "[map]"),
+    ("[map]\nkind = compose\n\n[map.outer]\nkind = mobius\n\n"
+     "[map.inner]\nkind = ball_automorphism\nzeta = 1\n", "lam",
+     "[map.inner]"),
+], ids=["inline-hyperbolic", "inline-blaschke", "ini-iterate", "ini-child"])
+def test_missing_spec_key_exit_2(tmp_path, capsys, spec, key, where):
+    if spec.startswith("["):
+        path = tmp_path / "missing.map"
+        path.write_text(spec)
+        spec = str(path)
+    code, _, err = run(capsys, "dilation", spec, "--zeta", "1")
+    assert code == 2
+    assert f"'{key}'" in err and where in err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
