@@ -433,7 +433,8 @@ def spec_form(kind: str, subtype: str | None = None) -> SpecForm:
     """The spec form a kind names, or the one its subtype names."""
     form = SPEC_FORMS.get(kind if subtype is None else subtype)
     if form is None or subtype is not None and form.cls.kind != kind:
-        raise ConfigError(f"unknown map kind {kind!r} (subtype {subtype!r})")
+        raise ConfigError(f"unknown map kind {kind!r}" if subtype is None
+                          else f"map kind {kind!r} has no subtype {subtype!r}")
     return form
 
 
