@@ -123,20 +123,15 @@ def criterion_06_finite_distance(seed):
     e1 = _e1()
     cleared, _ = _cleared_blaschke()
     res = orb.construct_backward_orbit(cleared, e1, 3.0)
-    x0 = res.orbit.points[0]
-    seed_pt = geo.apply(geo.mobius_involution(geo.ball_point(x0.coords)),
-                        geo.ball_point([np.tanh(0.025) * 1j]))
-    newton = orb.backward_orbit_via_preimages(cleared, seed_pt, e1,
-                                              len(res.orbit) - 1,
-                                              lam_hint=3.0)
+    newton = orb.offset_preimage_orbit(cleared, res.orbit, 3.0, 0.05)
     comp = ana.orbit_distance_profile(res.orbit, newton.orbit)
     quarter = max(len(comp.direct) // 4, 2)
     window = comp.direct[-quarter:]
     increase = float(window.max() - window.min())
     shift = ana.shift_recovery(res.orbit, newton.orbit)
     ok = (increase < 1e-2
-          and abs(geo.kob_dist(geo.ball_point(x0.coords), seed_pt) - 0.05)
-          < 1e-12
+          and abs(geo.kob_dist(geo.ball_point(res.orbit.points[0].coords),
+                               newton.orbit.points[0]) - 0.05) < 1e-12
           and shift.direct_max <= shift.certified_bound + 1e-9)
     return CheckLine("criterion_06_finite_distance", ok, 1e-2 - increase)
 

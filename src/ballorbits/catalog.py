@@ -29,7 +29,7 @@ from . import geometry as geo
 from .errors import (ConfigError, DilationOutOfScope, DomainError,
                      DimensionMismatch, NumericalError)
 from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
-from .sampling import sample_ball, sample_shell
+from .sampling import _axial_transport, adapted_at, sample_ball, sample_shell
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,6 @@ def self_map_check(f: SelfMap, n_samples: int = 10000, rng=None):
 def koranyi_probes(zeta: BoundaryPoint, s_values, offsets=(0.0, 0.15, -0.15)):
     """Probe sequences approaching zeta inside K(zeta, 2): the radius plus
     tangentially displaced copies (complex-tangent displacement for q = 1)."""
-    from .sampling import _axial_transport
     probes = []
     for off in offsets:
         seq = []
@@ -542,10 +541,8 @@ def koranyi_probes(zeta: BoundaryPoint, s_values, offsets=(0.0, 0.15, -0.15)):
                     frame = geo.unitary_taking(
                         geo.basis_boundary_point(zeta.q).coords, zeta.coords)
                     u_vec = off * (frame @ direction)
-                u = geo.boundary_adapted_point(
-                    zeta.coords, 1.0 - herm(u_vec, zeta.coords),
-                    tail=u_vec - herm(u_vec, zeta.coords) * zeta.coords)
-                seq.append(_axial_transport(zeta, float(s), u))
+                seq.append(_axial_transport(zeta, float(s),
+                                            adapted_at(zeta, u_vec)))
         probes.append(seq)
     return probes
 
@@ -576,7 +573,7 @@ class DilationEstimate:
     profile: np.ndarray
     tail_infimum: float
     extrapolated: float
-    jacobian_check: float | None
+    jacobian_check: float
 
 
 def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
@@ -614,16 +611,12 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
         raise DilationOutOfScope(
             f"dilation log = {log_lam:.3e} is not distinguishable from a "
             "non-repelling point")
-    jac_check = None
-    try:
-        vals = []
-        for s in (8.0, 10.0, 12.0):
-            z = geo._axis_point(zeta, s).coords
-            vals.append(abs(herm(jacobian(f, z) @ zeta.coords, zeta.coords)))
-        r = np.exp(-2.0)
-        jac_check = float((vals[2] - r * vals[1]) / (1.0 - r))
-    except Exception:
-        pass
+    vals = []
+    for s in (8.0, 10.0, 12.0):
+        z = geo._axis_point(zeta, s).coords
+        vals.append(abs(herm(jacobian(f, z) @ zeta.coords, zeta.coords)))
+    r = np.exp(-2.0)
+    jac_check = float((vals[2] - r * vals[1]) / (1.0 - r))
     return DilationEstimate(lam_hat=float(np.exp(log_lam)), s_grid=grid,
                             profile=prof, tail_infimum=tail_inf,
                             extrapolated=extrap, jacobian_check=jac_check)

@@ -195,8 +195,7 @@ def cmd_dilation(args) -> int:
     print(f"lambda_hat={fmt(est.lam_hat)}")
     print(f"tail_infimum={fmt(np.exp(est.tail_infimum))}")
     print(f"extrapolated={fmt(np.exp(est.extrapolated))}")
-    if est.jacobian_check is not None:
-        print(f"jacobian_check={fmt(est.jacobian_check)}")
+    print(f"jacobian_check={fmt(est.jacobian_check)}")
     return EXIT_OK
 
 
@@ -269,15 +268,9 @@ def cmd_compare(args) -> int:
     else:
         if args.map is None:
             raise ConfigError("compare needs a map spec or two CSVs")
-        zeta, lam, cleared, _, res = _construct(args)
-        x0 = res.orbit.points[0]
-        offset = geo.ball_point([np.tanh(args.offset / 2.0) * 1j]
-                                + [0.0] * (zeta.q - 1))
-        seed_pt = geo.apply(geo.mobius_involution(geo.ball_point(x0.coords)),
-                            offset)
-        newton = orb.backward_orbit_via_preimages(cleared, seed_pt, zeta,
-                                                  len(res.orbit) - 1,
-                                                  lam_hint=lam)
+        _, lam, cleared, _, res = _construct(args)
+        newton = orb.offset_preimage_orbit(cleared, res.orbit, lam,
+                                           args.offset)
         xi, eta = res.orbit, newton.orbit
     comp = ana.orbit_distance_profile(xi, eta, eps_plateau=args.eps_plateau)
     shift = ana.shift_recovery(xi, eta)
@@ -296,7 +289,13 @@ def cmd_validate_premodel(args) -> int:
     if "premodel" not in cp:
         raise ConfigError("premodel file needs a [premodel] section")
     opts = cp["premodel"]
-    base_dim = int(opts.get("base_dim", "1"))
+    if "lam" not in opts:
+        raise ConfigError("section [premodel] needs key 'lam'")
+    try:
+        base_dim = int(opts.get("base_dim", "1"))
+    except ValueError as exc:
+        raise ConfigError(
+            f"section [premodel]: key 'base_dim': {exc}") from exc
     repelling = geo.boundary_point(parse_point(opts.get("repelling", "1,0")))
     tau = geo.hyperbolic_automorphism(repelling, parse_real(opts["lam"]))
     ell_kind = opts.get("ell", "embed_first")

@@ -271,25 +271,46 @@ def kob_dist_origin(z: BallPoint) -> float:
 
 
 def kob_matrix(points_a, points_b) -> np.ndarray:
-    """Pairwise distances between two lists of points sharing one reference.
+    """Pairwise `kob_dist` between two lists of points.
 
-    Vectorised version of the stable path of `kob_dist`; every point must
-    carry the same `ref`.
+    Pairs of points sharing one boundary reference go through the array
+    form of `kob_dist`'s defect path; each pair that path leaves to the
+    involution (a collapsed pair away from the sphere, a cancelling defect
+    expansion, or a point without that reference) goes to `kob_dist`.
     """
-    ref = points_a[0].ref
-    da = np.array([p.delta for p in points_a], dtype=complex)
-    db = np.array([p.delta for p in points_b], dtype=complex)
-    ta = np.stack([p.tail(ref) for p in points_a])
-    tb = np.stack([p.tail(ref) for p in points_b])
-    ma = np.array([p.margin for p in points_a])
-    mb = np.array([p.margin for p in points_b])
+    ref = next((p.ref for p in points_a if p.ref is not None), None)
+
+    def defect_form(points):
+        # placeholders (delta 1, tail 0, margin 1) for points off `ref`
+        rows = [(True, p.delta, p.tail(ref), p.margin)
+                if ref is not None and p.ref is not None
+                and _same_direction(p.ref, ref)
+                else (False, 1.0, np.zeros_like(p.coords), 1.0)
+                for p in points]
+        share, delta, tail, margin = zip(*rows)
+        return (np.array(share), np.array(delta, dtype=complex),
+                np.stack(tail), np.array(margin))
+
+    sa, da, ta, ma = defect_form(points_a)
+    sb, db, tb, mb = defect_form(points_b)
     n_val = (da[:, None] + np.conj(db)[None, :]
              - da[:, None] * np.conj(db)[None, :]
              - np.einsum("ik,jk->ij", ta, np.conj(tb)))
-    d_quot = np.minimum(ma[:, None] * mb[None, :] / np.abs(n_val) ** 2, 1.0)
+    scale = (np.abs(da)[:, None] + np.abs(db)[None, :]
+             + np.abs(da[:, None] * np.conj(db)[None, :])
+             + np.outer(np.linalg.norm(ta, axis=1), np.linalg.norm(tb, axis=1))
+             + 1e-300)
+    with np.errstate(divide="ignore"):
+        d_quot = np.minimum(ma[:, None] * mb[None, :] / np.abs(n_val) ** 2,
+                            1.0)
     rho = np.sqrt(np.maximum(1.0 - d_quot, 0.0))
     out = np.log((1.0 + rho) ** 2 / d_quot)
-    out[d_quot > 1.0 - 1e-14] = 0.0
+    collapsed = d_quot > 1.0 - 1e-14
+    out[collapsed] = 0.0
+    resolved = (sa[:, None] & sb[None, :] & (np.abs(n_val) >= 1e-6 * scale)
+                & (~collapsed | (np.minimum(ma[:, None], mb[None, :]) < 1e-6)))
+    for i, j in zip(*np.nonzero(~resolved)):
+        out[i, j] = kob_dist(points_a[i], points_b[j])
     return out
 
 
@@ -299,8 +320,7 @@ def horofunction(z: BallPoint, zeta: BoundaryPoint) -> float:
         raise DimensionMismatch(f"dimensions {z.q} != {zeta.q}")
     if z.ref is not None and _same_direction(z.ref, zeta.coords):
         return float(np.log(abs(z.delta) ** 2 / z.margin))
-    d = 1.0 - herm(z.coords, zeta.coords)
-    return float(np.log(abs(d) ** 2 / z.margin))
+    return float(horo_raw(z.coords, zeta.coords, z.margin))
 
 
 def horofunction_limit(z: BallPoint, zeta: BoundaryPoint, s: float = 30.0) -> float:
@@ -409,47 +429,30 @@ def geodesic_point(zeta: BoundaryPoint, s: float) -> BallPoint:
     return _axis_point(zeta, s)
 
 
-def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint,
-                     tol: float = 1e-10, max_iter: int = 200):
-    """inf_{s >= 0} kob(z, gamma(s)) with its argmin.
+def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint):
+    """inf_{s >= 0} kob(z, gamma(s)) with its argmin s*, in closed form.
 
-    Coarse unit-step bracketing followed by golden-section; the distance as
-    a function of s is smooth and unimodal.
+    With a = <z, zeta> = 1 - delta, kob(z, t zeta) grows with
+    |1 - t a|^2 / (1 - t^2), whose minimiser on [0, 1) is the root below 1
+    of Re(a) t^2 - (1 + |a|^2) t + Re(a) = 0.  In arclength, t = tanh(s/2),
+    that root is e^{-s*} = |delta| / |2 - delta|; s* = 0 when Re(a) <= 0.
+    At the root, with w = delta conj(2 - delta) and D = |w| + Re(w), the
+    quotient (1 - |z|^2)(1 - t^2) / |1 - t a|^2 of the distance formula is
+    2 (1 - |z|^2) / D and one minus it is (2 |tail|^2 + Im(w)^2 / D) / D,
+    so neither cancels for points deep toward zeta or on the axis.
     """
-    zq = with_reference(z, zeta) if z.ref is None else z
-
-    def g(s):
-        return kob_dist(zq, _axis_point(zeta, s))
-
-    s_cap = max(4.0, 2.0 * kob_dist_origin(z) + 4.0)
-    grid = np.arange(0.0, s_cap + 1.0, 1.0)
-    vals = [g(s) for s in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if lo == hi:  # argmin at an edge of a length-1 grid
-        hi = lo + 1.0
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = g(c), g(d)
-    it = 0
-    while b - a > tol:
-        it += 1
-        if it > max_iter:
-            raise NumericalError("geodesic distance search did not converge")
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = g(d)
-    s_star = max(0.5 * (a + b), 0.0)
-    return g(s_star), float(s_star)
+    if z.ref is None or not _same_direction(z.ref, zeta.coords):
+        z = with_reference(z, zeta)
+    delta = z.delta
+    if abs(delta) < abs(2.0 - delta):
+        s_star = float(np.log(abs(2.0 - delta) / abs(delta)))
+        w = delta * np.conj(2.0 - delta)
+        den = abs(w) + w.real
+        d_quot = 2.0 * z.margin / den
+        rho = np.sqrt((2.0 * sq_norm(z.tail()) + w.imag ** 2 / den) / den)
+    else:
+        s_star, d_quot, rho = 0.0, z.margin, z.norm()
+    return float(np.log1p(2.0 * rho * (1.0 + rho) / d_quot)), s_star
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ class StoppingRecord:
     exit_point: BallPoint
     exit_margin: float          # horofunction of the exit point (> 0)
     capped: bool
+    iterates: tuple = ()        # r_k, f(r_k), ..., f^n(r_k); none if capped
 
 
 @dataclass(frozen=True)
@@ -109,37 +110,28 @@ def radial_anchor(zeta: BoundaryPoint, lam: float, k: int) -> BallPoint:
                                       margin=4.0 * lk / (lk + 1.0) ** 2)
 
 
-def _forward_until_exit(f: cat.SelfMap, start: BallPoint,
-                        zeta: BoundaryPoint, n_max: int):
-    """Iterates [start, f(start), ...] up to the first point with positive
-    horofunction (strict exit from the closed unit horosphere)."""
-    pts = [start]
-    p = start
-    for n in range(n_max):
-        h = geo.horofunction(p, zeta)
-        if h > geo.HOROSPHERE_BAND:
-            return pts, n, False
-        p = cat.step_point(f, p)
-        pts.append(p)
-    return pts, n_max, True
-
-
 def stopping_time(f: cat.SelfMap, r_k: BallPoint, zeta: BoundaryPoint,
                   n_max: int = 100000, k: int | None = None) -> StoppingRecord:
     """First n with f^n(r_k) outside the closed horosphere E_0(zeta, 1).
 
     Exit is strict: horofunction values within 1e-13 of zero count as
-    inside, so automorphism chains stop at exactly n = k + 1.
+    inside, so automorphism chains stop at exactly n = k + 1.  The record
+    keeps the iterates up to the exit for `harvest_chain`.
     """
-    pts, n, capped = _forward_until_exit(f, r_k, zeta, n_max)
-    exit_pt = pts[n] if not capped else pts[-1]
-    return StoppingRecord(k=k if k is not None else -1, n=n,
-                          exit_point=exit_pt,
-                          exit_margin=float(geo.horofunction(exit_pt, zeta)),
-                          capped=capped)
+    k = k if k is not None else -1
+    pts = [r_k]
+    for n in range(n_max):
+        h = geo.horofunction(pts[-1], zeta)
+        if h > geo.HOROSPHERE_BAND:
+            return StoppingRecord(k=k, n=n, exit_point=pts[-1], exit_margin=h,
+                                  capped=False, iterates=tuple(pts))
+        pts.append(cat.step_point(f, pts[-1]))
+    return StoppingRecord(k=k, n=n_max, exit_point=pts[-1],
+                          exit_margin=geo.horofunction(pts[-1], zeta),
+                          capped=True)
 
 
-def harvest_chain(f: cat.SelfMap, r_k: BallPoint, record: StoppingRecord,
+def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
                   zeta: BoundaryPoint, lam: float) -> OrbitSegment:
     """The backward chain z_j = f^{n(k)-j}(r_k), j = 0..n(k).
 
@@ -148,12 +140,8 @@ def harvest_chain(f: cat.SelfMap, r_k: BallPoint, record: StoppingRecord,
     """
     if record.capped:
         raise DomainError("cannot harvest a capped stopping record")
-    pts, n, capped = _forward_until_exit(f, r_k, zeta, record.n + 1)
-    if capped or n != record.n:
-        raise NumericalError("stopping record does not reproduce")
-    chain = tuple(reversed(pts[: n + 1]))
-    return OrbitSegment(points=chain, zeta=zeta, lam=lam,
-                        map_label=f.label, chain_tol=0.0)
+    return OrbitSegment(points=tuple(reversed(record.iterates)), zeta=zeta,
+                        lam=lam, map_label=f.label, chain_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +219,15 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
     chains: dict[int, OrbitSegment] = {}
     per_k = []
     for k in range(params.k_min, params.k_max + 1):
-        r_k = radial_anchor(zeta, lam, k)
-        rec = stopping_time(f, r_k, zeta, params.n_max, k=k)
+        rec = stopping_time(f, radial_anchor(zeta, lam, k), zeta,
+                            params.n_max, k=k)
         if rec.capped:
             per_k.append((k, "capped"))
             continue
         if rec.n <= k:
             per_k.append((k, f"stopping time {rec.n} <= k"))
             continue
-        chains[k] = harvest_chain(f, r_k, rec, zeta, lam)
+        chains[k] = harvest_chain(f, rec, zeta, lam)
         per_k.append((k, f"n(k)={rec.n}"))
 
     if not chains:
@@ -500,6 +488,19 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     lam_for_check = lam_hint if lam_hint is not None else \
         float(np.exp(geo.kob_dist(pts[-2], pts[-1])))
     return analyze_orbit(seg, lam_for_check, params, "preimage")
+
+
+def offset_preimage_orbit(f: cat.SelfMap, orbit: OrbitSegment, lam: float,
+                          offset: float) -> BackwardOrbitResult:
+    """The cross-check orbit for `orbit`: the preimage march, as long as
+    `orbit`, from the image of tanh(offset/2) i e_1 under the involution
+    exchanging 0 and the orbit's start, at distance `offset` from it."""
+    x0 = geo.ball_point(orbit.points[0].coords)
+    shift = geo.ball_point([np.tanh(offset / 2.0) * 1j]
+                           + [0.0] * (orbit.zeta.q - 1))
+    seed = geo.apply(geo.mobius_involution(x0), shift)
+    return backward_orbit_via_preimages(f, seed, orbit.zeta, len(orbit) - 1,
+                                        lam_hint=lam)
 
 
 # ---------------------------------------------------------------------------

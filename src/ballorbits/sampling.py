@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import (BallPoint, BoundaryPoint, _axis_point,
+from .geometry import (AxialStage, BallPoint, BoundaryPoint, _axis_point,
                        boundary_adapted_point, herm, sq_norm)
 
 
@@ -105,21 +105,21 @@ def tube_samples(zeta: BoundaryPoint, width: float,
             rho = np.tanh(frac * width / 2.0)
             for i in range(n_angles):
                 direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
-                u = boundary_adapted_point(
-                    zeta.coords,
-                    1.0 - herm(rho * direction, zeta.coords),
-                    tail=rho * direction
-                    - herm(rho * direction, zeta.coords) * zeta.coords)
+                u = adapted_at(zeta, rho * direction)
                 pts.append(_axial_transport(zeta, float(s), u))
         pts.append(base)
     return pts
 
 
+def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
+    """The point with coordinates u, in defect form against zeta."""
+    a = herm(u, zeta.coords)
+    return boundary_adapted_point(zeta.coords, 1.0 - a,
+                                  tail=u - a * zeta.coords)
+
+
 def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
-    """Translate p by s toward zeta along the axis (adapted recursion)."""
-    c = -np.tanh(s / 2.0)
-    den = (1.0 - c) + c * p.delta
-    delta = (1.0 + c) * p.delta / den
-    tail = np.sqrt(1.0 - c * c) * p.tail() / den
-    margin = (1.0 - c * c) * p.margin / abs(den) ** 2
-    return boundary_adapted_point(zeta.coords, delta, tail=tail, margin=margin)
+    """Translate p (adapted against zeta) by s toward zeta along the axis."""
+    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0))
+    ref, delta, tail, margin = stage.apply(p.ref, p.delta, p.tail(), p.margin)
+    return boundary_adapted_point(ref, delta, tail=tail, margin=margin)

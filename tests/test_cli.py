@@ -135,6 +135,20 @@ def test_missing_spec_key_exit_2(tmp_path, capsys, spec, key, where):
     assert f"'{key}'" in err and where in err
 
 
+@pytest.mark.parametrize("premodel, key", [
+    ("base_dim = 1\nell = embed_first\nrepelling = 1\n", "lam"),
+    ("base_dim = one\nell = embed_first\nrepelling = 1\nlam = 3\n",
+     "base_dim"),
+], ids=["missing-lam", "malformed-base_dim"])
+def test_premodel_key_exit_2(tmp_path, capsys, premodel, key):
+    pm = tmp_path / "pm.ini"
+    pm.write_text("[premodel]\n" + premodel)
+    code, _, err = run(capsys, "validate-premodel", "hyperbolic:lam=3,zeta=1",
+                       str(pm), "--zeta", "1")
+    assert code == 2
+    assert f"'{key}'" in err and "[premodel]" in err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

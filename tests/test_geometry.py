@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballorbits import geometry as geo
+from ballorbits import sampling
 from ballorbits.errors import DimensionMismatch, DomainError
 
 from conftest import random_interior
@@ -111,6 +112,32 @@ def test_involution_isometry_property(a, z, w):
     phi = geo.mobius_involution(a)
     assert abs(geo.kob_dist(geo.apply(phi, z), geo.apply(phi, w))
                - geo.kob_dist(z, w)) < 1e-10
+
+
+def test_kob_matrix_resolves_close_pairs(e1_q2):
+    # margins far from 0 and a pair 2e-8 apart: the defect quotient rounds
+    # to 1, so the pair must take kob_dist's involution path, not read 0
+    z = geo.with_reference(bp(0.3 + 0.1j, 0.2), e1_q2)
+    w = geo.with_reference(bp(0.3 + 0.1j + 2e-8, 0.2), e1_q2)
+    d = geo.kob_dist(z, w)
+    assert d == pytest.approx(4.557e-8, rel=1e-3)
+    assert geo.kob_matrix([z], [w])[0, 0] == d
+
+
+def test_kob_matrix_matches_kob_dist(rng, e1_q2):
+    other = geo.boundary_point([0.6, 0.8j])
+    pts = []
+    for i in range(12):
+        p = random_interior(rng, 2)
+        pts.append(p if i % 3 == 0 else
+                   geo.with_reference(p, e1_q2 if i % 3 == 1 else other))
+    pts.append(geo.geodesic_point(e1_q2, 12.0))
+    pts.append(pts[1])
+    dmat = geo.kob_matrix(pts, pts)
+    for i, z in enumerate(pts):
+        for j, w in enumerate(pts):
+            assert dmat[i, j] == pytest.approx(geo.kob_dist(z, w), rel=1e-12,
+                                               abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +335,82 @@ def test_dist_to_geodesic_monotone_off_axis(e1_q2):
         prev = d
 
 
+def test_dist_to_geodesic_exact_on_axis(e1, e1_q2):
+    for zeta in (e1, e1_q2):
+        for s in np.linspace(0.0, 40.0, 161):
+            d, s_star = geo.dist_to_geodesic(geo.geodesic_point(zeta, s), zeta)
+            assert d < 1e-12
+            assert abs(s_star - s) < 1e-12
+
+
+def test_dist_to_geodesic_transported_points(e1_q2):
+    # u = tanh(w/2) e_2 is at distance w from 0, the foot of the axis on
+    # e_2's complex line; translating by s along the axis moves the foot
+    # to gamma(s).  _axial_transport is checked up to s = 10: beyond it
+    # the recursion's own 1 - c*c term loses digits
+    for w in (0.05, 0.3, 1.0, 2.5):
+        u = sampling.adapted_at(e1_q2, np.array([0.0, np.tanh(w / 2.0)]))
+        for s in (0.0, 0.5, 2.0, 5.0, 10.0):
+            d, s_star = geo.dist_to_geodesic(
+                sampling._axial_transport(e1_q2, s, u), e1_q2)
+            assert d == pytest.approx(w, rel=1e-12)
+            assert abs(s_star - s) < 1e-12
+    # deeper, the same translate in closed form in u = e^{-s}
+    for w in (0.05, 0.3, 1.0, 2.5):
+        r = np.tanh(w / 2.0)
+        for s in np.linspace(10.0, 40.0, 31):
+            eu = np.exp(-s)
+            p = geo.boundary_adapted_point(
+                e1_q2.coords, 2.0 * eu / (1.0 + eu),
+                tail=[0.0, 2.0 * np.sqrt(eu) * r / (1.0 + eu)],
+                margin=4.0 * eu * (1.0 - r * r) / (1.0 + eu) ** 2)
+            d, s_star = geo.dist_to_geodesic(p, e1_q2)
+            assert d == pytest.approx(w, rel=1e-12)
+            assert abs(s_star - s) < 1e-12
+
+
+def test_dist_to_geodesic_mpmath_oracle(e1_q2):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    rng = np.random.default_rng(11)
+
+    def oracle(z, zeta):
+        # golden-section minimisation over s of the 50-digit distance from
+        # the point with coordinates z (mpc) to gamma(s) = tanh(s/2) zeta
+        a = sum(x * mp.conj(mp.mpc(y)) for x, y in zip(z, zeta))
+        m = 1 - sum(abs(x) ** 2 for x in z)
+
+        def dist(s):
+            t = mp.tanh(s / 2)
+            return 2 * mp.atanh(mp.sqrt(1 - m * (1 - t * t)
+                                        / abs(1 - t * a) ** 2))
+
+        lo, hi, g = mp.mpf(0), mp.mpf(60), (mp.sqrt(5) - 1) / 2
+        for _ in range(240):
+            c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, d) if dist(c) < dist(d) else (c, hi)
+        return dist((lo + hi) / 2), (lo + hi) / 2
+
+    cases = []
+    for _ in range(6):   # off-axis points against a random zeta
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z = random_interior(rng, 2, scale=0.95)
+        cases.append((z, geo.boundary_point(v / np.linalg.norm(v)),
+                      [mp.mpc(c) for c in z.coords]))
+    for e in (4, 8, 12, 16):   # deep off-axis points in defect form at e_1
+        delta = 10.0 ** (-e) * np.exp(1j * rng.uniform(-1.2, 1.2))
+        tail = 0.5 * np.sqrt(delta.real) * np.exp(2j * np.pi * rng.uniform())
+        z = geo.boundary_adapted_point(e1_q2.coords, delta, tail=[0.0, tail])
+        cases.append((z, e1_q2, [1 - mp.mpc(delta), mp.mpc(tail)]))
+    for z, zeta, z_mp in cases:
+        d, s_star = geo.dist_to_geodesic(z, zeta)
+        d_mp, s_mp = oracle(z_mp, zeta.coords)
+        assert d > 0.01
+        assert abs(d - float(d_mp)) <= 1e-12 * d
+        assert abs(s_star - float(s_mp)) <= 1e-10 * max(1.0, float(s_mp))
+
+
 # ---------------------------------------------------------------------------
 # boundary-fixing automorphisms
 # ---------------------------------------------------------------------------
@@ -411,12 +514,6 @@ def test_geodesic_tube_membership(e1_q2):
     assert not inside_far and margin_far < 0.0
     with pytest.raises(DomainError):
         geo.GeodesicTube(target=e1_q2, width=0.0)
-
-
-def test_dist_to_geodesic_iteration_cap(e1_q2):
-    z = geo.ball_point([0.1 + 0.2j, 0.3])
-    with pytest.raises(geo.NumericalError):
-        geo.dist_to_geodesic(z, e1_q2, max_iter=2)
 
 
 def test_unitary_taking(rng):

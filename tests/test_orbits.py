@@ -97,7 +97,7 @@ def test_harvest_chain_structure(cleared_blaschke, e1):
     k = 12
     r_k = orb.radial_anchor(e1, 3.0, k)
     rec = orb.stopping_time(cleared, r_k, e1, k=k)
-    seg = orb.harvest_chain(cleared, r_k, rec, e1, 3.0)
+    seg = orb.harvest_chain(cleared, rec, e1, 3.0)
     assert len(seg) == rec.n + 1
     # stored forward iterates reproduce bit for bit
     assert orb.verify_backward(seg, cleared) == 0.0
@@ -112,12 +112,23 @@ def test_harvest_chain_structure(cleared_blaschke, e1):
     assert seg.points[-1].delta == r_k.delta
 
 
+def test_construction_steps_each_anchor_once(disc_auto, e1, monkeypatch):
+    # n(k) = k + 1 forward steps per anchor, k = 1..40: harvesting reads
+    # the stopping record's iterates instead of stepping again
+    calls = []
+    step = cat.step_point
+    monkeypatch.setattr(cat, "step_point",
+                        lambda f, p: calls.append(1) or step(f, p))
+    orb.construct_backward_orbit(disc_auto, e1, 3.0)
+    assert len(calls) == sum(k + 1 for k in range(1, 41))
+
+
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
     r_k = orb.radial_anchor(e1, 3.0, 10)
     rec = orb.stopping_time(cleared, r_k, e1, n_max=3, k=10)
     with pytest.raises(DomainError):
-        orb.harvest_chain(cleared, r_k, rec, e1, 3.0)
+        orb.harvest_chain(cleared, rec, e1, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -22,3 +24,27 @@ def test_traced_names_resolve():
             assert len(found) == 1, name
         else:
             assert callable(getattr(mod, fn_name, None)), name
+
+
+def test_traced_layers_reached():
+    """A traced construction and tube covering reach the layers the
+    benchmark reads, so a refactor that bypasses one shows up here."""
+    # the tracer wraps every module of the package, so import them all
+    from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    e1 = geometry.basis_boundary_point(1)
+    auto = catalog.hyperbolic_selfmap(e1, 3.0)
+    # no structured step: the chain runs in coordinates
+    raw = catalog.callable_map(lambda z: catalog.evaluate(auto, z), 1)
+    tracer.install()
+    try:
+        res = orbits.construct_backward_orbit(
+            raw, e1, 3.0, orbits.OrbitParams(k_max=6, dist_target=1e-2))
+        analysis.tube_covering_check(res.orbit, e1, 1.0,
+                                     s_values=np.arange(1.0, 6.0))
+    finally:
+        tracer.uninstall()
+    for name in ("orbits.stopping_time", "orbits.harvest_chain",
+                 "geometry.kob_matrix", "geometry.horo_raw",
+                 "geometry.dist_to_geodesic"):
+        assert tracer.calls[tracer.fid(name)] > 0, name
