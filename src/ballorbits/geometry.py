@@ -296,8 +296,8 @@ def kob_matrix(points_a, points_b) -> np.ndarray:
     n_val = (da[:, None] + np.conj(db)[None, :]
              - da[:, None] * np.conj(db)[None, :]
              - np.einsum("ik,jk->ij", ta, np.conj(tb)))
-    scale = (np.abs(da)[:, None] + np.abs(db)[None, :]
-             + np.abs(da[:, None] * np.conj(db)[None, :])
+    ada, adb = np.abs(da), np.abs(db)
+    scale = (ada[:, None] + adb[None, :] + np.outer(ada, adb)
              + np.outer(np.linalg.norm(ta, axis=1), np.linalg.norm(tb, axis=1))
              + 1e-300)
     with np.errstate(divide="ignore"):

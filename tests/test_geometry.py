@@ -131,6 +131,7 @@ def test_kob_matrix_matches_kob_dist(rng, e1_q2):
         p = random_interior(rng, 2)
         pts.append(p if i % 3 == 0 else
                    geo.with_reference(p, e1_q2 if i % 3 == 1 else other))
+    # a deep point, and a repeated point: a collapsed pair off the sphere
     pts.append(geo.geodesic_point(e1_q2, 12.0))
     pts.append(pts[1])
     dmat = geo.kob_matrix(pts, pts)
