@@ -137,18 +137,19 @@ def criterion_06_finite_distance(seed):
 
 
 def criterion_07_tube_in_koranyi(seed):
-    """Graded tube samples satisfy the Koranyi functional bound 2L."""
+    """At least 10^4 graded tube samples per width, all satisfying the
+    Koranyi functional bound 2L."""
     e1 = _e1()
     worst = -np.inf
+    enough = True
     for width in (0.5, 1.0, 2.0):
         samples = tube_samples(
             e1, width, s_values=np.arange(0.25, 30.001, 0.25), n_angles=28,
             radius_fractions=(1.0, 0.75, 0.5))
-        assert len(samples) >= 10000
-        vals = np.array([geo.koranyi_functional(p, e1) - 2.0 * width
-                         for p in samples])
+        enough = enough and len(samples) >= 10000
+        vals = geo.koranyi_functional(samples, e1) - 2.0 * width
         worst = max(worst, float(vals.max()))
-    return CheckLine("criterion_07_tube_in_koranyi", worst < 1e-9,
+    return CheckLine("criterion_07_tube_in_koranyi", enough and worst < 1e-9,
                      1e-9 - worst)
 
 

@@ -178,7 +178,7 @@ def region_equivalence_check(seq_points, zeta: BoundaryPoint, width: float,
         constant is not computed analytically; see README).
     """
     samples = tube_samples(zeta, width, s_values=s_values)
-    functional = np.array([geo.koranyi_functional(p, zeta) for p in samples])
+    functional = geo.koranyi_functional(samples, zeta)
     bound = 2.0 * width + 1e-9
     violations = int(np.sum(functional > bound))
     lines = [CheckLine("tube_in_koranyi", violations == 0,
@@ -222,12 +222,9 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
     """Checks that the tube A(gamma, width) lies within a bounded Kobayashi
     distance of the orbit: R_hat <= width + 3*C_hat + sigma_hat (+tol)."""
     eta = _with_refs(eta)
-    if width > 0.0:
-        samples = tube_samples(zeta, width, s_values=s_values)
-    else:
-        if s_values is None:
-            s_values = np.arange(1.0, 30.001, 1.0)
-        samples = [geo.geodesic_point(zeta, float(s)) for s in s_values]
+    # width 0 samples the axis alone
+    samples = tube_samples(zeta, width, s_values=s_values,
+                           radius_fractions=(1.0, 0.5) if width > 0.0 else ())
     dmat = geo.kob_matrix(samples, list(eta.points))
     r_hat = float(dmat.min(axis=1).max())
     c_hat = max(geo.dist_to_geodesic(p, zeta)[0] for p in eta.points)

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import (AxialStage, BallPoint, BoundaryPoint, _axis_point,
-                       boundary_adapted_point, herm, sq_norm)
+from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
+                       _axis_defect, boundary_adapted_point, herm, sq_norm)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -83,32 +83,49 @@ def _frame(zeta: BoundaryPoint) -> np.ndarray:
 
 def tube_samples(zeta: BoundaryPoint, width: float,
                  s_values=None, n_angles: int = 8,
-                 radius_fractions=(1.0, 0.5)) -> list[BallPoint]:
+                 radius_fractions=(1.0, 0.5)) -> PointBatch:
     """Deterministic graded samples of the tube A(gamma, width).
 
     Each sample is an axial translate of a point at exact Kobayashi
     distance f*width from the origin, so its distance to gamma is <= f*width
     by construction, and the grading pushes samples toward zeta as s grows.
+    For each s the batch holds the translates, angle by angle within each
+    fraction, then the axis point gamma(s); with no fractions it holds the
+    axis points alone.
     """
     q = zeta.q
     if s_values is None:
         s_values = np.arange(1.0, 30.001, 1.0)
-    pts: list[BallPoint] = []
+    s = np.asarray(s_values, dtype=float)
     dirs = []
     for j in range(2 * q):
         d = np.zeros(q, dtype=complex)
         d[j // 2] = 1.0 if j % 2 == 0 else 1j
         dirs.append(d)
-    for s in s_values:
-        base = _axis_point(zeta, float(s))
-        for frac in radius_fractions:
-            rho = np.tanh(frac * width / 2.0)
-            for i in range(n_angles):
-                direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
-                u = adapted_at(zeta, rho * direction)
-                pts.append(_axial_transport(zeta, float(s), u))
-        pts.append(base)
-    return pts
+    offsets = []
+    for frac in radius_fractions:
+        rho = np.tanh(frac * width / 2.0)
+        for i in range(n_angles):
+            direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
+            offsets.append(adapted_at(zeta, rho * direction))
+    m = len(offsets)
+    # delta and margin carry a trailing axis so the stage broadcasts them
+    # against the tails and against the (len(s), 1, 1) translations
+    delta = np.array([p.delta for p in offsets], dtype=complex).reshape(m, 1)
+    tail = np.array([p.tail() for p in offsets], dtype=complex).reshape(m, q)
+    margin = np.array([p.margin for p in offsets]).reshape(m, 1)
+    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0)[:, None, None])
+    _, delta, tail, margin = stage.apply(zeta.coords, delta, tail, margin)
+    axis_delta, axis_margin = _axis_defect(s)
+    k = len(s)
+    return PointBatch(
+        ref=zeta.coords,
+        delta=np.concatenate([delta, axis_delta.reshape(k, 1, 1)],
+                             axis=1).reshape(-1),
+        tail=np.concatenate([tail, np.zeros((k, 1, q), dtype=complex)],
+                            axis=1).reshape(-1, q),
+        margin=np.concatenate([margin, axis_margin.reshape(k, 1, 1)],
+                              axis=1).reshape(-1))
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:

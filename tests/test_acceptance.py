@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ballorbits import acceptance, cli
+from ballorbits import geometry as geo
 
 SUITE_GOLDEN = Path(__file__).parent / "golden" / "suite_12345.txt"
 
@@ -35,3 +36,18 @@ def test_criterion_10_suite_determinism(capsys):
     assert out_a == out_b
     assert out_a == SUITE_GOLDEN.read_text()
     assert "SUITE PASS" in out_a
+
+
+def test_criterion_07_fails_on_short_sample_set(monkeypatch):
+    # the sample count is part of the pass condition, not an assert that
+    # python -O strips
+    full = acceptance.tube_samples
+
+    def ten_samples(*args, **kwargs):
+        b = full(*args, **kwargs)
+        return geo.PointBatch(ref=b.ref, delta=b.delta[:10],
+                              tail=b.tail[:10], margin=b.margin[:10])
+
+    monkeypatch.setattr(acceptance, "tube_samples", ten_samples)
+    line = acceptance.criterion_07_tube_in_koranyi(12345).render()
+    assert line.startswith("CHECK criterion_07_tube_in_koranyi FAIL ")

@@ -139,6 +139,14 @@ def test_kob_matrix_matches_kob_dist(rng, e1_q2):
         for j, w in enumerate(pts):
             assert dmat[i, j] == pytest.approx(geo.kob_dist(z, w), rel=1e-12,
                                                abs=1e-15)
+    # a batch of tube samples on e_1 gives what its points give, pair for pair
+    batch = sampling.tube_samples(e1_q2, 1.0, s_values=np.arange(0.5, 8.0),
+                                  n_angles=6)
+    as_points = [batch.point(i) for i in range(len(batch))]
+    assert np.array_equal(geo.kob_matrix(batch, pts),
+                          geo.kob_matrix(as_points, pts))
+    assert np.array_equal(geo.kob_matrix(pts, batch),
+                          geo.kob_matrix(pts, as_points))
 
 
 # ---------------------------------------------------------------------------

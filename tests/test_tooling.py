@@ -27,8 +27,9 @@ def test_traced_names_resolve():
 
 
 def test_traced_layers_reached():
-    """A traced construction and tube covering reach the layers the
-    benchmark reads, so a refactor that bypasses one shows up here."""
+    """A traced construction, tube covering and region check reach the
+    layers the benchmark reads, so a refactor that bypasses one shows up
+    here."""
     # the tracer wraps every module of the package, so import them all
     from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
     tracer = runpy.run_path(str(TRACER))["Tracer"]()
@@ -42,9 +43,13 @@ def test_traced_layers_reached():
             raw, e1, 3.0, orbits.OrbitParams(k_max=6, dist_target=1e-2))
         analysis.tube_covering_check(res.orbit, e1, 1.0,
                                      s_values=np.arange(1.0, 6.0))
+        # no sequence: only the tube samples reach koranyi_functional
+        analysis.region_equivalence_check([], e1, 1.0, 2.0,
+                                          s_values=np.arange(1.0, 6.0))
     finally:
         tracer.uninstall()
     for name in ("orbits.stopping_time", "orbits.harvest_chain",
                  "geometry.kob_matrix", "geometry.horo_raw",
-                 "geometry.dist_to_geodesic"):
+                 "geometry.dist_to_geodesic", "sampling.tube_samples",
+                 "geometry.koranyi_functional"):
         assert tracer.calls[tracer.fid(name)] > 0, name
