@@ -50,6 +50,7 @@ class OrbitComparison:
     plateau: bool
     c_bound: float                 # max of the shifted profile
     eps_plateau: float
+    dmat: np.ndarray               # kob(x_n, y_m): n in indices, all of eta
 
 
 def _with_refs(seg: OrbitSegment) -> OrbitSegment:
@@ -94,15 +95,14 @@ def orbit_distance_profile(xi: OrbitSegment, eta: OrbitSegment,
         raise DomainError("orbits share too short an index window")
     idx = np.arange(lo, hi + 1)
     dmat = geo.kob_matrix([xi.point(n) for n in idx], list(eta.points))
-    direct = np.array([dmat[i, n - eta.base_index]
-                       for i, n in enumerate(idx)])
+    direct = dmat[np.arange(len(idx)), idx - eta.base_index]
     shifted = dmat.min(axis=1)
     quarter = max(len(direct) // 4, 2)
     window = direct[-quarter:]
     plateau = bool(window.max() - window.min() < eps_plateau)
     return OrbitComparison(indices=idx, direct=direct, shifted=shifted,
                            plateau=plateau, c_bound=float(shifted.max()),
-                           eps_plateau=eps_plateau)
+                           eps_plateau=eps_plateau, dmat=dmat)
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ def shift_recovery(xi: OrbitSegment, eta: OrbitSegment,
     span = len(eta) - 1
     best = None
     for alpha in range(-span, span + 1):
-        ns = [n for n in idx
-              if eta.base_index <= n + alpha < eta.base_index + len(eta)]
-        if len(ns) < max(len(idx) // 2, 2):
+        cols = idx + alpha - eta.base_index
+        inside = (cols >= 0) & (cols < len(eta))
+        if inside.sum() < max(len(idx) // 2, 2):
             continue
-        sup = max(geo.kob_dist(xi.point(n), eta.point(n + alpha)) for n in ns)
+        sup = comp.dmat[inside, cols[inside]].max()
         if sup < c + 1e-9 and (best is None or sup < best[1]
                                or (sup == best[1] and abs(alpha) < abs(best[0]))):
             best = (alpha, sup)

@@ -47,8 +47,9 @@ HOROSPHERE_BAND = 1e-13
 # ---------------------------------------------------------------------------
 
 def herm(z, w):
-    """Hermitian inner product sum_i z_i conj(w_i), linear in the first slot."""
-    return np.sum(np.asarray(z) * np.conj(w), axis=-1)
+    """Hermitian inner product sum_i z_i conj(w_i), linear in the first slot;
+    einsum rounds it alike in every array layout (numpy's `*` may not)."""
+    return np.einsum("...k,...k->...", np.asarray(z), np.conj(w))
 
 
 def sq_norm(z):
@@ -67,6 +68,13 @@ def abs_sq(x):
     return np.float_power(np.hypot(x.real, x.imag), 2.0)
 
 
+def _cmul(x, y):
+    """x * y on complex arrays, rounded as for two complex scalars (numpy's
+    array loop may fuse its multiply-adds)."""
+    return ((x.real * y.real - x.imag * y.imag)
+            + 1j * (x.real * y.imag + x.imag * y.real))
+
+
 def as_vector(coords, q=None):
     v = np.atleast_1d(np.asarray(coords, dtype=complex))
     if v.ndim != 1:
@@ -77,22 +85,23 @@ def as_vector(coords, q=None):
 
 
 def mobius_shift(a, z):
-    """The involutive automorphism phi_a applied to z (broadcast in z).
-
-    phi_a exchanges a and 0; phi_0 is the antipodal map -id, which is its
-    continuous limit as a -> 0.
-    """
+    """The involutive automorphism phi_a applied to z, broadcast in z and
+    in the centre a.  phi_a exchanges a and 0; phi_0 is the antipodal map
+    -id, which is its continuous limit as a -> 0."""
     a = np.asarray(a, dtype=complex)
     z = np.asarray(z, dtype=complex)
     aa = sq_norm(a)
-    if aa >= 1.0:
+    if (aa >= 1.0).any():
         raise DomainError("mobius center must lie strictly inside the ball")
-    if aa < 1e-32:
+    near0 = aa < 1e-32
+    if near0.all():
         return -z
-    s = np.sqrt(1.0 - aa)
-    proj = (herm(z, a) / aa)[..., None] * a
-    orth = z - proj
-    return (a - proj - s * orth) / (1.0 - herm(z, a))[..., None]
+    za = herm(z, a)
+    # a centre at 0 divides by 1 here and takes -z below
+    proj = (za / (aa + near0))[..., None] * a
+    out = ((a - proj - np.sqrt(1.0 - aa)[..., None] * (z - proj))
+           / (1.0 - za)[..., None])
+    return np.where(near0[..., None], -z, out) if near0.any() else out
 
 
 def unitary_taking(u, v):
@@ -255,50 +264,88 @@ def _same_direction(u, v, tol=1e-12) -> bool:
 # Kobayashi distance and horofunctions
 # ---------------------------------------------------------------------------
 
-def _kob_from_components(n_val: complex, m_z: float, m_w: float) -> float:
-    """Distance from 1 - <z,w> and the two margins (stable near the sphere).
+def _lanes(points, axis=None):
+    """(coords, margin, delta, ref, tail) of a list of points or a
+    `PointBatch`, one row per point, on `axis` of an outer pairing if
+    given.  ref is one vector when all points hold the same, else one row
+    per point; delta and ref are nan for a point without a reference; tail
+    is a batch's stored tail, None for points."""
+    if isinstance(points, PointBatch):
+        ref, delta, margin, tail = (points.ref, points.delta, points.margin,
+                                    points.tail)
+        coords = (1.0 - delta)[:, None] * ref + tail
+    else:
+        coords = np.array([p.coords for p in points])
+        margin = np.array([p.margin for p in points])
+        delta = np.array([np.nan if p.ref is None else p.delta
+                          for p in points], dtype=complex)
+        ref = np.array([np.full(p.q, np.nan) if p.ref is None else p.ref
+                        for p in points], dtype=complex)
+        ref, tail = ref[0] if (ref == ref[0]).all() else ref, None
+    if axis is not None:
+        coords, margin, delta, tail = (
+            None if x is None else np.expand_dims(x, axis)
+            for x in (coords, margin, delta, tail))
+        ref = ref if ref.ndim == 1 else np.expand_dims(ref, axis)
+    return coords, margin, delta, ref, tail
 
-    Coincident points give the quotient 1 up to a few ulps; anything above
-    1 - 1e-14 is collapsed to distance zero (resolution floor ~2e-7 of this
-    path; close moderate pairs take the involution path instead).
-    """
-    d_quot = m_z * m_w / abs(n_val) ** 2
-    if d_quot > 1.0 - 1e-14:
-        return 0.0
-    rho = np.sqrt(1.0 - d_quot)
-    return float(np.log((1.0 + rho) ** 2 / d_quot))
+
+def _kob(z_lanes, w_lanes) -> np.ndarray:
+    """The Kobayashi distance on broadcastable lanes from `_lanes`.
+
+    Lanes whose points share a reference take the defect expansion of
+    1 - <z,w>, exact arbitrarily close to the sphere.  The Mobius involution
+    centred at z, applied to w, takes the rest: no shared reference, an
+    expansion that cancels (near -ref, where coordinates are accurate), or
+    a quotient that rounds to 1 (the expansion's ~2e-7 floor) with both
+    margins >= 1e-6; identical coordinates there are at distance 0."""
+    zc, mz, dz, ref, tz = z_lanes
+    wc, mw, dw, ref_w, tw = w_lanes
+    if zc.shape[-1] != wc.shape[-1]:
+        raise DimensionMismatch(f"dimensions {zc.shape[-1]} != {wc.shape[-1]}")
+    share = sq_norm(ref - ref_w) <= 1e-24
+    if tz is None:
+        tz = zc - herm(zc, ref)[..., None] * ref
+    if tw is None or not np.array_equal(ref_w, ref):
+        tw = wc - herm(wc, ref)[..., None] * ref
+    # herm, _cmul, abs_sq and float_power round a lane as the pair alone
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dwc = np.conj(dw)
+        n_val = dz + dwc - _cmul(dz, dwc) - herm(tz, tw)
+        scale = (np.abs(dz) + np.abs(dw) + np.abs(dz * dw)
+                 + np.sqrt(sq_norm(tz) * sq_norm(tw)) + 1e-300)
+        expand = share & (np.abs(n_val) >= 1e-6 * scale)
+        if not expand.all():
+            n_val = np.where(expand, n_val, 1.0 - herm(zc, wc))
+        d_quot = mz * mw / abs_sq(n_val)
+        collapsed = d_quot > 1.0 - 1e-14
+        rho = np.sqrt(1.0 - d_quot)
+        out = np.where(collapsed, 0.0,
+                       np.log(np.float_power(1.0 + rho, 2.0) / d_quot))
+    inv = ~expand | (collapsed & (np.minimum(mz, mw) >= 1e-6))
+    if inv.any():
+        shape = inv.shape + zc.shape[-1:]
+        zc, wc = (c[inv] if c.shape == shape else np.broadcast_to(c, shape)[inv]
+                  for c in (zc, wc))
+        rho = np.sqrt(sq_norm(mobius_shift(zc, wc)))
+        rho[(zc == wc).all(axis=-1)] = 0.0
+        # far pairs keep the quotient of 1 - <z,w> from coordinates
+        out[inv] = np.where(rho < 0.95, np.log1p(2.0 * rho / (1.0 - rho)),
+                            out[inv])
+    return out
 
 
-def kob_dist(z: BallPoint, w: BallPoint) -> float:
-    """Kobayashi distance, kob_dist(0, z) = log((1+|z|)/(1-|z|)).
-
-    Point pairs sharing a boundary reference go through defect arithmetic
-    (exact arbitrarily close to the sphere) unless the defect expansion of
-    1 - <z,w> itself cancels, which only happens near the opposite pole
-    -ref where raw coordinates are accurate; everything else evaluates the
-    norm of the Mobius involution centred at z applied to w.
-    """
-    if z.q != w.q:
-        raise DimensionMismatch(f"dimensions {z.q} != {w.q}")
-    if (z.ref is not None and w.ref is not None
-            and _same_direction(z.ref, w.ref)):
-        tz = z.tail()
-        tw = w.tail(z.ref)
-        n_val = (z.delta + np.conj(w.delta) - z.delta * np.conj(w.delta)
-                 - herm(tz, tw))
-        scale = (abs(z.delta) + abs(w.delta) + abs(z.delta * w.delta)
-                 + np.linalg.norm(tz) * np.linalg.norm(tw) + 1e-300)
-        if abs(n_val) >= 1e-6 * scale:
-            d = _kob_from_components(n_val, z.margin, w.margin)
-            # d == 0 can mean "below this path's ~2e-7 resolution"; let the
-            # involution resolve it when coordinates still can
-            if d != 0.0 or min(z.margin, w.margin) < 1e-6:
-                return d
-    rho = float(np.sqrt(sq_norm(mobius_shift(z.coords, w.coords))))
-    if rho < 0.95:
-        return float(np.log1p(2.0 * rho / (1.0 - rho)))
-    n_val = 1.0 - herm(z.coords, w.coords)
-    return _kob_from_components(n_val, z.margin, w.margin)
+def kob_dist(z, w):
+    """Kobayashi distance, kob_dist(0, z) = log((1+|z|)/(1-|z|)), of two
+    points as a float, or of the pairs of two equal-length sequences (lists
+    of points or `PointBatch`es) as an array; see `_kob` for its lanes."""
+    if isinstance(z, BallPoint) and isinstance(w, BallPoint):
+        return float(_kob(_lanes([z]), _lanes([w]))[0])
+    if len(z) != len(w):
+        raise DimensionMismatch(f"sequence lengths {len(z)} != {len(w)}")
+    if len(z) == 0:
+        return np.zeros(0)
+    return _kob(_lanes(z), _lanes(w))
 
 
 def kob_dist_origin(z: BallPoint) -> float:
@@ -307,57 +354,9 @@ def kob_dist_origin(z: BallPoint) -> float:
 
 
 def kob_matrix(points_a, points_b) -> np.ndarray:
-    """Pairwise `kob_dist` between two lists of points or `PointBatch`es.
-
-    Pairs of points sharing one boundary reference go through the array
-    form of `kob_dist`'s defect path; each pair that path leaves to the
-    involution (a collapsed pair away from the sphere, a cancelling defect
-    expansion, or a point without that reference) goes to `kob_dist`.
-    """
-    if isinstance(points_a, PointBatch):
-        ref = points_a.ref
-    else:
-        ref = next((p.ref for p in points_a if p.ref is not None), None)
-
-    def defect_form(points):
-        if isinstance(points, PointBatch):
-            share = ref is not None and _same_direction(points.ref, ref)
-            return (np.full(len(points), share), points.delta, points.tail,
-                    points.margin)
-        # placeholders (delta 1, tail 0, margin 1) for points off `ref`
-        rows = [(True, p.delta, p.tail(ref), p.margin)
-                if ref is not None and p.ref is not None
-                and _same_direction(p.ref, ref)
-                else (False, 1.0, np.zeros_like(p.coords), 1.0)
-                for p in points]
-        share, delta, tail, margin = zip(*rows)
-        return (np.array(share), np.array(delta, dtype=complex),
-                np.stack(tail), np.array(margin))
-
-    def point(points, i):
-        return points.point(i) if isinstance(points, PointBatch) else points[i]
-
-    sa, da, ta, ma = defect_form(points_a)
-    sb, db, tb, mb = defect_form(points_b)
-    n_val = (da[:, None] + np.conj(db)[None, :]
-             - da[:, None] * np.conj(db)[None, :]
-             - np.einsum("ik,jk->ij", ta, np.conj(tb)))
-    ada, adb = np.abs(da), np.abs(db)
-    scale = (ada[:, None] + adb[None, :] + np.outer(ada, adb)
-             + np.outer(np.linalg.norm(ta, axis=1), np.linalg.norm(tb, axis=1))
-             + 1e-300)
-    with np.errstate(divide="ignore"):
-        d_quot = np.minimum(ma[:, None] * mb[None, :] / np.abs(n_val) ** 2,
-                            1.0)
-    rho = np.sqrt(np.maximum(1.0 - d_quot, 0.0))
-    out = np.log((1.0 + rho) ** 2 / d_quot)
-    collapsed = d_quot > 1.0 - 1e-14
-    out[collapsed] = 0.0
-    resolved = (sa[:, None] & sb[None, :] & (np.abs(n_val) >= 1e-6 * scale)
-                & (~collapsed | (np.minimum(ma[:, None], mb[None, :]) < 1e-6)))
-    for i, j in zip(*np.nonzero(~resolved)):
-        out[i, j] = kob_dist(point(points_a, i), point(points_b, j))
-    return out
+    """`kob_dist` over every pair of two lists of points or `PointBatch`es:
+    entry (i, j) is kob_dist(points_a[i], points_b[j])."""
+    return _kob(_lanes(points_a, 1), _lanes(points_b, 0))
 
 
 def horofunction(z: BallPoint, zeta: BoundaryPoint) -> float:

@@ -150,8 +150,7 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
 
 def orbit_diagnostics(seg: OrbitSegment):
     pts = seg.points
-    steps = np.array([geo.kob_dist(pts[j], pts[j + 1])
-                      for j in range(len(pts) - 1)])
+    steps = geo.kob_dist(pts[:-1], pts[1:])
     horos = np.array([geo.horofunction(p, seg.zeta) for p in pts])
     dz = np.array([geo.dist_to_zeta(p, seg.zeta) for p in pts])
     return steps, horos, dz
@@ -270,18 +269,18 @@ def _cluster_orbit(chains, zeta, lam, params, f):
                  if k >= j and len(chains[k]) > j]
         if len(cands) < 2:
             return None
+        dmat = geo.kob_matrix(cands, cands)
         clusters: list[list[int]] = []
-        for i, p in enumerate(cands):
+        for i in range(len(cands)):
             for cl in clusters:
-                if geo.kob_dist(p, cands[cl[0]]) < params.rho_cluster:
+                if dmat[i, cl[0]] < params.rho_cluster:
                     cl.append(i)
                     break
             else:
                 clusters.append([i])
         big = max(clusters, key=len)
-        dmat = geo.kob_matrix([cands[i] for i in big],
-                              [cands[i] for i in big])
-        medoids.append(cands[big[int(np.argmin(dmat.sum(axis=1)))]])
+        medoids.append(cands[big[int(np.argmin(
+            dmat[np.ix_(big, big)].sum(axis=1)))]])
     for j in range(1, len(medoids)):
         img = cat.step_point(f, medoids[j])
         if np.linalg.norm(img.coords - medoids[j - 1].coords) > params.tol_cluster:

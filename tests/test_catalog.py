@@ -84,13 +84,13 @@ def test_catalog_build_dispatch(e1):
 ])
 def test_schwarz_pick(make, rng):
     f = make()
-    worst = -np.inf
+    zs, ws = [], []
     for _ in range(10000):
-        z = random_interior(rng, f.q)
-        w = random_interior(rng, f.q)
-        fz = geo.ball_point(cat.evaluate(f, z.coords))
-        fw = geo.ball_point(cat.evaluate(f, w.coords))
-        worst = max(worst, geo.kob_dist(fz, fw) - geo.kob_dist(z, w))
+        zs.append(random_interior(rng, f.q))
+        ws.append(random_interior(rng, f.q))
+    fzs = [geo.ball_point(cat.evaluate(f, z.coords)) for z in zs]
+    fws = [geo.ball_point(cat.evaluate(f, w.coords)) for w in ws]
+    worst = (geo.kob_dist(fzs, fws) - geo.kob_dist(zs, ws)).max()
     assert worst <= 1e-10
 
 

@@ -73,15 +73,15 @@ def test_kob_dist_symmetry_and_zero(rng):
 
 def test_triangle_inequality_bulk(rng):
     # slack >= -1e-12 on 10^4 random triples
-    worst = np.inf
+    triples = []
     for _ in range(10000):
         v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         v *= (rng.uniform(0.05, 0.9, size=3)
               / np.linalg.norm(v, axis=1))[:, None]
-        a, b, c = (geo.ball_point(x) for x in v)
-        worst = min(worst, geo.kob_dist(a, b) + geo.kob_dist(b, c)
-                    - geo.kob_dist(a, c))
-    assert worst >= -1e-12
+        triples.append([geo.ball_point(x) for x in v])
+    a, b, c = zip(*triples)
+    slack = geo.kob_dist(a, b) + geo.kob_dist(b, c) - geo.kob_dist(a, c)
+    assert slack.min() >= -1e-12
 
 
 @st.composite
@@ -147,6 +147,168 @@ def test_kob_matrix_matches_kob_dist(rng, e1_q2):
                           geo.kob_matrix(as_points, pts))
     assert np.array_equal(geo.kob_matrix(pts, batch),
                           geo.kob_matrix(pts, as_points))
+
+
+def test_kob_dist_of_a_point_with_itself_is_zero(e1, e1_q2):
+    # both margins >= 1e-6 send the collapsed pair to the involution, whose
+    # roundoff (about 1e-16 / margin) was 1.8e-10 at gamma(15)
+    for s in range(41):
+        assert geo.kob_dist(geo.geodesic_point(e1, s),
+                            geo.geodesic_point(e1, s)) == 0.0
+    e2 = geo.basis_boundary_point(2, 1)
+    pts = [geo.geodesic_point(e1_q2, float(s)) for s in range(41)]
+    pts.append(geo.with_reference(bp(0.3 + 0.1j, 0.2), e2))
+    for p in pts:
+        assert geo.kob_dist(p, p) == 0.0
+    assert np.all(geo.kob_dist(pts, pts) == 0.0)
+    # deep axis points and a point at e_2 share no reference, and the
+    # saturated axis points cannot centre the involution: one matrix each
+    assert np.all(np.diag(geo.kob_matrix(pts[:-1], pts[:-1])) == 0.0)
+    assert geo.kob_matrix(pts[-1:], pts[-1:])[0, 0] == 0.0
+
+
+def test_kob_dist_sequences(e1_q2):
+    pts = [geo.geodesic_point(e1_q2, float(s)) for s in range(6)]
+    out = geo.kob_dist(pts[:-1], pts[1:])
+    assert isinstance(out, np.ndarray) and out.shape == (5,)
+    assert out.tolist() == [geo.kob_dist(z, w) for z, w in zip(pts, pts[1:])]
+    assert geo.kob_dist([], []).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        geo.kob_dist(pts[:2], pts[:3])
+    with pytest.raises(DimensionMismatch):
+        geo.kob_dist(pts[:1], [bp(0.1)])
+    # an involution lane whose centre has left the ball fails as
+    # mobius_shift does, in a sequence as for one pair
+    on_sphere = geo.BallPoint(coords=np.array([1.0, 0.0], dtype=complex),
+                              margin=1e-20)
+    with pytest.raises(DomainError):
+        geo.kob_dist(on_sphere, pts[1])
+    with pytest.raises(DomainError):
+        geo.kob_dist([pts[1], on_sphere], [pts[2], pts[1]])
+
+
+def test_kob_dist_alike_in_every_layout(rng):
+    # one pair gives the same bits alone, in a sequence and in a matrix,
+    # on shared-reference and coordinate-only lanes
+    ref = geo.boundary_point([0.6, 0.48j, 0.64])
+    pts = [random_interior(rng, 3, scale=0.97) for _ in range(200)]
+    pts = [p if i % 3 == 0 else geo.with_reference(p, ref)
+           for i, p in enumerate(pts)]
+    z, w = pts[:100], pts[100:]
+    alone = [geo.kob_dist(a, b) for a, b in zip(z, w)]
+    assert geo.kob_dist(z, w).tolist() == alone
+    dmat = geo.kob_matrix(z, w)
+    assert np.diag(dmat).tolist() == alone
+    assert dmat[:10, 50:60].tolist() == [[geo.kob_dist(a, b) for b in w[50:60]]
+                                         for a in z[:10]]
+
+
+def test_kob_dist_mpmath_oracle(rng, e1_q2):
+    """kob_dist against the 50-digit distance on every lane of the kernel,
+    pair by pair and as one sequence call, which agree bit for bit."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    e2 = geo.basis_boundary_point(2, 1)
+    other = geo.boundary_point([0.6, 0.8j])
+
+    def oracle(z, w):
+        # z, w: (mpc coordinates, 1 - |z|^2)
+        (zc, mz), (wc, mw) = z, w
+        n = 1 - sum(x * mp.conj(y) for x, y in zip(zc, wc))
+        return 2 * mp.atanh(mp.sqrt(1 - mz * mw / abs(n) ** 2))
+
+    def from_coords(p):
+        z = [mp.mpc(c) for c in p.coords]
+        return z, 1 - sum(abs(x) ** 2 for x in z)
+
+    def adapted(delta, tail):
+        # the point (tail, 1 - delta) in defect form at e_2, given its
+        # margin rounded from the exact value
+        d, t = mp.mpc(delta), mp.mpc(tail)
+        m = 2 * d.real - abs(d) ** 2 - abs(t) ** 2
+        p = geo.boundary_adapted_point(e2.coords, delta, tail=[tail, 0.0],
+                                       margin=float(m))
+        return p, ([t, 1 - d], m)
+
+    def interior(scale, ref=None):
+        p = random_interior(rng, 2, scale=scale)
+        return (p if ref is None else geo.with_reference(p, ref)), \
+            from_coords(p)
+
+    def near_minus_ref(eps, turn=0.0):
+        return adapted(2.0 - eps + 0.3j * eps * rng.uniform(-1.0, 1.0),
+                       0.3 * np.sqrt(eps) * np.exp(2j * np.pi * turn))
+
+    def close_pair():
+        # 1e-8 apart off the sphere: the defect quotient rounds to 1 and the
+        # margins (>= 0.19) send the pair to the involution
+        p = random_interior(rng, 2, scale=0.9)
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        w = geo.ball_point(p.coords + 1e-8 * u / np.linalg.norm(u))
+        return [(geo.with_reference(p, e2), from_coords(p)),
+                (geo.with_reference(w, e2), from_coords(w))]
+
+    cases = {"deep": [], "moderate": [], "mixed": [], "minus_ref": [],
+             "cancel": [], "close": []}
+    for e in range(2, 17):   # the defect lane down to |delta| = 1e-16
+        for _ in range(3):
+            pair = []
+            for depth in (e, e + rng.uniform(-1.0, 2.0)):
+                delta = 10.0 ** (-depth) * np.exp(1j * rng.uniform(-1.2, 1.2))
+                pair.append(adapted(delta, 0.5 * np.sqrt(delta.real)
+                                 * np.exp(2j * np.pi * rng.uniform())))
+            cases["deep"].append(pair)
+    for _ in range(30):      # the defect lane off the sphere
+        cases["moderate"].append([interior(0.95, e2), interior(0.95, e2)])
+    for i in range(30):      # the involution: no shared reference
+        refs = (e2, other, None)
+        cases["mixed"].append([interior(0.95, refs[i % 3]),
+                               interior(0.95, refs[(i // 3) % 3])])
+    for _ in range(4):       # the involution's far branch, rho >= 0.95
+        p = random_interior(rng, 2, scale=1.0 - 1e-3)
+        antipode = geo.ball_point(-p.coords)
+        cases["mixed"].append([(p, from_coords(p)),
+                               (antipode, from_coords(antipode))])
+    for _ in range(20):      # the defect lane near -e_2, partly cancelling
+        turn = rng.uniform()
+        cases["minus_ref"].append([
+            near_minus_ref(10.0 ** rng.uniform(-2.0, -1.0), turn + t)
+            for t in (0.0, 0.5)])
+    for eps in (1e-6, 3e-7, 1e-7):   # an expansion that cancels: involution
+        turn = rng.uniform()
+        cases["cancel"].append([near_minus_ref(eps, turn),
+                                near_minus_ref(eps * rng.uniform(0.5, 2.0),
+                                               turn + 0.1)])
+    for _ in range(20):
+        cases["close"].append(close_pair())
+    tolerance = {"deep": (1e-12, 0.0), "moderate": (1e-12, 0.0),
+                 "mixed": (1e-12, 0.0), "minus_ref": (1e-12, 0.0),
+                 "close": (0.0, 1e-15)}
+    for name, pairs in cases.items():
+        zs = [z for (z, _), _ in pairs]
+        ws = [w for _, (w, _) in pairs]
+        one_call = geo.kob_dist(zs, ws)
+        for ((z, z_mp), (w, w_mp)), d_seq in zip(pairs, one_call):
+            d = geo.kob_dist(z, w)
+            assert d == d_seq, name
+            truth = float(oracle(z_mp, w_mp))
+            if name == "cancel":
+                # coordinates this close to the sphere resolve the distance
+                # to about 1e-16 / margin, and the involution reads them
+                rel, abs_ = 0.0, 1e-15 / min(z.margin, w.margin)
+            else:
+                rel, abs_ = tolerance[name]
+            assert abs(d - truth) <= rel * truth + abs_, (name, d, truth)
+    # a PointBatch is a sequence too
+    deep_z = [z for (z, _), _ in cases["deep"]]
+    deep_w = [w for _, (w, _) in cases["deep"]]
+    batch = geo.PointBatch(ref=e2.coords,
+                           delta=np.array([p.delta for p in deep_z]),
+                           tail=np.array([p.tail() for p in deep_z]),
+                           margin=np.array([p.margin for p in deep_z]))
+    assert np.array_equal(geo.kob_dist(batch, deep_w),
+                          geo.kob_dist(deep_z, deep_w))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +484,9 @@ def test_dist_to_geodesic_on_axis(e1):
 def test_dist_to_geodesic_against_grid_oracle(e1_q2):
     # independent oracle: dense grid over the geodesic parameter
     z = geo.ball_point([0.1 + 0.2j, 0.35 - 0.1j])
-    grid = np.linspace(0.0, 8.0, 10000)
-    oracle = min(geo.kob_dist(z, geo.geodesic_point(e1_q2, float(s)))
-                 for s in grid)
+    axis = [geo.geodesic_point(e1_q2, float(s))
+            for s in np.linspace(0.0, 8.0, 10000)]
+    oracle = geo.kob_matrix([z], axis).min()
     d, s_star = geo.dist_to_geodesic(z, e1_q2)
     assert d <= oracle + 1e-9
     assert abs(d - oracle) < 1e-6
@@ -333,12 +495,12 @@ def test_dist_to_geodesic_against_grid_oracle(e1_q2):
 def test_dist_to_geodesic_monotone_off_axis(e1_q2):
     # for z = (0, t) the distance grows with t; grid oracle cross-check
     prev = -1.0
+    axis = [geo.geodesic_point(e1_q2, float(s))
+            for s in np.linspace(0.0, 6.0, 10000)]
     for t in (0.1, 0.3, 0.5, 0.7):
         z = geo.ball_point([0.0, t])
         d, _ = geo.dist_to_geodesic(z, e1_q2)
-        grid = np.linspace(0.0, 6.0, 10000)
-        oracle = min(geo.kob_dist(z, geo.geodesic_point(e1_q2, float(s)))
-                     for s in grid)
+        oracle = geo.kob_matrix([z], axis).min()
         assert abs(d - oracle) < 1e-6
         assert d > prev
         prev = d

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from ballorbits import cli
+from ballorbits import geometry as geo
+from ballorbits import orbits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,3 +34,26 @@ def test_orbit_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"orbit_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_orbit_steps_equal_per_pair_distances(name, monkeypatch, capsys):
+    """Every chain the construction analyses measures its steps with one
+    sequence call of kob_dist; each step equals its own pair's call bit
+    for bit."""
+    spec, zeta = ORBIT_CASES[name]
+    diagnostics = orbits.orbit_diagnostics
+    checked = []
+
+    def check(seg):
+        steps, horos, dz = diagnostics(seg)
+        pts = seg.points
+        assert steps.tolist() == [geo.kob_dist(z, w)
+                                  for z, w in zip(pts, pts[1:])]
+        checked.append(len(steps))
+        return steps, horos, dz
+
+    monkeypatch.setattr(orbits, "orbit_diagnostics", check)
+    assert cli.main(["orbit", spec, f"--zeta={zeta}"]) == 0
+    capsys.readouterr()
+    assert sum(checked) > 100

@@ -123,6 +123,16 @@ def test_construction_steps_each_anchor_once(disc_auto, e1, monkeypatch):
     assert len(calls) == sum(k + 1 for k in range(1, 41))
 
 
+def test_construction_measures_each_chain_once(disc_auto, e1, monkeypatch):
+    # one kob_dist call over all the steps of each analysed chain, k = 1..40
+    calls = []
+    dist = geo.kob_dist
+    monkeypatch.setattr(geo, "kob_dist",
+                        lambda z, w: calls.append(1) or dist(z, w))
+    orb.construct_backward_orbit(disc_auto, e1, 3.0)
+    assert len(calls) == 40
+
+
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
     r_k = orb.radial_anchor(e1, 3.0, 10)

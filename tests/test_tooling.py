@@ -49,7 +49,7 @@ def test_traced_layers_reached():
     finally:
         tracer.uninstall()
     for name in ("orbits.stopping_time", "orbits.harvest_chain",
-                 "geometry.kob_matrix", "geometry.horo_raw",
-                 "geometry.dist_to_geodesic", "sampling.tube_samples",
-                 "geometry.koranyi_functional"):
+                 "geometry.kob_dist", "geometry.kob_matrix",
+                 "geometry.horo_raw", "geometry.dist_to_geodesic",
+                 "sampling.tube_samples", "geometry.koranyi_functional"):
         assert tracer.calls[tracer.fid(name)] > 0, name
