@@ -36,11 +36,12 @@ from .sampling import _axial_transport, adapted_at, sample_ball, sample_shell
 class SelfMap:
     """A self-map of B^q.  Each subclass is one map kind, with `params` its
     numbers and `children` its sub-maps.  It names its `kind` and defines
-    `_evaluate(z)` on complex coordinate arrays (broadcasting over leading
-    axes), `_jacobian(z)` at one coordinate vector, and `_astep(ref, delta,
-    tail, margin)`: the map on the boundary-adapted state, or None when the
-    kind cannot keep the defect representation exact.  Callers use the
-    module functions `evaluate`, `jacobian` and `adapted_step`."""
+    `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
+    (broadcasting over leading axes; the Jacobian is [..., q, q]), and
+    `_astep(ref, delta, tail, margin)`: the map on the boundary-adapted
+    state, or None when the kind cannot keep the defect representation
+    exact.  Callers use the module functions `evaluate`, `jacobian` and
+    `adapted_step`."""
 
     q: int
     params: tuple = ()
@@ -61,22 +62,25 @@ class Blaschke(SelfMap):
         z1 = z[..., 0]
         out = np.full_like(z1, np.exp(1j * theta))
         for a in facs:
-            out = out * (z1 - a) / (1.0 - np.conj(a) * z1)
+            out = geo._cmul(out, z1 - a) / (1.0 - geo._cmul(np.conj(a), z1))
         return out[..., None]
 
     def _jacobian(self, z):
+        """b' = e^{i theta} sum_i u_i' prod_{j != i} u_j over the factors
+        u_j; row i of the factor matrix holds u_j off and 1 on the diagonal."""
         facs, theta = self.params
-        z1 = z[0]
-        vals = [(z1 - a) / (1.0 - np.conj(a) * z1) for a in facs]
-        ders = [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z1) ** 2 for a in facs]
-        total = 0.0 + 0.0j
-        for i in range(len(facs)):
-            prod = ders[i]
-            for j, v in enumerate(vals):
-                if j != i:
-                    prod = prod * v
-            total += prod
-        return np.array([[np.exp(1j * theta) * total]], dtype=complex)
+        a = np.array(facs)
+        z1 = z[..., :1]
+        den = 1.0 - geo._cmul(np.conj(a), z1)
+        vals = np.where(np.eye(len(a), dtype=bool), 1.0,
+                        ((z1 - a) / den)[..., None, :])
+        prods = (1.0 - geo.abs_sq(a)) / geo._cmul(den, den)
+        for j in range(len(a)):
+            prods = geo._cmul(prods, vals[..., j])
+        total = 0.0
+        for i in range(len(a)):
+            total = total + prods[..., i]
+        return geo._cmul(np.exp(1j * theta), total)[..., None, None]
 
     def _astep(self, ref, delta, tail, margin):
         """Defect recursion for real-coefficient Blaschke products at ref = +-1.
@@ -125,23 +129,21 @@ class BallAutomorphism(SelfMap):
         return geo.apply_raw(self.params[0], z)
 
     def _jacobian(self, z):
-        """d(U phi_a)/dz: for phi_a,  J v = (phi_a(z) <v,a> - P v - s Q v)/(1-<z,a>)."""
+        """d(U phi_a)/dz = U (phi_a(z) a* - P - s (I - P)) / (1 - <z,a>),
+        with P = a a* / |a|^2 and s = sqrt(1 - |a|^2)."""
         g = self.params[0]
         a = g.center
         aa = sq_norm(a)
+        u = np.asarray(g.unitary)
         if aa < 1e-32:
-            return -np.asarray(g.unitary)
+            return np.broadcast_to(-u, z.shape[:-1] + u.shape).copy()
         s = np.sqrt(1.0 - aa)
-        phi_z = geo.mobius_shift(a, z)
-        den = 1.0 - herm(z, a)
-        cols = []
-        for i in range(g.q):
-            v = np.zeros(g.q, dtype=complex)
-            v[i] = 1.0
-            proj = (herm(v, a) / aa) * a
-            orth = v - proj
-            cols.append((phi_z * herm(v, a) - proj - s * orth) / den)
-        return np.asarray(g.unitary) @ np.stack(cols, axis=1)
+        # every product is of arrays, so it rounds alike for one point and
+        # for a batch (Blaschke's scalar factors need `_cmul` instead)
+        proj = (np.conj(a) / aa) * a[:, None]
+        num = (geo.mobius_shift(a, z)[..., :, None] * np.conj(a)
+               - proj - s * (np.eye(g.q) - proj))
+        return u @ (num / (1.0 - herm(z, a))[..., None, None])
 
     def _astep(self, ref, delta, tail, margin):
         out = self.params[0].run_stages(
@@ -159,10 +161,10 @@ class WarpedProduct(SelfMap):
 
     def _jacobian(self, z):
         c, = self.params
-        j = np.zeros((self.q, self.q), dtype=complex)
-        j[0, 0] = jacobian(self.children[0], z[:1])[0, 0]
-        for i in range(1, self.q):
-            j[i, i] = c
+        j = np.zeros(z.shape + (self.q,), dtype=complex)
+        j[..., :1, :1] = self.children[0]._jacobian(z[..., :1])
+        tangent = np.arange(1, self.q)
+        j[..., tangent, tangent] = c
         return j
 
     def _astep(self, ref, delta, tail, margin):
@@ -192,9 +194,9 @@ class Compose(SelfMap):
         points = [z]
         for g in reversed(self.children[1:]):
             points.append(evaluate(g, points[-1]))
-        j = jacobian(self.children[0], points[-1])
+        j = self.children[0]._jacobian(points[-1])
         for g, w in zip(self.children[1:], reversed(points[:-1])):
-            j = j @ jacobian(g, w)
+            j = j @ g._jacobian(w)
         return j
 
     def _astep(self, ref, delta, tail, margin):
@@ -221,7 +223,10 @@ class CallableMap(SelfMap):
         return np.asarray(self.params[0](z), dtype=complex)
 
     def _jacobian(self, z):
-        return jacobian_fd(self, z)
+        # one point at a time, so each row equals the single-point quotient
+        # however the evaluator rounds a batch
+        rows = [jacobian_fd(self, p) for p in z.reshape(-1, self.q)]
+        return np.reshape(rows, z.shape + (self.q,))
 
     def _astep(self, ref, delta, tail, margin):
         return None
@@ -459,8 +464,14 @@ def evaluate(f: SelfMap, z):
 
 
 def jacobian(f: SelfMap, z) -> np.ndarray:
-    """Complex q x q Jacobian at a single point."""
-    return f._jacobian(geo.as_vector(z, f.q))
+    """Complex q x q Jacobian at one point z[q], or one per row of z[n, q]
+    ([n, q, q]); a row's Jacobian equals its single-point one bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 2:
+        z = geo.as_vector(z, f.q)
+    elif z.shape[1] != f.q:
+        raise DimensionMismatch(f"expected dimension {f.q}, got {z.shape[1]}")
+    return f._jacobian(z)
 
 
 def jacobian_fd(f: SelfMap, z, h: float = 1e-6) -> np.ndarray:

@@ -299,49 +299,94 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed: BallPoint,
                     tol: float = 1e-12, max_iter: int = 100) -> BallPoint:
     """Solve f(z) = target by damped Newton (complex q x q solve).
 
-    Iterates are retracted to radius 1 - 1e-12; on stall a coarse polar
-    grid reseeds the iteration.  With boundary-adapted targets the solve
-    runs in defect coordinates, so deep preimages keep relative accuracy.
+    Iterates are retracted to radius 1 - 1e-12.  With boundary-adapted
+    targets the solve runs in defect coordinates, so deep preimages keep
+    relative accuracy.  Otherwise, or when that solve stalls, Newton runs in
+    coordinates from the seed; on stall a coarse polar grid reseeds it, all
+    grid seeds as lanes of one solve, and the first converged lane in seed
+    order is the preimage.
     """
     out = _newton_adapted(f, target, seed, tol, max_iter)
     if out is not None:
         return out
-    out = _newton_coords(f, target.coords, seed.coords, tol, max_iter)
+    out, = _newton_coords(f, target.coords, seed.coords[None], tol, max_iter)
     if out is None:
-        for cand in _grid_seeds(f.q):
-            out = _newton_coords(f, target.coords, cand, tol, max_iter)
-            if out is not None:
-                break
+        out = next((z for z in _newton_coords(f, target.coords,
+                                              _grid_seeds(f.q), tol, max_iter)
+                    if z is not None), None)
     if out is None:
         raise NumericalError("no preimage found near the seed")
     return geo.ball_point(out)
 
 
-def _newton_coords(f, target, z0, tol, max_iter):
-    z = np.asarray(z0, dtype=complex).copy()
-    res = cat.evaluate(f, z) - target
-    for _ in range(max_iter):
-        if np.linalg.norm(res) < tol:
-            n = np.linalg.norm(z)
-            return z if 1.0 - n >= geo.BOUNDARY_GUARD else None
+def _row_norms(z):
+    """np.linalg.norm of each row of z[n, q], rounded alike: the same
+    strided dot products of the real and of the imaginary parts."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
+def _solve_lanes(jac, rhs):
+    """np.linalg.solve(jac[i], rhs[i]) for each lane, and a mask of the
+    lanes whose Jacobian is not singular; the others get no step."""
+    ok = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(rhs)
+    for i in range(len(rhs)):
         try:
-            step = np.linalg.solve(cat.jacobian(f, z), -res)
+            step[i] = np.linalg.solve(jac[i], rhs[i])
         except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
+            ok[i] = False
+    return step, ok
+
+
+def _newton_coords(f, target, seeds, tol, max_iter):
+    """Damped coordinate Newton for f(z) = target from each row of
+    seeds[n, q], the rows running as lanes of one solve.
+
+    Each lane has its own damping scale.  A lane retires when its residual
+    drops below `tol` (its point, or None inside the boundary guard), when
+    its Jacobian is singular, or when 40 step halvings do not lower its
+    residual (None); lanes still running after `max_iter` steps give None.
+    Returns one result per seed.
+    """
+    z = np.array(seeds, dtype=complex)
+    res = cat.evaluate(f, z) - target
+    found = [None] * len(z)
+    lanes = np.arange(len(z))
+    for _ in range(max_iter):
+        rnorm = _row_norms(res)
+        done = rnorm < tol
+        for i, zi, n in zip(lanes[done], z[done], _row_norms(z[done])):
+            if 1.0 - n >= geo.BOUNDARY_GUARD:
+                found[i] = zi
+        lanes, z, res, rnorm = lanes[~done], z[~done], res[~done], rnorm[~done]
+        if not len(lanes):
+            break
+        step, ok = _solve_lanes(cat.jacobian(f, z), -res)
+        lanes, z, res, rnorm, step = (lanes[ok], z[ok], res[ok], rnorm[ok],
+                                      step[ok])
+        scale = np.ones(len(lanes))
+        searching = np.arange(len(lanes))
+        moved = np.zeros(len(lanes), dtype=bool)
         for _ in range(40):
-            z_new = z + scale * step
-            n = np.linalg.norm(z_new)
-            if n > 1.0 - 1e-12:
-                z_new = z_new * ((1.0 - 1e-12) / n)
+            z_new = z[searching] + scale[searching, None] * step[searching]
+            n = _row_norms(z_new)
+            out = n > 1.0 - 1e-12
+            z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
             res_new = cat.evaluate(f, z_new) - target
-            if np.linalg.norm(res_new) < np.linalg.norm(res):
-                z, res = z_new, res_new
+            better = _row_norms(res_new) < rnorm[searching]
+            took = searching[better]
+            z[took], res[took] = z_new[better], res_new[better]
+            moved[took] = True
+            searching = searching[~better]
+            if not len(searching):
                 break
-            scale *= 0.5
-        else:
-            return None
-    return None
+            scale[searching] *= 0.5
+        lanes, z, res = lanes[moved], z[moved], res[moved]
+    return found
 
 
 def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
@@ -408,8 +453,7 @@ def _grid_seeds(q: int):
     radii = (0.15, 0.45, 0.75, 0.9)
     angles = np.arange(8) * (np.pi / 4.0)
     if q == 1:
-        return [np.array([r * np.exp(1j * t)], dtype=complex)
-                for r in radii for t in angles]
+        return np.array([[r * np.exp(1j * t)] for r in radii for t in angles])
     seeds = []
     for r in radii:
         for t in angles[::2]:
@@ -418,7 +462,7 @@ def _grid_seeds(q: int):
                 v[0] = r * np.exp(1j * t) * 0.8
                 v[1] = r * np.exp(1j * t2) * 0.5
                 seeds.append(v)
-    return seeds
+    return np.array(seeds)
 
 
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
@@ -435,8 +479,11 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     toward zeta.  Two candidates scoring within `rho_branch` of each other
     is an ambiguity error listing both.
     """
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be at least 1, got {n_steps}")
     if params is None:
         params = OrbitParams()
+    grid = _grid_seeds(f.q)
     cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
@@ -450,8 +497,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
             except (NumericalError, DomainError):
                 pass
         if not cands or step_idx < 8:
-            for seed_c in _grid_seeds(f.q):
-                out = _newton_coords(f, cur.coords, seed_c, 1e-12, 60)
+            for out in _newton_coords(f, cur.coords, grid, 1e-12, 60):
                 if out is not None:
                     cands.append(geo.with_reference(geo.ball_point(out), zeta))
         uniq: list[BallPoint] = []
@@ -463,19 +509,21 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 f"no preimage found at backward step {step_idx}")
         # all points of a backward chain past the start live in the closed
         # unit horosphere, so candidates inside it take hard precedence
-        inside = [c for c in uniq
-                  if geo.horofunction(c, zeta) <= geo.HOROSPHERE_BAND]
-        pool = inside if inside else uniq
-        scored = sorted(
-            (geo.kob_dist(c, cur) + max(geo.horofunction(c, zeta), 0.0), i)
-            for i, c in enumerate(pool))
-        if len(scored) > 1 and scored[1][0] - scored[0][0] < rho_branch:
-            a, b = pool[scored[0][1]], pool[scored[1][1]]
+        horos = np.array([geo.horofunction(c, zeta) for c in uniq])
+        inside = horos <= geo.HOROSPHERE_BAND
+        if inside.any():
+            uniq = [c for c, keep in zip(uniq, inside) if keep]
+            horos = horos[inside]
+        scores = (geo.kob_dist(uniq, [cur] * len(uniq))
+                  + np.maximum(horos, 0.0))
+        order = np.argsort(scores, kind="stable")
+        if len(order) > 1 and scores[order[1]] - scores[order[0]] < rho_branch:
+            a, b = uniq[order[0]], uniq[order[1]]
             raise NumericalError(
                 "ambiguous backward branch: candidates "
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 f"within {rho_branch}")
-        nxt = pool[scored[0][1]]
+        nxt = uniq[order[0]]
         if nxt.ref is None:
             nxt = geo.with_reference(nxt, zeta)
         lam_guess = max(float(np.exp(geo.kob_dist(cur, nxt))), 1.01)

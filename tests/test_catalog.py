@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ballorbits import catalog as cat
 from ballorbits import geometry as geo
-from ballorbits.errors import ConfigError, DilationOutOfScope, DomainError
+from ballorbits.errors import (ConfigError, DilationOutOfScope,
+                               DimensionMismatch, DomainError)
 from ballorbits.sampling import sample_horodisc
 
 from conftest import random_interior
@@ -99,7 +100,7 @@ def _conjugated_blaschke(e1):
     return cat.conjugate_map(cat.blaschke_product([0.0, 1.0 / 3.0]), h)
 
 
-@pytest.mark.parametrize("make", [
+JACOBIAN_CASES = [
     lambda: cat.blaschke_product([0.0, 1.0 / 3.0, -1.0 / 3.0]),
     lambda: cat.disc_mobius(0.3 + 0.2j, theta=0.4),
     lambda: cat.hyperbolic_selfmap(geo.basis_boundary_point(2), 2.0),
@@ -108,7 +109,14 @@ def _conjugated_blaschke(e1):
     lambda: _conjugated_blaschke(geo.basis_boundary_point(1)),
     lambda: cat.compose_maps(cat.disc_mobius(0.2), cat.disc_mobius(-0.1j)),
     lambda: cat.iterate_map(cat.blaschke_product([0.0, 1.0 / 3.0]), 3),
-])
+]
+
+
+def _offaxis_hyperbolic():
+    return cat.hyperbolic_selfmap(geo.boundary_point([0.6, 0.8j]), 3.0)
+
+
+@pytest.mark.parametrize("make", JACOBIAN_CASES)
 def test_jacobian_matches_finite_differences(make, rng):
     f = make()
     for _ in range(5):
@@ -116,6 +124,36 @@ def test_jacobian_matches_finite_differences(make, rng):
         err = np.abs(cat.jacobian(f, z.coords)
                      - cat.jacobian_fd(f, z.coords)).max()
         assert err < 1e-6
+
+
+@pytest.mark.parametrize("make", JACOBIAN_CASES + [
+    _offaxis_hyperbolic,
+    lambda: cat.callable_map(
+        lambda z: cat.evaluate(_offaxis_hyperbolic(), z), q=2),
+])
+def test_jacobian_alike_in_every_layout(make, rng):
+    """Row i of the Jacobian (and of the map) at 200 points equals the
+    single-point one at row i bit for bit: the coordinate Newton lanes
+    reproduce the per-seed solves only because of this."""
+    f = make()
+    zs = np.array([random_interior(rng, f.q).coords for _ in range(200)])
+    jac = cat.jacobian(f, zs)
+    vals = cat.evaluate(f, zs)
+    assert jac.shape == (200, f.q, f.q)
+    for z, j, v in zip(zs, jac, vals):
+        assert j.tobytes() == cat.jacobian(f, z).tobytes()
+        assert v.tobytes() == cat.evaluate(f, z).tobytes()
+        assert np.abs(j - cat.jacobian_fd(f, z)).max() < 1e-6
+
+
+def test_jacobian_checks_its_shape():
+    f = _offaxis_hyperbolic()
+    with pytest.raises(DimensionMismatch):
+        cat.jacobian(f, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch):
+        cat.jacobian(f, np.zeros(3))
+    with pytest.raises(DomainError):
+        cat.jacobian(f, np.zeros((2, 3, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,104 @@ def test_newton_no_preimage_in_ball():
                             geo.ball_point([0.1, 0.1]))
 
 
+def reference_newton(f, target, z0, tol, max_iter):
+    """`_newton_coords` for one seed: the scalar damped Newton loop."""
+    z = np.asarray(z0, dtype=complex).copy()
+    res = cat.evaluate(f, z) - target
+    for _ in range(max_iter):
+        if np.linalg.norm(res) < tol:
+            n = np.linalg.norm(z)
+            return z if 1.0 - n >= geo.BOUNDARY_GUARD else None
+        try:
+            step = np.linalg.solve(cat.jacobian(f, z), -res)
+        except np.linalg.LinAlgError:
+            return None
+        scale = 1.0
+        for _ in range(40):
+            z_new = z + scale * step
+            n = np.linalg.norm(z_new)
+            if n > 1.0 - 1e-12:
+                z_new = z_new * ((1.0 - 1e-12) / n)
+            res_new = cat.evaluate(f, z_new) - target
+            if np.linalg.norm(res_new) < np.linalg.norm(res):
+                z, res = z_new, res_new
+                break
+            scale *= 0.5
+        else:
+            return None
+    return None
+
+
+def assert_lanes_match_reference(f, target, seeds, tol=1e-12, max_iter=60):
+    lanes = orb._newton_coords(f, target, np.asarray(seeds, complex), tol,
+                               max_iter)
+    ref = [reference_newton(f, target, s, tol, max_iter) for s in seeds]
+    assert [z is None for z in lanes] == [z is None for z in ref]
+    for z, r in zip(lanes, ref):
+        if r is not None:
+            assert z.tobytes() == r.tobytes()
+    return lanes
+
+
+@pytest.fixture(scope="module")
+def c06_march(cleared_blaschke, blaschke_orbit):
+    """Criterion 06's preimage march."""
+    cleared, _ = cleared_blaschke
+    return orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+
+
+def test_newton_lanes_match_per_seed_solves(cleared_blaschke, c06_march):
+    # the march solves the grid at its first 8 targets; at depth 26 some
+    # lanes and at depth 40 all lanes stall at the sphere and return None
+    cleared, _ = cleared_blaschke
+    pts = c06_march.orbit.points
+    nones = []
+    for p in pts[:8] + (pts[26], pts[40]):
+        lanes = assert_lanes_match_reference(cleared, p.coords,
+                                             orb._grid_seeds(1))
+        nones.append(sum(z is None for z in lanes))
+    assert nones[:8] == [0] * 8 and 0 < nones[8] < 32 and nones[9] == 32
+
+
+def test_newton_lanes_match_per_seed_solves_q2(e1_q2):
+    wp = cat.warped_product(cat.blaschke_product([0.0, 0.2]), 0.3 + 0.4j, q=2)
+    march = orb.backward_orbit_via_preimages(wp, geo.ball_point([0.2, 0.02]),
+                                             e1_q2, 3, lam_hint=2.5)
+    for p in march.orbit.points[:-1]:
+        assert_lanes_match_reference(wp, p.coords, orb._grid_seeds(2))
+
+
+def test_newton_singular_lane_retires_alone():
+    # z^2 = 1/4: the seed 0 has a zero Jacobian, the seed 0.4 converges
+    f = cat.blaschke_product([0.0, 0.0])
+    lanes = assert_lanes_match_reference(f, np.array([0.25 + 0j]),
+                                         [[0.0], [0.4]], max_iter=100)
+    assert lanes[0] is None
+    assert lanes[1][0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
+                                          monkeypatch):
+    # one batched grid solve on each of the first 8 backward steps; the
+    # adapted solve gives the candidate on every step
+    calls = []
+    newton = orb._newton_coords
+    monkeypatch.setattr(orb, "_newton_coords",
+                        lambda *args: calls.append(len(args[2]))
+                        or newton(*args))
+    cleared, _ = cleared_blaschke
+    orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+    assert calls == [32] * 8
+
+
+@pytest.mark.parametrize("lam_hint", [None, 3.0])
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_preimage_orbit_needs_a_step(disc_auto, e1, lam_hint, n_steps):
+    with pytest.raises(DomainError, match="n_steps"):
+        orb.backward_orbit_via_preimages(disc_auto, geo.ball_point([0.3]), e1,
+                                         n_steps, lam_hint=lam_hint)
+
+
 def test_orbit_params_validation():
     with pytest.raises(DomainError):
         orb.OrbitParams(k_min=10, k_max=5)

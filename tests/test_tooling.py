@@ -27,9 +27,9 @@ def test_traced_names_resolve():
 
 
 def test_traced_layers_reached():
-    """A traced construction, tube covering and region check reach the
-    layers the benchmark reads, so a refactor that bypasses one shows up
-    here."""
+    """A traced construction, tube covering, region check and short
+    preimage march reach the layers the benchmark reads, so a refactor that
+    bypasses one shows up here."""
     # the tracer wraps every module of the package, so import them all
     from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
     tracer = runpy.run_path(str(TRACER))["Tracer"]()
@@ -46,10 +46,16 @@ def test_traced_layers_reached():
         # no sequence: only the tube samples reach koranyi_functional
         analysis.region_equivalence_check([], e1, 1.0, 2.0,
                                           s_values=np.arange(1.0, 6.0))
+        # a structured map: the march solves in defect coordinates too
+        short = orbits.OrbitSegment(points=res.orbit.points[:3], zeta=e1,
+                                    lam=3.0)
+        orbits.offset_preimage_orbit(auto, short, 3.0, 0.05)
     finally:
         tracer.uninstall()
     for name in ("orbits.stopping_time", "orbits.harvest_chain",
                  "geometry.kob_dist", "geometry.kob_matrix",
                  "geometry.horo_raw", "geometry.dist_to_geodesic",
-                 "sampling.tube_samples", "geometry.koranyi_functional"):
+                 "sampling.tube_samples", "geometry.koranyi_functional",
+                 "orbits.newton_preimage", "orbits.backward_orbit_via_preimages",
+                 "catalog.jacobian"):
         assert tracer.calls[tracer.fid(name)] > 0, name
