@@ -24,7 +24,8 @@ from .orbits import (BackwardOrbitResult, OrbitParams, OrbitSegment,
                      StoppingRecord, backward_orbit_via_preimages,
                      construct_backward_orbit, extend_to_bilateral,
                      harvest_chain, newton_preimage, orbit_csv,
-                     radial_anchor, stopping_time, write_orbit_csv)
+                     radial_anchor, radial_anchors, stopping_time,
+                     write_orbit_csv)
 from .analysis import (OrbitComparison, PreModel, PremodelReport,
                        RegionReport, ShiftResult, embedded_disc_premodel,
                        identity_premodel, orbit_distance_profile,

@@ -83,17 +83,13 @@ def criterion_04_stopping_times(seed):
     e1 = _e1()
     auto = _disc_automorphism()
     cleared, _ = _cleared_blaschke()
-    ok = True
-    margin = np.inf
-    for k in range(1, 31):
-        rec_a = orb.stopping_time(auto, orb.radial_anchor(e1, 3.0, k), e1, k=k)
-        rec_b = orb.stopping_time(cleared, orb.radial_anchor(e1, 3.0, k), e1,
-                                  k=k)
-        if rec_a.n != k + 1:
-            ok = False
-        margin = min(margin, rec_b.n - k)
-        if rec_b.n <= k:
-            ok = False
+    ks = range(1, 31)
+    anchors = orb.radial_anchors(e1, 3.0, ks)
+    n_a = [rec.n for rec in orb.stopping_time(auto, anchors, e1, k=ks)]
+    n_b = [rec.n for rec in orb.stopping_time(cleared, anchors, e1, k=ks)]
+    ok = all(n == k + 1 for n, k in zip(n_a, ks)) \
+        and all(n > k for n, k in zip(n_b, ks))
+    margin = min(n - k for n, k in zip(n_b, ks))
     return CheckLine("criterion_04_stopping_times", ok, float(margin))
 
 

@@ -39,9 +39,10 @@ class SelfMap:
     `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
     (broadcasting over leading axes; the Jacobian is [..., q, q]), and
     `_astep(ref, delta, tail, margin)`: the map on the boundary-adapted
-    state, or None when the kind cannot keep the defect representation
-    exact.  Callers use the module functions `evaluate`, `jacobian` and
-    `adapted_step`."""
+    state of n points, delta[n], tail[n, q] and margin[n] against one ref,
+    or None when the kind cannot keep the defect representation exact.  A
+    row of `_astep` rounds as the point alone.  Callers use the module
+    functions `evaluate`, `jacobian`, `adapted_step` and `step_point`."""
 
     q: int
     params: tuple = ()
@@ -105,17 +106,17 @@ class Blaschke(SelfMap):
             ar = a.real
             if at_plus:
                 den = (1.0 - ar) + ar * delta
-                om = (1.0 + ar) * delta / den
+                om = geo._cquot((1.0 + ar) * delta, den)
             else:
                 den = (1.0 + ar) - ar * delta
-                om = (1.0 - ar) * delta / den
-            m_fac = (1.0 - ar * ar) * margin / abs(den) ** 2
+                om = geo._cquot((1.0 - ar) * delta, den)
+            m_fac = (1.0 - ar * ar) * margin / geo.abs_sq(den)
             if om_prod is None:
                 om_prod, m_prod = om, m_fac
             else:
-                om_prod = om_prod + om - om_prod * om
+                om_prod = om_prod + om - geo._cmul(om_prod, om)
                 m_prod = m_prod + m_fac - m_prod * m_fac
-        return ref, om_prod, np.zeros_like(ref), float(m_prod)
+        return ref, om_prod, np.zeros_like(tail), m_prod
 
 
 class Mobius(Blaschke):
@@ -146,9 +147,9 @@ class BallAutomorphism(SelfMap):
         return u @ (num / (1.0 - herm(z, a))[..., None, None])
 
     def _astep(self, ref, delta, tail, margin):
-        out = self.params[0].run_stages(
-            geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin))
-        return None if out is None else _state(out)
+        state = self.params[0].run_stages(*_as_points(ref, delta, tail,
+                                                      margin))
+        return None if state is None else _as_points(*state)
 
 
 class WarpedProduct(SelfMap):
@@ -173,7 +174,9 @@ class WarpedProduct(SelfMap):
             return None
         tail_sq = sq_norm(tail)
         m1 = margin + tail_sq
-        sub = self.children[0]._astep(ref[:1], delta, np.zeros(1, complex), m1)
+        sub = self.children[0]._astep(ref[:1], delta,
+                                      np.zeros(delta.shape + (1,), complex),
+                                      m1)
         if sub is None:
             return None
         ref1, delta1, _, m1_new = sub
@@ -232,8 +235,13 @@ class CallableMap(SelfMap):
         return None
 
 
-def _state(p: BallPoint):
-    return p.ref, complex(p.delta), p.tail(), float(p.margin)
+def _as_points(ref, delta, tail, margin):
+    """A defect state as the points built from it hold it, the form the
+    stages of an automorphism take and give: margins checked, tails read
+    back from coordinates."""
+    points = geo.PointBatch(ref, delta, geo.coords_tail(ref, delta, tail),
+                            margin)
+    return points.ref, points.delta, points.tail, points.margin
 
 
 @dataclass(frozen=True)
@@ -489,24 +497,42 @@ def jacobian_fd(f: SelfMap, z, h: float = 1e-6) -> np.ndarray:
 # boundary-adapted stepping
 # ---------------------------------------------------------------------------
 
-def adapted_step(f: SelfMap, p: BallPoint) -> BallPoint | None:
-    """One application of f on a boundary-adapted point, or None when the
-    map structure cannot keep the defect representation exact."""
-    if p.ref is None:
+def adapted_step(f: SelfMap, p):
+    """f on a boundary-adapted point, or on every point of a `PointBatch`
+    in one kernel call; None when the map structure cannot keep the defect
+    representation exact.  Row i of a batch's image is the image of
+    `p.point(i)`, bit for bit: one point is the batch of one."""
+    if isinstance(p, geo.PointBatch):
+        state = (p.ref, p.delta, geo.coords_tail(p.ref, p.delta, p.tail),
+                 p.margin)
+    elif p.ref is None:
         return None
-    out = f._astep(*_state(p))
+    else:
+        state = geo.point_state(p)
+    out = f._astep(*state)
     if out is None:
         return None
+    if isinstance(p, geo.PointBatch):
+        return geo.PointBatch(*out)
     ref, delta, tail, margin = out
-    return geo.boundary_adapted_point(ref, delta, tail=tail, margin=margin)
+    return geo.boundary_adapted_point(ref, delta[0], tail=tail[0],
+                                      margin=margin[0])
 
 
-def step_point(f: SelfMap, p: BallPoint) -> BallPoint:
-    """f(p) as a BallPoint: adapted when possible, raw coordinates otherwise."""
+def step_point(f: SelfMap, p):
+    """f(p) for a BallPoint or for every point of a `PointBatch`: adapted
+    when possible (a BallPoint or a PointBatch), else from raw coordinates
+    evaluated point by point (a BallPoint, or a tuple of them)."""
     out = adapted_step(f, p)
     if out is not None:
         return out
-    coords = evaluate(f, p.coords)
+    if isinstance(p, geo.PointBatch):
+        return tuple(_raw_step(f, coords) for coords in p.coords)
+    return _raw_step(f, p.coords)
+
+
+def _raw_step(f: SelfMap, coords) -> BallPoint:
+    coords = evaluate(f, coords)
     n = np.linalg.norm(coords)
     if 1.0 - n < geo.BOUNDARY_GUARD:
         raise NumericalError(
@@ -601,11 +627,14 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
     if not structured:
         s_max = min(s_max, 16.0)
     grid = np.arange(1.0, s_max + 1e-9, ds)
-    prof = np.empty(len(grid))
-    for i, s in enumerate(grid):
-        p = geo._axis_point(zeta, float(s))
-        fp = step_point(f, p)
-        prof[i] = s - geo.kob_dist_origin(fp)
+    delta, margin = geo._axis_defect(grid)
+    images = step_point(f, geo.PointBatch(
+        zeta.coords, delta.astype(complex),
+        np.zeros((len(grid), zeta.q), dtype=complex), margin))
+    if isinstance(images, geo.PointBatch):
+        prof = grid - geo.kob_dist_origin(images)
+    else:
+        prof = grid - np.array([geo.kob_dist_origin(p) for p in images])
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:
         raise DilationOutOfScope(
             "radial profile diverges: super-repelling point (dilation = inf)")
@@ -622,10 +651,10 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
         raise DilationOutOfScope(
             f"dilation log = {log_lam:.3e} is not distinguishable from a "
             "non-repelling point")
-    vals = []
-    for s in (8.0, 10.0, 12.0):
-        z = geo._axis_point(zeta, s).coords
-        vals.append(abs(herm(jacobian(f, z) @ zeta.coords, zeta.coords)))
+    probes = np.array([geo._axis_point(zeta, s).coords
+                       for s in (8.0, 10.0, 12.0)])
+    vals = [abs(herm(j @ zeta.coords, zeta.coords))
+            for j in jacobian(f, probes)]
     r = np.exp(-2.0)
     jac_check = float((vals[2] - r * vals[1]) / (1.0 - r))
     return DilationEstimate(lam_hat=float(np.exp(log_lam)), s_grid=grid,

@@ -75,6 +75,28 @@ def _cmul(x, y):
             + 1j * (x.real * y.imag + x.imag * y.real))
 
 
+def _cquot(x, y):
+    """x / y on complex arrays, rounded as CPython divides two complex
+    scalars: scaled by the larger part of y, from unfused real operations
+    (numpy's complex quotient takes another algorithm)."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    by_re = np.abs(yr) >= np.abs(yi)
+    swap = not by_re.all()
+    if swap:   # rows scaled by the imaginary part swap roles
+        xr, xi = np.where(by_re, xr, xi), np.where(by_re, xi, xr)
+        yr, yi = np.where(by_re, yr, yi), np.where(by_re, yi, yr)
+    ratio = yi / yr
+    denom = yr + yi * ratio
+    re = (xr + xi * ratio) / denom
+    im = xi - xr * ratio
+    if swap:
+        im = np.where(by_re, im, xr * ratio - xi)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im / denom
+    return out
+
+
 def as_vector(coords, q=None):
     v = np.atleast_1d(np.asarray(coords, dtype=complex))
     if v.ndim != 1:
@@ -212,9 +234,13 @@ class PointBatch:
     margin: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.margin <= 0.0):
+        if (self.margin <= 0.0).any():
             raise DomainError("adapted point has nonpositive margin "
                               f"{self.margin.min():.3e}")
+
+    @property
+    def q(self) -> int:
+        return self.ref.shape[0]
 
     def __len__(self) -> int:
         return len(self.delta)
@@ -222,6 +248,46 @@ class PointBatch:
     def point(self, i: int) -> BallPoint:
         return boundary_adapted_point(self.ref, self.delta[i],
                                       tail=self.tail[i], margin=self.margin[i])
+
+    @property
+    def coords(self) -> np.ndarray:
+        """coords[n, q]; row i equals `point(i).coords`."""
+        return _defect_coords(self.ref, self.delta, self.tail)
+
+    def take(self, rows) -> "PointBatch":
+        """The points at `rows` (indices or a mask), in order."""
+        return PointBatch(self.ref, self.delta[rows], self.tail[rows],
+                          self.margin[rows])
+
+
+def _times_ref(x, ref):
+    """x[:, None] * ref for x[n], each row rounded as the complex scalar
+    x[i] times the vector ref.  numpy's complex product fuses multiply-adds
+    except for one row against a one-entry ref left to broadcast, so ref
+    gets its row axis here."""
+    return x[:, None] * ref[None, :]
+
+
+def _defect_coords(ref, delta, tail):
+    """(1 - delta) ref + tail for delta[n] and tail[n, q], row i equal to
+    the coordinates `boundary_adapted_point` gives the row's point."""
+    return _times_ref(1.0 - delta, ref) + tail
+
+
+def point_state(p: BallPoint):
+    """The defect state (ref, delta[1], tail[1, q], margin[1]) of one
+    point, with the tail it reads back from its coordinates."""
+    return p.ref, np.array([p.delta]), p.tail()[None], np.array([p.margin])
+
+
+def coords_tail(ref, delta, tail):
+    """The tail that the points of a defect state read back from their
+    coordinates: row i is `boundary_adapted_point(ref, delta[i],
+    tail=tail[i]).tail()`.  A `BallPoint` keeps coordinates, not its tail,
+    so a step on it starts from this read-back, which off the coordinate
+    axes differs from `tail` by roundoff."""
+    coords = _defect_coords(ref, delta, tail)
+    return coords - _times_ref(herm(coords, ref), ref)
 
 
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
@@ -271,9 +337,9 @@ def _lanes(points, axis=None):
     per point; delta and ref are nan for a point without a reference; tail
     is a batch's stored tail, None for points."""
     if isinstance(points, PointBatch):
-        ref, delta, margin, tail = (points.ref, points.delta, points.margin,
-                                    points.tail)
-        coords = (1.0 - delta)[:, None] * ref + tail
+        ref, delta, margin, tail, coords = (points.ref, points.delta,
+                                            points.margin, points.tail,
+                                            points.coords)
     else:
         coords = np.array([p.coords for p in points])
         margin = np.array([p.margin for p in points])
@@ -348,7 +414,12 @@ def kob_dist(z, w):
     return _kob(_lanes(z), _lanes(w))
 
 
-def kob_dist_origin(z: BallPoint) -> float:
+def kob_dist_origin(z):
+    """kob_dist(0, z) of a point, or as an array for a `PointBatch`, equal
+    element for element to the per-point value."""
+    if isinstance(z, PointBatch):
+        norm = np.sqrt(np.maximum(1.0 - z.margin, 0.0))
+        return np.log(abs_sq(1.0 + norm) / z.margin)
     n = z.norm()
     return float(np.log((1.0 + n) ** 2 / z.margin))
 
@@ -359,10 +430,17 @@ def kob_matrix(points_a, points_b) -> np.ndarray:
     return _kob(_lanes(points_a, 1), _lanes(points_b, 0))
 
 
-def horofunction(z: BallPoint, zeta: BoundaryPoint) -> float:
-    """log(|1 - <z, zeta>|^2 / (1 - |z|^2)); z in E_0(zeta, R) iff < log R."""
+def horofunction(z, zeta: BoundaryPoint):
+    """log(|1 - <z, zeta>|^2 / (1 - |z|^2)); z in E_0(zeta, R) iff < log R.
+    A float for a point, or an array for a `PointBatch`, equal element for
+    element to the per-point value."""
     if z.q != zeta.q:
         raise DimensionMismatch(f"dimensions {z.q} != {zeta.q}")
+    if isinstance(z, PointBatch):
+        if not _same_direction(z.ref, zeta.coords):
+            return np.array([horofunction(z.point(i), zeta)
+                             for i in range(len(z))])
+        return np.log(abs_sq(z.delta) / z.margin)
     if z.ref is not None and _same_direction(z.ref, zeta.coords):
         return float(np.log(abs(z.delta) ** 2 / z.margin))
     return float(horo_raw(z.coords, zeta.coords, z.margin))
@@ -440,14 +518,7 @@ def horosphere_contains(z: BallPoint, sphere: Horosphere):
 def koranyi_functional(z, vertex: BoundaryPoint):
     """kob(0, z) + horofunction(z, vertex) for a point, or as an array for
     a `PointBatch`, equal element for element to the per-point value."""
-    if not isinstance(z, PointBatch):
-        return kob_dist_origin(z) + horofunction(z, vertex)
-    if not _same_direction(z.ref, vertex.coords):
-        return np.array([koranyi_functional(z.point(i), vertex)
-                         for i in range(len(z))])
-    norm = np.sqrt(np.maximum(1.0 - z.margin, 0.0))
-    return (np.log(abs_sq(1.0 + norm) / z.margin)
-            + np.log(abs_sq(z.delta) / z.margin))
+    return kob_dist_origin(z) + horofunction(z, vertex)
 
 
 def koranyi_contains(z: BallPoint, region: KoranyiRegion):
@@ -519,17 +590,22 @@ def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint):
 # ---------------------------------------------------------------------------
 
 # Stages let structured automorphisms act on boundary-adapted points by exact
-# recursions on the state (ref, delta, tail, margin).  `apply` returns the
-# new state, or None when the stage cannot keep the representation exact;
-# `inverse` is the stage of the inverse map.
+# recursions on the state (ref, delta, tail, margin) of n points: one ref,
+# delta[n], tail[n, q] and margin[n].  `apply` returns the new state, or None
+# when the stage cannot keep the representation exact; `inverse` is the
+# stage of the inverse map.  A row rounds as the point alone: quotients of
+# defects divide as CPython does (`_cquot`), matrices act through einsum.
 
 @dataclass(frozen=True)
 class AxialStage:
     """z |-> -phi_{c zeta}(z); fixes +-zeta.
 
-    `c` may be an array: the recursion then broadcasts, so a (k, 1, 1)
-    array of c moves n points, given as delta[n, 1], tail[n, q] and
-    margin[n, 1], by k translations at once.
+    `c` may be an array: the recursion then broadcasts, so a (k, 1) array
+    of c moves n points by k translations at once, into delta[k, n],
+    tail[k, n, q] and margin[k, n].  The quotient for the new delta
+    follows the type of c, so that each row rounds as the one-point
+    arithmetic of its caller: CPython's for an automorphism's float c,
+    numpy's for the tube sampler's numpy c.
     """
 
     zeta: np.ndarray
@@ -543,8 +619,9 @@ class AxialStage:
         else:
             return None
         den = (1.0 - cc) + cc * delta
-        return (ref, (1.0 + cc) * delta / den,
-                np.sqrt(1.0 - cc * cc) * tail / den,
+        quot = np.divide if isinstance(cc, (np.ndarray, np.generic)) else _cquot
+        return (ref, quot((1.0 + cc) * delta, den),
+                np.sqrt(1.0 - cc * cc)[..., None] * tail / den[..., None],
                 (1.0 - cc * cc) * margin / abs_sq(den))
 
     def inverse(self):
@@ -559,7 +636,8 @@ class UnitaryStage:
 
     def apply(self, ref, delta, tail, margin):
         new_ref = self.v @ ref
-        return new_ref / np.linalg.norm(new_ref), delta, self.v @ tail, margin
+        return (new_ref / np.linalg.norm(new_ref), delta,
+                np.einsum("ij,...j->...i", self.v, tail), margin)
 
     def inverse(self):
         return UnitaryStage(self.v.conj().T)
@@ -593,15 +671,17 @@ class ParabolicStage:
     def apply(self, ref, delta, tail, margin):
         if not _same_direction(self.zeta, ref, FIX_TOL):
             return None
-        tail_e1 = self.rot @ tail
-        w_tan = tail_e1[1:] / delta
-        w1 = 1j * (2.0 - delta) / delta
+        tail_e1 = np.einsum("ij,...j->...i", self.rot, tail)
+        w_tan = tail_e1[..., 1:] / delta[..., None]
+        w1 = _cquot(1j * (2.0 - delta), delta)
         w1n = w1 + self.t + 2j * herm(w_tan, self.b) + 1j * sq_norm(self.b)
         delta_new = 2j / (w1n + 1j)
-        margin = margin * abs(delta_new / delta) ** 2
-        tail_e1 = np.concatenate([np.zeros(1, dtype=complex),
-                                  (w_tan + self.b) * delta_new])
-        return ref, delta_new, self.rot.conj().T @ tail_e1, margin
+        margin = margin * abs_sq(delta_new / delta)
+        tail_e1 = np.concatenate([np.zeros(delta.shape + (1,), dtype=complex),
+                                  (w_tan + self.b) * delta_new[..., None]],
+                                 axis=-1)
+        return (ref, delta_new,
+                np.einsum("ij,...j->...i", self.rot.conj().T, tail_e1), margin)
 
     def inverse(self):
         return ParabolicStage(self.zeta, -self.b, -self.t, self.rot)
@@ -620,18 +700,17 @@ class Automorphism:
     def q(self) -> int:
         return self.center.shape[0]
 
-    def run_stages(self, p: BallPoint) -> BallPoint | None:
-        """The stage chain on an adapted point; None without a chain or if
-        a stage cannot keep the boundary-defect representation exact."""
+    def run_stages(self, ref, delta, tail, margin):
+        """The stage chain on the defect state of n points; None without a
+        chain or if a stage cannot keep the representation exact."""
         if not self.stages:
             return None
-        state = (p.ref, p.delta, p.tail(), p.margin)
+        state = (ref, delta, tail, margin)
         for st in self.stages:
             state = st.apply(*state)
             if state is None:
                 return None
-        ref, delta, tail, margin = state
-        return boundary_adapted_point(ref, delta, tail=tail, margin=margin)
+        return state
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -768,9 +847,9 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
     whenever the stage chain supports it."""
     if p.q != g.q:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
-    out = g.run_stages(p) if p.ref is not None else None
+    out = None if p.ref is None else g.run_stages(*point_state(p))
     if out is not None:
-        return out
+        return PointBatch(*out).point(0)
     coords = apply_raw(g, p.coords)
     coords.flags.writeable = False
     return BallPoint(coords=coords, margin=_margin_through(g, p.coords, p.margin))

@@ -22,17 +22,39 @@ import numpy as np
 from . import catalog as cat
 from . import geometry as geo
 from .errors import DomainError, NumericalError
-from .geometry import BallPoint, BoundaryPoint
+from .geometry import BallPoint, BoundaryPoint, PointBatch
 
 
 @dataclass(frozen=True)
 class StoppingRecord:
+    """The stopping time of one lane of a `stopping_time` run.  The run's
+    iterates stay in `frames`, one (points, lanes) pair per step: the points
+    still running (a `PointBatch` or a tuple of points) and the lane of each
+    row.  Points of this lane are built only when asked for."""
+
     k: int
     n: int                      # first index with f^n(r_k) outside closed E_0
-    exit_point: BallPoint
     exit_margin: float          # horofunction of the exit point (> 0)
     capped: bool
-    iterates: tuple = ()        # r_k, f(r_k), ..., f^n(r_k); none if capped
+    lane: int = 0
+    frames: tuple = ()
+
+    def point(self, j: int) -> BallPoint:
+        """f^j(r_k), j = 0..n."""
+        points, lanes = self.frames[j]
+        row = int(np.searchsorted(lanes, self.lane))
+        return points.point(row) if isinstance(points, PointBatch) \
+            else points[row]
+
+    @property
+    def exit_point(self) -> BallPoint:
+        return self.point(self.n)
+
+    @property
+    def iterates(self) -> tuple:
+        """r_k, f(r_k), ..., f^n(r_k); none if capped."""
+        return () if self.capped else tuple(
+            self.point(j) for j in range(self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,11 @@ class OrbitParams:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise DomainError("k_min must not exceed k_max")
+        if self.n_max < 1:
+            raise DomainError(f"n_max must be at least 1, got {self.n_max}")
+        if self.dist_depth < 0:
+            raise DomainError(
+                f"dist_depth must be nonnegative, got {self.dist_depth}")
         if min(self.eps_sigma, self.rho_cluster, self.tol_cluster,
                self.dist_target) <= 0.0:
             raise DomainError("orbit tolerances must be positive")
@@ -110,25 +137,103 @@ def radial_anchor(zeta: BoundaryPoint, lam: float, k: int) -> BallPoint:
                                       margin=4.0 * lk / (lk + 1.0) ** 2)
 
 
-def stopping_time(f: cat.SelfMap, r_k: BallPoint, zeta: BoundaryPoint,
-                  n_max: int = 100000, k: int | None = None) -> StoppingRecord:
+def radial_anchors(zeta: BoundaryPoint, lam: float, ks) -> PointBatch:
+    """The anchors r_k for k in `ks` as one batch; row i is
+    `radial_anchor(zeta, lam, ks[i])`."""
+    anchors = [radial_anchor(zeta, lam, k) for k in ks]
+    return PointBatch(zeta.coords, np.array([r.delta for r in anchors]),
+                      np.zeros((len(anchors), zeta.q), dtype=complex),
+                      np.array([r.margin for r in anchors]))
+
+
+def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
+                  n_max: int = 100000, k=None):
     """First n with f^n(r_k) outside the closed horosphere E_0(zeta, 1).
 
     Exit is strict: horofunction values within 1e-13 of zero count as
     inside, so automorphism chains stop at exactly n = k + 1.  The record
     keeps the iterates up to the exit for `harvest_chain`.
+
+    `r_k` is one point, with `k` its anchor index, or a `PointBatch` of
+    anchors, with `k` the index of each: every lane then steps in one
+    kernel call per step, and one record per lane comes back.  A lane
+    retires when it leaves the horosphere, when it reaches `n_max` (capped)
+    or when its step raises; the exception of the lowest such lane is then
+    raised, as running the anchors one after another would.
     """
-    k = k if k is not None else -1
-    pts = [r_k]
-    for n in range(n_max):
-        h = geo.horofunction(pts[-1], zeta)
-        if h > geo.HOROSPHERE_BAND:
-            return StoppingRecord(k=k, n=n, exit_point=pts[-1], exit_margin=h,
-                                  capped=False, iterates=tuple(pts))
-        pts.append(cat.step_point(f, pts[-1]))
-    return StoppingRecord(k=k, n=n_max, exit_point=pts[-1],
-                          exit_margin=geo.horofunction(pts[-1], zeta),
-                          capped=True)
+    batch = isinstance(r_k, PointBatch)
+    if batch:
+        points, ks = r_k, [-1] * len(r_k) if k is None else list(k)
+    else:
+        points, ks = (r_k,), [-1 if k is None else k]
+    lanes = np.arange(len(ks))
+    frames, exits, errors = [], {}, {}
+    for n in range(n_max + 1):
+        frames.append((points, lanes))
+        h = _horofunctions(points, zeta)
+        if n == n_max:
+            exits.update((lane, (n, float(h_i), True))
+                         for lane, h_i in zip(lanes, h))
+            break
+        out = h > geo.HOROSPHERE_BAND
+        exits.update((lane, (n, float(h_i), False))
+                     for lane, h_i in zip(lanes[out], h[out]))
+        points, lanes = _take(points, ~out), lanes[~out]
+        if not len(lanes):
+            break
+        points, lanes = _step_lanes(f, points, lanes, errors)
+    if errors:
+        raise errors[min(errors)]
+    frames = tuple(frames)
+    records = [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
+                              capped=capped, lane=lane, frames=frames)
+               for lane, (n, h_exit, capped) in sorted(exits.items())]
+    return records if batch else records[0]
+
+
+def _horofunctions(points, zeta):
+    if isinstance(points, PointBatch):
+        return geo.horofunction(points, zeta)
+    return np.array([geo.horofunction(p, zeta) for p in points])
+
+
+def _take(points, rows):
+    if isinstance(points, PointBatch):
+        return points.take(rows)
+    return tuple(p for p, keep in zip(points, rows) if keep)
+
+
+def _step_lanes(f, points, lanes, errors):
+    """(images, lanes) of one step of every lane.  A batch steps in one
+    call; if that raises, each lane steps alone, so that only the lanes
+    that raise retire, with their exception in `errors`, and so do the
+    lanes above them, whose outcome no longer matters."""
+    if isinstance(points, PointBatch):
+        try:
+            return cat.step_point(f, points), lanes
+        except Exception:
+            rows = [points.take([i]) for i in range(len(lanes))]
+    else:
+        rows = points
+    images, kept = [], []
+    for lane, row in zip(lanes, rows):
+        if errors and lane > min(errors):
+            break
+        try:
+            images.append(cat.step_point(f, row))
+            kept.append(lane)
+        except Exception as exc:
+            errors[lane] = exc
+    if images and isinstance(images[0], PointBatch):
+        images = PointBatch(images[0].ref,
+                            np.concatenate([b.delta for b in images]),
+                            np.concatenate([b.tail for b in images]),
+                            np.concatenate([b.margin for b in images]))
+    elif images and isinstance(images[0], tuple):
+        images = sum(images, ())
+    else:
+        images = tuple(images)
+    return images, np.array(kept, dtype=int)
 
 
 def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
@@ -149,21 +254,55 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
 # ---------------------------------------------------------------------------
 
 def orbit_diagnostics(seg: OrbitSegment):
+    """(steps, horofunctions, distances to zeta) of a chain, as arrays;
+    equal element for element to the per-point functions."""
     pts = seg.points
     steps = geo.kob_dist(pts[:-1], pts[1:])
-    horos = np.array([geo.horofunction(p, seg.zeta) for p in pts])
-    dz = np.array([geo.dist_to_zeta(p, seg.zeta) for p in pts])
+    zeta = seg.zeta.coords
+    if not all(p.ref is not None and np.array_equal(p.ref, zeta)
+               for p in pts):
+        horos = np.array([geo.horofunction(p, seg.zeta) for p in pts])
+        dz = np.array([geo.dist_to_zeta(p, seg.zeta) for p in pts])
+        return steps, horos, dz
+    delta = np.array([p.delta for p in pts])
+    margin = np.array([p.margin for p in pts])
+    coords = np.array([p.coords for p in pts])
+    tails = coords - geo._times_ref(geo.herm(coords, zeta), zeta)
+    horos = np.log(geo.abs_sq(delta) / margin)
+    dz = np.sqrt(geo.abs_sq(delta) + geo.sq_norm(tails))
     return steps, horos, dz
 
 
 def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
-    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain."""
-    worst = 0.0
-    for j in range(len(seg.points) - 1):
-        img = cat.step_point(f, seg.points[j + 1])
-        worst = max(worst, float(np.linalg.norm(img.coords
-                                                - seg.points[j].coords)))
-    return worst
+    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain; the points
+    step as one batch when they form one."""
+    pts = seg.points
+    if len(pts) < 2:
+        return 0.0
+    batch = _batch_of(pts[1:])
+    if batch is None:
+        images = np.array([cat.step_point(f, p).coords for p in pts[1:]])
+    else:
+        images = cat.step_point(f, batch)
+        images = (images.coords if isinstance(images, PointBatch)
+                  else np.array([img.coords for img in images]))
+    return float(_row_norms(images - np.array([p.coords for p in pts[:-1]])
+                            ).max())
+
+
+def _batch_of(points):
+    """The `PointBatch` whose point i is points[i], coordinates included,
+    or None: when the points do not share a reference, or when a tail that
+    rebuilds a point's coordinates bit for bit is not found."""
+    ref = points[0].ref
+    if ref is None or not all(p.ref is not None and np.array_equal(p.ref, ref)
+                              for p in points):
+        return None
+    delta = np.array([p.delta for p in points])
+    coords = np.array([p.coords for p in points])
+    tail = coords - geo._times_ref(1.0 - delta, ref)
+    batch = PointBatch(ref, delta, tail, np.array([p.margin for p in points]))
+    return batch if batch.coords.tobytes() == coords.tobytes() else None
 
 
 def analyze_orbit(seg: OrbitSegment, lam: float, params: OrbitParams,
@@ -215,43 +354,52 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
     if not lam > 1.0:
         raise DomainError("construction needs dilation > 1")
 
-    chains: dict[int, OrbitSegment] = {}
+    ks = range(params.k_min, params.k_max + 1)
+    records = {}
     per_k = []
-    for k in range(params.k_min, params.k_max + 1):
-        rec = stopping_time(f, radial_anchor(zeta, lam, k), zeta,
-                            params.n_max, k=k)
+    for rec in stopping_time(f, radial_anchors(zeta, lam, ks), zeta,
+                             params.n_max, k=ks):
         if rec.capped:
-            per_k.append((k, "capped"))
-            continue
-        if rec.n <= k:
-            per_k.append((k, f"stopping time {rec.n} <= k"))
-            continue
-        chains[k] = harvest_chain(f, rec, zeta, lam)
-        per_k.append((k, f"n(k)={rec.n}"))
+            per_k.append((rec.k, "capped"))
+        elif rec.n <= rec.k:
+            per_k.append((rec.k, f"stopping time {rec.n} <= k"))
+        else:
+            records[rec.k] = rec
+            per_k.append((rec.k, f"n(k)={rec.n}"))
 
-    if not chains:
+    if not records:
         raise NumericalError(
             "no anchor chain could be harvested; per-k report: "
             + "; ".join(f"k={k}: {msg}" for k, msg in per_k))
 
+    chains: dict[int, OrbitSegment] = {}
+
+    def chain(k):
+        if k not in chains:
+            chains[k] = harvest_chain(f, records[k], zeta, lam)
+        return chains[k]
+
     if params.mode == "cluster":
-        result = _cluster_orbit(chains, zeta, lam, params, f)
+        result = _cluster_orbit({k: chain(k) for k in records}, zeta, lam,
+                                params, f)
         if result is not None:
             return result
         per_k.append((-1, "cluster residual too large; fell back to single-tail"))
 
-    best = None
-    for k in sorted(chains):
-        res = analyze_orbit(chains[k], lam, params, "single-tail")
-        if res.accepted and (best is None
-                             or len(res.orbit) >= len(best.orbit)):
+    # the longest chain that passes, the deepest anchor among equals: the
+    # first to pass in descending (length, k) order
+    best, k_deepest = None, max(records)
+    for k in sorted(records, key=lambda k: (records[k].n, k), reverse=True):
+        res = analyze_orbit(chain(k), lam, params, "single-tail")
+        if k == k_deepest:
+            deepest = res
+        if res.accepted:
             best = res
+            break
     if best is None:
-        deepest = chains[max(chains)]
-        res = analyze_orbit(deepest, lam, params, "single-tail")
         raise NumericalError(
             "no chain passed the orbit diagnostics; deepest chain report: "
-            + "; ".join(res.report)
+            + "; ".join(deepest.report)
             + " | per-k: " + "; ".join(f"k={k}: {m}" for k, m in per_k))
     return BackwardOrbitResult(orbit=best.orbit, steps=best.steps,
                                sigma_hat=best.sigma_hat, horos=best.horos,
@@ -396,12 +544,10 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     ref = target.ref
     zeta = geo.BoundaryPoint(ref)
     probe = seed if seed.ref is not None else geo.with_reference(seed, zeta)
-    if cat.adapted_step(f, probe) is None:
+    img = cat.adapted_step(f, probe)   # the image of each accepted iterate
+    if img is None:
         return None
     scale = abs(target.delta) + float(np.linalg.norm(target.tail())) + 1e-300
-
-    def split(p):
-        return p.delta, p.tail()
 
     sign = np.ones(f.q)
     sign[0] = -1.0  # d(delta)/d(z_1) = -1 in the rotated frame
@@ -409,9 +555,6 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     rot = geo.unitary_taking(geo.basis_boundary_point(f.q).coords, ref)
     cur = probe
     for _ in range(max_iter):
-        img = cat.adapted_step(f, cur)
-        if img is None:
-            return None
         rd = img.delta - target.delta
         rt = img.tail() - target.tail()
         resid = np.concatenate([[rd], (rot.conj().T @ rt)[1:]])
@@ -441,7 +584,7 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
             rt2 = img2.tail() - target.tail()
             r2 = np.concatenate([[rd2], (rot.conj().T @ rt2)[1:]])
             if np.linalg.norm(r2) < base:
-                cur = cand
+                cur, img = cand, img2
                 break
             alpha *= 0.5
         else:

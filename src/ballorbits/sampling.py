@@ -109,22 +109,21 @@ def tube_samples(zeta: BoundaryPoint, width: float,
             direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
             offsets.append(adapted_at(zeta, rho * direction))
     m = len(offsets)
-    # delta and margin carry a trailing axis so the stage broadcasts them
-    # against the tails and against the (len(s), 1, 1) translations
-    delta = np.array([p.delta for p in offsets], dtype=complex).reshape(m, 1)
+    delta = np.array([p.delta for p in offsets], dtype=complex)
     tail = np.array([p.tail() for p in offsets], dtype=complex).reshape(m, q)
-    margin = np.array([p.margin for p in offsets]).reshape(m, 1)
-    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0)[:, None, None])
+    margin = np.array([p.margin for p in offsets])
+    # the (len(s), 1) translations broadcast against the m offset points
+    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0)[:, None])
     _, delta, tail, margin = stage.apply(zeta.coords, delta, tail, margin)
     axis_delta, axis_margin = _axis_defect(s)
     k = len(s)
     return PointBatch(
         ref=zeta.coords,
-        delta=np.concatenate([delta, axis_delta.reshape(k, 1, 1)],
+        delta=np.concatenate([delta, axis_delta.reshape(k, 1)],
                              axis=1).reshape(-1),
         tail=np.concatenate([tail, np.zeros((k, 1, q), dtype=complex)],
                             axis=1).reshape(-1, q),
-        margin=np.concatenate([margin, axis_margin.reshape(k, 1, 1)],
+        margin=np.concatenate([margin, axis_margin.reshape(k, 1)],
                               axis=1).reshape(-1))
 
 

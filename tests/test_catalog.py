@@ -146,6 +146,60 @@ def test_jacobian_alike_in_every_layout(make, rng):
         assert np.abs(j - cat.jacobian_fd(f, z)).max() < 1e-6
 
 
+def _random_zeta(seed):
+    v = np.random.default_rng(seed).normal(size=(2, 2)) @ [1.0, 1j]
+    return geo.boundary_point(v / np.linalg.norm(v))
+
+
+def _adapted_lanes(zeta, rng, n=200):
+    """n defect-form points against zeta, from |delta| = 1e-12 to 0.5,
+    with random tails within their margin."""
+    delta = 10.0 ** rng.uniform(-12, -0.3, n) * np.exp(1j * rng.uniform(
+        -1.2, 1.2, n))
+    room = 2.0 * delta.real - np.abs(delta) ** 2
+    tail = rng.normal(size=(n, zeta.q)) + 1j * rng.normal(size=(n, zeta.q))
+    tail -= geo.herm(tail, zeta.coords)[:, None] * zeta.coords
+    tail *= np.sqrt(rng.uniform(0.0, 0.9, n) * room
+                    / np.maximum(geo.sq_norm(tail), 1e-300))[:, None]
+    return geo.PointBatch(zeta.coords, delta, tail, room - geo.sq_norm(tail))
+
+
+@pytest.mark.parametrize("make, zeta", [
+    (make, geo.basis_boundary_point(make().q)) for make in JACOBIAN_CASES] + [
+    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j])),
+    (lambda: cat.parabolic_selfmap(_random_zeta(3), [0.3 - 0.1j], -0.7),
+     _random_zeta(3)),
+    (JACOBIAN_CASES[0], geo.boundary_point([-1.0])),
+    (lambda: cat.conjugate_map(cat.blaschke_product([0.0, 1.0 / 3.0]),
+                               geo.unitary_automorphism([[np.exp(0.5j)]])),
+     geo.boundary_point([np.exp(0.5j)])),
+])
+def test_adapted_step_alike_in_every_layout(make, zeta, rng):
+    """Row i of one adapted step of a 200-point batch equals the step of
+    the batch's point i alone, as bytes; a kind without an adapted step
+    gives None both ways, and its raw steps agree point by point."""
+    f = make()
+    batch = _adapted_lanes(zeta, rng)
+    out = cat.adapted_step(f, batch)
+    if out is None:
+        assert all(cat.adapted_step(f, batch.point(i)) is None
+                   for i in range(len(batch)))
+        raw = cat.step_point(f, batch)
+        for i, p in enumerate(raw):
+            assert p.coords.tobytes() == cat.step_point(
+                f, batch.point(i)).coords.tobytes()
+        return
+    assert isinstance(cat.step_point(f, batch), geo.PointBatch)
+    assert len(out) == len(batch)
+    for i in range(len(batch)):
+        one = cat.adapted_step(f, batch.point(i))
+        row = out.point(i)
+        assert one.ref.tobytes() == row.ref.tobytes()
+        assert one.coords.tobytes() == row.coords.tobytes()
+        assert np.complex128(one.delta).tobytes() == out.delta[i].tobytes()
+        assert np.float64(one.margin).tobytes() == out.margin[i].tobytes()
+
+
 def test_jacobian_checks_its_shape():
     f = _offaxis_hyperbolic()
     with pytest.raises(DimensionMismatch):
@@ -203,6 +257,31 @@ def test_estimate_dilation_attracting_side_out_of_scope(e1):
     f = cat.hyperbolic_selfmap(e1, 3.0)
     with pytest.raises(DilationOutOfScope):
         cat.estimate_dilation(f, geo.boundary_point([-1.0]))
+
+
+@pytest.mark.parametrize("make, zeta", [
+    (lambda: cat.ensure_pole_clearance(
+        cat.blaschke_product([0.0, 1.0 / 3.0]), geo.basis_boundary_point(1))[0],
+     geo.basis_boundary_point(1)),
+    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j])),
+    (lambda: cat.warped_product(cat.hyperbolic_selfmap(
+        geo.basis_boundary_point(1), 3.0), 0.3 + 0.2j),
+     geo.basis_boundary_point(2)),
+    (lambda: cat.callable_map(lambda z: cat.evaluate(_offaxis_hyperbolic(), z),
+                              q=2), geo.boundary_point([0.6, 0.8j])),
+])
+def test_dilation_profile_matches_per_point_steps(make, zeta):
+    # the radial grid steps as one batch, the Jacobian probes as one call:
+    # the profile and the cross-check equal the point-by-point ones as bytes
+    f = make()
+    est = cat.estimate_dilation(f, zeta)
+    prof = [s - geo.kob_dist_origin(cat.step_point(f, geo._axis_point(zeta, s)))
+            for s in est.s_grid]
+    assert est.profile.tobytes() == np.array(prof).tobytes()
+    vals = [abs(geo.herm(cat.jacobian(f, geo._axis_point(zeta, s).coords)
+                         @ zeta.coords, zeta.coords)) for s in (8.0, 10.0, 12.0)]
+    r = np.exp(-2.0)
+    assert est.jacobian_check == float((vals[2] - r * vals[1]) / (1.0 - r))
 
 
 def test_certify_brfp(blaschke, e1):

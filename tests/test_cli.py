@@ -254,6 +254,15 @@ def test_orbit_wrong_lambda_exit_3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("nmax", ["0", "-5"])
+def test_orbit_nmax_below_one_exit_2(capsys, nmax):
+    # an input error, not forty capped anchors and a numerical failure
+    code, out, err = run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1",
+                         "--nmax", nmax)
+    assert code == 2
+    assert "n_max" in err and "capped" not in err and out == ""
+
+
 def test_compare_from_csv_files(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

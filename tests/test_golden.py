@@ -40,7 +40,7 @@ def test_orbit_golden(name, capsys):
 def test_orbit_steps_equal_per_pair_distances(name, monkeypatch, capsys):
     """Every chain the construction analyses measures its steps with one
     sequence call of kob_dist; each step equals its own pair's call bit
-    for bit."""
+    for bit, and so do its horofunctions and distances to zeta."""
     spec, zeta = ORBIT_CASES[name]
     diagnostics = orbits.orbit_diagnostics
     checked = []
@@ -50,10 +50,13 @@ def test_orbit_steps_equal_per_pair_distances(name, monkeypatch, capsys):
         pts = seg.points
         assert steps.tolist() == [geo.kob_dist(z, w)
                                   for z, w in zip(pts, pts[1:])]
-        checked.append(len(steps))
+        assert horos.tolist() == [geo.horofunction(p, seg.zeta) for p in pts]
+        assert dz.tolist() == [geo.dist_to_zeta(p, seg.zeta) for p in pts]
+        checked.append(len(pts))
         return steps, horos, dz
 
     monkeypatch.setattr(orbits, "orbit_diagnostics", check)
     assert cli.main(["orbit", spec, f"--zeta={zeta}"]) == 0
-    capsys.readouterr()
-    assert sum(checked) > 100
+    summary = capsys.readouterr().out.splitlines()[-1]
+    printed = int(summary.split("length=")[1].split()[0])
+    assert printed in checked

@@ -113,24 +113,147 @@ def test_harvest_chain_structure(cleared_blaschke, e1):
 
 
 def test_construction_steps_each_anchor_once(disc_auto, e1, monkeypatch):
-    # n(k) = k + 1 forward steps per anchor, k = 1..40: harvesting reads
-    # the stopping record's iterates instead of stepping again
+    # n(k) = k + 1 forward steps per anchor, k = 1..40, all anchors as lanes
+    # of one kernel call per step: 41 calls for the deepest anchor, 860 lane
+    # steps in all.  Harvesting reads the stored iterates instead of stepping
+    # again.
     calls = []
     step = cat.step_point
     monkeypatch.setattr(cat, "step_point",
-                        lambda f, p: calls.append(1) or step(f, p))
+                        lambda f, p: calls.append(len(p)) or step(f, p))
     orb.construct_backward_orbit(disc_auto, e1, 3.0)
-    assert len(calls) == sum(k + 1 for k in range(1, 41))
+    assert len(calls) == 41
+    assert sum(calls) == sum(k + 1 for k in range(1, 41)) == 860
 
 
 def test_construction_measures_each_chain_once(disc_auto, e1, monkeypatch):
-    # one kob_dist call over all the steps of each analysed chain, k = 1..40
-    calls = []
-    dist = geo.kob_dist
+    # chains are analysed longest first and the first that passes is kept:
+    # here the k = 40 chain, one analysis and one kob_dist call over its steps
+    analysed, calls = [], []
+    analyze, dist = orb.analyze_orbit, geo.kob_dist
+    monkeypatch.setattr(orb, "analyze_orbit",
+                        lambda seg, *a: analysed.append(len(seg))
+                        or analyze(seg, *a))
     monkeypatch.setattr(geo, "kob_dist",
                         lambda z, w: calls.append(1) or dist(z, w))
-    orb.construct_backward_orbit(disc_auto, e1, 3.0)
-    assert len(calls) == 40
+    res = orb.construct_backward_orbit(disc_auto, e1, 3.0)
+    assert analysed == [42] and len(res.orbit) == 42
+    assert len(calls) == 1
+
+
+def reference_stopping(f, r_k, zeta, n_max):
+    """`stopping_time` for one anchor: the scalar loop, as
+    (n, exit_margin, capped, iterates up to the exit point)."""
+    pts = [r_k]
+    for n in range(n_max):
+        h = geo.horofunction(pts[-1], zeta)
+        if h > geo.HOROSPHERE_BAND:
+            return n, h, False, pts
+        pts.append(cat.step_point(f, pts[-1]))
+    return n_max, geo.horofunction(pts[-1], zeta), True, pts
+
+
+def _point_bytes(p):
+    return (p.coords.tobytes(), None if p.ref is None else p.ref.tobytes(),
+            np.complex128(p.delta if p.delta is not None else np.nan).tobytes(),
+            np.float64(p.margin).tobytes())
+
+
+def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
+    recs = orb.stopping_time(f, orb.radial_anchors(zeta, lam, ks), zeta,
+                             n_max, k=ks)
+    for k, rec in zip(ks, recs, strict=True):
+        r_k = orb.radial_anchor(zeta, lam, k)
+        n, h, capped, pts = reference_stopping(f, r_k, zeta, n_max)
+        assert (rec.k, rec.n, rec.capped) == (k, n, capped)
+        assert np.float64(rec.exit_margin).tobytes() == np.float64(h).tobytes()
+        assert ([_point_bytes(rec.point(j)) for j in range(n + 1)]
+                == [_point_bytes(p) for p in pts])
+        assert _point_bytes(rec.exit_point) == _point_bytes(pts[-1])
+        assert len(rec.iterates) == (0 if capped else n + 1)
+    return recs
+
+
+def _picky(disc_auto, near=None):
+    """The disc automorphism in raw coordinates, refusing points beyond
+    radius 0.99, or within 1e-6 of radius `near`, with their coordinate in
+    the message."""
+    def evaluate(z):
+        if abs(z[0]) > 0.99 or near is not None and abs(abs(z[0]) - near) < 1e-6:
+            raise ValueError(f"refused {float(z[0].real)!r}")
+        return cat.evaluate(disc_auto, z)
+    return cat.callable_map(evaluate, 1)
+
+
+@pytest.mark.parametrize("case", ["cleared", "offaxis", "callable", "capped",
+                                  "raising"])
+def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
+                                         e1):
+    """One batch of the anchors k = 1..40 against the anchors run one by
+    one: n, capped, exit margin and every iterate, as bytes.  A lane that
+    raises retires, and the exception of the lowest such anchor comes out,
+    as the k-ascending loop gives it."""
+    ks, n_max, zeta = range(1, 41), 100000, e1
+    if case in ("cleared", "capped"):
+        f = cleared_blaschke[0]
+        n_max = 15 if case == "capped" else n_max
+    elif case == "offaxis":
+        zeta = geo.boundary_point([0.6, 0.8j])
+        f = cat.hyperbolic_selfmap(zeta, 3.0)
+    else:
+        # raw coordinates.  callable: from k = 31 on, a step lands
+        # within the sphere's guard; raising: from k = 5 on, the anchor is
+        # beyond radius 0.99
+        f = (cat.callable_map(lambda z: cat.evaluate(disc_auto, z), 1)
+             if case == "callable" else _picky(disc_auto))
+        error = NumericalError if case == "callable" else ValueError
+        with pytest.raises(error) as lanes:
+            orb.stopping_time(f, orb.radial_anchors(zeta, 3.0, ks), zeta,
+                              k=ks)
+        with pytest.raises(error) as alone:
+            for k in ks:
+                reference_stopping(f, orb.radial_anchor(zeta, 3.0, k), zeta,
+                                   n_max)
+        assert str(lanes.value) == str(alone.value)
+        if case == "raising":
+            r_5 = float(orb.radial_anchor(e1, 3.0, 5).coords[0].real)
+            assert str(lanes.value) == f"refused {r_5!r}"
+            # the lower lane raises at r_1, two steps after the higher one
+            late = _picky(disc_auto, near=0.5)
+            with pytest.raises(ValueError) as lanes:
+                orb.stopping_time(late, orb.radial_anchors(zeta, 3.0, [3, 10]),
+                                  zeta, k=[3, 10])
+            with pytest.raises(ValueError) as alone:
+                reference_stopping(late, orb.radial_anchor(zeta, 3.0, 3),
+                                   zeta, n_max)
+            assert str(lanes.value) == str(alone.value)
+            assert abs(float(str(lanes.value).split()[1]) - 0.5) < 1e-6
+        ks = range(1, 31) if case == "callable" else range(1, 5)
+    recs = _anchor_lanes(f, zeta, 3.0, ks, n_max)
+    capped = sum(rec.capped for rec in recs)
+    assert 0 < capped < len(recs) if case == "capped" else capped == 0
+
+
+def test_orbit_diagnostics_alike_point_by_point(rng):
+    # horofunction and distance to zeta as arrays equal the per-point
+    # values bit for bit, for points that share zeta and for points that
+    # do not (complex defects, random tails)
+    zeta = geo.boundary_point([0.6, 0.8j])
+    near = geo.BoundaryPoint(zeta.coords * (1.0 + 1e-15))
+    pts = []
+    for _ in range(500):
+        delta = 10.0 ** rng.uniform(-12, -0.5) * np.exp(1j * rng.uniform(-1, 1))
+        tail = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 1e-3 * abs(delta)
+        tail -= geo.herm(tail, zeta.coords) * zeta.coords
+        pts.append(geo.boundary_adapted_point(zeta.coords, delta, tail=tail))
+    for points in (pts, pts[:-1] + [geo.ball_point(pts[-1].coords)],
+                   pts[:-1] + [geo.with_reference(pts[-1], near)]):
+        seg = orb.OrbitSegment(points=tuple(points), zeta=zeta, lam=3.0)
+        _, horos, dz = orb.orbit_diagnostics(seg)
+        assert horos.tobytes() == np.array(
+            [geo.horofunction(p, zeta) for p in points]).tobytes()
+        assert dz.tobytes() == np.array(
+            [geo.dist_to_zeta(p, zeta) for p in points]).tobytes()
 
 
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
@@ -339,6 +462,13 @@ def test_orbit_params_validation():
         orb.OrbitParams(eps_sigma=0.0)
     with pytest.raises(DomainError):
         orb.OrbitParams(mode="sideways")
+    for n_max in (0, -5):
+        with pytest.raises(DomainError, match="n_max"):
+            orb.OrbitParams(n_max=n_max)
+    # a negative depth would index the distances from the end
+    with pytest.raises(DomainError, match="dist_depth"):
+        orb.OrbitParams(dist_depth=-1)
+    orb.OrbitParams(n_max=1, dist_depth=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The benchmark's tracer wraps library functions by name: every name it
 lists must resolve, so that a rename fails here and not in a traced run."""
 
+import ast
+import contextlib
 import importlib
+import io
 import runpy
 from pathlib import Path
 
 import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_traced_names_resolve():
@@ -59,3 +63,38 @@ def test_traced_layers_reached():
                  "orbits.newton_preimage", "orbits.backward_orbit_via_preimages",
                  "catalog.jacobian"):
         assert tracer.calls[tracer.fid(name)] > 0, name
+
+
+def _reaches(workload):
+    """REACHES[workload] of perfbench/run.py, read without running it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "REACHES"
+                        for t in node.targets)):
+            values = dict(zip((ast.literal_eval(k) for k in node.value.keys),
+                              node.value.values))
+            return ast.literal_eval(values[workload])
+    raise AssertionError("perfbench/run.py defines no REACHES")
+
+
+def test_construct_ops_reach_every_traced_name():
+    """In-process `orbit` runs like the benchmark's construct ops, traced,
+    reach every name its traced run requires: a lane path that bypasses a
+    traced layer fails here."""
+    from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
+    names = _reaches("construct")
+    assert len(names) == 21
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    tracer.install()
+    try:
+        for argv in (["orbit", "blaschke:a=1/3", "--zeta=1"],
+                     ["orbit", "blaschke:a=1/3", "--zeta=1", "--mode",
+                      "cluster"],
+                     ["orbit", "hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                      "--zeta=0.6,0;0,0.8"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
