@@ -2,10 +2,14 @@
 
 Each criterion renders exactly one line `CHECK <name> PASS|FAIL
 margin=<float>`; `run_suite` is deterministic for a fixed seed, byte for
-byte, which criterion 10 itself verifies.
+byte, which criterion 10 itself verifies.  A pass (`run_criteria`) builds
+what several criteria use, the pole-cleared Blaschke map and its orbit,
+once, in a `PassFixtures` it hands to each criterion.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +31,24 @@ def _disc_automorphism():
     return cat.hyperbolic_selfmap(_e1(), 3.0)
 
 
-def _cleared_blaschke():
-    b = cat.blaschke_product([0.0, 1.0 / 3.0])
-    cleared, conj = cat.ensure_pole_clearance(b, _e1())
-    return cleared, conj
+class PassFixtures:
+    """What the criteria of one pass share, each built on first use: the
+    pole-cleared Blaschke map [0, 1/3] with its conjugator, and that map's
+    backward orbit at e_1 with lam = 3.  A pass makes one; a criterion
+    called without one makes its own, so no state outlives a pass."""
+
+    @cached_property
+    def cleared_blaschke(self):
+        b = cat.blaschke_product([0.0, 1.0 / 3.0])
+        return cat.ensure_pole_clearance(b, _e1())
+
+    @cached_property
+    def blaschke_orbit(self) -> orb.BackwardOrbitResult:
+        return orb.construct_backward_orbit(self.cleared_blaschke[0], _e1(),
+                                            3.0)
 
 
-def criterion_01_anchor_on_horosphere(seed):
+def criterion_01_anchor_on_horosphere(seed, fx=None):
     """horofunction(r_k) = -k log(lam) to 1e-12 for lam in {1.5, 3, 10}."""
     worst = 0.0
     e1 = _e1()
@@ -45,11 +60,12 @@ def criterion_01_anchor_on_horosphere(seed):
                      1e-12 - worst)
 
 
-def criterion_02_step_limit_k40(seed):
+def criterion_02_step_limit_k40(seed, fx=None):
     """|kob(r_40, f(r_40)) - log 3| < 1e-3 for both catalog maps."""
     e1 = _e1()
     worst = 0.0
-    maps = [_disc_automorphism(), _cleared_blaschke()[0]]
+    cleared, _ = (fx or PassFixtures()).cleared_blaschke
+    maps = [_disc_automorphism(), cleared]
     for f in maps:
         r = orb.radial_anchor(e1, 3.0, 40)
         fr = cat.step_point(f, r)
@@ -58,11 +74,12 @@ def criterion_02_step_limit_k40(seed):
                      1e-3 - worst)
 
 
-def criterion_03_horosphere_contraction(seed):
+def criterion_03_horosphere_contraction(seed, fx=None):
     """10^4 samples of E_k land in E_{k-1}, k = 0..5, no violations."""
     rng = rng_from_seed(seed)
     e1 = _e1()
-    maps = [_disc_automorphism(), _cleared_blaschke()[0]]
+    cleared, _ = (fx or PassFixtures()).cleared_blaschke
+    maps = [_disc_automorphism(), cleared]
     worst = -np.inf
     violations = 0
     for f in maps:
@@ -78,11 +95,11 @@ def criterion_03_horosphere_contraction(seed):
                      1e-9 - worst)
 
 
-def criterion_04_stopping_times(seed):
+def criterion_04_stopping_times(seed, fx=None):
     """n(k) > k on both maps for k = 1..30; exactly k+1 for the automorphism."""
     e1 = _e1()
     auto = _disc_automorphism()
-    cleared, _ = _cleared_blaschke()
+    cleared, _ = (fx or PassFixtures()).cleared_blaschke
     ks = range(1, 31)
     anchors = orb.radial_anchors(e1, 3.0, ks)
     n_a = [rec.n for rec in orb.stopping_time(auto, anchors, e1, k=ks)]
@@ -93,12 +110,12 @@ def criterion_04_stopping_times(seed):
     return CheckLine("criterion_04_stopping_times", ok, float(margin))
 
 
-def criterion_05_backward_orbit(seed):
+def criterion_05_backward_orbit(seed, fx=None):
     """Constructed orbit: zero chain residual, step tail in log3 +- 1e-3,
     monotone steps, |z_25 - zeta| < 1e-4."""
-    e1 = _e1()
-    cleared, _ = _cleared_blaschke()
-    res = orb.construct_backward_orbit(cleared, e1, 3.0)
+    fx = fx or PassFixtures()
+    cleared, _ = fx.cleared_blaschke
+    res = fx.blaschke_orbit
     resid = orb.verify_backward(res.orbit, cleared)
     checks = [
         res.accepted,
@@ -113,12 +130,12 @@ def criterion_05_backward_orbit(seed):
                      float(margin))
 
 
-def criterion_06_finite_distance(seed):
+def criterion_06_finite_distance(seed, fx=None):
     """Construction vs Newton-preimage orbit from a seed offset by 0.05:
     direct profile flat in its last quarter, with a certified shift bound."""
-    e1 = _e1()
-    cleared, _ = _cleared_blaschke()
-    res = orb.construct_backward_orbit(cleared, e1, 3.0)
+    fx = fx or PassFixtures()
+    cleared, _ = fx.cleared_blaschke
+    res = fx.blaschke_orbit
     newton = orb.offset_preimage_orbit(cleared, res.orbit, 3.0, 0.05)
     comp = ana.orbit_distance_profile(res.orbit, newton.orbit)
     quarter = max(len(comp.direct) // 4, 2)
@@ -132,7 +149,7 @@ def criterion_06_finite_distance(seed):
     return CheckLine("criterion_06_finite_distance", ok, 1e-2 - increase)
 
 
-def criterion_07_tube_in_koranyi(seed):
+def criterion_07_tube_in_koranyi(seed, fx=None):
     """At least 10^4 graded tube samples per width, all satisfying the
     Koranyi functional bound 2L."""
     e1 = _e1()
@@ -149,7 +166,7 @@ def criterion_07_tube_in_koranyi(seed):
                      1e-9 - worst)
 
 
-def criterion_08_tube_covering(seed):
+def criterion_08_tube_covering(seed, fx=None):
     """Orbit neighborhoods cover the tube: R <= L + sigma for the axial
     orbit (C = 0), R <= L + 3C + sigma for the cleared Blaschke orbit."""
     e1 = _e1()
@@ -160,8 +177,7 @@ def criterion_08_tube_covering(seed):
                              map_label=res_a.orbit.map_label)
     rep_a = ana.tube_covering_check(seg_a, e1, width)
     ok_a = rep_a.r_hat <= width + rep_a.sigma_hat + 1e-6
-    cleared, _ = _cleared_blaschke()
-    res_b = orb.construct_backward_orbit(cleared, e1, 3.0)
+    res_b = (fx or PassFixtures()).blaschke_orbit
     seg_b = orb.OrbitSegment(points=res_b.orbit.points[1:], zeta=e1, lam=3.0,
                              map_label=res_b.orbit.map_label)
     rep_b = ana.tube_covering_check(seg_b, e1, width)
@@ -173,7 +189,7 @@ def criterion_08_tube_covering(seed):
                      float(margin))
 
 
-def criterion_09_intertwining_triple(seed):
+def criterion_09_intertwining_triple(seed, fx=None):
     """Warped product with its embedded-disc triple passes all four checks;
     corrupting the base dilation by 10% fails the dilation check."""
     e1 = _e1()
@@ -207,7 +223,9 @@ _CRITERIA = [
 
 
 def run_criteria(seed: int) -> list[CheckLine]:
-    return [crit(seed) for crit in _CRITERIA]
+    """One pass: every criterion, sharing one `PassFixtures`."""
+    fx = PassFixtures()
+    return [crit(seed, fx) for crit in _CRITERIA]
 
 
 def criterion_10_determinism(seed) -> CheckLine:

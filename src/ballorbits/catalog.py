@@ -140,9 +140,10 @@ class BallAutomorphism(SelfMap):
             return np.broadcast_to(-u, z.shape[:-1] + u.shape).copy()
         s = np.sqrt(1.0 - aa)
         # every product is of arrays, so it rounds alike for one point and
-        # for a batch (Blaschke's scalar factors need `_cmul` instead)
+        # for a batch (Blaschke's scalar factors need `_cmul` instead); the
+        # row vector gets its row axis, as in `geometry._times_ref`
         proj = (np.conj(a) / aa) * a[:, None]
-        num = (geo.mobius_shift(a, z)[..., :, None] * np.conj(a)
+        num = (geo.mobius_shift(a, z)[..., :, None] * np.conj(a)[None, :]
                - proj - s * (np.eye(g.q) - proj))
         return u @ (num / (1.0 - herm(z, a))[..., None, None])
 

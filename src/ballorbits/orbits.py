@@ -490,6 +490,12 @@ def _solve_lanes(jac, rhs):
     return step, ok
 
 
+# The line search's trial scales 2**-m, m = 0..39: the full step, then the
+# halvings in blocks of up to 8 evaluated together.
+_TRIAL_SCALES = tuple(np.split(np.ldexp(1.0, -np.arange(40)),
+                               [1, 9, 17, 25, 33]))
+
+
 def _newton_coords(f, target, seeds, tol, max_iter):
     """Damped coordinate Newton for f(z) = target from each row of
     seeds[n, q], the rows running as lanes of one solve.
@@ -498,7 +504,10 @@ def _newton_coords(f, target, seeds, tol, max_iter):
     drops below `tol` (its point, or None inside the boundary guard), when
     its Jacobian is singular, or when 40 step halvings do not lower its
     residual (None); lanes still running after `max_iter` steps give None.
-    Returns one result per seed.
+    Returns one result per seed.  A lane that rejects the full step tries
+    its next 8 halvings with one evaluation and takes the first that lowers
+    its residual; the scales are exact powers of 2, so each trial rounds as
+    the one-at-a-time halving's.
     """
     z = np.array(seeds, dtype=complex)
     res = cat.evaluate(f, z) - target
@@ -516,23 +525,27 @@ def _newton_coords(f, target, seeds, tol, max_iter):
         step, ok = _solve_lanes(cat.jacobian(f, z), -res)
         lanes, z, res, rnorm, step = (lanes[ok], z[ok], res[ok], rnorm[ok],
                                       step[ok])
-        scale = np.ones(len(lanes))
         searching = np.arange(len(lanes))
         moved = np.zeros(len(lanes), dtype=bool)
-        for _ in range(40):
-            z_new = z[searching] + scale[searching, None] * step[searching]
+        for scales in _TRIAL_SCALES:
+            rows = np.repeat(searching, len(scales))
+            trial = np.tile(scales, len(searching))
+            z_new = z[rows] + trial[:, None] * step[rows]
             n = _row_norms(z_new)
             out = n > 1.0 - 1e-12
             z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
             res_new = cat.evaluate(f, z_new) - target
-            better = _row_norms(res_new) < rnorm[searching]
-            took = searching[better]
-            z[took], res[took] = z_new[better], res_new[better]
+            better = (_row_norms(res_new) < rnorm[rows]).reshape(
+                len(searching), len(scales))
+            hit = better.any(axis=1)
+            pick = (np.arange(len(searching)) * len(scales)
+                    + better.argmax(axis=1))[hit]
+            took = searching[hit]
+            z[took], res[took] = z_new[pick], res_new[pick]
             moved[took] = True
-            searching = searching[~better]
+            searching = searching[~hit]
             if not len(searching):
                 break
-            scale[searching] *= 0.5
         lanes, z, res = lanes[moved], z[moved], res[moved]
     return found
 
@@ -617,10 +630,17 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     """Backward orbit by repeated preimage solving with branch selection.
 
     Among candidate preimages the branch minimising
-        kob(candidate, current) + max(horofunction(candidate), 0)
+        kob(current, candidate) + max(horofunction(candidate), 0)
     is taken: the branch staying inside the unit horosphere and moving
     toward zeta.  Two candidates scoring within `rho_branch` of each other
-    is an ambiguity error listing both.
+    is an ambiguity error listing both.  The winner's distance is the step
+    whose exponential seeds the next adapted solve.
+
+    Whether f steps adapted depends on the map and the point's reference
+    alone (every kind's `_astep` decides from `ref`), so it is probed once
+    per reference: every point after z_0 holds zeta, or z_0's reference
+    where the adapted solve carried it on.  Grid solutions equal to an
+    earlier candidate (within 1e-8) are dropped before points are built.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
@@ -630,23 +650,26 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
+    adapted = {}   # ref bytes -> whether f steps adapted there
     for step_idx in range(n_steps):
-        cands = []
-        if cur.ref is not None and cat.adapted_step(f, cur) is not None:
+        uniq: list[BallPoint] = []
+        key = cur.ref.tobytes()
+        if key not in adapted:
+            adapted[key] = cat.adapted_step(f, cur) is not None
+        if adapted[key]:
             try:
                 seed = geo.boundary_adapted_point(
                     cur.ref, cur.delta / lam_guess, tail=cur.tail())
-                cands.append(newton_preimage(f, cur, seed))
+                uniq.append(newton_preimage(f, cur, seed))
             except (NumericalError, DomainError):
                 pass
-        if not cands or step_idx < 8:
+        if not uniq or step_idx < 8:
+            kept = [c.coords for c in uniq]
             for out in _newton_coords(f, cur.coords, grid, 1e-12, 60):
-                if out is not None:
-                    cands.append(geo.with_reference(geo.ball_point(out), zeta))
-        uniq: list[BallPoint] = []
-        for c in cands:
-            if all(np.linalg.norm(c.coords - u.coords) > 1e-8 for u in uniq):
-                uniq.append(c)
+                if out is not None and all(np.linalg.norm(out - u) > 1e-8
+                                           for u in kept):
+                    kept.append(out)
+                    uniq.append(geo.with_reference(geo.ball_point(out), zeta))
         if not uniq:
             raise NumericalError(
                 f"no preimage found at backward step {step_idx}")
@@ -657,8 +680,8 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
         if inside.any():
             uniq = [c for c, keep in zip(uniq, inside) if keep]
             horos = horos[inside]
-        scores = (geo.kob_dist(uniq, [cur] * len(uniq))
-                  + np.maximum(horos, 0.0))
+        dists = geo.kob_dist([cur] * len(uniq), uniq)
+        scores = dists + np.maximum(horos, 0.0)
         order = np.argsort(scores, kind="stable")
         if len(order) > 1 and scores[order[1]] - scores[order[0]] < rho_branch:
             a, b = uniq[order[0]], uniq[order[1]]
@@ -666,17 +689,17 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 "ambiguous backward branch: candidates "
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 f"within {rho_branch}")
-        nxt = uniq[order[0]]
+        nxt, step = uniq[order[0]], dists[order[0]]
         if nxt.ref is None:
             nxt = geo.with_reference(nxt, zeta)
-        lam_guess = max(float(np.exp(geo.kob_dist(cur, nxt))), 1.01)
+            step = geo.kob_dist(cur, nxt)
+        lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt
     seg = OrbitSegment(points=tuple(pts), zeta=zeta,
                        lam=lam_hint if lam_hint is not None else float("nan"),
                        map_label=f.label, chain_tol=1e-10)
-    lam_for_check = lam_hint if lam_hint is not None else \
-        float(np.exp(geo.kob_dist(pts[-2], pts[-1])))
+    lam_for_check = lam_hint if lam_hint is not None else float(np.exp(step))
     return analyze_orbit(seg, lam_for_check, params, "preimage")
 
 

@@ -54,3 +54,15 @@ def random_interior(rng, q, scale=0.85):
     v = rng.normal(size=q) + 1j * rng.normal(size=q)
     v *= rng.uniform(0.05, scale) / np.linalg.norm(v)
     return geo.ball_point(v)
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that its calls are counted; returns the
+    dict of counts by name, filled as the wrapped functions run."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for mod, name in targets:
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls

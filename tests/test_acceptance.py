@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from ballorbits import acceptance, cli
+from ballorbits import catalog as cat
 from ballorbits import geometry as geo
+from ballorbits import orbits as orb
+
+from conftest import count_calls
 
 SUITE_GOLDEN = Path(__file__).parent / "golden" / "suite_12345.txt"
 
@@ -36,6 +40,17 @@ def test_criterion_10_suite_determinism(capsys):
     assert out_a == out_b
     assert out_a == SUITE_GOLDEN.read_text()
     assert "SUITE PASS" in out_a
+
+
+def test_pass_builds_its_shared_fixtures_once(monkeypatch):
+    # one pole clearance and one cleared-Blaschke orbit for the six
+    # criteria that use them; criterion 08 builds the axial orbit
+    calls = count_calls(monkeypatch, (cat, "ensure_pole_clearance"),
+                        (orb, "construct_backward_orbit"))
+    lines = acceptance.run_criteria(12345)
+    assert all(line.passed for line in lines)
+    assert calls == {"ensure_pole_clearance": 1,
+                     "construct_backward_orbit": 2}
 
 
 def test_criterion_07_fails_on_short_sample_set(monkeypatch):

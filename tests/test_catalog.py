@@ -89,8 +89,10 @@ def test_schwarz_pick(make, rng):
     for _ in range(10000):
         zs.append(random_interior(rng, f.q))
         ws.append(random_interior(rng, f.q))
-    fzs = [geo.ball_point(cat.evaluate(f, z.coords)) for z in zs]
-    fws = [geo.ball_point(cat.evaluate(f, w.coords)) for w in ws]
+    fzs = [geo.ball_point(v)
+           for v in cat.evaluate(f, np.array([z.coords for z in zs]))]
+    fws = [geo.ball_point(v)
+           for v in cat.evaluate(f, np.array([w.coords for w in ws]))]
     worst = (geo.kob_dist(fzs, fws) - geo.kob_dist(zs, ws)).max()
     assert worst <= 1e-10
 
@@ -116,6 +118,11 @@ def _offaxis_hyperbolic():
     return cat.hyperbolic_selfmap(geo.boundary_point([0.6, 0.8j]), 3.0)
 
 
+def _complex_disc_hyperbolic():
+    """A q = 1 automorphism with a complex centre."""
+    return cat.hyperbolic_selfmap(geo.boundary_point([np.exp(0.5j)]), 3.0)
+
+
 @pytest.mark.parametrize("make", JACOBIAN_CASES)
 def test_jacobian_matches_finite_differences(make, rng):
     f = make()
@@ -128,6 +135,7 @@ def test_jacobian_matches_finite_differences(make, rng):
 
 @pytest.mark.parametrize("make", JACOBIAN_CASES + [
     _offaxis_hyperbolic,
+    _complex_disc_hyperbolic,
     lambda: cat.callable_map(
         lambda z: cat.evaluate(_offaxis_hyperbolic(), z), q=2),
 ])

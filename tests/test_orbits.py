@@ -1,12 +1,18 @@
 """Orbit engine: anchors, stopping times, chains, Newton preimages."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from ballorbits import catalog as cat
+from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
 from ballorbits.errors import DomainError, NumericalError
+
+from conftest import count_calls
 
 LOG3 = np.log(3.0)
 
@@ -424,6 +430,15 @@ def test_newton_lanes_match_per_seed_solves_q2(e1_q2):
         assert_lanes_match_reference(wp, p.coords, orb._grid_seeds(2))
 
 
+def test_newton_lanes_match_per_seed_solves_complex_centre():
+    # a q = 1 automorphism with a complex centre: its batched Jacobian
+    # rows must round as the single-point ones
+    f = cat.hyperbolic_selfmap(geo.boundary_point([np.exp(0.5j)]), 3.0)
+    lanes = assert_lanes_match_reference(f, np.array([0.3 - 0.5j]),
+                                         orb._grid_seeds(1))
+    assert all(z is not None for z in lanes)
+
+
 def test_newton_singular_lane_retires_alone():
     # z^2 = 1/4: the seed 0 has a zero Jacobian, the seed 0.4 converges
     f = cat.blaschke_product([0.0, 0.0])
@@ -445,6 +460,56 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
     cleared, _ = cleared_blaschke
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
     assert calls == [32] * 8
+
+
+def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
+                                            monkeypatch):
+    # criterion 06's march asks whether the map steps adapted once for its
+    # one reference (the rest are the adapted solves' steps), and builds
+    # points only for grid solutions no earlier candidate holds
+    calls = count_calls(monkeypatch, (cat, "adapted_step"),
+                        (geo, "ball_point"))
+    cleared, _ = cleared_blaschke
+    orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+    assert calls["adapted_step"] == 113
+    assert calls["ball_point"] <= 11
+
+
+@pytest.mark.parametrize("run", ["criterion_06", "compare"])
+def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
+                                          blaschke_orbit, monkeypatch):
+    """Each adapted solve after the first is seeded with lam_guess =
+    max(exp(kob_dist(previous, current)), 1.01), as bytes: the distance the
+    march scored its winner with is that step."""
+    solves, marches = [], []
+    newton, march = orb.newton_preimage, orb.backward_orbit_via_preimages
+
+    def record_solve(f, target, seed, *args):
+        solves.append((target, seed))
+        return newton(f, target, seed, *args)
+
+    def record_march(*args, **kwargs):
+        marches.append((kwargs["lam_hint"], march(*args, **kwargs)))
+        return marches[-1][1]
+
+    monkeypatch.setattr(orb, "newton_preimage", record_solve)
+    monkeypatch.setattr(orb, "backward_orbit_via_preimages", record_march)
+    if run == "compare":
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["compare", "blaschke:a=1/3", "--zeta", "1",
+                             "--offset", "0.05"]) == 0
+    else:
+        cleared, _ = cleared_blaschke
+        orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+    (lam_hint, res), = marches
+    pts = res.orbit.points
+    assert len(solves) == len(pts) - 1
+    for i, (target, seed) in enumerate(solves):
+        assert target is pts[i]
+        lam = lam_hint if i == 0 else max(
+            float(np.exp(geo.kob_dist(pts[i - 1], pts[i]))), 1.01)
+        assert np.complex128(seed.delta).tobytes() == np.complex128(
+            pts[i].delta / lam).tobytes()
 
 
 @pytest.mark.parametrize("lam_hint", [None, 3.0])

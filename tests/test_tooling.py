@@ -66,7 +66,9 @@ def test_traced_layers_reached():
 
 
 def _reaches(workload):
-    """REACHES[workload] of perfbench/run.py, read without running it."""
+    """REACHES[workload] of perfbench/run.py, read without running it: the
+    entry's expression alone is evaluated, with `range` and `tuple` its
+    only names."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -74,7 +76,9 @@ def _reaches(workload):
                         for t in node.targets)):
             values = dict(zip((ast.literal_eval(k) for k in node.value.keys),
                               node.value.values))
-            return ast.literal_eval(values[workload])
+            expr = compile(ast.Expression(values[workload]), "REACHES", "eval")
+            return eval(expr, {"__builtins__": {"range": range,
+                                                "tuple": tuple}})
     raise AssertionError("perfbench/run.py defines no REACHES")
 
 
@@ -98,3 +102,23 @@ def test_construct_ops_reach_every_traced_name():
     finally:
         tracer.uninstall()
     assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
+
+
+def test_battery_pass_reaches_every_traced_name():
+    """One traced acceptance pass, the benchmark's battery op, reaches every
+    name its traced run requires and calls each criterion once through the
+    tracer's wrappers: a changed criterion signature or call path fails
+    here."""
+    from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
+    names = _reaches("battery")
+    criteria = [n for n in names if n.startswith("acceptance.")]
+    assert len(criteria) == 9
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    tracer.install()
+    try:
+        lines = acceptance.run_criteria(12345)
+    finally:
+        tracer.uninstall()
+    assert all(line.passed for line in lines)
+    assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
+    assert [tracer.calls[tracer.fid(n)] for n in criteria] == [1] * 9
