@@ -141,7 +141,7 @@ class BallAutomorphism(SelfMap):
         s = np.sqrt(1.0 - aa)
         # every product is of arrays, so it rounds alike for one point and
         # for a batch (Blaschke's scalar factors need `_cmul` instead); the
-        # row vector gets its row axis, as in `geometry._times_ref`
+        # row vector gets its row axis, as in `geometry._defect_coords`
         proj = (np.conj(a) / aa) * a[:, None]
         num = (geo.mobius_shift(a, z)[..., :, None] * np.conj(a)[None, :]
                - proj - s * (np.eye(g.q) - proj))
@@ -237,12 +237,10 @@ class CallableMap(SelfMap):
 
 
 def _as_points(ref, delta, tail, margin):
-    """A defect state as the points built from it hold it, the form the
-    stages of an automorphism take and give: margins checked, tails read
-    back from coordinates."""
-    points = geo.PointBatch(ref, delta, geo.coords_tail(ref, delta, tail),
-                            margin)
-    return points.ref, points.delta, points.tail, points.margin
+    """A defect state with its margins checked, as the points built from it
+    check them: the form the stages of an automorphism take and give."""
+    geo.PointBatch(ref, delta, tail, margin)
+    return ref, delta, tail, margin
 
 
 @dataclass(frozen=True)
@@ -504,8 +502,7 @@ def adapted_step(f: SelfMap, p):
     representation exact.  Row i of a batch's image is the image of
     `p.point(i)`, bit for bit: one point is the batch of one."""
     if isinstance(p, geo.PointBatch):
-        state = (p.ref, p.delta, geo.coords_tail(p.ref, p.delta, p.tail),
-                 p.margin)
+        state = (p.ref, p.delta, p.tail, p.margin)
     elif p.ref is None:
         return None
     else:

@@ -13,14 +13,17 @@ dilation L translates its axis by log L.  See README "Metric convention"
 for why these three facts pin the scaling down.
 
 Points very close to the sphere are the whole reason this module exists,
-so `BallPoint` can carry, next to raw coordinates, the pair
+so `BallPoint` can carry, next to raw coordinates, the defect form
 
     delta  = 1 - <z, ref>      (complex defect against a boundary point)
+    tail   = z - <z, ref> ref  (the part orthogonal to ref)
     margin = 1 - |z|^2         (squared distance to the sphere)
 
-computed without subtractive cancellation.  All distance/horofunction
-routines prefer those fields when available; coordinates alone stop being
-usable roughly at 1 - |z| ~ 1e-14 and are rejected there.
+computed without subtractive cancellation.  The tail is stored, not read
+back from coordinates, which round toward the sphere.  All
+distance/horofunction routines prefer those fields when available;
+coordinates alone stop being usable roughly at 1 - |z| ~ 1e-14 and are
+rejected there.
 """
 
 from __future__ import annotations
@@ -162,14 +165,16 @@ def project_unitary(w):
 class BallPoint:
     """A point of B^q: coordinates plus a trusted margin 1 - |z|^2.
 
-    `ref`/`delta`, when set, make the point usable arbitrarily close to the
-    boundary point `ref`: delta = 1 - <z, ref> held without cancellation.
+    `ref`/`delta`/`tail_vec`, when set, make the point usable arbitrarily
+    close to the boundary point `ref`: delta = 1 - <z, ref> and the tail,
+    the part of z orthogonal to ref, held without cancellation.
     """
 
     coords: np.ndarray
     margin: float
     ref: np.ndarray | None = None
     delta: complex | None = None
+    tail_vec: np.ndarray | None = None
 
     @property
     def q(self) -> int:
@@ -178,10 +183,9 @@ class BallPoint:
     def norm(self) -> float:
         return float(np.sqrt(max(1.0 - self.margin, 0.0)))
 
-    def tail(self, ref=None) -> np.ndarray:
-        """Component orthogonal to the reference boundary direction."""
-        r = self.ref if ref is None else ref
-        return self.coords - herm(self.coords, r) * r
+    def tail(self) -> np.ndarray | None:
+        """The stored component orthogonal to `ref`; None without a ref."""
+        return self.tail_vec
 
 
 def ball_point(coords, q=None) -> BallPoint:
@@ -211,7 +215,7 @@ def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
     if tail is None:
         tail = np.zeros_like(refv)
     else:
-        tail = as_vector(tail, refv.shape[0])
+        tail = as_vector(tail, refv.shape[0]).copy()
     if margin is None:
         margin = 2.0 * delta.real - abs(delta) ** 2 - sq_norm(tail)
     margin = float(margin)
@@ -219,7 +223,9 @@ def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
         raise DomainError(f"adapted point has nonpositive margin {margin:.3e}")
     coords = (1.0 - delta) * refv + tail
     coords.flags.writeable = False
-    return BallPoint(coords=coords, margin=margin, ref=refv, delta=delta)
+    tail.flags.writeable = False
+    return BallPoint(coords=coords, margin=margin, ref=refv, delta=delta,
+                     tail_vec=tail)
 
 
 @dataclass(frozen=True)
@@ -260,41 +266,30 @@ class PointBatch:
                           self.margin[rows])
 
 
-def _times_ref(x, ref):
-    """x[:, None] * ref for x[n], each row rounded as the complex scalar
-    x[i] times the vector ref.  numpy's complex product fuses multiply-adds
-    except for one row against a one-entry ref left to broadcast, so ref
-    gets its row axis here."""
-    return x[:, None] * ref[None, :]
-
-
 def _defect_coords(ref, delta, tail):
     """(1 - delta) ref + tail for delta[n] and tail[n, q], row i equal to
-    the coordinates `boundary_adapted_point` gives the row's point."""
-    return _times_ref(1.0 - delta, ref) + tail
+    the coordinates `boundary_adapted_point` gives the row's point.  Each
+    row of the product is rounded as the complex scalar 1 - delta[i] times
+    the vector ref: numpy's complex product fuses multiply-adds except for
+    one row against a one-entry ref left to broadcast, so ref gets its row
+    axis here."""
+    return (1.0 - delta)[:, None] * ref[None, :] + tail
 
 
 def point_state(p: BallPoint):
     """The defect state (ref, delta[1], tail[1, q], margin[1]) of one
-    point, with the tail it reads back from its coordinates."""
+    point, with its stored tail."""
     return p.ref, np.array([p.delta]), p.tail()[None], np.array([p.margin])
 
 
-def coords_tail(ref, delta, tail):
-    """The tail that the points of a defect state read back from their
-    coordinates: row i is `boundary_adapted_point(ref, delta[i],
-    tail=tail[i]).tail()`.  A `BallPoint` keeps coordinates, not its tail,
-    so a step on it starts from this read-back, which off the coordinate
-    axes differs from `tail` by roundoff."""
-    coords = _defect_coords(ref, delta, tail)
-    return coords - _times_ref(herm(coords, ref), ref)
-
-
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
-    """Attach boundary-adapted data (computed from coordinates) to a point."""
-    d = 1.0 - herm(p.coords, zeta.coords)
+    """Attach boundary-adapted data to a point, computed once from its
+    coordinates, which are the point's truth here."""
+    a = herm(p.coords, zeta.coords)
+    tail = p.coords - a * zeta.coords
+    tail.flags.writeable = False
     return BallPoint(coords=p.coords, margin=p.margin, ref=zeta.coords,
-                     delta=complex(d))
+                     delta=complex(1.0 - a), tail_vec=tail)
 
 
 @dataclass(frozen=True)
@@ -334,8 +329,8 @@ def _lanes(points, axis=None):
     """(coords, margin, delta, ref, tail) of a list of points or a
     `PointBatch`, one row per point, on `axis` of an outer pairing if
     given.  ref is one vector when all points hold the same, else one row
-    per point; delta and ref are nan for a point without a reference; tail
-    is a batch's stored tail, None for points."""
+    per point; tail is each point's stored tail; delta, ref and tail are
+    nan for a point without a reference."""
     if isinstance(points, PointBatch):
         ref, delta, margin, tail, coords = (points.ref, points.delta,
                                             points.margin, points.tail,
@@ -345,13 +340,15 @@ def _lanes(points, axis=None):
         margin = np.array([p.margin for p in points])
         delta = np.array([np.nan if p.ref is None else p.delta
                           for p in points], dtype=complex)
-        ref = np.array([np.full(p.q, np.nan) if p.ref is None else p.ref
-                        for p in points], dtype=complex)
-        ref, tail = ref[0] if (ref == ref[0]).all() else ref, None
+        nan = np.full(coords.shape[-1], np.nan)
+        ref = np.array([nan if p.ref is None else p.ref for p in points],
+                       dtype=complex)
+        tail = np.array([nan if p.ref is None else p.tail() for p in points],
+                        dtype=complex)
+        ref = ref[0] if (ref == ref[0]).all() else ref
     if axis is not None:
-        coords, margin, delta, tail = (
-            None if x is None else np.expand_dims(x, axis)
-            for x in (coords, margin, delta, tail))
+        coords, margin, delta, tail = (np.expand_dims(x, axis)
+                                       for x in (coords, margin, delta, tail))
         ref = ref if ref.ndim == 1 else np.expand_dims(ref, axis)
     return coords, margin, delta, ref, tail
 
@@ -370,10 +367,11 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
     if zc.shape[-1] != wc.shape[-1]:
         raise DimensionMismatch(f"dimensions {zc.shape[-1]} != {wc.shape[-1]}")
     share = sq_norm(ref - ref_w) <= 1e-24
-    if tz is None:
-        tz = zc - herm(zc, ref)[..., None] * ref
-    if tw is None or not np.array_equal(ref_w, ref):
-        tw = wc - herm(wc, ref)[..., None] * ref
+    if not np.array_equal(ref_w, ref):
+        # a w tail holds against w's own reference: rebuild it against z's
+        # from coordinates where w has none or another
+        own = (ref_w == ref).all(axis=-1)[..., None]
+        tw = np.where(own, tw, wc - herm(wc, ref)[..., None] * ref)
     # herm, _cmul, abs_sq and float_power round a lane as the pair alone
     with np.errstate(divide="ignore", invalid="ignore"):
         dwc = np.conj(dw)

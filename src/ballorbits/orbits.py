@@ -266,8 +266,7 @@ def orbit_diagnostics(seg: OrbitSegment):
         return steps, horos, dz
     delta = np.array([p.delta for p in pts])
     margin = np.array([p.margin for p in pts])
-    coords = np.array([p.coords for p in pts])
-    tails = coords - geo._times_ref(geo.herm(coords, zeta), zeta)
+    tails = np.array([p.tail() for p in pts])
     horos = np.log(geo.abs_sq(delta) / margin)
     dz = np.sqrt(geo.abs_sq(delta) + geo.sq_norm(tails))
     return steps, horos, dz
@@ -292,16 +291,16 @@ def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
 
 def _batch_of(points):
     """The `PointBatch` whose point i is points[i], coordinates included,
-    or None: when the points do not share a reference, or when a tail that
-    rebuilds a point's coordinates bit for bit is not found."""
+    or None: when the points do not share a reference, or when their
+    stored defects do not rebuild their coordinates bit for bit."""
     ref = points[0].ref
     if ref is None or not all(p.ref is not None and np.array_equal(p.ref, ref)
                               for p in points):
         return None
-    delta = np.array([p.delta for p in points])
+    batch = PointBatch(ref, np.array([p.delta for p in points]),
+                       np.array([p.tail() for p in points]),
+                       np.array([p.margin for p in points]))
     coords = np.array([p.coords for p in points])
-    tail = coords - geo._times_ref(1.0 - delta, ref)
-    batch = PointBatch(ref, delta, tail, np.array([p.margin for p in points]))
     return batch if batch.coords.tobytes() == coords.tobytes() else None
 
 

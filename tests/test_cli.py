@@ -263,6 +263,15 @@ def test_orbit_nmax_below_one_exit_2(capsys, nmax):
     assert "n_max" in err and "capped" not in err and out == ""
 
 
+def test_compare_off_axis_automorphism(capsys):
+    # an automorphism is an isometry, so the offset orbit keeps its offset
+    code, out, _ = run(capsys, "compare", "hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                       "--zeta=0.6,0;0,0.8", "--offset", "0.05")
+    assert code == 0
+    direct_max = float(out.split("direct_max=")[1].split()[0])
+    assert abs(direct_max - 0.05) <= 1e-6
+
+
 def test_compare_from_csv_files(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

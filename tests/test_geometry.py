@@ -189,11 +189,15 @@ def test_kob_dist_sequences(e1_q2):
 
 def test_kob_dist_alike_in_every_layout(rng):
     # one pair gives the same bits alone, in a sequence and in a matrix,
-    # on shared-reference and coordinate-only lanes
+    # on shared-reference and coordinate-only lanes, and on deep adapted
+    # points, whose stored tails a lane takes in lists of mixed references
     ref = geo.boundary_point([0.6, 0.48j, 0.64])
     pts = [random_interior(rng, 3, scale=0.97) for _ in range(200)]
     pts = [p if i % 3 == 0 else geo.with_reference(p, ref)
            for i, p in enumerate(pts)]
+    pts = [geo.boundary_adapted_point(ref.coords, 1e-6 * p.delta,
+                                      tail=1e-3 * p.tail())
+           if i % 3 == 2 else p for i, p in enumerate(pts)]
     z, w = pts[:100], pts[100:]
     alone = [geo.kob_dist(a, b) for a, b in zip(z, w)]
     assert geo.kob_dist(z, w).tolist() == alone

@@ -292,6 +292,37 @@ def test_construct_blaschke_orbit(blaschke_orbit):
     assert res.sigma_hat <= LOG3 + 1e-3
 
 
+def _offaxis_draws():
+    """40 complex zeta in q = 2 with lam in [7, 10), then the benchmark's
+    pinned off-axis pair."""
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for _ in range(40):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        draws.append((v / np.linalg.norm(v), float(rng.uniform(7.0, 10.0))))
+    return draws + [([-0.3665651155219311 + 0.6075356103566331j,
+                      -0.322354349519805 - 0.6265925083949299j],
+                     7.7642054399404685)]
+
+
+@pytest.mark.parametrize("zeta, lam", _offaxis_draws())
+def test_offaxis_orbit_is_the_e1_orbit_moved(zeta, lam):
+    """The theorem is unitary-invariant: at zeta = U e_1 the orbit of the
+    hyperbolic map is U applied to the orbit at e_1.  Its tails are exactly
+    0, and its defects and margins are the e_1 orbit's."""
+    zeta, e1 = geo.boundary_point(zeta), geo.basis_boundary_point(2)
+    moved = orb.construct_backward_orbit(cat.hyperbolic_selfmap(zeta, lam),
+                                         zeta, lam).orbit.points
+    at_e1 = orb.construct_backward_orbit(cat.hyperbolic_selfmap(e1, lam),
+                                         e1, lam).orbit.points
+    assert len(moved) == len(at_e1)
+    assert not np.array([p.tail() for p in moved]).any()
+    for field in ("delta", "margin"):
+        np.testing.assert_allclose([getattr(p, field) for p in moved],
+                                   [getattr(p, field) for p in at_e1],
+                                   rtol=1e-13, atol=0.0)
+
+
 def test_construct_cluster_mode(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
     res = orb.construct_backward_orbit(

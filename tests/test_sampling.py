@@ -37,7 +37,7 @@ def reference_samples(zeta, width, s_values, n_angles, fractions):
     return pts
 
 
-def _compare(zeta, width, s_values, n_angles, fractions, tail_tol):
+def _compare(zeta, width, s_values, n_angles, fractions):
     batch = sampling.tube_samples(zeta, width, s_values=s_values,
                                   n_angles=n_angles,
                                   radius_fractions=fractions)
@@ -47,30 +47,24 @@ def _compare(zeta, width, s_values, n_angles, fractions, tail_tol):
     assert np.array_equal(batch.margin, [p.margin for p in ref])
     assert np.array_equal(geo.koranyi_functional(batch, zeta),
                           [geo.koranyi_functional(p, zeta) for p in ref])
-    tails = np.array([p.tail() for p in ref])
-    if tail_tol == 0.0:
-        assert np.array_equal(batch.tail, tails)
-    else:
-        assert np.max(np.abs(batch.tail - tails)) <= tail_tol
+    assert np.array_equal(batch.tail, [p.tail() for p in ref])
     return batch, ref
 
 
 @pytest.mark.parametrize("width", [0.5, 2.0])
 def test_tube_samples_match_reference_disc(e1, width):
-    _compare(e1, width, S_GRID, 28, (1.0, 0.75, 0.5), 0.0)
+    _compare(e1, width, S_GRID, 28, (1.0, 0.75, 0.5))
 
 
 @pytest.mark.parametrize("fractions", [(1.0, 0.5), ()])
 def test_tube_samples_match_reference_e1_q2(e1_q2, fractions):
-    _compare(e1_q2, 1.3, np.arange(0.0, 30.001, 0.5), 8, fractions, 0.0)
+    _compare(e1_q2, 1.3, np.arange(0.0, 30.001, 0.5), 8, fractions)
 
 
 def test_tube_samples_match_reference_off_axis():
-    # the batch keeps the stage's tails; the reference recomputes each tail
-    # from the coordinates, which rounds differently off the axes
     zeta = geo.boundary_point([0.6, 0.8j])
     batch, ref = _compare(zeta, 1.0, np.arange(0.5, 30.001, 0.5), 8,
-                          (1.0, 0.5), 1e-15)
+                          (1.0, 0.5))
     i = len(batch) // 3
     assert batch.point(i).delta == ref[i].delta
     # an off-vertex batch takes the per-point path
