@@ -206,9 +206,10 @@ def ball_point(coords, q=None) -> BallPoint:
 def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
     """Interior point given by its defect against a boundary point.
 
-    coords = (1 - delta) * ref + tail with tail orthogonal to ref.  The
-    margin is derived cancellation-free as 2 Re delta - |delta|^2 - |tail|^2
-    unless supplied.  No sphere guard: that is the point of this constructor.
+    coords = (1 - delta) * ref + tail with tail orthogonal to ref: a tail
+    with |<tail, ref>| > 1e-12 is refused.  The margin is derived
+    cancellation-free as 2 Re delta - |delta|^2 - |tail|^2 unless supplied.
+    No sphere guard: that is the point of this constructor.
     """
     refv = as_vector(np.asarray(ref.coords if isinstance(ref, BoundaryPoint) else ref))
     delta = complex(delta)
@@ -216,6 +217,8 @@ def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
         tail = np.zeros_like(refv)
     else:
         tail = as_vector(tail, refv.shape[0]).copy()
+        if abs(np.vdot(refv, tail)) > 1e-12:   # |<tail, ref>|
+            raise DomainError("adapted point's tail is not orthogonal to ref")
     if margin is None:
         margin = 2.0 * delta.real - abs(delta) ** 2 - sq_norm(tail)
     margin = float(margin)

@@ -446,12 +446,12 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed: BallPoint,
                     tol: float = 1e-12, max_iter: int = 100) -> BallPoint:
     """Solve f(z) = target by damped Newton (complex q x q solve).
 
-    Iterates are retracted to radius 1 - 1e-12.  With boundary-adapted
-    targets the solve runs in defect coordinates, so deep preimages keep
-    relative accuracy.  Otherwise, or when that solve stalls, Newton runs in
-    coordinates from the seed; on stall a coarse polar grid reseeds it, all
-    grid seeds as lanes of one solve, and the first converged lane in seed
-    order is the preimage.
+    With boundary-adapted targets the solve runs in defect coordinates
+    against the target's reference, so deep preimages keep relative
+    accuracy.  Otherwise, or when that solve stalls, Newton runs in
+    coordinates from the seed, its iterates retracted to radius 1 - 1e-12;
+    on stall a coarse polar grid reseeds it, all grid seeds as lanes of one
+    solve, and the first converged lane in seed order is the preimage.
     """
     out = _newton_adapted(f, target, seed, tol, max_iter)
     if out is not None:
@@ -495,113 +495,118 @@ _TRIAL_SCALES = tuple(np.split(np.ldexp(1.0, -np.arange(40)),
                                [1, 9, 17, 25, 33]))
 
 
-def _newton_coords(f, target, seeds, tol, max_iter):
-    """Damped coordinate Newton for f(z) = target from each row of
-    seeds[n, q], the rows running as lanes of one solve.
+def _damped_newton(x, res, tol, max_iter, jacobian, trials):
+    """Damped Newton from each row of x, whose residual is that row of res,
+    the rows running as lanes of one solve; returns the solved rows, NaN
+    where a lane gave up.
 
-    Each lane has its own damping scale.  A lane retires when its residual
-    drops below `tol` (its point, or None inside the boundary guard), when
-    its Jacobian is singular, or when 40 step halvings do not lower its
-    residual (None); lanes still running after `max_iter` steps give None.
-    Returns one result per seed.  A lane that rejects the full step tries
-    its next 8 halvings with one evaluation and takes the first that lowers
-    its residual; the scales are exact powers of 2, so each trial rounds as
-    the one-at-a-time halving's.
+    `jacobian(x)` gives each lane's Jacobian of its residual; `trials(x,
+    scales, step)` gives the points x + scales * step and their residuals,
+    inf where a trial is no point.  A lane is solved once its residual is
+    below `tol`; it gives up when its Jacobian is singular, after 40
+    halvings that do not lower its residual, or after `max_iter` steps.  A
+    lane that rejects the full step tries its next 8 halvings with one
+    evaluation and takes the first that lowers its residual; the scales are
+    powers of 2, so each trial rounds as the one-at-a-time halving's.
     """
-    z = np.array(seeds, dtype=complex)
-    res = cat.evaluate(f, z) - target
-    found = [None] * len(z)
-    lanes = np.arange(len(z))
+    found, lanes = np.full_like(x, np.nan), np.arange(len(x))
     for _ in range(max_iter):
         rnorm = _row_norms(res)
         done = rnorm < tol
-        for i, zi, n in zip(lanes[done], z[done], _row_norms(z[done])):
-            if 1.0 - n >= geo.BOUNDARY_GUARD:
-                found[i] = zi
-        lanes, z, res, rnorm = lanes[~done], z[~done], res[~done], rnorm[~done]
+        if done.any():
+            found[lanes[done]] = x[done]
+            lanes, x, res, rnorm = (a[~done] for a in (lanes, x, res, rnorm))
         if not len(lanes):
             break
-        step, ok = _solve_lanes(cat.jacobian(f, z), -res)
-        lanes, z, res, rnorm, step = (lanes[ok], z[ok], res[ok], rnorm[ok],
-                                      step[ok])
-        searching = np.arange(len(lanes))
-        moved = np.zeros(len(lanes), dtype=bool)
+        step, ok = _solve_lanes(jacobian(x), -res)
+        if not ok.all():
+            lanes, x, res, rnorm, step = (a[ok] for a in
+                                          (lanes, x, res, rnorm, step))
+        pending = np.arange(len(lanes))
         for scales in _TRIAL_SCALES:
-            rows = np.repeat(searching, len(scales))
-            trial = np.tile(scales, len(searching))
-            z_new = z[rows] + trial[:, None] * step[rows]
-            n = _row_norms(z_new)
-            out = n > 1.0 - 1e-12
-            z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
-            res_new = cat.evaluate(f, z_new) - target
-            better = (_row_norms(res_new) < rnorm[rows]).reshape(
-                len(searching), len(scales))
-            hit = better.any(axis=1)
-            pick = (np.arange(len(searching)) * len(scales)
-                    + better.argmax(axis=1))[hit]
-            took = searching[hit]
-            z[took], res[took] = z_new[pick], res_new[pick]
-            moved[took] = True
-            searching = searching[~hit]
-            if not len(searching):
+            rows = pending.repeat(len(scales))
+            x_new, r_new = trials(x[rows], np.tile(scales, len(pending)),
+                                  step[rows])
+            better = (_row_norms(r_new) < rnorm[rows]).reshape(-1, len(scales))
+            if len(scales) == 1 and better.all():   # all take the full step
+                x, res = x_new, r_new
                 break
-        lanes, z, res = lanes[moved], z[moved], res[moved]
+            hit = better.any(axis=1)
+            pick = better.argmax(1)[hit] + np.flatnonzero(hit) * len(scales)
+            took = pending[hit]
+            x[took], res[took] = x_new[pick], r_new[pick]
+            pending = pending[~hit]
+            if not len(pending):
+                break
+        else:   # the stalled lanes retire
+            lanes, x, res = (np.delete(a, pending, 0) for a in (lanes, x, res))
     return found
 
 
+def _newton_coords(f, target, seeds, tol, max_iter):
+    """`_damped_newton` for f(z) = target from each row of seeds[n, q].
+    Trial points are retracted to radius 1 - 1e-12, and a lane converging
+    inside the boundary guard gives None."""
+    def trials(z, scales, step):
+        z_new = z + scales[:, None] * step
+        n = _row_norms(z_new)
+        out = n > 1.0 - 1e-12
+        z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
+        return z_new, cat.evaluate(f, z_new) - target
+
+    z = np.array(seeds, dtype=complex)
+    z = _damped_newton(z, cat.evaluate(f, z) - target, tol, max_iter,
+                       lambda z: cat.jacobian(f, z), trials)
+    ok = 1.0 - _row_norms(z) >= geo.BOUNDARY_GUARD   # False on NaN rows
+    return [zi if k else None for zi, k in zip(z, ok)]
+
+
 def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
-    """Newton in defect coordinates w = (delta, tail): exact deep residuals."""
+    """`_damped_newton` in defect coordinates against target.ref: exact deep
+    residuals.  Its one lane is (delta, tail, coords); steps solve for delta
+    and the last q - 1 tail components in the frame `rot` taking e_1 to ref.
+    A seed without target.ref takes it, and a seed that solves is kept."""
     if target.ref is None:
         return None
-    ref = target.ref
-    zeta = geo.BoundaryPoint(ref)
-    probe = seed if seed.ref is not None else geo.with_reference(seed, zeta)
-    img = cat.adapted_step(f, probe)   # the image of each accepted iterate
+    ref, q = target.ref, f.q
+    if seed.ref is None or not np.array_equal(seed.ref, ref):
+        seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
+    img = cat.adapted_step(f, PointBatch(*geo.point_state(seed)))
     if img is None:
         return None
+    rot = geo.unitary_taking(geo.basis_boundary_point(q).coords, ref)
+    rot_h = rot.conj().T
+    sign = np.array([-1.0] + [1.0] * (q - 1))   # d(delta)/d(z_1) = -1
+
+    def residual(img):
+        rt = (rot_h @ (img.tail - target.tail())[..., None])[:, 1:, 0]
+        return np.concatenate([(img.delta - target.delta)[:, None], rt], 1)
+
+    def jacobian(x):   # of the residual in (delta, rotated tail)
+        jw = sign[:, None] * (rot_h @ cat.jacobian(f, x[0, q + 1:]) @ rot)
+        return (jw * sign)[None]
+
+    def trials(x, scales, step):
+        lift = scales[:, None] * step
+        delta = x[:, 0] + lift[:, 0]
+        lift[:, 0] = 0.0
+        tail = x[:, 1:q + 1] + (rot @ lift[..., None])[..., 0]
+        margin = 2.0 * delta.real - geo.abs_sq(delta) - geo.sq_norm(tail)
+        ok = margin > 0.0   # a trial outside the ball is no point
+        res = np.full((len(x), q), np.inf, dtype=complex)
+        if ok.any():
+            res[ok] = residual(cat.adapted_step(f, PointBatch(
+                ref, delta[ok], tail[ok], margin[ok])))
+        coords = geo._defect_coords(ref, delta, tail)
+        return np.concatenate([delta[:, None], tail, coords], 1), res
+
+    x0 = np.concatenate([[seed.delta], seed.tail(), seed.coords])[None]
     scale = abs(target.delta) + float(np.linalg.norm(target.tail())) + 1e-300
-
-    sign = np.ones(f.q)
-    sign[0] = -1.0  # d(delta)/d(z_1) = -1 in the rotated frame
-
-    rot = geo.unitary_taking(geo.basis_boundary_point(f.q).coords, ref)
-    cur = probe
-    for _ in range(max_iter):
-        rd = img.delta - target.delta
-        rt = img.tail() - target.tail()
-        resid = np.concatenate([[rd], (rot.conj().T @ rt)[1:]])
-        if np.linalg.norm(resid) < tol * scale:
-            return cur
-        jz = cat.jacobian(f, cur.coords)
-        jw = (sign[:, None] * (rot.conj().T @ jz @ rot)) * sign[None, :]
-        try:
-            step = np.linalg.solve(jw, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        base = np.linalg.norm(resid)
-        for _ in range(40):
-            new_delta = cur.delta + alpha * step[0]
-            new_tail = cur.tail() + rot @ np.concatenate(
-                [[0.0], alpha * step[1:]])
-            try:
-                cand = geo.boundary_adapted_point(ref, new_delta, tail=new_tail)
-            except DomainError:
-                alpha *= 0.5
-                continue
-            img2 = cat.adapted_step(f, cand)
-            if img2 is None:
-                return None
-            rd2 = img2.delta - target.delta
-            rt2 = img2.tail() - target.tail()
-            r2 = np.concatenate([[rd2], (rot.conj().T @ rt2)[1:]])
-            if np.linalg.norm(r2) < base:
-                cur, img = cand, img2
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return None
+    out, = _damped_newton(x0.copy(), residual(img), tol * scale, max_iter,
+                          jacobian, trials)
+    if np.isnan(out[0]) or np.array_equal(out, x0[0]):   # none, or the seed
+        return None if np.isnan(out[0]) else seed
+    return geo.boundary_adapted_point(ref, out[0], tail=out[1:q + 1])
 
 
 def _grid_seeds(q: int):
@@ -609,15 +614,9 @@ def _grid_seeds(q: int):
     angles = np.arange(8) * (np.pi / 4.0)
     if q == 1:
         return np.array([[r * np.exp(1j * t)] for r in radii for t in angles])
-    seeds = []
-    for r in radii:
-        for t in angles[::2]:
-            for t2 in angles[::2]:
-                v = np.zeros(q, dtype=complex)
-                v[0] = r * np.exp(1j * t) * 0.8
-                v[1] = r * np.exp(1j * t2) * 0.5
-                seeds.append(v)
-    return np.array(seeds)
+    return np.array([[r * np.exp(1j * t) * 0.8, r * np.exp(1j * t2) * 0.5]
+                     + [0.0] * (q - 2) for r in radii
+                     for t in angles[::2] for t2 in angles[::2]])
 
 
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,

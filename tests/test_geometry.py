@@ -47,6 +47,18 @@ def test_adapted_point_roundtrip(e1):
                                                     abs=1e-12)
 
 
+def test_adapted_point_refuses_a_tail_along_ref():
+    # such a tail would be taken as orthogonal: this one gave |coords| = 1.2
+    # with margin 0.1 and horofunction -2.30
+    ref = np.exp(0.5j)
+    with pytest.raises(DomainError, match="orthogonal"):
+        geo.boundary_adapted_point([ref], 0.1, tail=[0.3 * ref])
+    with pytest.raises(DomainError, match="orthogonal"):
+        geo.boundary_adapted_point([1.0, 0.0], 0.1, tail=[1e-11, 0.2])
+    p = geo.boundary_adapted_point([1.0, 0.0], 0.1, tail=[1e-13, 0.2])
+    assert p.tail()[0] == 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Kobayashi distance
 # ---------------------------------------------------------------------------

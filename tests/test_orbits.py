@@ -433,6 +433,171 @@ def assert_lanes_match_reference(f, target, seeds, tol=1e-12, max_iter=60):
     return lanes
 
 
+def reference_newton_adapted(f, target, seed, tol, max_iter):
+    """`_newton_adapted` as a scalar loop, one adapted step per trial.  It
+    takes a seed with a reference as it is, so the seeds given to it hold
+    the target's reference or none."""
+    if target.ref is None:
+        return None
+    ref = target.ref
+    zeta = geo.BoundaryPoint(ref)
+    probe = seed if seed.ref is not None else geo.with_reference(seed, zeta)
+    img = cat.adapted_step(f, probe)   # the image of each accepted iterate
+    if img is None:
+        return None
+    scale = abs(target.delta) + float(np.linalg.norm(target.tail())) + 1e-300
+
+    sign = np.ones(f.q)
+    sign[0] = -1.0  # d(delta)/d(z_1) = -1 in the rotated frame
+
+    rot = geo.unitary_taking(geo.basis_boundary_point(f.q).coords, ref)
+    cur = probe
+    for _ in range(max_iter):
+        rd = img.delta - target.delta
+        rt = img.tail() - target.tail()
+        resid = np.concatenate([[rd], (rot.conj().T @ rt)[1:]])
+        if np.linalg.norm(resid) < tol * scale:
+            return cur
+        jz = cat.jacobian(f, cur.coords)
+        jw = (sign[:, None] * (rot.conj().T @ jz @ rot)) * sign[None, :]
+        try:
+            step = np.linalg.solve(jw, -resid)
+        except np.linalg.LinAlgError:
+            return None
+        alpha = 1.0
+        base = np.linalg.norm(resid)
+        for _ in range(40):
+            new_delta = cur.delta + alpha * step[0]
+            new_tail = cur.tail() + rot @ np.concatenate(
+                [[0.0], alpha * step[1:]])
+            try:
+                cand = geo.boundary_adapted_point(ref, new_delta, tail=new_tail)
+            except DomainError:
+                alpha *= 0.5
+                continue
+            img2 = cat.adapted_step(f, cand)
+            if img2 is None:
+                return None
+            rd2 = img2.delta - target.delta
+            rt2 = img2.tail() - target.tail()
+            r2 = np.concatenate([[rd2], (rot.conj().T @ rt2)[1:]])
+            if np.linalg.norm(r2) < base:
+                cur, img = cand, img2
+                break
+            alpha *= 0.5
+        else:
+            return None
+    return None
+
+
+def assert_adapted_matches_reference(f, target, seed, tol=1e-12,
+                                     max_iter=100):
+    out = orb._newton_adapted(f, target, seed, tol, max_iter)
+    ref = reference_newton_adapted(f, target, seed, tol, max_iter)
+    assert (out is None) == (ref is None)
+    if ref is not None:
+        assert _point_bytes(out) == _point_bytes(ref)
+        assert out.tail().tobytes() == ref.tail().tobytes()
+    return out
+
+
+def _adapted_solves(monkeypatch, march):
+    """The arguments of every defect-coordinate solve that `march()` makes."""
+    calls = []
+    solve = orb._newton_adapted
+    monkeypatch.setattr(orb, "_newton_adapted",
+                        lambda *args: calls.append(args) or solve(*args))
+    march()
+    monkeypatch.undo()
+    return calls
+
+
+def test_adapted_solve_matches_reference_c06(cleared_blaschke, blaschke_orbit,
+                                             monkeypatch):
+    cleared, _ = cleared_blaschke
+    calls = _adapted_solves(monkeypatch, lambda: orb.offset_preimage_orbit(
+        cleared, blaschke_orbit.orbit, 3.0, 0.05))
+    assert len(calls) == 41
+    for args in calls:
+        assert assert_adapted_matches_reference(*args) is not None
+
+
+def test_adapted_solve_matches_reference_q2_deep():
+    e1 = geo.basis_boundary_point(1)
+    e2 = geo.basis_boundary_point(2)
+    wp = cat.warped_product(cat.hyperbolic_selfmap(e1, 3.0), 0.5, q=2)
+    target = orb.radial_anchor(e2, 3.0, 25)
+    seed = geo.boundary_adapted_point(e2.coords, target.delta / 3.0)
+    assert assert_adapted_matches_reference(wp, target, seed) is not None
+
+
+def test_adapted_solve_matches_reference_off_axis_q2(monkeypatch):
+    zeta = geo.boundary_point([0.6, 0.8j])
+    f = cat.hyperbolic_selfmap(zeta, 3.0)
+    calls = _adapted_solves(
+        monkeypatch, lambda: orb.backward_orbit_via_preimages(
+            f, geo.ball_point([0.1, 0.2j]), zeta, 20, lam_hint=3.0))
+    assert len(calls) == 20
+    for args in calls:
+        assert assert_adapted_matches_reference(*args) is not None
+
+
+@pytest.mark.parametrize("k, start", [(3, -0.5), (10, 0.7j), (10, -0.5),
+                                      (20, 0.3 + 0.5j)])
+def test_adapted_solve_matches_reference_past_the_sphere(
+        k, start, cleared_blaschke, disc_auto, e1, monkeypatch):
+    """Seeds far from deep targets, whose full steps leave the ball: a trial
+    with nonpositive margin is no point (the scalar loop's DomainError
+    skip), and some of the cleared map's solves stall (None)."""
+    target = orb.radial_anchor(e1, 3.0, k)
+    seed = geo.boundary_adapted_point(e1.coords, 1.0 - start)
+    refused = []
+    build = geo.boundary_adapted_point
+
+    def counted(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except DomainError:
+            refused.append(args)
+            raise
+
+    outs = []
+    for f in (disc_auto, cleared_blaschke[0]):
+        refused.clear()
+        monkeypatch.setattr(geo, "boundary_adapted_point", counted)
+        reference_newton_adapted(f, target, seed, 1e-12, 100)
+        monkeypatch.undo()
+        assert refused
+        outs.append(assert_adapted_matches_reference(f, target, seed))
+    assert outs[0] is not None
+    assert (outs[1] is None) == (k == 10)
+
+
+def test_adapted_solve_singular_and_solved_seeds(e1):
+    # z^2 has a zero Jacobian at its critical point z = 0: the lane retires
+    # with None; a seed that already solves comes back as the same point
+    f = cat.blaschke_product([0.0, 0.0])
+    target = orb.radial_anchor(e1, 2.0, 3)
+    critical = geo.boundary_adapted_point(e1.coords, 1.0)
+    assert assert_adapted_matches_reference(f, target, critical) is None
+    pre = orb.newton_preimage(f, target,
+                              geo.boundary_adapted_point(e1.coords, 0.5))
+    assert orb._newton_adapted(f, target, pre, 1e-12, 100) is pre
+    assert reference_newton_adapted(f, target, pre, 1e-12, 100) is pre
+
+
+def test_newton_seed_with_another_reference(disc_auto, e1):
+    # the seed's coordinates are 0.5 against -1 as against +1: the solve
+    # takes the seed to the target's reference instead of mixing defects
+    target = orb.radial_anchor(e1, 3.0, 30)
+    pre = orb.newton_preimage(disc_auto, target,
+                              geo.boundary_adapted_point([-1.0], 1.5))
+    alike = orb.newton_preimage(disc_auto, target, geo.ball_point([0.5]))
+    assert _point_bytes(pre) == _point_bytes(alike)
+    img = cat.step_point(disc_auto, pre)
+    assert abs(img.delta - target.delta) < 1e-12 * abs(target.delta)
+
+
 @pytest.fixture(scope="module")
 def c06_march(cleared_blaschke, blaschke_orbit):
     """Criterion 06's preimage march."""
