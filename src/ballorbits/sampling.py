@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError
 from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
-                       _axis_defect, boundary_adapted_point, herm, sq_norm)
+                       _axis_defect, boundary_adapted_point, herm)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -35,45 +35,35 @@ def sample_shell(rng, q: int, n_per: int,
     return np.concatenate(blocks, axis=0)
 
 
-def sample_horodisc(rng, zeta: BoundaryPoint, radius: float, n: int,
-                    max_tries: int = 60) -> np.ndarray:
-    """Uniform samples of the horosphere E_0(zeta, R).
+def sample_horodisc(rng, zeta: BoundaryPoint, radius: float,
+                    n: int) -> np.ndarray:
+    """Uniform samples of the horosphere E_0(zeta, R), drawn without
+    rejection.
 
-    In the disc E_0 is a round disc (exact, rejection-free); in higher
-    dimension we reject from the bounding ellipsoid box.
+    E_0 = {|1 - <z, zeta>|^2 < R (1 - |z|^2)} is an ellipsoid.  With
+    w = F^H z in a frame F taking e_1 to zeta it reads
+
+        |w_1 - c|^2 / a^2 + |w'|^2 / b^2 < 1,
+        c = 1/(1+R),  a = R/(1+R),  b^2 = R/(1+R),
+
+    so w_1 = c + a v_1, w' = b v' carries a uniform point v of the real
+    2q-ball onto a uniform sample.  In the disc E_0 is the round disc of
+    centre c zeta and radius a.
     """
+    if not (np.isfinite(radius) and radius > 0):
+        raise DomainError("horosphere radius must be finite and positive")
     q = zeta.q
+    c = 1.0 / (1.0 + radius)
+    a = radius / (1.0 + radius)
     if q == 1:
-        c0 = 1.0 / (1.0 + radius)
-        rad = radius / (1.0 + radius)
         u = np.sqrt(rng.uniform(0.0, 1.0 - 1e-12, size=n))
         phi = rng.uniform(0.0, 2 * np.pi, size=n)
-        z = (c0 + rad * u * np.exp(1j * phi))[:, None] * zeta.coords[None, :]
-        return z
-    out = []
-    axial_c = 1.0 / (1.0 + radius)
-    axial_r = radius / (1.0 + radius)
-    tang_r = np.sqrt(radius / (1.0 + radius))
-    need = n
-    for _ in range(max_tries):
-        m = max(4 * need, 256)
-        x = rng.uniform(-1.0, 1.0, size=(m, 2 * q))
-        cand = np.zeros((m, q), dtype=complex)
-        cand[:, 0] = axial_c + axial_r * (x[:, 0] + 1j * x[:, 1])
-        for j in range(1, q):
-            cand[:, j] = tang_r * (x[:, 2 * j] + 1j * x[:, 2 * j + 1])
-        cand = np.einsum("ij,...j->...i",
-                         _frame(zeta), cand)
-        mz = 1.0 - sq_norm(cand)
-        ok = mz > 0
-        h = np.full(m, np.inf)
-        h[ok] = (np.abs(1.0 - herm(cand[ok], zeta.coords)) ** 2 / mz[ok])
-        keep = cand[h < radius]
-        out.append(keep)
-        need -= len(keep)
-        if need <= 0:
-            return np.concatenate(out, axis=0)[:n]
-    raise NumericalError("horosphere rejection sampling starved")
+        return (c + a * u * np.exp(1j * phi))[:, None] * zeta.coords[None, :]
+    u = rng.uniform(0.0, 1.0 - 1e-12, size=n) ** (1.0 / (2 * q))
+    w = unit_directions(rng, q, n) * u[:, None]
+    w[:, 0] = c + a * w[:, 0]
+    w[:, 1:] *= np.sqrt(a)  # b = sqrt(a)
+    return w @ _frame(zeta).T
 
 
 def _frame(zeta: BoundaryPoint) -> np.ndarray:

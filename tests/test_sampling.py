@@ -89,3 +89,88 @@ def test_point_batch_rejects_nonpositive_margin(e1):
         geo.PointBatch(ref=e1.coords, delta=np.array([0.5, 1e-3]),
                        tail=np.zeros((2, 1), dtype=complex),
                        margin=np.array([0.75, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# horosphere samples E_0(zeta, R)
+# ---------------------------------------------------------------------------
+
+def reference_horodisc_q1(rng, zeta, radius, n):
+    """The disc sampler written out: the round disc of centre zeta/(1+R)
+    and radius R/(1+R), radius drawn before angle.  Criterion 03's samples
+    depend on this arithmetic and draw order."""
+    c0 = 1.0 / (1.0 + radius)
+    rad = radius / (1.0 + radius)
+    u = np.sqrt(rng.uniform(0.0, 1.0 - 1e-12, size=n))
+    phi = rng.uniform(0.0, 2 * np.pi, size=n)
+    return (c0 + rad * u * np.exp(1j * phi))[:, None] * zeta.coords[None, :]
+
+
+def _off_axis(q, seed=7):
+    return geo.boundary_point(
+        sampling.unit_directions(np.random.default_rng(seed), q, 1)[0])
+
+
+def _normalised_radius(pts, zeta, radius):
+    """rho^2 = |w_1 - c|^2/a^2 + |w'|^2/b^2, b^2 = a, read without a frame:
+    w_1 = <z, zeta> and |w'|^2 = |z|^2 - |w_1|^2."""
+    c = 1.0 / (1.0 + radius)
+    a = radius / (1.0 + radius)
+    w1 = pts @ np.conj(zeta.coords)
+    rest = np.sum(np.abs(pts) ** 2, axis=-1) - np.abs(w1) ** 2
+    return np.abs(w1 - c) ** 2 / a ** 2 + rest / a
+
+
+@pytest.mark.parametrize("radius", [3.0 ** -5, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_horodisc_q1_matches_reference(radius, off_axis):
+    zeta = (geo.boundary_point([np.exp(0.7j)]) if off_axis
+            else geo.basis_boundary_point(1))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    pts = sampling.sample_horodisc(rng, zeta, radius, 10_000)
+    assert np.array_equal(pts,
+                          reference_horodisc_q1(ref_rng, zeta, radius, 10_000))
+    # the generator is left where the reference leaves it
+    assert rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("radius", [-0.5, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_horodisc_refuses_invalid_radius(q, radius):
+    with pytest.raises(DomainError, match="horosphere radius"):
+        sampling.sample_horodisc(np.random.default_rng(0),
+                                 geo.basis_boundary_point(q), radius, 100)
+
+
+@pytest.mark.parametrize("q,n", [(4, 10_000), (5, 500)])
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_horodisc_high_dimension(q, n, off_axis):
+    # box rejection starved here: the 2q-ball fills pi^q/(q! 4^q) of its box
+    zeta = _off_axis(q) if off_axis else geo.basis_boundary_point(q)
+    for radius in (0.04, 0.5, 3.0):
+        pts = sampling.sample_horodisc(np.random.default_rng(q), zeta,
+                                       radius, n)
+        assert pts.shape == (n, q)
+        assert np.all(geo.horo_raw(pts, zeta.coords) < np.log(radius))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("radius", [0.04, 0.5, 3.0])
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_horodisc_is_uniform(q, radius, off_axis):
+    """Uniform in the ellipsoid: the normalised radius rho^2 of a uniform
+    point of the real 2q-ball has P(rho^2 < t) = t^q."""
+    n = 20_000
+    zeta = _off_axis(q) if off_axis else geo.basis_boundary_point(q)
+    pts = sampling.sample_horodisc(np.random.default_rng(99), zeta, radius, n)
+    assert pts.shape == (n, q)
+    assert np.all(geo.horo_raw(pts, zeta.coords) < np.log(radius))
+    rho2 = _normalised_radius(pts, zeta, radius)
+    assert rho2.max() < 1.0 + 1e-9
+    for t in (0.25, 0.5, 0.75):
+        p = t ** q
+        se = np.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(rho2 < t) - p) < 5.0 * se, t
+    again = sampling.sample_horodisc(np.random.default_rng(99), zeta,
+                                     radius, n)
+    assert np.array_equal(pts, again)

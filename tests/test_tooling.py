@@ -122,3 +122,24 @@ def test_battery_pass_reaches_every_traced_name():
     assert all(line.passed for line in lines)
     assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
     assert [tracer.calls[tracer.fid(n)] for n in criteria] == [1] * 9
+
+
+def test_regions_op_reaches_every_traced_name():
+    """The benchmark's first q = 1 and q = 2 regions ops, traced, reach
+    every name its traced run requires: a sampler or check that bypasses a
+    traced layer fails here."""
+    from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
+    names = _reaches("regions")
+    assert len(names) == 14
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    ops = workloads["regions_round"](1, None)[:2]
+    assert [len(op.ref["input"].zeta) for op in ops] == [1, 2]
+    workloads["prepare_regions"](ops)
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    tracer.install()
+    try:
+        outcomes = [workloads["run_regions"](op) for op in ops]
+    finally:
+        tracer.uninstall()
+    assert all(out.passed for out in outcomes), [o.detail for o in outcomes]
+    assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
