@@ -31,6 +31,8 @@ from .errors import (ConfigError, DilationOutOfScope, DomainError,
 from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
 from .sampling import _axial_transport, adapted_at, sample_ball, sample_shell
 
+_ONE = np.array([1.0 + 0.0j])   # the boundary point +1 of the disc
+
 
 @dataclass(frozen=True)
 class SelfMap:
@@ -86,31 +88,22 @@ class Blaschke(SelfMap):
     def _astep(self, ref, delta, tail, margin):
         """Defect recursion for real-coefficient Blaschke products at ref = +-1.
 
-        Per factor u = (z - a)/(1 - a z):
-            at +1:  1 - u = (1+a) d / ((1-a) + a d),        d = 1 - z
-            at -1:  1 - (-u) = (1-a) d~ / ((1+a) - a d~),   d~ = 1 + z
-        and one-minus values multiply as om(uv) = om_u + om_v - om_u om_v.
+        Each factor (z - a)/(1 - a z) is the axial automorphism of dilation
+        (1+a)/(1-a) at +1, and one-minus values and margins multiply as
+        om(uv) = om_u + om_v - om_u om_v.
         """
         facs, theta = self.params
         if theta != 0.0 or any(a.imag != 0.0 for a in facs):
             return None
-        at_plus = geo._same_direction(ref, np.array([1.0 + 0.0j]), geo.FIX_TOL)
-        at_minus = geo._same_direction(ref, np.array([-1.0 + 0.0j]), geo.FIX_TOL)
-        if not (at_plus or at_minus):
+        if len(facs) % 2 == 0 and ref[0].real < 0.0:   # -1 maps to +1
             return None
-        if at_minus and len(facs) % 2 == 0:
-            return None
-        om_prod = None
-        m_prod = None
+        om_prod = m_prod = None
         for a in facs:
-            ar = a.real
-            if at_plus:
-                den = (1.0 - ar) + ar * delta
-                om = geo._cquot((1.0 + ar) * delta, den)
-            else:
-                den = (1.0 + ar) - ar * delta
-                om = geo._cquot((1.0 - ar) * delta, den)
-            m_fac = (1.0 - ar * ar) * margin / geo.abs_sq(den)
+            factor = geo.AxialStage(_ONE, (1.0 + a.real) / (1.0 - a.real))
+            state = factor.apply(ref, delta, tail, margin)
+            if state is None:
+                return None
+            _, om, _, m_fac = state
             if om_prod is None:
                 om_prod, m_prod = om, m_fac
             else:

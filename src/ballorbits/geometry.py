@@ -78,28 +78,6 @@ def _cmul(x, y):
             + 1j * (x.real * y.imag + x.imag * y.real))
 
 
-def _cquot(x, y):
-    """x / y on complex arrays, rounded as CPython divides two complex
-    scalars: scaled by the larger part of y, from unfused real operations
-    (numpy's complex quotient takes another algorithm)."""
-    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    by_re = np.abs(yr) >= np.abs(yi)
-    swap = not by_re.all()
-    if swap:   # rows scaled by the imaginary part swap roles
-        xr, xi = np.where(by_re, xr, xi), np.where(by_re, xi, xr)
-        yr, yi = np.where(by_re, yr, yi), np.where(by_re, yi, yr)
-    ratio = yi / yr
-    denom = yr + yi * ratio
-    re = (xr + xi * ratio) / denom
-    im = xi - xr * ratio
-    if swap:
-        im = np.where(by_re, im, xr * ratio - xi)
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im / denom
-    return out
-
-
 def as_vector(coords, q=None):
     v = np.atleast_1d(np.asarray(coords, dtype=complex))
     if v.ndim != 1:
@@ -246,6 +224,8 @@ class PointBatch:
         if (self.margin <= 0.0).any():
             raise DomainError("adapted point has nonpositive margin "
                               f"{self.margin.min():.3e}")
+        if (np.abs(herm(self.tail, self.ref)) > 1e-12).any():
+            raise DomainError("adapted point's tail is not orthogonal to ref")
 
     @property
     def q(self) -> int:
@@ -594,39 +574,41 @@ def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint):
 # recursions on the state (ref, delta, tail, margin) of n points: one ref,
 # delta[n], tail[n, q] and margin[n].  `apply` returns the new state, or None
 # when the stage cannot keep the representation exact; `inverse` is the
-# stage of the inverse map.  A row rounds as the point alone: quotients of
-# defects divide as CPython does (`_cquot`), matrices act through einsum.
+# stage of the inverse map.  A row rounds as the point alone: one point is
+# the batch of one, and matrices act through einsum.
 
 @dataclass(frozen=True)
 class AxialStage:
-    """z |-> -phi_{c zeta}(z); fixes +-zeta.
+    """z |-> -phi_{c zeta}(z), c = (lam - 1)/(lam + 1): fixes +-zeta, with
+    boundary dilation lam at zeta and 1/lam at -zeta.
 
-    `c` may be an array: the recursion then broadcasts, so a (k, 1) array
-    of c moves n points by k translations at once, into delta[k, n],
-    tail[k, n, q] and margin[k, n].  The quotient for the new delta
-    follows the type of c, so that each row rounds as the one-point
-    arithmetic of its caller: CPython's for an automorphism's float c,
-    numpy's for the tube sampler's numpy c.
+    With den = 1 + (lam - 1) delta / 2 the state moves to
+
+        delta' = lam delta / den,  tail' = sqrt(lam) tail / den,
+        margin' = lam margin / |den|^2,
+
+    and no term cancels near zeta however deep the translation.  `lam` may
+    be an array: a (k, 1) array moves n points by k translations at once,
+    into delta[k, n], tail[k, n, q] and margin[k, n].
     """
 
     zeta: np.ndarray
-    c: float
+    lam: float
 
     def apply(self, ref, delta, tail, margin):
         if _same_direction(self.zeta, ref, FIX_TOL):
-            cc = self.c
+            lam = self.lam
         elif _same_direction(-self.zeta, ref, FIX_TOL):
-            cc = -self.c
+            lam = 1.0 / self.lam
         else:
             return None
-        den = (1.0 - cc) + cc * delta
-        quot = np.divide if isinstance(cc, (np.ndarray, np.generic)) else _cquot
-        return (ref, quot((1.0 + cc) * delta, den),
-                np.sqrt(1.0 - cc * cc)[..., None] * tail / den[..., None],
-                (1.0 - cc * cc) * margin / abs_sq(den))
+        den = 1.0 + (lam - 1.0) * delta / 2.0
+        return (ref, lam * delta / den,
+                np.sqrt(lam)[..., None] * tail / den[..., None],
+                lam * margin / abs_sq(den))
 
     def inverse(self):
-        return AxialStage(self.zeta, -self.c)
+        return AxialStage(self.zeta, 1.0 / self.lam)
 
 
 @dataclass(frozen=True)
@@ -674,7 +656,7 @@ class ParabolicStage:
             return None
         tail_e1 = np.einsum("ij,...j->...i", self.rot, tail)
         w_tan = tail_e1[..., 1:] / delta[..., None]
-        w1 = _cquot(1j * (2.0 - delta), delta)
+        w1 = 1j * (2.0 - delta) / delta
         w1n = w1 + self.t + 2j * herm(w_tan, self.b) + 1j * sq_norm(self.b)
         delta_new = 2j / (w1n + 1j)
         margin = margin * abs_sq(delta_new / delta)
@@ -753,13 +735,15 @@ def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
     """
     if not lam > 1.0:
         raise DomainError("hyperbolic automorphism needs dilation > 1")
-    return _axial(zeta, (lam - 1.0) / (lam + 1.0), f"hyperbolic(lam={lam:g})")
+    return _axial(zeta, lam, f"hyperbolic(lam={lam:g})")
 
 
-def _axial(zeta: BoundaryPoint, c: float, label: str) -> Automorphism:
-    """z |-> -phi_{c zeta}(z) as a one-stage automorphism."""
+def _axial(zeta: BoundaryPoint, lam: float, label: str) -> Automorphism:
+    """The axial automorphism of dilation lam at zeta as a one-stage
+    automorphism: z |-> -phi_{c zeta}(z), c = (lam - 1)/(lam + 1)."""
+    c = (lam - 1.0) / (lam + 1.0)
     return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
-                stages=(AxialStage(zeta.coords, c),), label=label)
+                stages=(AxialStage(zeta.coords, lam),), label=label)
 
 
 def axis_translation(zeta: BoundaryPoint, t: float) -> Automorphism:
@@ -768,7 +752,7 @@ def axis_translation(zeta: BoundaryPoint, t: float) -> Automorphism:
         return identity_automorphism(zeta.q)
     if t > 0.0:
         return hyperbolic_automorphism(zeta, float(np.exp(t)))
-    return _axial(zeta, np.tanh(t / 2.0), f"axial(t={t:g})")
+    return _axial(zeta, float(np.exp(t)), f"axial(t={t:g})")
 
 
 # --- Siegel half-space model, used for parabolic automorphisms ------------
@@ -917,11 +901,10 @@ def normalizing_automorphism(a: BallPoint, zeta: BoundaryPoint):
     else:
         parab = parabolic_automorphism(zeta, b, t)
     mu = float(np.exp(-horofunction(a, zeta)))
-    r = (mu - 1.0) / (mu + 1.0)
-    if abs(r) < 1e-16:
+    if abs((mu - 1.0) / (mu + 1.0)) < 1e-16:
         hyper = identity_automorphism(q)
     else:
-        hyper = _axial(zeta, r, "axial")
+        hyper = _axial(zeta, mu, "axial")
     g = compose(hyper, parab)
     resid = np.linalg.norm(apply_raw(g, a.coords))
     if resid > 1e-10:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
-                       _axis_defect, boundary_adapted_point, herm)
+                       boundary_adapted_point, herm)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -80,13 +80,16 @@ def tube_samples(zeta: BoundaryPoint, width: float,
     distance f*width from the origin, so its distance to gamma is <= f*width
     by construction, and the grading pushes samples toward zeta as s grows.
     For each s the batch holds the translates, angle by angle within each
-    fraction, then the axis point gamma(s); with no fractions it holds the
-    axis points alone.
+    fraction, then the axis point gamma(s), the translate of the origin;
+    with no fractions it holds the axis points alone.  One broadcast
+    `AxialStage` of dilation e^{-s} at zeta makes every row.
     """
     q = zeta.q
     if s_values is None:
         s_values = np.arange(1.0, 30.001, 1.0)
     s = np.asarray(s_values, dtype=float)
+    if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
+        raise DomainError(f"axis parameter s = {s} exceeds float range")
     dirs = []
     for j in range(2 * q):
         d = np.zeros(q, dtype=complex)
@@ -98,23 +101,15 @@ def tube_samples(zeta: BoundaryPoint, width: float,
         for i in range(n_angles):
             direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
             offsets.append(adapted_at(zeta, rho * direction))
-    m = len(offsets)
+    offsets.append(adapted_at(zeta, np.zeros(q, dtype=complex)))
     delta = np.array([p.delta for p in offsets], dtype=complex)
-    tail = np.array([p.tail() for p in offsets], dtype=complex).reshape(m, q)
+    tail = np.array([p.tail() for p in offsets], dtype=complex)
     margin = np.array([p.margin for p in offsets])
-    # the (len(s), 1) translations broadcast against the m offset points
-    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0)[:, None])
+    # the (len(s), 1) translations broadcast against the offsets and origin
+    stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
     _, delta, tail, margin = stage.apply(zeta.coords, delta, tail, margin)
-    axis_delta, axis_margin = _axis_defect(s)
-    k = len(s)
-    return PointBatch(
-        ref=zeta.coords,
-        delta=np.concatenate([delta, axis_delta.reshape(k, 1)],
-                             axis=1).reshape(-1),
-        tail=np.concatenate([tail, np.zeros((k, 1, q), dtype=complex)],
-                            axis=1).reshape(-1, q),
-        margin=np.concatenate([margin, axis_margin.reshape(k, 1)],
-                              axis=1).reshape(-1))
+    return PointBatch(ref=zeta.coords, delta=delta.reshape(-1),
+                      tail=tail.reshape(-1, q), margin=margin.reshape(-1))
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
@@ -126,6 +121,6 @@ def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
 
 def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
     """Translate p (adapted against zeta) by s toward zeta along the axis."""
-    stage = AxialStage(zeta.coords, -np.tanh(s / 2.0))
+    stage = AxialStage(zeta.coords, np.exp(-s))
     ref, delta, tail, margin = stage.apply(p.ref, p.delta, p.tail(), p.margin)
     return boundary_adapted_point(ref, delta, tail=tail, margin=margin)

@@ -1,5 +1,6 @@
 """Unit-ball geometry: distances, horofunctions, regions, automorphisms."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,7 +223,6 @@ def test_kob_dist_alike_in_every_layout(rng):
 def test_kob_dist_mpmath_oracle(rng, e1_q2):
     """kob_dist against the 50-digit distance on every lane of the kernel,
     pair by pair and as one sequence call, which agree bit for bit."""
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     mp.dps = 50
     e2 = geo.basis_boundary_point(2, 1)
@@ -533,11 +533,10 @@ def test_dist_to_geodesic_exact_on_axis(e1, e1_q2):
 def test_dist_to_geodesic_transported_points(e1_q2):
     # u = tanh(w/2) e_2 is at distance w from 0, the foot of the axis on
     # e_2's complex line; translating by s along the axis moves the foot
-    # to gamma(s).  _axial_transport is checked up to s = 10: beyond it
-    # the recursion's own 1 - c*c term loses digits
+    # to gamma(s)
     for w in (0.05, 0.3, 1.0, 2.5):
         u = sampling.adapted_at(e1_q2, np.array([0.0, np.tanh(w / 2.0)]))
-        for s in (0.0, 0.5, 2.0, 5.0, 10.0):
+        for s in (0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 38.0, 60.0):
             d, s_star = geo.dist_to_geodesic(
                 sampling._axial_transport(e1_q2, s, u), e1_q2)
             assert d == pytest.approx(w, rel=1e-12)
@@ -557,7 +556,6 @@ def test_dist_to_geodesic_transported_points(e1_q2):
 
 
 def test_dist_to_geodesic_mpmath_oracle(e1_q2):
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     mp.dps = 50
     rng = np.random.default_rng(11)

@@ -12,8 +12,8 @@ S_GRID = np.arange(0.25, 30.001, 0.25)
 
 
 def reference_samples(zeta, width, s_values, n_angles, fractions):
-    """`tube_samples` one point at a time: adapted_at, AxialStage.apply,
-    then the axis point."""
+    """`tube_samples` one point at a time: adapted_at, then AxialStage.apply
+    to each offset and to the origin."""
     q = zeta.q
     dirs = []
     for j in range(2 * q):
@@ -22,18 +22,20 @@ def reference_samples(zeta, width, s_values, n_angles, fractions):
         dirs.append(d)
     pts = []
     for s in s_values:
-        stage = geo.AxialStage(zeta.coords, -np.tanh(float(s) / 2.0))
+        stage = geo.AxialStage(zeta.coords, np.exp(-float(s)))
+        offsets = []
         for frac in fractions:
             rho = np.tanh(frac * width / 2.0)
             for i in range(n_angles):
                 direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i
                                                          / n_angles)
-                u = sampling.adapted_at(zeta, rho * direction)
-                ref, delta, tail, margin = stage.apply(u.ref, u.delta,
-                                                       u.tail(), u.margin)
-                pts.append(geo.boundary_adapted_point(ref, delta, tail=tail,
-                                                      margin=margin))
-        pts.append(geo._axis_point(zeta, float(s)))
+                offsets.append(rho * direction)
+        for u in offsets + [np.zeros(q, dtype=complex)]:
+            u = sampling.adapted_at(zeta, u)
+            ref, delta, tail, margin = stage.apply(u.ref, u.delta, u.tail(),
+                                                   u.margin)
+            pts.append(geo.boundary_adapted_point(ref, delta, tail=tail,
+                                                  margin=margin))
     return pts
 
 
@@ -89,6 +91,19 @@ def test_point_batch_rejects_nonpositive_margin(e1):
         geo.PointBatch(ref=e1.coords, delta=np.array([0.5, 1e-3]),
                        tail=np.zeros((2, 1), dtype=complex),
                        margin=np.array([0.75, 0.0]))
+
+
+def test_point_batch_refuses_a_tail_along_ref():
+    # the row boundary_adapted_point refuses: as a batch it had coords of
+    # modulus 1.2 and horofunction -2.30
+    ref = np.exp(0.5j)
+    with pytest.raises(DomainError,
+                       match="adapted point's tail is not orthogonal to ref"):
+        geo.PointBatch(np.array([ref]), np.array([0.1 + 0j]),
+                       np.array([[0.3 * ref]]), np.array([0.1]))
+    ok = geo.PointBatch(np.array([1.0 + 0j, 0.0]), np.array([0.1 + 0j]),
+                        np.array([[1e-13, 0.2]]), np.array([0.1]))
+    assert ok.tail[0, 0] == 1e-13
 
 
 # ---------------------------------------------------------------------------
