@@ -102,37 +102,36 @@ def test_koranyi_probes_match_mobius_map(rng, q):
                               _translate(z, unit, s), unit)
 
 
-def test_tube_samples_match_mobius_map(e1):
-    """Every sample of criterion 08's tube, the default grid s = 1..30."""
-    s_grid = np.arange(1.0, 30.001, 1.0)
-    starts = sampling.tube_samples(e1, 1.0, s_values=[0.0])
-    batch = sampling.tube_samples(e1, 1.0)
+def _assert_tube_translates(zeta, s_grid, dps):
+    """Row r of the tube samples on `s_grid` is row r % m of the samples
+    at s = 0 translated by s_grid[r // m]."""
+    starts = sampling.tube_samples(zeta, 1.0, s_values=[0.0])
+    batch = sampling.tube_samples(zeta, 1.0, s_values=s_grid)
     m = len(starts)
     assert len(batch) == m * len(s_grid)
-    with mp.workdps(DPS):
-        unit = _unit(e1)
+    with mp.workdps(dps):
+        unit = _unit(zeta)
         inputs = [_coords(unit, starts.delta[j], starts.tail[j])
                   for j in range(m)]
         for row in range(len(batch)):
-            s, j = s_grid[row // m], row % m
             _assert_state(batch.delta[row], batch.tail[row],
                           batch.margin[row],
-                          _translate(inputs[j], unit, s), unit)
+                          _translate(inputs[row % m], unit,
+                                     s_grid[row // m]), unit)
+
+
+def test_tube_samples_match_mobius_map(e1):
+    """Every sample of criterion 08's tube: width 1 on the default grid."""
+    s_grid = np.arange(1.0, 30.001, 1.0)
+    assert np.array_equal(sampling.tube_samples(e1, 1.0).delta,
+                          sampling.tube_samples(e1, 1.0, s_grid).delta)
+    _assert_tube_translates(e1, s_grid, DPS)
 
 
 def test_tube_samples_exact_to_the_float_range(e1_q2):
     """Translates as deep as e^{-s} stays a normal float, then a refusal."""
-    s_grid = (100.0, 400.0, 699.0)
-    starts = sampling.tube_samples(e1_q2, 1.0, s_values=[0.0])
-    batch = sampling.tube_samples(e1_q2, 1.0, s_values=s_grid)
-    m = len(starts)
-    with mp.workdps(360):   # 50 digits below e^{-699} ~ 1e-304
-        unit = _unit(e1_q2)
-        for row in range(len(batch)):
-            s, j = s_grid[row // m], row % m
-            z = _coords(unit, starts.delta[j], starts.tail[j])
-            _assert_state(batch.delta[row], batch.tail[row],
-                          batch.margin[row], _translate(z, unit, s), unit)
+    # 50 digits below e^{-699} ~ 1e-304
+    _assert_tube_translates(e1_q2, (100.0, 400.0, 699.0), 360)
     with pytest.raises(DomainError, match="exceeds float range"):
         sampling.tube_samples(e1_q2, 1.0, s_values=[1.0, 701.0])
 
