@@ -191,15 +191,15 @@ def region_equivalence_check(seq_points, zeta: BoundaryPoint, width: float,
     l_hat = None
     if seq_points:
         region = geo.KoranyiRegion(vertex=zeta, amplitude=amplitude)
-        inside = [geo.koranyi_contains(p, region)[0] for p in seq_points]
-        for i in range(len(inside)):
-            if all(inside[i:]):
-                tail_start = i
-                break
-        if tail_start is not None:
-            tail = seq_points[tail_start:]
-            l_hat = max(geo.dist_to_geodesic(p, zeta)[0] for p in tail)
-            lines.append(CheckLine("sequence_tail_in_tube", True, float(l_hat)))
+        inside = (2.0 * np.log(region.amplitude)
+                  - geo.koranyi_functional(seq_points, zeta)) > 0.0
+        # the tail starts after the last point outside K(zeta, M)
+        start = len(inside) - int(np.cumprod(inside[::-1]).sum())
+        if start < len(inside):
+            tail_start = start
+            l_hat = float(geo.dist_to_geodesic(seq_points[start:], zeta)[0]
+                          .max())
+            lines.append(CheckLine("sequence_tail_in_tube", True, l_hat))
     return RegionReport(tube_functional_max=float(functional.max()),
                         violations=violations, n_samples=len(samples),
                         tail_start=tail_start, l_hat=l_hat,
@@ -227,7 +227,7 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
                            radius_fractions=(1.0, 0.5) if width > 0.0 else ())
     dmat = geo.kob_matrix(samples, list(eta.points))
     r_hat = float(dmat.min(axis=1).max())
-    c_hat = max(geo.dist_to_geodesic(p, zeta)[0] for p in eta.points)
+    c_hat = geo.dist_to_geodesic(eta.points, zeta)[0].max()
     steps, _, _ = orbit_diagnostics(eta)
     sigma = float(steps.max()) if len(steps) else 0.0
     bound = width + 3.0 * c_hat + sigma + tol

@@ -579,16 +579,15 @@ def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint, tol: float = 1e-8) -> boo
     """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe sequences."""
     s_values = np.arange(4.0, 24.01, 2.0)
     for seq in koranyi_probes(zeta, s_values):
-        res = []
+        images = []
         for p in seq:
             try:
-                fp = step_point(f, p)
+                images.append(step_point(f, p))
             except NumericalError:
                 break
-            res.append(geo.dist_to_zeta(fp, zeta))
-        if len(res) < 4:
+        if len(images) < 4:
             return False
-        res = np.array(res)
+        res = geo.dist_to_zeta(images, zeta)
         if res[-1] > tol or res[-1] > res[0]:
             return False
     return True
@@ -622,10 +621,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
     images = step_point(f, geo.PointBatch(
         zeta.coords, delta.astype(complex),
         np.zeros((len(grid), zeta.q), dtype=complex), margin))
-    if isinstance(images, geo.PointBatch):
-        prof = grid - geo.kob_dist_origin(images)
-    else:
-        prof = grid - np.array([geo.kob_dist_origin(p) for p in images])
+    prof = grid - geo.kob_dist_origin(images)
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:
         raise DilationOutOfScope(
             "radial profile diverges: super-repelling point (dilation = inf)")
@@ -658,11 +654,10 @@ def certify_brfp(f: SelfMap, zeta: BoundaryPoint) -> BrfpReport:
         raise DomainError("zeta is not a K-limit fixed point of this map")
     est = estimate_dilation(f, zeta)
     s_values = np.arange(4.0, 24.01, 2.0)
-    res = []
-    for p in koranyi_probes(zeta, s_values)[0]:
-        res.append(geo.dist_to_zeta(step_point(f, p), zeta))
+    images = [step_point(f, p) for p in koranyi_probes(zeta, s_values)[0]]
     return BrfpReport(zeta=zeta, dilation=est.lam_hat,
-                      residuals=np.array(res), step_profile=est.profile)
+                      residuals=geo.dist_to_zeta(images, zeta),
+                      step_profile=est.profile)
 
 
 # ---------------------------------------------------------------------------

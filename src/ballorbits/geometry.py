@@ -309,11 +309,13 @@ def _same_direction(u, v, tol=1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def _lanes(points, axis=None):
-    """(coords, margin, delta, ref, tail) of a list of points or a
-    `PointBatch`, one row per point, on `axis` of an outer pairing if
+    """(coords, margin, delta, ref, tail) of a point, a sequence of points
+    or a `PointBatch`, one row per point, on `axis` of an outer pairing if
     given.  ref is one vector when all points hold the same, else one row
     per point; tail is each point's stored tail; delta, ref and tail are
-    nan for a point without a reference."""
+    nan for a point without a reference.  An empty sequence has no rows."""
+    if isinstance(points, BallPoint):
+        points = (points,)
     if isinstance(points, PointBatch):
         ref, delta, margin, tail, coords = (points.ref, points.delta,
                                             points.margin, points.tail,
@@ -328,12 +330,37 @@ def _lanes(points, axis=None):
                        dtype=complex)
         tail = np.array([nan if p.ref is None else p.tail() for p in points],
                         dtype=complex)
-        ref = ref[0] if (ref == ref[0]).all() else ref
+        ref = ref[0] if len(ref) and (ref == ref[0]).all() else ref
     if axis is not None:
         coords, margin, delta, tail = (np.expand_dims(x, axis)
                                        for x in (coords, margin, delta, tail))
         ref = ref if ref.ndim == 1 else np.expand_dims(ref, axis)
     return coords, margin, delta, ref, tail
+
+
+def _against(z, zeta: "BoundaryPoint"):
+    """The lanes of z (see `_lanes`) and the mask of those held against
+    zeta, whose reference lies within 1e-12 of it (`_same_direction`): exact
+    in their defect form, where the others are as exact as coordinates."""
+    if not isinstance(z, BallPoint) and not len(z):
+        z = PointBatch(zeta.coords, np.zeros(0, dtype=complex),
+                       np.zeros((0, zeta.q), dtype=complex), np.zeros(0))
+    lanes = _lanes(z)
+    if lanes[0].shape[-1] != zeta.q:
+        raise DimensionMismatch(f"dimensions {lanes[0].shape[-1]} != {zeta.q}")
+    held = np.linalg.norm(lanes[3] - zeta.coords, axis=-1) <= 1e-12
+    return lanes, np.full(lanes[1].shape, held)
+
+
+def _one(z, out):
+    """A routine's lane values: a float for a point, else the array."""
+    return float(out[0]) if isinstance(z, BallPoint) else out
+
+
+def _row_norms(z):
+    """np.linalg.norm of each row of z[n, q], rounded alike: the same
+    strided dot products of the real and of the imaginary parts."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
 def _kob(z_lanes, w_lanes) -> np.ndarray:
@@ -347,6 +374,9 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
     margins >= 1e-6; identical coordinates there are at distance 0."""
     zc, mz, dz, ref, tz = z_lanes
     wc, mw, dw, ref_w, tw = w_lanes
+    shape = np.broadcast_shapes(mz.shape, mw.shape)
+    if 0 in shape:
+        return np.zeros(shape)
     if zc.shape[-1] != wc.shape[-1]:
         raise DimensionMismatch(f"dimensions {zc.shape[-1]} != {wc.shape[-1]}")
     share = sq_norm(ref - ref_w) <= 1e-24
@@ -386,23 +416,18 @@ def kob_dist(z, w):
     """Kobayashi distance, kob_dist(0, z) = log((1+|z|)/(1-|z|)), of two
     points as a float, or of the pairs of two equal-length sequences (lists
     of points or `PointBatch`es) as an array; see `_kob` for its lanes."""
-    if isinstance(z, BallPoint) and isinstance(w, BallPoint):
-        return float(_kob(_lanes([z]), _lanes([w]))[0])
-    if len(z) != len(w):
-        raise DimensionMismatch(f"sequence lengths {len(z)} != {len(w)}")
-    if len(z) == 0:
-        return np.zeros(0)
-    return _kob(_lanes(z), _lanes(w))
+    z_lanes, w_lanes = _lanes(z), _lanes(w)
+    if (n := len(z_lanes[1])) != len(w_lanes[1]):
+        raise DimensionMismatch(f"sequence lengths {n} != {len(w_lanes[1])}")
+    return _one(z, _kob(z_lanes, w_lanes))
 
 
 def kob_dist_origin(z):
-    """kob_dist(0, z) of a point, or as an array for a `PointBatch`, equal
-    element for element to the per-point value."""
-    if isinstance(z, PointBatch):
-        norm = np.sqrt(np.maximum(1.0 - z.margin, 0.0))
-        return np.log(abs_sq(1.0 + norm) / z.margin)
-    n = z.norm()
-    return float(np.log((1.0 + n) ** 2 / z.margin))
+    """kob_dist(0, z) of a point as a float, or of a sequence of points or
+    a `PointBatch` as an array."""
+    margin = _lanes(z)[1]
+    norm = np.sqrt(np.maximum(1.0 - margin, 0.0))
+    return _one(z, np.log(abs_sq(1.0 + norm) / margin))
 
 
 def kob_matrix(points_a, points_b) -> np.ndarray:
@@ -413,18 +438,13 @@ def kob_matrix(points_a, points_b) -> np.ndarray:
 
 def horofunction(z, zeta: BoundaryPoint):
     """log(|1 - <z, zeta>|^2 / (1 - |z|^2)); z in E_0(zeta, R) iff < log R.
-    A float for a point, or an array for a `PointBatch`, equal element for
-    element to the per-point value."""
-    if z.q != zeta.q:
-        raise DimensionMismatch(f"dimensions {z.q} != {zeta.q}")
-    if isinstance(z, PointBatch):
-        if not _same_direction(z.ref, zeta.coords):
-            return np.array([horofunction(z.point(i), zeta)
-                             for i in range(len(z))])
-        return np.log(abs_sq(z.delta) / z.margin)
-    if z.ref is not None and _same_direction(z.ref, zeta.coords):
-        return float(np.log(abs(z.delta) ** 2 / z.margin))
-    return float(horo_raw(z.coords, zeta.coords, z.margin))
+    A float for a point, or an array for a sequence of points or a
+    `PointBatch`: the defect form on held lanes, coordinates elsewhere."""
+    (coords, margin, delta, _, _), held = _against(z, zeta)
+    out = np.log(abs_sq(delta) / margin)
+    if not held.all():
+        out[~held] = horo_raw(coords[~held], zeta.coords, margin[~held])
+    return _one(z, out)
 
 
 def horofunction_limit(z: BallPoint, zeta: BoundaryPoint, s: float = 30.0) -> float:
@@ -435,19 +455,23 @@ def horofunction_limit(z: BallPoint, zeta: BoundaryPoint, s: float = 30.0) -> fl
 
 
 def horo_raw(z, zeta_coords, margin=None):
-    """Vectorised horofunction on raw coordinate arrays (..., q)."""
+    """Vectorised horofunction on raw coordinate arrays (..., q), each value
+    rounded as for its point alone (`** 2` on an array is no pow)."""
     z = np.asarray(z, dtype=complex)
     if margin is None:
         margin = 1.0 - sq_norm(z)
     d = 1.0 - herm(z, zeta_coords)
-    return np.log(np.abs(d) ** 2 / margin)
+    return np.log(np.float_power(np.abs(d), 2.0) / margin)
 
 
-def dist_to_zeta(z: BallPoint, zeta: BoundaryPoint) -> float:
-    """Euclidean distance |z - zeta|, stable for adapted points."""
-    if z.ref is not None and _same_direction(z.ref, zeta.coords):
-        return float(np.sqrt(abs(z.delta) ** 2 + sq_norm(z.tail())))
-    return float(np.linalg.norm(z.coords - zeta.coords))
+def dist_to_zeta(z, zeta: BoundaryPoint):
+    """Euclidean distance |z - zeta|, stable for adapted points: a float
+    for a point, or an array for a sequence of points or a `PointBatch`."""
+    (coords, _, delta, _, tail), held = _against(z, zeta)
+    out = np.sqrt(abs_sq(delta) + sq_norm(tail))
+    if not held.all():
+        out[~held] = _row_norms(coords[~held] - zeta.coords)
+    return _one(z, out)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +564,10 @@ def geodesic_point(zeta: BoundaryPoint, s: float) -> BallPoint:
     return _axis_point(zeta, s)
 
 
-def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint):
-    """inf_{s >= 0} kob(z, gamma(s)) with its argmin s*, in closed form.
+def dist_to_geodesic(z, zeta: BoundaryPoint):
+    """inf_{s >= 0} kob(z, gamma(s)) with its argmin s*, in closed form: a
+    pair of floats for a point, or of arrays for a sequence of points or a
+    `PointBatch`.
 
     With a = <z, zeta> = 1 - delta, kob(z, t zeta) grows with
     |1 - t a|^2 / (1 - t^2), whose minimiser on [0, 1) is the root below 1
@@ -550,20 +576,29 @@ def dist_to_geodesic(z: BallPoint, zeta: BoundaryPoint):
     At the root, with w = delta conj(2 - delta) and D = |w| + Re(w), the
     quotient (1 - |z|^2)(1 - t^2) / |1 - t a|^2 of the distance formula is
     2 (1 - |z|^2) / D and one minus it is (2 |tail|^2 + Im(w)^2 / D) / D,
-    so neither cancels for points deep toward zeta or on the axis.
+    so neither cancels for points deep toward zeta or on the axis.  Lanes
+    not held against zeta take their defect from coordinates, as
+    `with_reference` does.
     """
-    if z.ref is None or not _same_direction(z.ref, zeta.coords):
-        z = with_reference(z, zeta)
-    delta = z.delta
-    if abs(delta) < abs(2.0 - delta):
-        s_star = float(np.log(abs(2.0 - delta) / abs(delta)))
-        w = delta * np.conj(2.0 - delta)
-        den = abs(w) + w.real
-        d_quot = 2.0 * z.margin / den
-        rho = np.sqrt((2.0 * sq_norm(z.tail()) + w.imag ** 2 / den) / den)
-    else:
-        s_star, d_quot, rho = 0.0, z.margin, z.norm()
-    return float(np.log1p(2.0 * rho * (1.0 + rho) / d_quot)), s_star
+    (coords, margin, delta, _, tail), held = _against(z, zeta)
+    if not held.all():
+        a = herm(coords[~held], zeta.coords)
+        delta, tail = delta.copy(), tail.copy()
+        delta[~held] = 1.0 - a
+        # zeta with its row axis rounds a row as alone (`_defect_coords`)
+        tail[~held] = coords[~held] - a[:, None] * zeta.coords[None, :]
+    d2 = 2.0 - delta
+    mod, mod2 = np.hypot(delta.real, delta.imag), np.hypot(d2.real, d2.imag)
+    w = _cmul(delta, np.conj(d2))
+    den = np.hypot(w.real, w.imag) + w.real
+    inner = mod < mod2
+    s_star = np.where(inner, np.log(mod2 / mod), 0.0)
+    d_quot = np.where(inner, 2.0 * margin / den, margin)
+    rho = np.where(inner, np.sqrt((2.0 * sq_norm(tail)
+                                   + np.float_power(w.imag, 2.0) / den) / den),
+                   np.sqrt(np.maximum(1.0 - margin, 0.0)))
+    return (_one(z, np.log1p(2.0 * rho * (1.0 + rho) / d_quot)),
+            _one(z, s_star))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog as cat
 from . import geometry as geo
 from .errors import DomainError, NumericalError
-from .geometry import BallPoint, BoundaryPoint, PointBatch
+from .geometry import BallPoint, BoundaryPoint, PointBatch, _row_norms
 
 
 @dataclass(frozen=True)
@@ -126,24 +126,23 @@ class BackwardOrbitResult:
 def radial_anchor(zeta: BoundaryPoint, lam: float, k: int) -> BallPoint:
     """r_k = ((lam^k - 1)/(lam^k + 1)) zeta, carried in defect form so that
     horofunction(r_k, zeta) = -k log(lam) holds to machine precision."""
-    if not lam > 1.0:
-        raise DomainError("anchors need dilation > 1")
-    if k < 0:
-        raise DomainError("anchor index must be nonnegative")
-    if k * np.log(lam) > 700.0:
-        raise DomainError("anchor underflows double precision: k log(lam) > 700")
-    lk = lam ** k
-    return geo.boundary_adapted_point(zeta.coords, 2.0 / (lk + 1.0),
-                                      margin=4.0 * lk / (lk + 1.0) ** 2)
+    return radial_anchors(zeta, lam, [k]).point(0)
 
 
 def radial_anchors(zeta: BoundaryPoint, lam: float, ks) -> PointBatch:
     """The anchors r_k for k in `ks` as one batch; row i is
     `radial_anchor(zeta, lam, ks[i])`."""
-    anchors = [radial_anchor(zeta, lam, k) for k in ks]
-    return PointBatch(zeta.coords, np.array([r.delta for r in anchors]),
-                      np.zeros((len(anchors), zeta.q), dtype=complex),
-                      np.array([r.margin for r in anchors]))
+    if not lam > 1.0:
+        raise DomainError("anchors need dilation > 1")
+    ks = np.asarray(ks, dtype=float)
+    if (ks < 0).any():
+        raise DomainError("anchor index must be nonnegative")
+    if (ks * np.log(lam) > 700.0).any():
+        raise DomainError("anchor underflows double precision: k log(lam) > 700")
+    lk = np.float_power(lam, ks)
+    return PointBatch(zeta.coords, (2.0 / (lk + 1.0)).astype(complex),
+                      np.zeros((len(ks), zeta.q), dtype=complex),
+                      4.0 * lk / geo.abs_sq(lk + 1.0))
 
 
 def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
@@ -157,9 +156,8 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
     `r_k` is one point, with `k` its anchor index, or a `PointBatch` of
     anchors, with `k` the index of each: every lane then steps in one
     kernel call per step, and one record per lane comes back.  A lane
-    retires when it leaves the horosphere, when it reaches `n_max` (capped)
-    or when its step raises; the exception of the lowest such lane is then
-    raised, as running the anchors one after another would.
+    retires when it leaves the horosphere or reaches `n_max` (capped).  If
+    a step raises, the anchors run again one by one, lowest first.
     """
     batch = isinstance(r_k, PointBatch)
     if batch:
@@ -167,10 +165,10 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
     else:
         points, ks = (r_k,), [-1 if k is None else k]
     lanes = np.arange(len(ks))
-    frames, exits, errors = [], {}, {}
+    frames, exits = [], {}
     for n in range(n_max + 1):
         frames.append((points, lanes))
-        h = _horofunctions(points, zeta)
+        h = geo.horofunction(points, zeta)
         if n == n_max:
             exits.update((lane, (n, float(h_i), True))
                          for lane, h_i in zip(lanes, h))
@@ -181,9 +179,16 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
         points, lanes = _take(points, ~out), lanes[~out]
         if not len(lanes):
             break
-        points, lanes = _step_lanes(f, points, lanes, errors)
-    if errors:
-        raise errors[min(errors)]
+        try:
+            # points without a structured step step in coordinates, alone
+            points = (cat.step_point(f, points)
+                      if isinstance(points, PointBatch)
+                      else tuple(cat.step_point(f, p) for p in points))
+        except Exception:
+            if len(ks) == 1:
+                raise
+            return [stopping_time(f, r_k.take([i]), zeta, n_max, [ks[i]])[0]
+                    for i in range(len(ks))]
     frames = tuple(frames)
     records = [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
                               capped=capped, lane=lane, frames=frames)
@@ -191,49 +196,10 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
     return records if batch else records[0]
 
 
-def _horofunctions(points, zeta):
-    if isinstance(points, PointBatch):
-        return geo.horofunction(points, zeta)
-    return np.array([geo.horofunction(p, zeta) for p in points])
-
-
 def _take(points, rows):
     if isinstance(points, PointBatch):
         return points.take(rows)
     return tuple(p for p, keep in zip(points, rows) if keep)
-
-
-def _step_lanes(f, points, lanes, errors):
-    """(images, lanes) of one step of every lane.  A batch steps in one
-    call; if that raises, each lane steps alone, so that only the lanes
-    that raise retire, with their exception in `errors`, and so do the
-    lanes above them, whose outcome no longer matters."""
-    if isinstance(points, PointBatch):
-        try:
-            return cat.step_point(f, points), lanes
-        except Exception:
-            rows = [points.take([i]) for i in range(len(lanes))]
-    else:
-        rows = points
-    images, kept = [], []
-    for lane, row in zip(lanes, rows):
-        if errors and lane > min(errors):
-            break
-        try:
-            images.append(cat.step_point(f, row))
-            kept.append(lane)
-        except Exception as exc:
-            errors[lane] = exc
-    if images and isinstance(images[0], PointBatch):
-        images = PointBatch(images[0].ref,
-                            np.concatenate([b.delta for b in images]),
-                            np.concatenate([b.tail for b in images]),
-                            np.concatenate([b.margin for b in images]))
-    elif images and isinstance(images[0], tuple):
-        images = sum(images, ())
-    else:
-        images = tuple(images)
-    return images, np.array(kept, dtype=int)
 
 
 def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
@@ -257,19 +223,8 @@ def orbit_diagnostics(seg: OrbitSegment):
     """(steps, horofunctions, distances to zeta) of a chain, as arrays;
     equal element for element to the per-point functions."""
     pts = seg.points
-    steps = geo.kob_dist(pts[:-1], pts[1:])
-    zeta = seg.zeta.coords
-    if not all(p.ref is not None and np.array_equal(p.ref, zeta)
-               for p in pts):
-        horos = np.array([geo.horofunction(p, seg.zeta) for p in pts])
-        dz = np.array([geo.dist_to_zeta(p, seg.zeta) for p in pts])
-        return steps, horos, dz
-    delta = np.array([p.delta for p in pts])
-    margin = np.array([p.margin for p in pts])
-    tails = np.array([p.tail() for p in pts])
-    horos = np.log(geo.abs_sq(delta) / margin)
-    dz = np.sqrt(geo.abs_sq(delta) + geo.sq_norm(tails))
-    return steps, horos, dz
+    return (geo.kob_dist(pts[:-1], pts[1:]), geo.horofunction(pts, seg.zeta),
+            geo.dist_to_zeta(pts, seg.zeta))
 
 
 def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
@@ -279,28 +234,20 @@ def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
     if len(pts) < 2:
         return 0.0
     batch = _batch_of(pts[1:])
-    if batch is None:
-        images = np.array([cat.step_point(f, p).coords for p in pts[1:]])
-    else:
-        images = cat.step_point(f, batch)
-        images = (images.coords if isinstance(images, PointBatch)
-                  else np.array([img.coords for img in images]))
-    return float(_row_norms(images - np.array([p.coords for p in pts[:-1]])
-                            ).max())
+    images = (cat.step_point(f, batch) if batch is not None
+              else [cat.step_point(f, p) for p in pts[1:]])
+    return float(_row_norms(geo._lanes(images)[0] - geo._lanes(pts[:-1])[0])
+                 .max())
 
 
 def _batch_of(points):
     """The `PointBatch` whose point i is points[i], coordinates included,
     or None: when the points do not share a reference, or when their
     stored defects do not rebuild their coordinates bit for bit."""
-    ref = points[0].ref
-    if ref is None or not all(p.ref is not None and np.array_equal(p.ref, ref)
-                              for p in points):
+    coords, margin, delta, ref, tail = geo._lanes(points)
+    if ref.ndim > 1:
         return None
-    batch = PointBatch(ref, np.array([p.delta for p in points]),
-                       np.array([p.tail() for p in points]),
-                       np.array([p.margin for p in points]))
-    coords = np.array([p.coords for p in points])
+    batch = PointBatch(ref, delta, tail, margin)
     return batch if batch.coords.tobytes() == coords.tobytes() else None
 
 
@@ -464,12 +411,6 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed: BallPoint,
     if out is None:
         raise NumericalError("no preimage found near the seed")
     return geo.ball_point(out)
-
-
-def _row_norms(z):
-    """np.linalg.norm of each row of z[n, q], rounded alike: the same
-    strided dot products of the real and of the imaginary parts."""
-    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
 def _solve_lanes(jac, rhs):
@@ -673,7 +614,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 f"no preimage found at backward step {step_idx}")
         # all points of a backward chain past the start live in the closed
         # unit horosphere, so candidates inside it take hard precedence
-        horos = np.array([geo.horofunction(c, zeta) for c in uniq])
+        horos = geo.horofunction(uniq, zeta)
         inside = horos <= geo.HOROSPHERE_BAND
         if inside.any():
             uniq = [c for c, keep in zip(uniq, inside) if keep]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
-                       boundary_adapted_point, herm)
+                       _lanes, boundary_adapted_point, herm)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -102,9 +102,7 @@ def tube_samples(zeta: BoundaryPoint, width: float,
             direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
             offsets.append(adapted_at(zeta, rho * direction))
     offsets.append(adapted_at(zeta, np.zeros(q, dtype=complex)))
-    delta = np.array([p.delta for p in offsets], dtype=complex)
-    tail = np.array([p.tail() for p in offsets], dtype=complex)
-    margin = np.array([p.margin for p in offsets])
+    _, margin, delta, _, tail = _lanes(offsets)
     # the (len(s), 1) translations broadcast against the offsets and origin
     stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
     _, delta, tail, margin = stage.apply(zeta.coords, delta, tail, margin)

@@ -200,6 +200,13 @@ def test_kob_dist_sequences(e1_q2):
         geo.kob_dist([pts[1], on_sphere], [pts[2], pts[1]])
 
 
+def test_kob_matrix_of_no_points(e1_q2):
+    pts = [geo.geodesic_point(e1_q2, float(s)) for s in range(3)]
+    assert geo.kob_matrix([], pts).shape == (0, 3)
+    assert geo.kob_matrix(pts, []).shape == (3, 0)
+    assert geo.kob_matrix([], []).shape == (0, 0)
+
+
 def test_kob_dist_alike_in_every_layout(rng):
     # one pair gives the same bits alone, in a sequence and in a matrix,
     # on shared-reference and coordinate-only lanes, and on deep adapted
@@ -710,3 +717,60 @@ def test_unitary_taking(rng):
         r = geo.unitary_taking(u, v)
         assert np.linalg.norm(r @ u - v) < 1e-12
         assert np.abs(r.conj().T @ r - np.eye(3)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one lane body per routine
+# ---------------------------------------------------------------------------
+
+LANE_ROUTINES = {
+    "horofunction": geo.horofunction,
+    "dist_to_zeta": geo.dist_to_zeta,
+    "dist_to_geodesic": lambda z, zeta: geo.dist_to_geodesic(z, zeta)[0],
+    "s_star": lambda z, zeta: geo.dist_to_geodesic(z, zeta)[1],
+    "koranyi_functional": geo.koranyi_functional,
+    "kob_dist_origin": lambda z, zeta: geo.kob_dist_origin(z),
+}
+
+
+def mixed_lanes(rng, zeta, other, n=80):
+    """Points of every lane kind, interleaved: coordinate-only, held
+    against zeta (every other one deep), held against another reference."""
+    pts = []
+    for i in range(n):
+        p = random_interior(rng, zeta.q, scale=0.97)
+        if i % 4 == 0:
+            pts.append(p)
+        elif i % 4 == 1:
+            pts.append(geo.with_reference(p, other))
+        else:
+            p = geo.with_reference(p, zeta)
+            pts.append(p if i % 4 == 2 else geo.boundary_adapted_point(
+                zeta.coords, 1e-6 * p.delta, tail=1e-3 * p.tail()))
+    return pts
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", LANE_ROUTINES)
+def test_routines_alike_on_mixed_lanes(name, q, rng):
+    """One call over a list of mixed lanes, or over a batch held against
+    the vertex or against another, equals the one-point calls bit for bit;
+    a point gives a float and an empty list an empty array."""
+    fn = LANE_ROUTINES[name]
+    v = rng.normal(size=q) + 1j * rng.normal(size=q)
+    zeta = geo.boundary_point(v / np.linalg.norm(v))
+    other = geo.boundary_point(-zeta.coords if q == 1
+                               else np.roll(zeta.coords, 1))
+    pts = mixed_lanes(rng, zeta, other)
+    alone = [fn(p, zeta) for p in pts]
+    assert all(type(a) is float for a in alone)
+    assert fn(pts, zeta).tobytes() == np.array(alone).tobytes()
+    batch = sampling.tube_samples(zeta, 1.0, s_values=np.arange(0.0, 20, 4))
+    for vertex in (zeta, other):
+        assert fn(batch, vertex).tobytes() == np.array(
+            [fn(batch.point(i), vertex) for i in range(len(batch))]).tobytes()
+    assert fn([], zeta).shape == (0,)
+    if name != "kob_dist_origin":   # the one without a vertex
+        with pytest.raises(DimensionMismatch):
+            fn(pts, geo.basis_boundary_point(q + 1))
+

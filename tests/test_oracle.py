@@ -187,3 +187,42 @@ def test_radial_anchor_steps_match_coordinates(case):
                 z = _coords(unit, anchors.delta[i], anchors.tail[i])
                 _assert_state(out.delta[i], out.tail[i], out.margin[i],
                               [f_mp(z[0])], unit)
+
+
+def _horofunction_mp(z, zeta):
+    return mp.log(abs(1 - _dot(z, zeta)) ** 2
+                  / (1 - sum(abs(x) ** 2 for x in z)))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_horofunction_on_every_lane_kind(rng, q):
+    """One call over mixed lanes against the horofunction of each point:
+    held lanes deep toward zeta (defects to 1e-40), lanes held against
+    another reference and coordinate-only lanes, each within 1e-13
+    relative (absolute below 1).  A held point is its defect state and a
+    coordinate-only point its coordinates."""
+    zeta = _off_axis_zeta(rng, q)
+    other = _off_axis_zeta(rng, q)
+    pts, exact = [], []
+    with mp.workdps(DPS):
+        unit, unit_other = _unit(zeta), _unit(other)
+        for i in range(60):
+            u = random_interior(rng, q, scale=0.97)
+            if i % 3 == 0:
+                pts.append(u)
+                exact.append([mp.mpc(c) for c in u.coords])
+                continue
+            ref, ref_unit = (zeta, unit) if i % 3 == 1 else (other, unit_other)
+            p = sampling.adapted_at(ref, u.coords)
+            if ref is zeta:
+                scale = 10.0 ** -rng.uniform(0, 40)
+                p = geo.boundary_adapted_point(
+                    zeta.coords, scale * p.delta,
+                    tail=np.sqrt(scale) * p.tail())
+            pts.append(p)
+            exact.append(_coords(ref_unit, p.delta, p.tail()))
+        got = geo.horofunction(pts, zeta)
+        for h, z in zip(got, exact):
+            want = _horofunction_mp(z, unit)
+            assert abs(h - want) <= REL * max(1, abs(want))
+

@@ -69,7 +69,7 @@ def test_tube_samples_match_reference_off_axis():
                           (1.0, 0.5))
     i = len(batch) // 3
     assert batch.point(i).delta == ref[i].delta
-    # an off-vertex batch takes the per-point path
+    # an off-vertex batch takes its coordinates, lane for lane as alone
     other = geo.boundary_point([0.8, 0.6])
     assert np.array_equal(geo.koranyi_functional(batch, other),
                           [geo.koranyi_functional(p, other) for p in ref])
