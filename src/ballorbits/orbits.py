@@ -137,8 +137,9 @@ def radial_anchors(zeta: BoundaryPoint, lam: float, ks) -> PointBatch:
     ks = np.asarray(ks, dtype=float)
     if (ks < 0).any():
         raise DomainError("anchor index must be nonnegative")
-    if (ks * np.log(lam) > 700.0).any():
-        raise DomainError("anchor underflows double precision: k log(lam) > 700")
+    # the margin's denominator (lam^k + 1)^2 must stay a double
+    if (ks * np.log(lam) >= np.log(np.finfo(float).max) / 2.0).any():
+        raise DomainError("anchor leaves double precision: k log(lam) > 354.89")
     lk = np.float_power(lam, ks)
     return PointBatch(zeta.coords, (2.0 / (lk + 1.0)).astype(complex),
                       np.zeros((len(ks), zeta.q), dtype=complex),

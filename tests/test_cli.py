@@ -263,6 +263,16 @@ def test_orbit_nmax_below_one_exit_2(capsys, nmax):
     assert "n_max" in err and "capped" not in err and out == ""
 
 
+@pytest.mark.parametrize("option", [("--kmax", "400"), ("--lambda", "1e9")])
+def test_orbit_anchor_beyond_double_range_exit_2(capsys, option):
+    # the anchors' margin denominator (lam^k + 1)^2 overflows from
+    # k log(lam) = 354.89 on: an input error, not a traceback
+    code, out, err = run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1",
+                         *option)
+    assert code == 2
+    assert "double precision" in err and out == ""
+
+
 def test_compare_off_axis_automorphism(capsys):
     # an automorphism is an isometry, so the offset orbit keeps its offset
     code, out, _ = run(capsys, "compare", "hyperbolic:lam=3,zeta=0.6,0;0,0.8",

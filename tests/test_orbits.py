@@ -41,8 +41,14 @@ def test_radial_anchor_domain_errors(e1):
         orb.radial_anchor(e1, 1.0, 3)
     with pytest.raises(DomainError):
         orb.radial_anchor(e1, 3.0, -1)
-    with pytest.raises(DomainError):
-        orb.radial_anchor(e1, 3.0, 700)
+    # (lam^k + 1)^2 leaves the double range from k log(lam) = 354.89 on
+    for lam, k in ((3.0, 324), (3.0, 637), (3.0, 700), (1e9, 18)):
+        with pytest.raises(DomainError, match="double precision"):
+            orb.radial_anchor(e1, lam, k)
+    for lam, k in ((3.0, 323), (1e9, 17)):
+        r, lk = orb.radial_anchor(e1, lam, k), lam ** k
+        assert r.delta == 2.0 / (lk + 1.0)
+        assert r.margin == 4.0 * lk / (lk + 1.0) ** 2
 
 
 @pytest.mark.parametrize("make, lam", [
