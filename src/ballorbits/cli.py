@@ -164,6 +164,8 @@ def _map_and_zeta(args):
 def cmd_geometry(args) -> int:
     z = geo.ball_point(parse_point(args.points[0]))
     if args.query == "dist":
+        if len(args.points) != 2:
+            raise ConfigError("geometry dist needs two points")
         w = geo.ball_point(parse_point(args.points[1]))
         print(fmt(geo.kob_dist(z, w)))
         return EXIT_OK
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:   # OSError: a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

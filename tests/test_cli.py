@@ -178,6 +178,12 @@ def test_geometry_bad_input_exit_2(capsys):
     assert "error" in err
 
 
+def test_geometry_dist_needs_two_points_exit_2(capsys):
+    code, out, err = run(capsys, "geometry", "dist", "0.1,0")
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 def test_dilation_blaschke(capsys):
     code, out, _ = run(capsys, "dilation", "blaschke:a=1/3", "--zeta", "1")
     assert code == 0
@@ -246,6 +252,15 @@ def test_orbit_svg_emission(tmp_path, capsys):
     assert text.startswith("<svg") and "circle" in text
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_orbit_unwritable_output_exit_2(tmp_path, capsys, flag):
+    path = tmp_path / "no_such_dir" / "orbit.out"
+    code, _, err = run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1",
+                       "--kmax", "10", flag, str(path))
+    assert code == 2
+    assert err.startswith("error:") and "no_such_dir" in err
+
+
 def test_orbit_wrong_lambda_exit_3(capsys):
     # no chain can match a step tail of log(2) for this map
     code, _, err = run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1",
@@ -280,6 +295,14 @@ def test_compare_off_axis_automorphism(capsys):
     assert code == 0
     direct_max = float(out.split("direct_max=")[1].split()[0])
     assert abs(direct_max - 0.05) <= 1e-6
+
+
+def test_compare_missing_csv_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "none.csv")
+    code, out, err = run(capsys, "compare", "--csv-a", missing,
+                         "--csv-b", missing, "--zeta", "1")
+    assert code == 2
+    assert err.startswith("error:") and "none.csv" in err and out == ""
 
 
 def test_compare_from_csv_files(tmp_path, capsys):
