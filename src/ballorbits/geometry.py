@@ -367,11 +367,13 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
     """The Kobayashi distance on broadcastable lanes from `_lanes`.
 
     Lanes whose points share a reference take the defect expansion of
-    1 - <z,w>, exact arbitrarily close to the sphere.  The Mobius involution
-    centred at z, applied to w, takes the rest: no shared reference, an
-    expansion that cancels (near -ref, where coordinates are accurate), or
-    a quotient that rounds to 1 (the expansion's ~2e-7 floor) with both
-    margins >= 1e-6; identical coordinates there are at distance 0."""
+    1 - <z,w>, exact arbitrarily close to the sphere.  Close pairs among
+    them, 1 - d_quot < 1e-2 for d_quot = m_z m_w / |1 - <z,w>|^2, take
+    1 - d_quot = (m_z |w - z|^2 + |<z, w - z>|^2) / |1 - <z,w>|^2 with
+    w - z from the defects, which does not cancel.  The Mobius involution
+    centred at z, applied to w, takes the rest: no shared reference, or an
+    expansion that cancels (near -ref, where coordinates are accurate);
+    identical coordinates there are at distance 0."""
     zc, mz, dz, ref, tz = z_lanes
     wc, mw, dw, ref_w, tw = w_lanes
     shape = np.broadcast_shapes(mz.shape, mw.shape)
@@ -395,11 +397,16 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
         if not expand.all():
             n_val = np.where(expand, n_val, 1.0 - herm(zc, wc))
         d_quot = mz * mw / abs_sq(n_val)
-        collapsed = d_quot > 1.0 - 1e-14
         rho = np.sqrt(1.0 - d_quot)
-        out = np.where(collapsed, 0.0,
-                       np.log(np.float_power(1.0 + rho, 2.0) / d_quot))
-    inv = ~expand | (collapsed & (np.minimum(mz, mw) >= 1e-6))
+        out = np.log(np.float_power(1.0 + rho, 2.0) / d_quot)
+        close = expand & (d_quot > 1.0 - 1e-2)
+        if close.any():
+            dd, dt = dz - dw, tw - tz   # w - z = (dz - dw) ref + dt
+            dot = _cmul(1.0 - dz, np.conj(dd)) + herm(tz, dt)   # <z, w - z>
+            rho = np.sqrt((mz * (abs_sq(dd) + sq_norm(dt)) + abs_sq(dot))
+                          / abs_sq(n_val))
+            out = np.where(close, np.log1p(2.0 * rho / (1.0 - rho)), out)
+    inv = ~expand
     if inv.any():
         shape = inv.shape + zc.shape[-1:]
         zc, wc = (c[inv] if c.shape == shape else np.broadcast_to(c, shape)[inv]

@@ -226,3 +226,31 @@ def test_horofunction_on_every_lane_kind(rng, q):
             want = _horofunction_mp(z, unit)
             assert abs(h - want) <= REL * max(1, abs(want))
 
+
+def _kob_mp(z, w):
+    n = 1 - _dot(z, w)
+    mz, mw = (1 - sum(abs(x) ** 2 for x in p) for p in (z, w))
+    return 2 * mp.atanh(mp.sqrt(1 - mz * mw / abs(n) ** 2))
+
+
+def test_kob_dist_of_close_pairs(rng):
+    """`with_reference` pairs at |z| = 0.6 against e_2, from 1e-4 down to
+    1e-12 apart: each distance, alone and in a matrix, within 1e-12
+    relative of the distance of the points their defect states define."""
+    e2 = geo.basis_boundary_point(2, 1)
+    with mp.workdps(DPS):
+        unit = _unit(e2)
+        for sep in 10.0 ** -np.arange(4.0, 12.5, 0.5):
+            z, w = [], []
+            for _ in range(4):
+                v, u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                c = 0.6 * v / np.linalg.norm(v)
+                for pts, x in ((z, c), (w, c + sep * u / np.linalg.norm(u))):
+                    pts.append(geo.with_reference(geo.ball_point(x), e2))
+            got = [geo.kob_dist(a, b) for a, b in zip(z, w)]
+            assert np.diag(geo.kob_matrix(z, w)).tolist() == got
+            for d, a, b in zip(got, z, w):
+                want = _kob_mp(_coords(unit, a.delta, a.tail()),
+                               _coords(unit, b.delta, b.tail()))
+                assert abs(d - want) <= 1e-12 * want
+
