@@ -338,7 +338,7 @@ def _lanes(points, axis=None):
     return coords, margin, delta, ref, tail
 
 
-def _against(z, zeta: "BoundaryPoint"):
+def _against(z, zeta: BoundaryPoint):
     """The lanes of z (see `_lanes`) and the mask of those held against
     zeta, whose reference lies within 1e-12 of it (`_same_direction`): exact
     in their defect form, where the others are as exact as coordinates."""
@@ -463,7 +463,7 @@ def horofunction_limit(z: BallPoint, zeta: BoundaryPoint, s: float = 30.0) -> fl
 
 def horo_raw(z, zeta_coords, margin=None):
     """Vectorised horofunction on raw coordinate arrays (..., q), each value
-    rounded as for its point alone (`** 2` on an array is no pow)."""
+    rounded as alone: squared by pow, as `**` squares a scalar."""
     z = np.asarray(z, dtype=complex)
     if margin is None:
         margin = 1.0 - sq_norm(z)
