@@ -363,6 +363,14 @@ def _row_norms(z):
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
+def _at(pairs, *lanes):
+    """Each lane array at `pairs`, the index arrays np.nonzero gives over
+    the pairing, read through its broadcast axes (index 0 on an axis of
+    length 1); a tail or coordinate array keeps its last axis."""
+    return [x[tuple(i * (n > 1) for i, n in zip(pairs, x.shape))]
+            for x in lanes]
+
+
 def _kob(z_lanes, w_lanes) -> np.ndarray:
     """The Kobayashi distance on broadcastable lanes from `_lanes`.
 
@@ -399,18 +407,17 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
         d_quot = mz * mw / abs_sq(n_val)
         rho = np.sqrt(1.0 - d_quot)
         out = np.log(np.float_power(1.0 + rho, 2.0) / d_quot)
-        close = expand & (d_quot > 1.0 - 1e-2)
-        if close.any():
-            dd, dt = dz - dw, tw - tz   # w - z = (dz - dw) ref + dt
-            dot = _cmul(1.0 - dz, np.conj(dd)) + herm(tz, dt)   # <z, w - z>
-            rho = np.sqrt((mz * (abs_sq(dd) + sq_norm(dt)) + abs_sq(dot))
-                          / abs_sq(n_val))
-            out = np.where(close, np.log1p(2.0 * rho / (1.0 - rho)), out)
-    inv = ~expand
-    if inv.any():
-        shape = inv.shape + zc.shape[-1:]
-        zc, wc = (c[inv] if c.shape == shape else np.broadcast_to(c, shape)[inv]
-                  for c in (zc, wc))
+    close = np.nonzero(expand & (d_quot > 1.0 - 1e-2))
+    if len(close[0]):
+        dz, dw, tz, tw, mz, n_val = _at(close, dz, dw, tz, tw, mz, n_val)
+        dd, dt = dz - dw, tw - tz   # w - z = (dz - dw) ref + dt
+        dot = _cmul(1.0 - dz, np.conj(dd)) + herm(tz, dt)   # <z, w - z>
+        rho = np.sqrt((mz * (abs_sq(dd) + sq_norm(dt)) + abs_sq(dot))
+                      / abs_sq(n_val))
+        out[close] = np.log1p(2.0 * rho / (1.0 - rho))
+    inv = np.nonzero(~expand)
+    if len(inv[0]):
+        zc, wc = _at(inv, zc, wc)
         rho = np.sqrt(sq_norm(mobius_shift(zc, wc)))
         rho[(zc == wc).all(axis=-1)] = 0.0
         # far pairs keep the quotient of 1 - <z,w> from coordinates
