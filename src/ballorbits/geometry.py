@@ -345,6 +345,10 @@ def _against(z, zeta: BoundaryPoint):
     if not isinstance(z, BallPoint) and not len(z):
         z = PointBatch(zeta.coords, np.zeros(0, dtype=complex),
                        np.zeros((0, zeta.q), dtype=complex), np.zeros(0))
+    if (isinstance(z, PointBatch) and z.q == zeta.q
+            and _same_direction(z.ref, zeta.coords)):
+        # every lane held: none reads the coordinates a batch would build
+        return (None, z.margin, z.delta, z.ref, z.tail), np.ones(len(z), bool)
     lanes = _lanes(z)
     if lanes[0].shape[-1] != zeta.q:
         raise DimensionMismatch(f"dimensions {lanes[0].shape[-1]} != {zeta.q}")
@@ -364,9 +368,8 @@ def _row_norms(z):
 
 
 def _at(pairs, *lanes):
-    """Each lane array at `pairs`, the index arrays np.nonzero gives over
-    the pairing, read through its broadcast axes (index 0 on an axis of
-    length 1); a tail or coordinate array keeps its last axis."""
+    """Each lane array at `pairs` (np.nonzero over the pairing), read
+    through its broadcast axes; a tail or coordinate keeps its last axis."""
     return [x[tuple(i * (n > 1) for i, n in zip(pairs, x.shape))]
             for x in lanes]
 
