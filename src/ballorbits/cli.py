@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check/invariant failure, 2 input error,
-3 numerical non-convergence.  Complex numbers are written `re,im`
-everywhere; points in B^q separate coordinates with `;`.  All floats print
-with 15 significant digits.  The sampling seed comes from --seed, else the
-BALLORBITS_SEED environment variable, else 12345.
+Exit codes: 0 success, 1 check/invariant failure, 2 input error (a file
+that cannot be read or written too), 3 numerical non-convergence.  Complex
+numbers are written `re,im` everywhere; points in B^q separate coordinates
+with `;`.  All floats print with 15 significant digits.  The sampling seed
+comes from --seed, else the BALLORBITS_SEED environment variable, else 12345.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, DomainError, OSError) as exc:   # OSError: a file
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

@@ -158,7 +158,7 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
     anchors, with `k` the index of each: every lane then steps in one
     kernel call per step, and one record per lane comes back.  A lane
     retires when it leaves the horosphere or reaches `n_max` (capped).  If
-    a step raises, the anchors run again one by one, lowest first.
+    a step raises, the anchors rerun alone, lowest first, until one raises.
     """
     batch = isinstance(r_k, PointBatch)
     if batch:
