@@ -236,7 +236,7 @@ def criterion_10_determinism(seed) -> CheckLine:
                      1.0 if first == second else -1.0)
 
 
-def run_suite(seed: int = 12345):
+def run_suite(seed: int):
     """(report text, all passed). The report embeds the seed so reruns are
     comparable."""
     lines = run_criteria(seed)

@@ -113,14 +113,12 @@ class ShiftResult:
     direct_max: float
 
 
-def shift_recovery(xi: OrbitSegment, eta: OrbitSegment,
-                   c: float | None = None) -> ShiftResult:
+def shift_recovery(xi: OrbitSegment, eta: OrbitSegment) -> ShiftResult:
     """Recover an index shift alpha with kob(x_n, y_{n+alpha}) < C for all n
     in the window, certifying direct <= C + |alpha| * step(eta)."""
     xi, eta = _with_refs(xi), _with_refs(eta)
     comp = orbit_distance_profile(xi, eta)
-    if c is None:
-        c = comp.c_bound + 1e-12
+    c = comp.c_bound + 1e-12
     idx = comp.indices
     eta_steps, _, _ = orbit_diagnostics(eta)
     sigma = float(eta_steps.max()) if len(eta_steps) else 0.0
@@ -217,10 +215,9 @@ class TubeCoveringReport:
 
 
 def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
-                        s_values=None, tol: float = 1e-6
-                        ) -> TubeCoveringReport:
+                        s_values=None) -> TubeCoveringReport:
     """Checks that the tube A(gamma, width) lies within a bounded Kobayashi
-    distance of the orbit: R_hat <= width + 3*C_hat + sigma_hat (+tol)."""
+    distance of the orbit: R_hat <= width + 3*C_hat + sigma_hat (+1e-6)."""
     eta = _with_refs(eta)
     # width 0 samples the axis alone
     samples = tube_samples(zeta, width, s_values=s_values,
@@ -230,7 +227,7 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
     c_hat = geo.dist_to_geodesic(eta.points, zeta)[0].max()
     steps, _, _ = orbit_diagnostics(eta)
     sigma = float(steps.max()) if len(steps) else 0.0
-    bound = width + 3.0 * c_hat + sigma + tol
+    bound = width + 3.0 * c_hat + sigma + 1e-6
     ok = r_hat <= bound
     if not ok:
         raise InvariantViolation(
@@ -271,10 +268,7 @@ class PremodelReport:
 
 
 def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
-                      lam: float | None = None, n_samples: int = 1000,
-                      rng=None,
-                      intertwine_tol: float = 1e-8,
-                      dilation_tol: float = 1e-4) -> PremodelReport:
+                      lam: float | None = None, rng=None) -> PremodelReport:
     """Four checks: (i) the square commutes on samples, (ii) the base
     dilation matches the dilation of f at zeta, (iii) backward base orbits
     are carried to zeta, (iv) the intertwiner has K-limit zeta at the
@@ -286,10 +280,11 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
     lines = []
 
     from .sampling import sample_ball
-    w = sample_ball(rng, pm.base_dim, n_samples, r_max=0.95)
+    w = sample_ball(rng, pm.base_dim, 1000, r_max=0.95)
     lhs = cat.evaluate(f, np.asarray(pm.ell(w)))
     rhs = np.asarray(pm.ell(geo.apply_raw(pm.tau, w)))
     resid = float(np.max(np.sqrt(geo.sq_norm(lhs - rhs))))
+    intertwine_tol, dilation_tol = 1e-8, 1e-4
     lines.append(CheckLine("intertwining", resid < intertwine_tol,
                            intertwine_tol - resid))
 

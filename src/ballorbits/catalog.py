@@ -474,9 +474,10 @@ def jacobian(f: SelfMap, z) -> np.ndarray:
     return f._jacobian(z)
 
 
-def jacobian_fd(f: SelfMap, z, h: float = 1e-6) -> np.ndarray:
+def jacobian_fd(f: SelfMap, z) -> np.ndarray:
     """Central finite differences, the independent cross-check for jacobian()."""
     z = geo.as_vector(z, f.q)
+    h = 1e-6
     cols = []
     for i in range(f.q):
         e = np.zeros(f.q, dtype=complex)
@@ -551,11 +552,11 @@ def self_map_check(f: SelfMap, n_samples: int = 10000, rng=None):
     return worst > 0.0, worst, pts[i]
 
 
-def koranyi_probes(zeta: BoundaryPoint, s_values, offsets=(0.0, 0.15, -0.15)):
+def koranyi_probes(zeta: BoundaryPoint, s_values):
     """Probe sequences approaching zeta inside K(zeta, 2): the radius plus
     tangentially displaced copies (complex-tangent displacement for q = 1)."""
     probes = []
-    for off in offsets:
+    for off in (0.0, 0.15, -0.15):
         seq = []
         for s in s_values:
             if off == 0.0:
@@ -575,7 +576,7 @@ def koranyi_probes(zeta: BoundaryPoint, s_values, offsets=(0.0, 0.15, -0.15)):
     return probes
 
 
-def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint, tol: float = 1e-8) -> bool:
+def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint) -> bool:
     """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe sequences."""
     s_values = np.arange(4.0, 24.01, 2.0)
     for seq in koranyi_probes(zeta, s_values):
@@ -588,7 +589,7 @@ def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint, tol: float = 1e-8) -> boo
         if len(images) < 4:
             return False
         res = geo.dist_to_zeta(images, zeta)
-        if res[-1] > tol or res[-1] > res[0]:
+        if res[-1] > 1e-8 or res[-1] > res[0]:
             return False
     return True
 
@@ -603,8 +604,7 @@ class DilationEstimate:
     jacobian_check: float
 
 
-def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
-                      s_max: float = 30.0, ds: float = 0.5) -> DilationEstimate:
+def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     """Radial estimate of the boundary dilation at a fixed point zeta.
 
     Samples d(s) = kob(0, gamma(s)) - kob(0, f(gamma(s))) on a grid, takes
@@ -614,9 +614,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
     built here; the Jacobian cross-check below guards that assumption.
     """
     structured = adapted_step(f, geo._axis_point(zeta, 2.0)) is not None
-    if not structured:
-        s_max = min(s_max, 16.0)
-    grid = np.arange(1.0, s_max + 1e-9, ds)
+    grid = np.arange(1.0, (30.0 if structured else 16.0) + 1e-9, 0.5)
     delta, margin = geo._axis_defect(grid)
     images = step_point(f, geo.PointBatch(
         zeta.coords, delta.astype(complex),
@@ -627,7 +625,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint,
             "radial profile diverges: super-repelling point (dilation = inf)")
     tail = prof[-8:]
     tail_inf = float(tail.min())
-    rho = np.exp(-ds)
+    rho = np.exp(-0.5)
     extrap = float((prof[-1] - rho * prof[-2]) / (1.0 - rho))
     extrap_prev = float((prof[-2] - rho * prof[-3]) / (1.0 - rho))
     log_lam = extrap
@@ -675,12 +673,12 @@ def _seed_cloud(q: int) -> np.ndarray:
     return np.stack(pts)
 
 
-def _interior_fixed_newton(f: SelfMap, seed, tol=1e-12, max_iter=60):
+def _interior_fixed_newton(f: SelfMap, seed):
     z = geo.as_vector(seed, f.q).astype(complex)
     eye = np.eye(f.q, dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(60):
         r = evaluate(f, z) - z
-        if np.linalg.norm(r) < tol:
+        if np.linalg.norm(r) < 1e-12:
             if np.linalg.norm(z) < 1.0 - 1e-9:
                 return z
             return None
@@ -696,7 +694,7 @@ def _interior_fixed_newton(f: SelfMap, seed, tol=1e-12, max_iter=60):
     return None
 
 
-def classify_dynamics(f: SelfMap, n_max: int = 2000) -> DynamicsClass:
+def classify_dynamics(f: SelfMap) -> DynamicsClass:
     """Iterate a deterministic sample cloud forward and classify the limit.
 
     The returned `cloud` is an accumulation-set proxy (the iterate tail),
@@ -704,7 +702,7 @@ def classify_dynamics(f: SelfMap, n_max: int = 2000) -> DynamicsClass:
     """
     cloud = _seed_cloud(f.q)
     history = [cloud.copy()]
-    for it in range(n_max):
+    for it in range(2000):
         cloud = evaluate(f, cloud)
         history.append(cloud.copy())
         if len(history) > 60:
@@ -733,19 +731,18 @@ def classify_dynamics(f: SelfMap, n_max: int = 2000) -> DynamicsClass:
             return DynamicsClass("interior-fixed-point", _freeze(fixed),
                                  _freeze(np.concatenate(history)))
     raise NumericalError(
-        f"dynamics undecided after {n_max} iterations: cloud spread "
+        f"dynamics undecided after 2000 iterations: cloud spread "
         f"{np.max(np.sqrt(sq_norm(cloud - cloud.mean(axis=0)))):.3e}")
 
 
-def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint,
-                          clearance: float = 0.1, max_doublings: int = 20):
+def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
     """Conjugate f so that its forward-limit witness set stays outside the
     closed unit horosphere at zeta.
 
     Returns (conjugated map, conjugating automorphism); the conjugator is an
     axial translation fixing +-zeta, so zeta stays fixed with the same
     dilation (verified).  Translation length doubles until the transported
-    witness cloud has horofunction > clearance.
+    witness cloud has horofunction > 0.1, at most 20 times.
     """
     dyn = classify_dynamics(f)
     if dyn.tag == "denjoy-wolff-boundary":
@@ -760,13 +757,13 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint,
         return f, geo.identity_automorphism(f.q)
     horos = geo.horo_raw(witness_pts, zeta.coords)
     min_h = float(horos.min())
-    if min_h > clearance:
+    if min_h > 0.1:
         return f, geo.identity_automorphism(f.q)
     t = 0.1
-    for _ in range(max_doublings):
+    for _ in range(20):
         h = geo.axis_translation(zeta, t)
         moved = geo.apply_raw(h, witness_pts)
-        if float(geo.horo_raw(moved, zeta.coords).min()) > clearance:
+        if float(geo.horo_raw(moved, zeta.coords).min()) > 0.1:
             cleared = conjugate_map(f, h)
             lam_before = estimate_dilation(f, zeta).lam_hat
             lam_after = estimate_dilation(cleared, zeta).lam_hat
@@ -777,4 +774,4 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint,
             return cleared, h
         t *= 2.0
     raise NumericalError(
-        f"pole clearance not achieved after {max_doublings} doublings")
+        "pole clearance not achieved after 20 doublings")

@@ -166,9 +166,9 @@ class BallPoint:
         return self.tail_vec
 
 
-def ball_point(coords, q=None) -> BallPoint:
+def ball_point(coords) -> BallPoint:
     """Validated interior point from raw coordinates."""
-    v = as_vector(coords, q)
+    v = as_vector(coords)
     n = np.linalg.norm(v)
     if not np.isfinite(n):
         raise DomainError("non-finite coordinates")

@@ -86,8 +86,6 @@ class OrbitParams:
     k_max: int = 40
     n_max: int = 100000
     eps_sigma: float = 1e-3
-    rho_cluster: float = 0.1
-    tol_cluster: float = 1e-6
     dist_depth: int = 25
     dist_target: float = 1e-4
     mode: str = "single-tail"
@@ -100,8 +98,7 @@ class OrbitParams:
         if self.dist_depth < 0:
             raise DomainError(
                 f"dist_depth must be nonnegative, got {self.dist_depth}")
-        if min(self.eps_sigma, self.rho_cluster, self.tol_cluster,
-               self.dist_target) <= 0.0:
+        if min(self.eps_sigma, self.dist_target) <= 0.0:
             raise DomainError("orbit tolerances must be positive")
         if self.mode not in ("single-tail", "cluster"):
             raise DomainError(f"unknown orbit mode {self.mode!r}")
@@ -356,6 +353,7 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
 
 
 def _cluster_orbit(chains, zeta, lam, params, f):
+    tol = 1e-6   # how far f(medoid j) may land from medoid j - 1
     k_all = sorted(chains)
     depth_max = min(len(chains[k]) - 1 for k in k_all[-5:])
     medoids = []
@@ -368,7 +366,7 @@ def _cluster_orbit(chains, zeta, lam, params, f):
         clusters: list[list[int]] = []
         for i in range(len(cands)):
             for cl in clusters:
-                if dmat[i, cl[0]] < params.rho_cluster:
+                if dmat[i, cl[0]] < 0.1:
                     cl.append(i)
                     break
             else:
@@ -378,10 +376,10 @@ def _cluster_orbit(chains, zeta, lam, params, f):
             dmat[np.ix_(big, big)].sum(axis=1)))]])
     for j in range(1, len(medoids)):
         img = cat.step_point(f, medoids[j])
-        if np.linalg.norm(img.coords - medoids[j - 1].coords) > params.tol_cluster:
+        if np.linalg.norm(img.coords - medoids[j - 1].coords) > tol:
             return None
     seg = OrbitSegment(points=tuple(medoids), zeta=zeta, lam=lam,
-                       map_label=f.label, chain_tol=params.tol_cluster)
+                       map_label=f.label, chain_tol=tol)
     res = analyze_orbit(seg, lam, params, "cluster")
     return res if res.accepted else None
 
@@ -390,8 +388,8 @@ def _cluster_orbit(chains, zeta, lam, params, f):
 # Newton preimages
 # ---------------------------------------------------------------------------
 
-def newton_preimage(f: cat.SelfMap, target: BallPoint, seed: BallPoint,
-                    tol: float = 1e-12, max_iter: int = 100) -> BallPoint:
+def newton_preimage(f: cat.SelfMap, target: BallPoint,
+                    seed: BallPoint) -> BallPoint:
     """Solve f(z) = target by damped Newton (complex q x q solve).
 
     With boundary-adapted targets the solve runs in defect coordinates
@@ -401,6 +399,7 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed: BallPoint,
     on stall a coarse polar grid reseeds it, all grid seeds as lanes of one
     solve, and the first converged lane in seed order is the preimage.
     """
+    tol, max_iter = 1e-12, 100
     out = _newton_adapted(f, target, seed, tol, max_iter)
     if out is not None:
         return out
@@ -563,16 +562,14 @@ def _grid_seeds(q: int):
 
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                                  zeta: BoundaryPoint, n_steps: int,
-                                 lam_hint: float | None = None,
-                                 rho_branch: float = 0.05,
-                                 params: OrbitParams | None = None
+                                 lam_hint: float | None = None
                                  ) -> BackwardOrbitResult:
     """Backward orbit by repeated preimage solving with branch selection.
 
     Among candidate preimages the branch minimising
         kob(current, candidate) + max(horofunction(candidate), 0)
     is taken: the branch staying inside the unit horosphere and moving
-    toward zeta.  Two candidates scoring within `rho_branch` of each other
+    toward zeta.  Two candidates scoring within 0.05 of each other
     is an ambiguity error listing both.  The winner's distance is the step
     whose exponential seeds the next adapted solve.
 
@@ -584,8 +581,6 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
-    if params is None:
-        params = OrbitParams()
     grid = _grid_seeds(f.q)
     cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
     pts = [cur]
@@ -623,12 +618,12 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
         dists = geo.kob_dist([cur] * len(uniq), uniq)
         scores = dists + np.maximum(horos, 0.0)
         order = np.argsort(scores, kind="stable")
-        if len(order) > 1 and scores[order[1]] - scores[order[0]] < rho_branch:
+        if len(order) > 1 and scores[order[1]] - scores[order[0]] < 0.05:
             a, b = uniq[order[0]], uniq[order[1]]
             raise NumericalError(
                 "ambiguous backward branch: candidates "
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
-                f"within {rho_branch}")
+                "within 0.05")
         nxt, step = uniq[order[0]], dists[order[0]]
         if nxt.ref is None:
             nxt = geo.with_reference(nxt, zeta)
@@ -640,7 +635,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                        lam=lam_hint if lam_hint is not None else float("nan"),
                        map_label=f.label, chain_tol=1e-10)
     lam_for_check = lam_hint if lam_hint is not None else float(np.exp(step))
-    return analyze_orbit(seg, lam_for_check, params, "preimage")
+    return analyze_orbit(seg, lam_for_check, OrbitParams(), "preimage")
 
 
 def offset_preimage_orbit(f: cat.SelfMap, orbit: OrbitSegment, lam: float,
@@ -660,8 +655,7 @@ def offset_preimage_orbit(f: cat.SelfMap, orbit: OrbitSegment, lam: float,
 # bilateral extension and CSV dump
 # ---------------------------------------------------------------------------
 
-def extend_to_bilateral(seg: OrbitSegment, f: cat.SelfMap,
-                        max_forward: int = 60) -> OrbitSegment:
+def extend_to_bilateral(seg: OrbitSegment, f: cat.SelfMap) -> OrbitSegment:
     """Prepend the forward iterates x_{-n} = f^n(x_0); the seam satisfies
     the same backward identity as the harvested part.
 
@@ -671,7 +665,7 @@ def extend_to_bilateral(seg: OrbitSegment, f: cat.SelfMap,
     """
     fwd = []
     p = seg.points[0]
-    for _ in range(max_forward):
+    for _ in range(60):
         nxt = cat.step_point(f, p)
         if nxt.margin < 1e-9:
             break
@@ -712,18 +706,18 @@ def write_orbit_csv(seg: OrbitSegment, path) -> None:
         fh.write(orbit_csv(seg))
 
 
-def orbit_svg(seg: OrbitSegment, size: int = 480) -> str:
-    """Orbit trace in the first-coordinate plane: unit circle, the radial
-    geodesic toward zeta, and one dot per orbit point."""
-    half = size / 2.0
+def orbit_svg(seg: OrbitSegment) -> str:
+    """Orbit trace in the first-coordinate plane, 480 pixels square: unit
+    circle, the radial geodesic toward zeta, and one dot per orbit point."""
+    half = 240.0
 
     def xy(c):
         return (half + half * 0.95 * c.real, half - half * 0.95 * c.imag)
 
     zeta1 = complex(seg.zeta.coords[0])
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="480" '
+        'height="480" viewBox="0 0 480 480">',
         f'<circle cx="{half}" cy="{half}" r="{half * 0.95}" fill="none" '
         'stroke="black" stroke-width="1"/>',
         '<line x1="{:.2f}" y1="{:.2f}" x2="{:.2f}" y2="{:.2f}" '

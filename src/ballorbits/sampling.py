@@ -28,10 +28,10 @@ def sample_ball(rng, q: int, n: int, r_max: float = 0.999) -> np.ndarray:
     return unit_directions(rng, q, n) * r[:, None]
 
 
-def sample_shell(rng, q: int, n_per: int,
-                 gaps=(1e-2, 1e-4, 1e-6, 1e-8)) -> np.ndarray:
-    """Near-sphere samples at radii 1 - gap."""
-    blocks = [unit_directions(rng, q, n_per) * (1.0 - g) for g in gaps]
+def sample_shell(rng, q: int, n_per: int) -> np.ndarray:
+    """Near-sphere samples at radii 1 - gap, gap = 1e-2, 1e-4, 1e-6, 1e-8."""
+    blocks = [unit_directions(rng, q, n_per) * (1.0 - g)
+              for g in (1e-2, 1e-4, 1e-6, 1e-8)]
     return np.concatenate(blocks, axis=0)
 
 
