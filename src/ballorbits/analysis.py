@@ -13,7 +13,8 @@ import numpy as np
 
 from . import catalog as cat
 from . import geometry as geo
-from .errors import DomainError, InvariantViolation, NumericalError
+from .errors import (DimensionMismatch, DomainError, InvariantViolation,
+                     NumericalError)
 from .geometry import BoundaryPoint
 from .orbits import OrbitSegment, orbit_diagnostics
 from .sampling import tube_samples
@@ -87,6 +88,8 @@ def orbit_distance_profile(xi: OrbitSegment, eta: OrbitSegment,
     The plateau verdict holds when the last quarter of the direct profile
     moves by less than eps_plateau.
     """
+    if not eps_plateau > 0.0:
+        raise DomainError(f"eps_plateau must be positive, got {eps_plateau}")
     xi, eta = _with_refs(xi), _with_refs(eta)
     _require_same_target(xi, eta)
     lo = max(xi.base_index, eta.base_index)
@@ -273,6 +276,11 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
     dilation matches the dilation of f at zeta, (iii) backward base orbits
     are carried to zeta, (iv) the intertwiner has K-limit zeta at the
     repelling point."""
+    if pm.base_dim != pm.tau.q:
+        raise DimensionMismatch(f"premodel base_dim {pm.base_dim} is not "
+                                f"the dimension {pm.tau.q} of its tau")
+    if lam is not None and not lam > 1.0:
+        raise DomainError(f"premodel check needs dilation > 1, got {lam}")
     if rng is None:
         rng = np.random.default_rng(7)
     if lam is None:

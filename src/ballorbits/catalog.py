@@ -459,8 +459,11 @@ def catalog_build(kind: str, subtype: str | None = None, **params) -> SelfMap:
 # ---------------------------------------------------------------------------
 
 def evaluate(f: SelfMap, z):
-    """Evaluate on raw coordinates, broadcasting over leading axes."""
-    return f._evaluate(np.asarray(z, dtype=complex))
+    """f on raw coordinates z[..., q], broadcasting over the leading axes."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1:] != (f.q,):
+        raise DimensionMismatch(f"expected dimension {f.q}, got {z.shape}")
+    return f._evaluate(z)
 
 
 def jacobian(f: SelfMap, z) -> np.ndarray:

@@ -305,6 +305,9 @@ def cmd_validate_premodel(args) -> int:
         pm = ana.PreModel(base_dim=base_dim, ell=lambda w: w, tau=tau,
                           repelling=repelling, label="identity")
     elif ell_kind == "embed_first":
+        if base_dim != 1:
+            raise ConfigError("section [premodel]: ell = embed_first needs "
+                              f"base_dim = 1, got {base_dim}")
         pm = ana.embedded_disc_premodel(tau, f.q, repelling)
     else:
         raise ConfigError(f"unknown intertwiner kind {ell_kind!r}")

@@ -98,7 +98,7 @@ class OrbitParams:
         if self.dist_depth < 0:
             raise DomainError(
                 f"dist_depth must be nonnegative, got {self.dist_depth}")
-        if min(self.eps_sigma, self.dist_target) <= 0.0:
+        if not (self.eps_sigma > 0.0 and self.dist_target > 0.0):   # NaN too
             raise DomainError("orbit tolerances must be positive")
         if self.mode not in ("single-tail", "cluster"):
             raise DomainError(f"unknown orbit mode {self.mode!r}")

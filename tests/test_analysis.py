@@ -7,7 +7,7 @@ from ballorbits import analysis as ana
 from ballorbits import catalog as cat
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
-from ballorbits.errors import DomainError
+from ballorbits.errors import DimensionMismatch, DomainError
 
 LOG3 = np.log(3.0)
 
@@ -63,6 +63,13 @@ def test_profile_refuses_different_targets(blaschke_orbit, e1):
         [-1.0]), lam=seg.lam, map_label=seg.map_label)
     with pytest.raises(DomainError):
         ana.orbit_distance_profile(seg, other)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_profile_refuses_a_plateau_tolerance_not_positive(blaschke_orbit, eps):
+    seg = blaschke_orbit.orbit
+    with pytest.raises(DomainError, match="eps_plateau"):
+        ana.orbit_distance_profile(seg, seg, eps_plateau=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,22 @@ def test_premodel_warped_product(warped_setup, e1_q2):
     assert rep.passed
     for line in rep.lines:
         assert line.passed
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, float("nan")])
+def test_premodel_refuses_a_dilation_not_above_1(warped_setup, e1_q2, lam):
+    wp, pm = warped_setup
+    with pytest.raises(DomainError, match="dilation > 1"):
+        ana.premodel_validate(wp, pm, e1_q2, lam=lam)
+
+
+def test_premodel_refuses_a_base_of_another_dimension(disc_auto, e1):
+    # a q = 1 map, tau on the disc, and samples drawn in B^3: numpy would
+    # broadcast every check into a pass
+    pm = ana.PreModel(base_dim=3, ell=lambda w: w,
+                      tau=geo.hyperbolic_automorphism(e1, 3.0), repelling=e1)
+    with pytest.raises(DimensionMismatch, match="base_dim"):
+        ana.premodel_validate(disc_auto, pm, e1, lam=3.0)
 
 
 def test_premodel_corrupted_dilation_fails(warped_setup, e1_q2):

@@ -290,6 +290,18 @@ def test_jacobian_checks_its_shape():
         cat.jacobian(f, np.zeros((2, 3, 2)))
 
 
+@pytest.mark.parametrize("make, z", [
+    (lambda: cat.blaschke_product([0.0, 1 / 3]), np.zeros((2, 3))),
+    (lambda: cat.blaschke_product([0.0, 1 / 3]), 0.5),
+    (_offaxis_hyperbolic, np.zeros(3)),
+    (_offaxis_hyperbolic, np.zeros((4, 1))),
+], ids=["q1-rows-of-3", "q1-scalar", "q2-vector-of-3", "q2-rows-of-1"])
+def test_evaluate_checks_its_shape(make, z):
+    # numpy would broadcast the wrong last axis into a wrong answer
+    with pytest.raises(DimensionMismatch):
+        cat.evaluate(make(), z)
+
+
 # ---------------------------------------------------------------------------
 # boundary fixed points and dilation
 # ---------------------------------------------------------------------------

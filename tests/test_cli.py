@@ -149,6 +149,35 @@ def test_premodel_key_exit_2(tmp_path, capsys, premodel, key):
     assert f"'{key}'" in err and "[premodel]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit", "blaschke:a=1/3", "--zeta=1", "--lambda", "3.1",
+     "--eps-sigma", "nan"),
+    ("compare", "blaschke:a=1/3", "--zeta=1", "--eps-plateau", "nan"),
+    ("compare", "blaschke:a=1/3", "--zeta=1", "--eps-plateau", "-1"),
+], ids=["orbit-eps-sigma-nan", "compare-eps-plateau-nan",
+        "compare-eps-plateau-negative"])
+def test_tolerance_not_positive_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "positive" in err
+
+
+@pytest.mark.parametrize("premodel, argv", [
+    ("base_dim = 1\nell = embed_first\n", ("--lambda", "nan")),
+    ("base_dim = 1\nell = embed_first\n", ("--lambda", "1")),
+    ("base_dim = 3\nell = identity\n", ()),
+    ("base_dim = 0\nell = embed_first\n", ()),
+], ids=["lambda-nan", "lambda-1", "identity-base_dim-3",
+        "embed_first-base_dim-0"])
+def test_validate_premodel_refusal_exit_2(tmp_path, capsys, premodel, argv):
+    pm = tmp_path / "pm.ini"
+    pm.write_text("[premodel]\n" + premodel + "repelling = 1\nlam = 3\n")
+    code, out, err = run(capsys, "validate-premodel", "hyperbolic:lam=3,zeta=1",
+                         str(pm), "--zeta", "1", *argv)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

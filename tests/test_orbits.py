@@ -725,8 +725,12 @@ def test_preimage_orbit_needs_a_step(disc_auto, e1, lam_hint, n_steps):
 def test_orbit_params_validation():
     with pytest.raises(DomainError):
         orb.OrbitParams(k_min=10, k_max=5)
-    with pytest.raises(DomainError):
-        orb.OrbitParams(eps_sigma=0.0)
+    # NaN compares false both ways, so a "<= 0" test would pass it
+    for bad in (0.0, -1e-3, float("nan")):
+        with pytest.raises(DomainError, match="tolerances"):
+            orb.OrbitParams(eps_sigma=bad)
+        with pytest.raises(DomainError, match="tolerances"):
+            orb.OrbitParams(dist_target=bad)
     with pytest.raises(DomainError):
         orb.OrbitParams(mode="sideways")
     for n_max in (0, -5):
