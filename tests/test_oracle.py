@@ -168,6 +168,12 @@ def _radial_cases():
                             ([0.0, 0.2, -0.5], (1.0, -1.0))):
             yield (f"blaschke-{zeros}-{lam:g}", lam,
                    cat.blaschke_product(zeros), _blaschke(zeros), ends)
+        # the deep iterate: b'(1)^3 = 27 magnifies the input's roundoff on
+        # raw coordinates, so evaluate is no reference for it
+        b = _blaschke([0.0, 1.0 / 3.0])
+        yield (f"iterate-3-{lam:g}", lam,
+               cat.iterate_map(cat.blaschke_product([0.0, 1.0 / 3.0]), 3),
+               lambda z: b(b(b(z))), (1.0,))
 
 
 @pytest.mark.parametrize("case", list(_radial_cases()), ids=lambda c: c[0])
@@ -187,6 +193,33 @@ def test_radial_anchor_steps_match_coordinates(case):
                 z = _coords(unit, anchors.delta[i], anchors.tail[i])
                 _assert_state(out.delta[i], out.tail[i], out.margin[i],
                               [f_mp(z[0])], unit)
+
+
+def test_deep_iterate_off_axis_matches_coordinates(rng):
+    """b^3, b the Blaschke product [0, 1/3], on q = 1 points held against
+    +1 off the radius, margin m from 1e-12 to 0.5, against b(b(b(z))).
+    The angle is at most sqrt(m), so |1 - z|^2 = O(m): the horofunction is
+    bounded and the image's delta is well conditioned in the input (far
+    from +1 an image near it has no relative accuracy to check).  Each
+    margin is the exact one of its float delta, rounded once."""
+    b = _blaschke([0.0, 1.0 / 3.0])
+    f = cat.iterate_map(cat.blaschke_product([0.0, 1.0 / 3.0]), 3)
+    zeta = geo.boundary_point([1.0])
+    unit = _unit(zeta)
+    n = 1000
+    margins = 10.0 ** rng.uniform(-12.0, np.log10(0.5), n)
+    angles = rng.uniform(-1.0, 1.0, n) * np.sqrt(margins)
+    with mp.workdps(DPS):
+        delta = np.array([complex(1 - mp.sqrt(1 - mp.mpf(m)) * mp.expj(t))
+                          for m, t in zip(margins, angles)])
+        margin = np.array([float(2 * mp.mpf(d.real) - abs(mp.mpc(d)) ** 2)
+                           for d in delta])
+        out = cat.step_point(f, geo.PointBatch(
+            zeta.coords, delta, np.zeros((n, 1), dtype=complex), margin))
+        for i in range(n):
+            z = _coords(unit, delta[i], [0.0])
+            _assert_state(out.delta[i], out.tail[i], out.margin[i],
+                          [b(b(b(z[0])))], unit)
 
 
 def _horofunction_mp(z, zeta):
