@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps library functions by name: every name it
-lists must resolve, so that a rename fails here and not in a traced run."""
+"""Checks on the code itself.  The benchmark's tracer wraps library
+functions by name: every name it lists must resolve, so that a rename fails
+here and not in a traced run.  And the options of the library are counted,
+so that a new one shows in the diff that adds it."""
 
 import ast
 import contextlib
@@ -12,6 +14,8 @@ import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "ballorbits"
+MAX_OPTIONS = 51
 
 
 def test_traced_names_resolve():
@@ -143,3 +147,31 @@ def test_regions_op_reaches_every_traced_name():
         tracer.uninstall()
     assert all(out.passed for out in outcomes), [o.detail for o in outcomes]
     assert [n for n in names if tracer.calls[tracer.fid(n)] == 0] == []
+
+
+def _options():
+    """Every parameter with a default in the library, and each defaulted
+    field of `OrbitParams`, as `module.function(name)`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                pos = args.posonlyargs + args.args
+                named = pos[len(pos) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                found += [f"{path.stem}.{node.name}({a.arg})" for a in named]
+            elif isinstance(node, ast.ClassDef) and node.name == "OrbitParams":
+                found += [f"{path.stem}.OrbitParams.{st.target.id}"
+                          for st in node.body
+                          if isinstance(st, ast.AnnAssign) and st.value]
+    return found
+
+
+def test_options_inventory():
+    """Each option doubles the configurations that tests must cover: one
+    that no caller sets is a constant, and a new one raises MAX_OPTIONS in
+    the diff that adds it."""
+    options = _options()
+    assert len(options) <= MAX_OPTIONS, "\n".join(options)
