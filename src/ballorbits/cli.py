@@ -13,6 +13,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -304,11 +305,9 @@ def cmd_validate_premodel(args) -> int:
     if ell_kind == "identity":
         pm = ana.PreModel(base_dim=base_dim, ell=lambda w: w, tau=tau,
                           repelling=repelling, label="identity")
-    elif ell_kind == "embed_first":
-        if base_dim != 1:
-            raise ConfigError("section [premodel]: ell = embed_first needs "
-                              f"base_dim = 1, got {base_dim}")
-        pm = ana.embedded_disc_premodel(tau, f.q, repelling)
+    elif ell_kind == "embed_first":   # premodel_validate checks base_dim
+        pm = replace(ana.embedded_disc_premodel(tau, f.q, repelling),
+                     base_dim=base_dim)
     else:
         raise ConfigError(f"unknown intertwiner kind {ell_kind!r}")
     report = ana.premodel_validate(
