@@ -758,15 +758,14 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
     witness_pts = witness_pts[np.sqrt(sq_norm(witness_pts)) < 1.0 - 1e-9]
     if len(witness_pts) == 0:
         return f, geo.identity_automorphism(f.q)
-    horos = geo.horo_raw(witness_pts, zeta.coords)
-    min_h = float(horos.min())
-    if min_h > 0.1:
+    clearance = 0.1
+    if float(geo.horo_raw(witness_pts, zeta.coords).min()) > clearance:
         return f, geo.identity_automorphism(f.q)
     t = 0.1
     for _ in range(20):
         h = geo.axis_translation(zeta, t)
         moved = geo.apply_raw(h, witness_pts)
-        if float(geo.horo_raw(moved, zeta.coords).min()) > 0.1:
+        if float(geo.horo_raw(moved, zeta.coords).min()) > clearance:
             cleared = conjugate_map(f, h)
             lam_before = estimate_dilation(f, zeta).lam_hat
             lam_after = estimate_dilation(cleared, zeta).lam_hat
@@ -776,5 +775,4 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
                     f"-> {lam_after!r}")
             return cleared, h
         t *= 2.0
-    raise NumericalError(
-        "pole clearance not achieved after 20 doublings")
+    raise NumericalError("pole clearance not achieved after 20 doublings")
