@@ -1,10 +1,13 @@
-"""Golden outputs: `orbit` CSV plus summary line, byte for byte.
+"""Golden outputs: `orbit` CSV plus summary line, and `compare` reports,
+byte for byte.
 
-Each case runs `ballorbits orbit SPEC --zeta ZETA` with default options and
-compares stdout with `golden/orbit_<name>.txt`.  The cases cover every map
-kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
-INI compose, iterate, warped product and a hyperbolic conjugate.  The
-`suite` report golden is checked in test_acceptance.py.
+Each orbit case runs `ballorbits orbit SPEC --zeta ZETA` with default options
+and compares stdout with `golden/orbit_<name>.txt`.  The cases cover every
+map kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
+INI compose, iterate, warped product and a hyperbolic conjugate.  Each
+compare case runs `ballorbits compare` and checks its exit code and its
+stdout against `golden/compare_<name>.txt`; these pin the preimage march's
+output.  The `suite` report golden is checked in test_acceptance.py.
 """
 
 from pathlib import Path
@@ -34,6 +37,23 @@ def test_orbit_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"orbit_{name}.txt").read_text()
+
+
+COMPARE_CASES = {
+    "blaschke": ["blaschke:a=1/3", "--zeta=1", "--offset", "0.05"],
+    "conjugate": [str(GOLDEN / "conjugate.ini"), "--zeta=1"],
+    "warped": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
+    "hyperbolic_offaxis": ["hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                           "--zeta=0.6,0;0,0.8", "--offset", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", COMPARE_CASES)
+def test_compare_golden(name, capsys):
+    code = cli.main(["compare", *COMPARE_CASES[name]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"compare_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ORBIT_CASES)
