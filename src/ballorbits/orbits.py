@@ -485,19 +485,27 @@ def _damped_newton(x, res, tol, max_iter, jacobian, trials):
 
 
 def _newton_coords(f, target, seeds, tol, max_iter):
-    """`_damped_newton` for f(z) = target from each row of seeds[n, q].
-    Trial points are retracted to radius 1 - 1e-12, and a lane converging
-    inside the boundary guard gives None."""
-    def trials(z, scales, step):
-        z_new = z + scales[:, None] * step
+    """`_damped_newton` for f(z) = target from each row of seeds[n, q], where
+    target is one point[q] for every seed or one row of target[n, q] per
+    seed.  Each lane is (z, its target), so a retiring lane takes its target
+    with it.  Trial points are retracted to radius 1 - 1e-12, and a lane
+    converging inside the boundary guard gives None."""
+    z = np.array(seeds, dtype=complex)
+    q = z.shape[1]
+
+    def trials(x, scales, step):
+        z_new = x[:, :q] + scales[:, None] * step
         n = _row_norms(z_new)
         out = n > 1.0 - 1e-12
         z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
-        return z_new, cat.evaluate(f, z_new) - target
+        return (np.concatenate([z_new, x[:, q:]], 1),
+                cat.evaluate(f, z_new) - x[:, q:])
 
-    z = np.array(seeds, dtype=complex)
-    z = _damped_newton(z, cat.evaluate(f, z) - target, tol, max_iter,
-                       lambda z: cat.jacobian(f, z), trials)
+    w = np.broadcast_to(np.asarray(target, dtype=complex), z.shape)
+    x = _damped_newton(np.concatenate([z, w], 1), cat.evaluate(f, z) - w,
+                       tol, max_iter,
+                       lambda x: cat.jacobian(f, x[:, :q].copy()), trials)
+    z = x[:, :q]
     ok = 1.0 - _row_norms(z) >= geo.BOUNDARY_GUARD   # False on NaN rows
     return [zi if k else None for zi, k in zip(z, ok)]
 
@@ -560,6 +568,30 @@ def _grid_seeds(q: int):
                      for t in angles[::2] for t2 in angles[::2]])
 
 
+def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int, steps_adapted):
+    """The march's first n steps as they go when each step's adapted
+    candidate wins: one (point, lam_guess, candidate) per walked step.  The
+    walk stops at the first step without an adapted candidate and after a
+    candidate without a reference.  It never raises: a step that raises ends
+    it, and the march then takes that step itself and raises there."""
+    walk = []
+    try:
+        for _ in range(n):
+            if not steps_adapted(cur):
+                break
+            seed = geo.boundary_adapted_point(cur.ref, cur.delta / lam_guess,
+                                              tail=cur.tail())
+            cand = newton_preimage(f, cur, seed)
+            walk.append((cur, lam_guess, cand))
+            if cand.ref is None:
+                break
+            lam_guess = max(float(np.exp(geo.kob_dist(cur, cand))), 1.01)
+            cur = cand
+    except Exception:   # the march's own step raises it again
+        pass
+    return walk
+
+
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                                  zeta: BoundaryPoint, n_steps: int,
                                  lam_hint: float | None = None
@@ -571,7 +603,16 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     is taken: the branch staying inside the unit horosphere and moving
     toward zeta.  Two candidates scoring within 0.05 of each other
     is an ambiguity error listing both.  The winner's distance is the step
-    whose exponential seeds the next adapted solve.
+    whose exponential seeds the next adapted solve.  Each of the first 8
+    steps also solves f(z) = current from every grid seed.
+
+    Those grid solves run as one `_newton_coords` call: the march first
+    walks its first min(8, n_steps) steps on the adapted candidates alone
+    (`_walk_ahead`), then solves the grids of all walked points together.
+    A step takes its walked candidate and grid solutions only when its
+    current point is the walked one and its lam_guess equals the walked
+    value; otherwise, and from step 8 on, it solves them itself.  So every
+    step sees the candidates a step-by-step march sees.
 
     Whether f steps adapted depends on the map and the point's reference
     alone (every kind's `_astep` decides from `ref`), so it is probed once
@@ -586,25 +627,40 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
     adapted = {}   # ref bytes -> whether f steps adapted there
-    for step_idx in range(n_steps):
-        uniq: list[BallPoint] = []
-        key = cur.ref.tobytes()
+
+    def steps_adapted(p):
+        key = p.ref.tobytes()
         if key not in adapted:
-            adapted[key] = cat.adapted_step(f, cur) is not None
-        if adapted[key]:
-            try:
-                seed = geo.boundary_adapted_point(
-                    cur.ref, cur.delta / lam_guess, tail=cur.tail())
-                uniq.append(newton_preimage(f, cur, seed))
-            except (NumericalError, DomainError):
-                pass
-        if not uniq or step_idx < 8:
-            kept = [c.coords for c in uniq]
-            for out in _newton_coords(f, cur.coords, grid, 1e-12, 60):
-                if out is not None and all(np.linalg.norm(out - u) > 1e-8
-                                           for u in kept):
-                    kept.append(out)
-                    uniq.append(geo.with_reference(geo.ball_point(out), zeta))
+            adapted[key] = cat.adapted_step(f, p) is not None
+        return adapted[key]
+
+    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps), steps_adapted)
+    if walk:
+        targets = np.array([p.coords for p, _, _ in walk]).repeat(len(grid), 0)
+        solved = _newton_coords(f, targets, np.tile(grid, (len(walk), 1)),
+                                1e-12, 60)
+    for step_idx in range(n_steps):
+        if (step_idx < len(walk) and walk[step_idx][0] is cur
+                and walk[step_idx][1] == lam_guess):
+            uniq = [walk[step_idx][2]]
+            outs = solved[step_idx * len(grid):(step_idx + 1) * len(grid)]
+        else:
+            uniq = []
+            if steps_adapted(cur):
+                try:
+                    seed = geo.boundary_adapted_point(
+                        cur.ref, cur.delta / lam_guess, tail=cur.tail())
+                    uniq.append(newton_preimage(f, cur, seed))
+                except (NumericalError, DomainError):
+                    pass
+            outs = (_newton_coords(f, cur.coords, grid, 1e-12, 60)
+                    if not uniq or step_idx < 8 else ())
+        kept = [c.coords for c in uniq]
+        for out in outs:
+            if out is not None and all(np.linalg.norm(out - u) > 1e-8
+                                       for u in kept):
+                kept.append(out)
+                uniq.append(geo.with_reference(geo.ball_point(out), zeta))
         if not uniq:
             raise NumericalError(
                 f"no preimage found at backward step {step_idx}")

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,8 +653,9 @@ def test_newton_singular_lane_retires_alone():
 
 def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
                                           monkeypatch):
-    # one batched grid solve on each of the first 8 backward steps; the
-    # adapted solve gives the candidate on every step
+    # one batched grid solve for the first 8 backward steps, 8 x 32 lanes:
+    # the adapted solve gives the candidate on every step, so the walk
+    # ahead reaches step 8 and every step takes its walked grid solutions
     calls = []
     newton = orb._newton_coords
     monkeypatch.setattr(orb, "_newton_coords",
@@ -661,7 +663,7 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
                         or newton(*args))
     cleared, _ = cleared_blaschke
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls == [32] * 8
+    assert calls == [256]
 
 
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
@@ -712,6 +714,214 @@ def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
             float(np.exp(geo.kob_dist(pts[i - 1], pts[i]))), 1.01)
         assert np.complex128(seed.delta).tobytes() == np.complex128(
             pts[i].delta / lam).tobytes()
+
+
+def reference_march(f, z0, zeta, n_steps, lam_hint=None):
+    """`backward_orbit_via_preimages` as a step-by-step loop, each step
+    solving its own adapted candidate and its own grid; the points."""
+    grid = orb._grid_seeds(f.q)
+    cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
+    pts = [cur]
+    lam_guess = lam_hint if lam_hint is not None else 3.0
+    adapted = {}   # ref bytes -> whether f steps adapted there
+    for step_idx in range(n_steps):
+        uniq = []
+        key = cur.ref.tobytes()
+        if key not in adapted:
+            adapted[key] = cat.adapted_step(f, cur) is not None
+        if adapted[key]:
+            try:
+                seed = geo.boundary_adapted_point(
+                    cur.ref, cur.delta / lam_guess, tail=cur.tail())
+                uniq.append(orb.newton_preimage(f, cur, seed))
+            except (NumericalError, DomainError):
+                pass
+        if not uniq or step_idx < 8:
+            kept = [c.coords for c in uniq]
+            for out in orb._newton_coords(f, cur.coords, grid, 1e-12, 60):
+                if out is not None and all(np.linalg.norm(out - u) > 1e-8
+                                           for u in kept):
+                    kept.append(out)
+                    uniq.append(geo.with_reference(geo.ball_point(out), zeta))
+        if not uniq:
+            raise NumericalError(
+                f"no preimage found at backward step {step_idx}")
+        horos = geo.horofunction(uniq, zeta)
+        inside = horos <= geo.HOROSPHERE_BAND
+        if inside.any():
+            uniq = [c for c, keep in zip(uniq, inside) if keep]
+            horos = horos[inside]
+        dists = geo.kob_dist([cur] * len(uniq), uniq)
+        scores = dists + np.maximum(horos, 0.0)
+        order = np.argsort(scores, kind="stable")
+        if len(order) > 1 and scores[order[1]] - scores[order[0]] < 0.05:
+            a, b = uniq[order[0]], uniq[order[1]]
+            raise NumericalError(
+                "ambiguous backward branch: candidates "
+                f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
+                "within 0.05")
+        nxt, step = uniq[order[0]], dists[order[0]]
+        if nxt.ref is None:
+            nxt = geo.with_reference(nxt, zeta)
+            step = geo.kob_dist(cur, nxt)
+        lam_guess = max(float(np.exp(step)), 1.01)
+        pts.append(nxt)
+        cur = nxt
+    return pts
+
+
+def _march_args(monkeypatch, run):
+    """The arguments of the one preimage march that `run()` starts."""
+    marches, march = [], orb.backward_orbit_via_preimages
+    monkeypatch.setattr(orb, "backward_orbit_via_preimages",
+                        lambda *args, **kwargs: marches.append((args, kwargs))
+                        or march(*args, **kwargs))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run()
+    monkeypatch.undo()
+    (args, kwargs), = marches
+    return args, kwargs
+
+
+def _march_outcome(march, args, kwargs):
+    """Each point's coordinates, reference, delta, margin and tail as bytes,
+    or the type and message of what the march raised."""
+    try:
+        pts = march(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [_point_bytes(p) + (p.tail().tobytes(),) for p in pts]
+
+
+def _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit, offset):
+    cleared, _ = cleared_blaschke
+    return _march_args(monkeypatch, lambda: orb.offset_preimage_orbit(
+        cleared, blaschke_orbit.orbit, 3.0, offset))
+
+
+def _compare_args(monkeypatch, argv):
+    return _march_args(monkeypatch, lambda: cli.main(["compare", *argv]))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+MARCHES = {
+    **{f"c06_{offset}": offset for offset in (0.02, 0.05, 0.1, 0.3)},
+    "warped_q2": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
+    "conjugate": [str(GOLDEN / "conjugate.ini"), "--zeta=1"],
+    "hyperbolic_offaxis": ["hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                           "--zeta=0.6,0;0,0.8", "--offset", "0.05"],
+    "unhinted": None,
+}
+
+
+@pytest.mark.parametrize("name", MARCHES)
+def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
+                                       e1, monkeypatch):
+    """The march with its walk ahead and one grid solve gives every point
+    of the step-by-step march as bytes."""
+    case = MARCHES[name]
+    if name == "unhinted":
+        x0 = blaschke_orbit.orbit.points[0]
+        args, kwargs = (cleared_blaschke[0], geo.ball_point(
+            [x0.coords[0].real + 0.02]), e1, 20), {}
+    elif isinstance(case, float):
+        args, kwargs = _c06_args(monkeypatch, cleared_blaschke,
+                                 blaschke_orbit, case)
+    else:
+        args, kwargs = _compare_args(monkeypatch, case)
+    out = _march_outcome(lambda *a, **k: orb.backward_orbit_via_preimages(
+        *a, **k).orbit.points, args, kwargs)
+    ref = _march_outcome(reference_march, args, kwargs)
+    assert isinstance(ref, list) and len(ref) == args[3] + 1
+    assert out == ref
+
+
+@pytest.mark.parametrize("upset, at", [("raise", 0), ("raise", 3),
+                                       ("raise", 7), ("stray", 3),
+                                       ("distance", None)])
+def test_march_matches_reference_when_the_walk_goes_astray(
+        upset, at, cleared_blaschke, blaschke_orbit, e1, monkeypatch):
+    """Criterion 06's march, upset so that the walk ahead and the march part:
+    - raise: `newton_preimage` raises at step `at`, so the walk stops there
+      and the march takes that step and the next ones itself;
+    - stray: at step `at` the adapted solve gives the origin, a candidate
+      the grid's preimage beats, so the march leaves the walked points;
+      the walk's one-pair distance to the origin is made the winner's
+      scored distance, so the next walked lam_guess is the march's own;
+    - distance: a one-pair `kob_dist` is off by 1e-9, so each walked
+      lam_guess differs from the one the march scores.
+    Every point still equals the step-by-step march's, as bytes.  The
+    step-by-step march runs first, and its scored distance stands in."""
+    args, kwargs = _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit,
+                             0.05)
+    newton, dist = orb.newton_preimage, geo.kob_dist
+    origin = geo.with_reference(geo.ball_point([0.0]), e1)
+    scored = []   # the distances the march scores its winner at `at` with
+
+    def run(march):
+        targets = []   # the distinct targets in the order they are asked
+
+        def upset_solve(f, target, seed):
+            step = next((i for i, t in enumerate(targets) if t is target),
+                        len(targets))
+            if step == len(targets):
+                targets.append(target)
+            if step == at and upset == "raise":
+                raise NumericalError("no preimage found near the seed")
+            return origin if step == at else newton(f, target, seed)
+
+        def upset_dist(z, w):
+            if upset == "distance":
+                d = dist(z, w)
+                return d + 1e-9 if isinstance(z, geo.BallPoint) else d
+            if w is origin:   # the walk measures its step to the stray
+                return scored[0]
+            d = dist(z, w)
+            if isinstance(w, list) and any(p is origin for p in w):
+                scored.extend(x for x, p in zip(d, w) if p is not origin)
+            return d
+
+        monkeypatch.setattr(orb, "newton_preimage", upset_solve)
+        if upset != "raise":
+            monkeypatch.setattr(geo, "kob_dist", upset_dist)
+        try:
+            return _march_outcome(march, args, kwargs)
+        finally:
+            monkeypatch.undo()
+
+    ref = run(reference_march)
+    out = run(lambda *a, **k: orb.backward_orbit_via_preimages(
+        *a, **k).orbit.points)
+    assert isinstance(ref, list) and len(ref) == args[3] + 1
+    assert out == ref
+
+
+def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
+                                         monkeypatch):
+    """One call with a target per lane gives, as bytes, what one call per
+    target gives: criterion 06's first 8 march targets and two deep ones
+    whose lanes stall (None), x 32 grid seeds; the q = 2 warped march's
+    first 8 targets x 64 grid seeds."""
+    cleared, _ = cleared_blaschke
+    pts = c06_march.orbit.points
+    args, kwargs = _compare_args(
+        monkeypatch, [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"])
+    warped = orb.backward_orbit_via_preimages(*args, **kwargs)
+    nones = 0
+    for f, targets in ((cleared, pts[:8] + (pts[26], pts[40])),
+                       (args[0], warped.orbit.points[:8])):
+        grid = orb._grid_seeds(f.q)
+        coords = np.array([p.coords for p in targets])
+        lanes = orb._newton_coords(f, coords.repeat(len(grid), 0),
+                                   np.tile(grid, (len(targets), 1)), 1e-12, 60)
+        alone = [z for w in coords
+                 for z in orb._newton_coords(f, w, grid, 1e-12, 60)]
+        assert len(lanes) == len(alone) == len(targets) * len(grid)
+        assert [z is None for z in lanes] == [z is None for z in alone]
+        assert all(z.tobytes() == r.tobytes()
+                   for z, r in zip(lanes, alone) if r is not None)
+        nones += sum(z is None for z in lanes)
+    assert nones > 32
 
 
 @pytest.mark.parametrize("lam_hint", [None, 3.0])
