@@ -744,8 +744,10 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
 
     Returns (conjugated map, conjugating automorphism); the conjugator is an
     axial translation fixing +-zeta, so zeta stays fixed with the same
-    dilation (verified).  Translation length doubles until the transported
-    witness cloud has horofunction > 0.1, at most 20 times.
+    dilation (verified).  The translation by t adds t to every
+    horofunction at zeta, so its length doubles from 0.1 until the witness
+    cloud's least horofunction plus t is at least 0.1, at most 20 times; a
+    cloud already above 0.1 needs none.
     """
     dyn = classify_dynamics(f)
     if dyn.tag == "denjoy-wolff-boundary":
@@ -759,20 +761,22 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
     if len(witness_pts) == 0:
         return f, geo.identity_automorphism(f.q)
     clearance = 0.1
-    if float(geo.horo_raw(witness_pts, zeta.coords).min()) > clearance:
+    min_h = float(geo.horo_raw(witness_pts, zeta.coords).min())
+    if min_h > clearance:
         return f, geo.identity_automorphism(f.q)
     t = 0.1
     for _ in range(20):
-        h = geo.axis_translation(zeta, t)
-        moved = geo.apply_raw(h, witness_pts)
-        if float(geo.horo_raw(moved, zeta.coords).min()) > clearance:
-            cleared = conjugate_map(f, h)
-            lam_before = estimate_dilation(f, zeta).lam_hat
-            lam_after = estimate_dilation(cleared, zeta).lam_hat
-            if abs(lam_after - lam_before) > 1e-6 * max(1.0, lam_before):
-                raise NumericalError(
-                    f"pole clearance changed the dilation: {lam_before!r} "
-                    f"-> {lam_after!r}")
-            return cleared, h
+        if min_h + t >= clearance:
+            break
         t *= 2.0
-    raise NumericalError("pole clearance not achieved after 20 doublings")
+    else:
+        raise NumericalError("pole clearance not achieved after 20 doublings")
+    h = geo.axis_translation(zeta, t)
+    cleared = conjugate_map(f, h)
+    lam_before = estimate_dilation(f, zeta).lam_hat
+    lam_after = estimate_dilation(cleared, zeta).lam_hat
+    if abs(lam_after - lam_before) > 1e-6 * max(1.0, lam_before):
+        raise NumericalError(
+            f"pole clearance changed the dilation: {lam_before!r} "
+            f"-> {lam_after!r}")
+    return cleared, h

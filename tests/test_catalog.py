@@ -1,10 +1,13 @@
 """Map catalog: construction, checks, dilation estimation, dynamics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ballorbits import catalog as cat
+from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits.errors import (ConfigError, DilationOutOfScope,
                                DimensionMismatch, DomainError)
@@ -426,6 +429,31 @@ def test_pole_clearance_blaschke(cleared_blaschke, e1):
     # dilation at zeta is preserved
     est = cat.estimate_dilation(cleared, e1)
     assert est.lam_hat == pytest.approx(3.0, abs=1e-6)
+
+
+def test_pole_clearance_warped_tie_is_closed_form(monkeypatch):
+    """The warped golden's witness sits on horofunction 0 at zeta = (1, 0),
+    an exact tie with the first translation t = 0.1: the translation adds t
+    to every horofunction, so the clearance is reached at t = 0.1 exactly,
+    and the witness cloud is never moved before the conjugation."""
+    f = cli.parse_mapspec(str(Path(__file__).parent / "golden" / "warped.ini"))
+    zeta = geo.boundary_point([1.0, 0.0])
+    dyn = cat.classify_dynamics(f)
+    cloud = np.concatenate([dyn.cloud, dyn.witness[None, :]])
+    assert float(geo.horo_raw(cloud, zeta.coords).min()) == 0.0
+    ts, moved = [], []
+    translate, conjugate = geo.axis_translation, cat.conjugate_map
+    raw = geo.apply_raw
+    monkeypatch.setattr(geo, "axis_translation",
+                        lambda z, t: ts.append(t) or translate(z, t))
+    monkeypatch.setattr(geo, "apply_raw",
+                        lambda *args: moved.append(1) or raw(*args))
+    before_conjugation = []
+    monkeypatch.setattr(cat, "conjugate_map", lambda *args: (
+        before_conjugation.append(len(moved)) or conjugate(*args)))
+    cat.ensure_pole_clearance(f, zeta)
+    assert ts == [0.1]
+    assert before_conjugation == [0]
 
 
 def test_pole_clearance_already_clear(disc_auto, e1):
