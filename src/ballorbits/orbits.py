@@ -568,6 +568,13 @@ def _grid_seeds(q: int):
                      for t in angles[::2] for t2 in angles[::2]])
 
 
+def _adapted_preimage(f, cur: BallPoint, lam_guess: float) -> BallPoint:
+    """The preimage of cur from the seed holding cur's reference and tail
+    and delta / lam_guess: the march's adapted candidate."""
+    return newton_preimage(f, cur, geo.boundary_adapted_point(
+        cur.ref, cur.delta / lam_guess, tail=cur.tail()))
+
+
 def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int, steps_adapted):
     """The march's first n steps as they go when each step's adapted
     candidate wins: one (point, lam_guess, candidate) per walked step.  The
@@ -579,9 +586,7 @@ def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int, steps_adapted):
         for _ in range(n):
             if not steps_adapted(cur):
                 break
-            seed = geo.boundary_adapted_point(cur.ref, cur.delta / lam_guess,
-                                              tail=cur.tail())
-            cand = newton_preimage(f, cur, seed)
+            cand = _adapted_preimage(f, cur, lam_guess)
             walk.append((cur, lam_guess, cand))
             if cand.ref is None:
                 break
@@ -648,9 +653,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
             uniq = []
             if steps_adapted(cur):
                 try:
-                    seed = geo.boundary_adapted_point(
-                        cur.ref, cur.delta / lam_guess, tail=cur.tail())
-                    uniq.append(newton_preimage(f, cur, seed))
+                    uniq.append(_adapted_preimage(f, cur, lam_guess))
                 except (NumericalError, DomainError):
                     pass
             outs = (_newton_coords(f, cur.coords, grid, 1e-12, 60)
