@@ -592,7 +592,9 @@ def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int, steps_adapted):
                 break
             lam_guess = max(float(np.exp(geo.kob_dist(cur, cand))), 1.01)
             cur = cand
-    except Exception:   # the march's own step raises it again
+    except Exception:
+        # any error: the march takes this step itself after the checks of
+        # the steps before it, so what it raises surfaces at its own step
         pass
     return walk
 
