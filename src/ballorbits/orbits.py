@@ -569,8 +569,8 @@ def _grid_seeds(q: int):
 
 
 def _adapted_preimage(f, cur: BallPoint, lam_guess: float) -> BallPoint:
-    """The preimage of cur from the seed holding cur's reference and tail
-    and delta / lam_guess: the march's adapted candidate."""
+    """The march's adapted candidate: the preimage of cur solved from the
+    seed with cur's reference and tail and delta cur.delta / lam_guess."""
     return newton_preimage(f, cur, geo.boundary_adapted_point(
         cur.ref, cur.delta / lam_guess, tail=cur.tail()))
 
@@ -642,15 +642,17 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
         return adapted[key]
 
     walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps), steps_adapted)
+    grids = []   # each walked step's grid solutions
     if walk:
         targets = np.array([p.coords for p, _, _ in walk]).repeat(len(grid), 0)
         solved = _newton_coords(f, targets, np.tile(grid, (len(walk), 1)),
                                 1e-12, 60)
+        grids = [solved[i:i + len(grid)]
+                 for i in range(0, len(solved), len(grid))]
     for step_idx in range(n_steps):
         if (step_idx < len(walk) and walk[step_idx][0] is cur
                 and walk[step_idx][1] == lam_guess):
-            uniq = [walk[step_idx][2]]
-            outs = solved[step_idx * len(grid):(step_idx + 1) * len(grid)]
+            uniq, outs = [walk[step_idx][2]], grids[step_idx]
         else:
             uniq = []
             if steps_adapted(cur):
