@@ -7,7 +7,11 @@ map kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
 INI compose, iterate, warped product and a hyperbolic conjugate.  Each
 compare case runs `ballorbits compare` and checks its exit code and its
 stdout against `golden/compare_<name>.txt`; these pin the preimage march's
-output.  The `suite` report golden is checked in test_acceptance.py.
+output.  Each cluster case runs `ballorbits orbit ... --mode cluster` and
+checks its exit code and its stdout against `golden/cluster_<name>.txt`:
+the Blaschke, warped and conjugate maps cluster their anchor chains, and the
+turned Blaschke map, which steps in coordinates, falls back to single-tail.
+The `suite` report golden is checked in test_acceptance.py.
 """
 
 from pathlib import Path
@@ -54,6 +58,26 @@ def test_compare_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"compare_{name}.txt").read_text()
+
+
+CLUSTER_CASES = {
+    "blaschke": ["blaschke:a=1/3", "--zeta=1"],
+    "warped": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
+    "conjugate": [str(GOLDEN / "conjugate.ini"), "--zeta=1"],
+    # the golden Blaschke map turned by e^{0.7i}: no adapted step
+    "blaschke_turned": [
+        "blaschke:factors=0,0;0.25494739576149617,0.21473922907923032,"
+        "theta=-0.7", "--zeta=0.7648421872844885,0.644217687237691",
+        "--kmax", "20"],
+}
+
+
+@pytest.mark.parametrize("name", CLUSTER_CASES)
+def test_cluster_golden(name, capsys):
+    code = cli.main(["orbit", *CLUSTER_CASES[name], "--mode", "cluster"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"cluster_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ORBIT_CASES)
