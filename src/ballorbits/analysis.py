@@ -57,7 +57,8 @@ class OrbitComparison:
 def _with_refs(seg: OrbitSegment) -> OrbitSegment:
     """Ensure every point carries the orbit's boundary reference (points
     from coordinate-only code paths may lack one)."""
-    if all(p.ref is not None for p in seg.points):
+    if isinstance(seg.points, geo.PointBatch) or all(
+            p.ref is not None for p in seg.points):
         return seg
     pts = tuple(p if p.ref is not None else geo.with_reference(p, seg.zeta)
                 for p in seg.points)
@@ -97,7 +98,7 @@ def orbit_distance_profile(xi: OrbitSegment, eta: OrbitSegment,
     if hi - lo < 3:
         raise DomainError("orbits share too short an index window")
     idx = np.arange(lo, hi + 1)
-    dmat = geo.kob_matrix([xi.point(n) for n in idx], list(eta.points))
+    dmat = geo.kob_matrix([xi.point(n) for n in idx], eta.points)
     direct = dmat[np.arange(len(idx)), idx - eta.base_index]
     shifted = dmat.min(axis=1)
     quarter = max(len(direct) // 4, 2)
@@ -225,7 +226,7 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
     # width 0 samples the axis alone
     samples = tube_samples(zeta, width, s_values=s_values,
                            radius_fractions=(1.0, 0.5) if width > 0.0 else ())
-    dmat = geo.kob_matrix(samples, list(eta.points))
+    dmat = geo.kob_matrix(samples, eta.points)
     r_hat = float(dmat.min(axis=1).max())
     c_hat = geo.dist_to_geodesic(eta.points, zeta)[0].max()
     steps, _, _ = orbit_diagnostics(eta)

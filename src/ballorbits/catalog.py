@@ -40,10 +40,10 @@ class SelfMap:
     numbers and `children` its sub-maps.  It names its `kind` and defines
     `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
     (broadcasting over leading axes; the Jacobian is [..., q, q]), and
-    `_astep(ref, delta, tail, margin)`: the map on the boundary-adapted
-    state of n points, delta[n], tail[n, q] and margin[n] against one ref,
-    or None when the kind cannot keep the defect representation exact.  A
-    row of `_astep` rounds as the point alone.  Callers use the module
+    `_plan(ref)`: the map planned against one boundary reference (a `Plan`),
+    or None when the kind cannot keep the defect representation exact
+    there.  Whether a kind steps adapted depends on ref alone.  A row of a
+    plan's kernel rounds as the point alone.  Callers use the module
     functions `evaluate`, `jacobian`, `adapted_step` and `step_point`."""
 
     q: int
@@ -55,6 +55,29 @@ class SelfMap:
 
     def __call__(self, z):
         return evaluate(self, z)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A map planned against one reference: `kernel(delta, tail, margin)`
+    maps the state of points held against it to their images' state, held
+    against `ref`.  `check_in`, `check_out`: a stage chain runs on the state
+    entering, leaving the kernel, which must pass `PointBatch`'s check."""
+
+    ref: np.ndarray
+    kernel: Callable
+    check_in: bool
+    check_out: bool
+
+
+def _run(plan: Plan, ref, delta, tail, margin):
+    """A plan's kernel on a state held against ref, with its checks."""
+    if plan.check_in:
+        geo.PointBatch(ref, delta, tail, margin)
+    state = plan.kernel(delta, tail, margin)
+    if plan.check_out:
+        geo.PointBatch(plan.ref, *state)
+    return state
 
 
 class Blaschke(SelfMap):
@@ -85,7 +108,7 @@ class Blaschke(SelfMap):
             total = total + prods[..., i]
         return geo._cmul(np.exp(1j * theta), total)[..., None, None]
 
-    def _astep(self, ref, delta, tail, margin):
+    def _plan(self, ref):
         """Defect recursion for real-coefficient Blaschke products at ref = +-1.
 
         Each factor (z - a)/(1 - a z) is the axial automorphism of dilation
@@ -97,19 +120,22 @@ class Blaschke(SelfMap):
             return None
         if len(facs) % 2 == 0 and ref[0].real < 0.0:   # -1 maps to +1
             return None
-        om_prod = m_prod = None
-        for a in facs:
-            factor = geo.AxialStage(_ONE, (1.0 + a.real) / (1.0 - a.real))
-            state = factor.apply(ref, delta, tail, margin)
-            if state is None:
-                return None
-            _, om, _, m_fac = state
-            if om_prod is None:
-                om_prod, m_prod = om, m_fac
-            else:
-                om_prod = om_prod + om - geo._cmul(om_prod, om)
-                m_prod = m_prod + m_fac - m_prod * m_fac
-        return ref, om_prod, np.zeros_like(tail), m_prod
+        factors = [geo.AxialStage(_ONE, (1.0 + a.real) / (1.0 - a.real))
+                   .plan(ref) for a in facs]
+        if None in factors:
+            return None
+
+        def kernel(delta, tail, margin):
+            om_prod = m_prod = None
+            for _, factor in factors:
+                om, _, m_fac = factor(delta, tail, margin)
+                if om_prod is None:
+                    om_prod, m_prod = om, m_fac
+                else:
+                    om_prod = om_prod + om - geo._cmul(om_prod, om)
+                    m_prod = m_prod + m_fac - m_prod * m_fac
+            return om_prod, np.zeros_like(tail), m_prod
+        return Plan(ref, kernel, False, False)
 
 
 class Mobius(Blaschke):
@@ -140,10 +166,9 @@ class BallAutomorphism(SelfMap):
                - proj - s * (np.eye(g.q) - proj))
         return u @ (num / (1.0 - herm(z, a))[..., None, None])
 
-    def _astep(self, ref, delta, tail, margin):
-        state = self.params[0].run_stages(*_as_points(ref, delta, tail,
-                                                      margin))
-        return None if state is None else _as_points(*state)
+    def _plan(self, ref):
+        plan = self.params[0].plan(ref)
+        return None if plan is None else Plan(*plan, True, True)
 
 
 class WarpedProduct(SelfMap):
@@ -162,20 +187,22 @@ class WarpedProduct(SelfMap):
         j[..., tangent, tangent] = c
         return j
 
-    def _astep(self, ref, delta, tail, margin):
+    def _plan(self, ref):
         c, = self.params
         if np.abs(ref[1:]).max() > 1e-14:   # boundary point must be (+-1, 0)
             return None
-        tail_sq = sq_norm(tail)
-        m1 = margin + tail_sq
-        sub = self.children[0]._astep(ref[:1], delta,
-                                      np.zeros(delta.shape + (1,), complex),
-                                      m1)
+        sub = self.children[0]._plan(ref[:1])
         if sub is None:
             return None
-        ref1, delta1, _, m1_new = sub
-        new_ref = np.concatenate([ref1, np.zeros(self.q - 1, dtype=complex)])
-        return new_ref, delta1, c * tail, m1_new - abs(c) ** 2 * tail_sq
+
+        def kernel(delta, tail, margin):
+            tail_sq = sq_norm(tail)
+            delta1, _, m1 = _run(sub, ref[:1], delta,
+                                 np.zeros(delta.shape + (1,), complex),
+                                 margin + tail_sq)
+            return delta1, c * tail, m1 - abs(c) ** 2 * tail_sq
+        return Plan(np.concatenate([sub.ref, np.zeros(self.q - 1, complex)]),
+                    kernel, False, False)
 
 
 class Compose(SelfMap):
@@ -196,13 +223,23 @@ class Compose(SelfMap):
             j = j @ g._jacobian(w)
         return j
 
-    def _astep(self, ref, delta, tail, margin):
-        state = (ref, delta, tail, margin)
+    def _plan(self, ref):
+        plans = []
         for g in reversed(self.children):
-            state = g._astep(*state)
-            if state is None:
+            plan = g._plan(ref)
+            if plan is None:
                 return None
-        return state
+            plans.append(plan)
+            ref = plan.ref
+
+        def kernel(*state):
+            state = plans[0].kernel(*state)
+            for before, plan in zip(plans, plans[1:]):
+                if before.check_out or plan.check_in:   # once between them
+                    geo.PointBatch(before.ref, *state)
+                state = plan.kernel(*state)
+            return state
+        return Plan(ref, kernel, plans[0].check_in, plans[-1].check_out)
 
 
 class Conjugate(Compose):
@@ -225,15 +262,8 @@ class CallableMap(SelfMap):
         rows = [jacobian_fd(self, p) for p in z.reshape(-1, self.q)]
         return np.reshape(rows, z.shape + (self.q,))
 
-    def _astep(self, ref, delta, tail, margin):
+    def _plan(self, ref):
         return None
-
-
-def _as_points(ref, delta, tail, margin):
-    """A defect state with its margins checked, as the points built from it
-    check them: the form the stages of an automorphism take and give."""
-    geo.PointBatch(ref, delta, tail, margin)
-    return ref, delta, tail, margin
 
 
 @dataclass(frozen=True)
@@ -498,19 +528,14 @@ def adapted_step(f: SelfMap, p):
     in one kernel call; None when the map structure cannot keep the defect
     representation exact.  Row i of a batch's image is the image of
     `p.point(i)`, bit for bit: one point is the batch of one."""
-    if isinstance(p, geo.PointBatch):
-        state = (p.ref, p.delta, p.tail, p.margin)
-    elif p.ref is None:
+    plan = None if p.ref is None else f._plan(p.ref)
+    if plan is None:
         return None
-    else:
-        state = geo.point_state(p)
-    out = f._astep(*state)
-    if out is None:
-        return None
-    if isinstance(p, geo.PointBatch):
-        return geo.PointBatch(*out)
-    ref, delta, tail, margin = out
-    return geo.boundary_adapted_point(ref, delta[0], tail=tail[0],
+    if isinstance(p, geo.PointBatch):   # checked, and its images as a batch
+        return geo.PointBatch(plan.ref, *plan.kernel(p.delta, p.tail,
+                                                     p.margin))
+    delta, tail, margin = _run(plan, *geo.point_state(p))
+    return geo.boundary_adapted_point(plan.ref, delta[0], tail=tail[0],
                                       margin=margin[0])
 
 
@@ -738,16 +763,17 @@ def classify_dynamics(f: SelfMap) -> DynamicsClass:
         f"{np.max(np.sqrt(sq_norm(cloud - cloud.mean(axis=0)))):.3e}")
 
 
-def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
+def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint, lam_hat=None):
     """Conjugate f so that its forward-limit witness set stays outside the
     closed unit horosphere at zeta.
 
     Returns (conjugated map, conjugating automorphism); the conjugator is an
     axial translation fixing +-zeta, so zeta stays fixed with the same
-    dilation (verified).  The translation by t adds t to every
-    horofunction at zeta, so its length doubles from 0.1 until the witness
-    cloud's least horofunction plus t is at least 0.1, at most 20 times; a
-    cloud already above 0.1 needs none.
+    dilation, checked against `lam_hat`, f's `estimate_dilation` at zeta
+    (made here if the caller has not).  The translation by t adds t to
+    every horofunction at zeta, so its length doubles from 0.1 until the
+    witness cloud's least horofunction plus t is at least 0.1, at most 20
+    times; a cloud already above 0.1 needs none.
     """
     dyn = classify_dynamics(f)
     if dyn.tag == "denjoy-wolff-boundary":
@@ -773,7 +799,8 @@ def ensure_pole_clearance(f: SelfMap, zeta: BoundaryPoint):
         raise NumericalError("pole clearance not achieved after 20 doublings")
     h = geo.axis_translation(zeta, t)
     cleared = conjugate_map(f, h)
-    lam_before = estimate_dilation(f, zeta).lam_hat
+    lam_before = estimate_dilation(f, zeta).lam_hat if lam_hat is None \
+        else lam_hat
     lam_after = estimate_dilation(cleared, zeta).lam_hat
     if abs(lam_after - lam_before) > 1e-6 * max(1.0, lam_before):
         raise NumericalError(

@@ -206,9 +206,10 @@ def _construct(args):
     """(zeta, lambda, cleared map, conjugator, backward orbit) of a map spec;
     lambda is estimated unless given."""
     f, zeta = _map_and_zeta(args)
-    lam = args.lam if args.lam is not None else \
+    lam_hat = None if args.lam is not None else \
         cat.estimate_dilation(f, zeta).lam_hat
-    cleared, conj = cat.ensure_pole_clearance(f, zeta)
+    lam = args.lam if lam_hat is None else lam_hat
+    cleared, conj = cat.ensure_pole_clearance(f, zeta, lam_hat)
     params = orb.OrbitParams(k_min=args.kmin, k_max=args.kmax,
                              n_max=args.nmax, eps_sigma=args.eps_sigma,
                              mode=args.mode)
@@ -219,9 +220,9 @@ def _construct(args):
 def cmd_orbit(args) -> int:
     _, _, _, conj, res = _construct(args)
     if args.out:
-        orb.write_orbit_csv(res.orbit, args.out)
+        orb.write_orbit_csv(res, args.out)
     else:
-        sys.stdout.write(orb.orbit_csv(res.orbit))
+        sys.stdout.write(orb.orbit_csv(res))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(orb.orbit_svg(res.orbit))

@@ -213,7 +213,9 @@ def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
 class PointBatch:
     """n points in defect form against one boundary point `ref`: the array
     form of `boundary_adapted_point`, with delta[n], tail[n, q] and
-    margin[n].  `point(i)` is the i-th point as a `BallPoint`."""
+    margin[n] (or a grid: delta[n, m], indexed by (row, column)).  `point(i)`
+    and `batch[i]` are the i-th point as a `BallPoint`, and `batch[rows]`
+    the batch of a slice, mask or index array."""
 
     ref: np.ndarray
     delta: np.ndarray
@@ -238,15 +240,24 @@ class PointBatch:
         return boundary_adapted_point(self.ref, self.delta[i],
                                       tail=self.tail[i], margin=self.margin[i])
 
+    def __getitem__(self, i):
+        return self.point(i) if np.ndim(self.delta[i]) == 0 else self.take(i)
+
+    def __iter__(self):
+        return (self.point(i) for i in range(len(self)))
+
     @property
     def coords(self) -> np.ndarray:
         """coords[n, q]; row i equals `point(i).coords`."""
         return _defect_coords(self.ref, self.delta, self.tail)
 
     def take(self, rows) -> "PointBatch":
-        """The points at `rows` (indices or a mask), in order."""
-        return PointBatch(self.ref, self.delta[rows], self.tail[rows],
-                          self.margin[rows])
+        """The points at `rows` (indices, a mask or a slice), in order: rows
+        of a checked batch, which are not checked again."""
+        batch = object.__new__(PointBatch)
+        batch.__dict__.update(ref=self.ref, delta=self.delta[rows],
+                              tail=self.tail[rows], margin=self.margin[rows])
+        return batch
 
 
 def _defect_coords(ref, delta, tail):
@@ -464,13 +475,6 @@ def horofunction(z, zeta: BoundaryPoint):
     return _one(z, out)
 
 
-def horofunction_limit(z: BallPoint, zeta: BoundaryPoint, s: float = 30.0) -> float:
-    """The defining limit form lim_{w->zeta} [k(z,w) - k(0,w)], truncated at
-    the axis point gamma(s).  Cross-check only; the closed form is exact."""
-    w = geodesic_point(zeta, s)
-    return kob_dist(z, w) - s
-
-
 def horo_raw(z, zeta_coords, margin=None):
     """Vectorised horofunction on raw coordinate arrays (..., q), each value
     rounded as alone: squared by pow, as `**` squares a scalar."""
@@ -623,11 +627,12 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
 # ---------------------------------------------------------------------------
 
 # Stages let structured automorphisms act on boundary-adapted points by exact
-# recursions on the state (ref, delta, tail, margin) of n points: one ref,
-# delta[n], tail[n, q] and margin[n].  `apply` returns the new state, or None
-# when the stage cannot keep the representation exact; `inverse` is the
-# stage of the inverse map.  A row rounds as the point alone: one point is
-# the batch of one, and matrices act through einsum.
+# recursions on the state (delta[n], tail[n, q], margin[n]) of n points held
+# against one ref.  `plan(ref)` makes every decision that depends on ref
+# once: it returns the images' ref and a kernel on the state, or None when
+# the stage cannot keep the representation exact.  `inverse` is the stage
+# of the inverse map.  A row rounds as the point alone: one point is the
+# batch of one, and matrices act through einsum.
 
 @dataclass(frozen=True)
 class AxialStage:
@@ -647,17 +652,20 @@ class AxialStage:
     zeta: np.ndarray
     lam: float
 
-    def apply(self, ref, delta, tail, margin):
+    def plan(self, ref):
         if _same_direction(self.zeta, ref, FIX_TOL):
             lam = self.lam
         elif _same_direction(-self.zeta, ref, FIX_TOL):
             lam = 1.0 / self.lam
         else:
             return None
-        den = 1.0 + (lam - 1.0) * delta / 2.0
-        return (ref, lam * delta / den,
-                np.sqrt(lam)[..., None] * tail / den[..., None],
-                lam * margin / abs_sq(den))
+
+        def kernel(delta, tail, margin):
+            den = 1.0 + (lam - 1.0) * delta / 2.0
+            return (lam * delta / den,
+                    np.sqrt(lam)[..., None] * tail / den[..., None],
+                    lam * margin / abs_sq(den))
+        return ref, kernel
 
     def inverse(self):
         return AxialStage(self.zeta, 1.0 / self.lam)
@@ -669,10 +677,10 @@ class UnitaryStage:
 
     v: np.ndarray
 
-    def apply(self, ref, delta, tail, margin):
+    def plan(self, ref):
         new_ref = self.v @ ref
-        return (new_ref / np.linalg.norm(new_ref), delta,
-                np.einsum("ij,...j->...i", self.v, tail), margin)
+        return new_ref / np.linalg.norm(new_ref), lambda delta, tail, margin: (
+            delta, np.einsum("ij,...j->...i", self.v, tail), margin)
 
     def inverse(self):
         return UnitaryStage(self.v.conj().T)
@@ -684,9 +692,9 @@ class MobiusStage:
 
     a: np.ndarray
 
-    def apply(self, ref, delta, tail, margin):
+    def plan(self, ref):
         if sq_norm(self.a) < 1e-32:
-            return -ref, delta, -tail, margin
+            return -ref, lambda delta, tail, margin: (delta, -tail, margin)
         return None
 
     def inverse(self):
@@ -703,9 +711,11 @@ class ParabolicStage:
     t: float
     rot: np.ndarray
 
-    def apply(self, ref, delta, tail, margin):
-        if not _same_direction(self.zeta, ref, FIX_TOL):
-            return None
+    def plan(self, ref):
+        fixed = _same_direction(self.zeta, ref, FIX_TOL)
+        return (ref, self._kernel) if fixed else None
+
+    def _kernel(self, delta, tail, margin):
         tail_e1 = np.einsum("ij,...j->...i", self.rot, tail)
         w_tan = tail_e1[..., 1:] / delta[..., None]
         w1 = 1j * (2.0 - delta) / delta
@@ -715,7 +725,7 @@ class ParabolicStage:
         tail_e1 = np.concatenate([np.zeros(delta.shape + (1,), dtype=complex),
                                   (w_tan + self.b) * delta_new[..., None]],
                                  axis=-1)
-        return (ref, delta_new,
+        return (delta_new,
                 np.einsum("ij,...j->...i", self.rot.conj().T, tail_e1), margin)
 
     def inverse(self):
@@ -735,17 +745,22 @@ class Automorphism:
     def q(self) -> int:
         return self.center.shape[0]
 
-    def run_stages(self, ref, delta, tail, margin):
-        """The stage chain on the defect state of n points; None without a
-        chain or if a stage cannot keep the representation exact."""
-        if not self.stages:
-            return None
-        state = (ref, delta, tail, margin)
+    def plan(self, ref):
+        """The stage chain planned against ref (the images' ref, a kernel),
+        or None without a chain or where a stage cannot stay exact."""
+        kernels = []
         for st in self.stages:
-            state = st.apply(*state)
-            if state is None:
+            plan = st.plan(ref)
+            if plan is None:
                 return None
-        return state
+            ref, kernel = plan
+            kernels.append(kernel)
+
+        def chain(delta, tail, margin):
+            for kernel in kernels:
+                delta, tail, margin = kernel(delta, tail, margin)
+            return delta, tail, margin
+        return (ref, chain) if kernels else None
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -884,9 +899,9 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
     whenever the stage chain supports it."""
     if p.q != g.q:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
-    out = None if p.ref is None else g.run_stages(*point_state(p))
-    if out is not None:
-        return PointBatch(*out).point(0)
+    plan = None if p.ref is None else g.plan(p.ref)
+    if plan is not None:
+        return PointBatch(plan[0], *plan[1](*point_state(p)[1:])).point(0)
     coords = apply_raw(g, p.coords)
     coords.flags.writeable = False
     return BallPoint(coords=coords, margin=_margin_through(g, p.coords, p.margin))

@@ -28,9 +28,10 @@ from .geometry import BallPoint, BoundaryPoint, PointBatch, _row_norms
 @dataclass(frozen=True)
 class StoppingRecord:
     """The stopping time of one lane of a `stopping_time` run.  The run's
-    iterates stay in `frames`, one (points, lanes) pair per step: the points
-    still running (a `PointBatch` or a tuple of points) and the lane of each
-    row.  Points of this lane are built only when asked for."""
+    iterates stay in `frames`: a `PointBatch` grid, point (lane, j) f^j(r_k),
+    when every step kept one batch on one reference, else one (points, lanes)
+    pair per step: the points still running (a `PointBatch` or a tuple of
+    points) and the lane of each row.  Points are built only when asked for."""
 
     k: int
     n: int                      # first index with f^n(r_k) outside closed E_0
@@ -41,10 +42,10 @@ class StoppingRecord:
 
     def point(self, j: int) -> BallPoint:
         """f^j(r_k), j = 0..n."""
+        if isinstance(self.frames, PointBatch):
+            return self.frames[self.lane, j]
         points, lanes = self.frames[j]
-        row = int(np.searchsorted(lanes, self.lane))
-        return points.point(row) if isinstance(points, PointBatch) \
-            else points[row]
+        return points[int(np.searchsorted(lanes, self.lane))]
 
     @property
     def exit_point(self) -> BallPoint:
@@ -62,7 +63,7 @@ class OrbitSegment:
     """Finite backward orbit: f(points[j+1]) = points[j] (+ base_index for
     bilateral extensions; index n = base_index + j, larger = deeper)."""
 
-    points: tuple
+    points: tuple | PointBatch
     zeta: BoundaryPoint
     lam: float
     map_label: str = ""
@@ -71,10 +72,6 @@ class OrbitSegment:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def indices(self):
-        return range(self.base_index, self.base_index + len(self.points))
 
     def point(self, n: int) -> BallPoint:
         return self.points[n - self.base_index]
@@ -153,9 +150,10 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
 
     `r_k` is one point, with `k` its anchor index, or a `PointBatch` of
     anchors, with `k` the index of each: every lane then steps in one
-    kernel call per step, and one record per lane comes back.  A lane
-    retires when it leaves the horosphere or reaches `n_max` (capped).  If
-    a step raises, the anchors rerun alone, lowest first, until one raises.
+    kernel call per step, f planned once per reference the batch holds, and
+    one record per lane comes back.  A lane retires when it leaves the
+    horosphere or reaches `n_max` (capped).  If a step raises, the anchors
+    rerun alone, lowest first, until one raises.
     """
     batch = isinstance(r_k, PointBatch)
     if batch:
@@ -164,6 +162,7 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
         points, ks = (r_k,), [-1 if k is None else k]
     lanes = np.arange(len(ks))
     frames, exits = [], {}
+    planned = None   # the ref bytes f is planned against, as `plan`
     for n in range(n_max + 1):
         frames.append((points, lanes))
         h = geo.horofunction(points, zeta)
@@ -174,30 +173,57 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
         out = h > geo.HOROSPHERE_BAND
         exits.update((lane, (n, float(h_i), False))
                      for lane, h_i in zip(lanes[out], h[out]))
-        points, lanes = _take(points, ~out), lanes[~out]
+        points, lanes = (points.take(~out) if isinstance(points, PointBatch)
+                         else tuple(p for p, o in zip(points, out) if not o),
+                         lanes[~out])
         if not len(lanes):
             break
         try:
             # points without a structured step step in coordinates, alone
-            points = (cat.step_point(f, points)
-                      if isinstance(points, PointBatch)
-                      else tuple(cat.step_point(f, p) for p in points))
+            if isinstance(points, PointBatch):
+                if points.ref.tobytes() != planned:
+                    planned, plan = points.ref.tobytes(), f._plan(points.ref)
+                points = cat.step_point(f, points) if plan is None else \
+                    PointBatch(plan.ref, *plan.kernel(
+                        points.delta, points.tail, points.margin))
+            else:
+                points = tuple(cat.step_point(f, p) for p in points)
         except Exception:
             if len(ks) == 1:
                 raise
             return [stopping_time(f, r_k.take([i]), zeta, n_max, [ks[i]])[0]
                     for i in range(len(ks))]
-    frames = tuple(frames)
+    grid = _grid(frames, len(ks))
     records = [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
-                              capped=capped, lane=lane, frames=frames)
+                              capped=capped, lane=lane,
+                              frames=tuple(frames) if grid is None else grid)
                for lane, (n, h_exit, capped) in sorted(exits.items())]
     return records if batch else records[0]
 
 
-def _take(points, rows):
-    if isinstance(points, PointBatch):
-        return points.take(rows)
-    return tuple(p for p, keep in zip(points, rows) if keep)
+def _grid(frames, n_lanes):
+    """The frames as one `PointBatch` grid, point (lane, j) the lane's j-th
+    iterate (nan once retired), or None unless all are batches on one ref."""
+    first = frames[0][0]
+    if not all(isinstance(p, PointBatch)
+               and p.ref.tobytes() == first.ref.tobytes() for p, _ in frames):
+        return None
+    grid = [np.full((n_lanes, len(frames)) + a.shape[1:], np.nan, a.dtype)
+            for a in (first.delta, first.tail, first.margin)]
+    for j, (p, lanes) in enumerate(frames):
+        for g, a in zip(grid, (p.delta, p.tail, p.margin)):
+            g[lanes, j] = a
+    return PointBatch(first.ref, *grid)
+
+
+def _points_at(records, js):
+    """f^{js[i]}(r_k) of each records[i]: one `PointBatch` when the records
+    share one run's grid, else a tuple of points."""
+    grid = records[0].frames
+    if isinstance(grid, PointBatch) and all(r.frames is grid
+                                            for r in records):
+        return grid.take(([r.lane for r in records], list(js)))
+    return tuple(r.point(j) for r, j in zip(records, js))
 
 
 def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
@@ -205,12 +231,14 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
     """The backward chain z_j = f^{n(k)-j}(r_k), j = 0..n(k).
 
     Points are the stored forward iterates, so re-evaluating f on z_{j+1}
-    reproduces z_j bit for bit; the chain tolerance is exactly zero.
+    reproduces z_j bit for bit; the chain tolerance is exactly zero.  They
+    are a `PointBatch` when the run kept a grid, else a tuple.
     """
     if record.capped:
         raise DomainError("cannot harvest a capped stopping record")
-    return OrbitSegment(points=tuple(reversed(record.iterates)), zeta=zeta,
-                        lam=lam, map_label=f.label, chain_tol=0.0)
+    points = _points_at([record] * (record.n + 1), range(record.n, -1, -1))
+    return OrbitSegment(points=points, zeta=zeta, lam=lam, map_label=f.label,
+                        chain_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +254,15 @@ def orbit_diagnostics(seg: OrbitSegment):
 
 
 def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
-    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain; the points
-    step as one batch when they form one."""
+    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain; a chain
+    held as a `PointBatch` steps as one batch, a tuple point by point."""
     pts = seg.points
     if len(pts) < 2:
         return 0.0
-    batch = _batch_of(pts[1:])
-    images = (cat.step_point(f, batch) if batch is not None
+    images = (cat.step_point(f, pts[1:]) if isinstance(pts, PointBatch)
               else [cat.step_point(f, p) for p in pts[1:]])
     return float(_row_norms(geo._lanes(images)[0] - geo._lanes(pts[:-1])[0])
                  .max())
-
-
-def _batch_of(points):
-    """The `PointBatch` whose point i is points[i], coordinates included,
-    or None: when the points do not share a reference, or when their
-    stored defects do not rebuild their coordinates bit for bit."""
-    coords, margin, delta, ref, tail = geo._lanes(points)
-    if ref.ndim > 1:
-        return None
-    batch = PointBatch(ref, delta, tail, margin)
-    return batch if batch.coords.tobytes() == coords.tobytes() else None
 
 
 def analyze_orbit(seg: OrbitSegment, lam: float, params: OrbitParams,
@@ -324,8 +340,7 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
         return chains[k]
 
     if params.mode == "cluster":
-        result = _cluster_orbit({k: chain(k) for k in records}, zeta, lam,
-                                params, f)
+        result = _cluster_orbit(records, zeta, lam, params, f)
         if result is not None:
             return result
         per_k.append((-1, "cluster residual too large; fell back to single-tail"))
@@ -352,16 +367,16 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
                                report=tuple(f"k={k}: {m}" for k, m in per_k))
 
 
-def _cluster_orbit(chains, zeta, lam, params, f):
+def _cluster_orbit(records, zeta, lam, params, f):
     tol = 1e-6   # how far f(medoid j) may land from medoid j - 1
-    k_all = sorted(chains)
-    depth_max = min(len(chains[k]) - 1 for k in k_all[-5:])
-    medoids = []
+    k_all = sorted(records)
+    depth_max = min(records[k].n for k in k_all[-5:])
+    picks = []   # (record, iterate) of each depth's medoid
     for j in range(depth_max + 1):
-        cands = [chains[k].points[j] for k in k_all
-                 if k >= j and len(chains[k]) > j]
-        if len(cands) < 2:
+        recs = [records[k] for k in k_all if k >= j and records[k].n >= j]
+        if len(recs) < 2:
             return None
+        cands = _points_at(recs, [r.n - j for r in recs])
         dmat = geo.kob_matrix(cands, cands)
         clusters: list[list[int]] = []
         for i in range(len(cands)):
@@ -372,14 +387,12 @@ def _cluster_orbit(chains, zeta, lam, params, f):
             else:
                 clusters.append([i])
         big = max(clusters, key=len)
-        medoids.append(cands[big[int(np.argmin(
-            dmat[np.ix_(big, big)].sum(axis=1)))]])
-    for j in range(1, len(medoids)):
-        img = cat.step_point(f, medoids[j])
-        if np.linalg.norm(img.coords - medoids[j - 1].coords) > tol:
-            return None
-    seg = OrbitSegment(points=tuple(medoids), zeta=zeta, lam=lam,
+        rec = recs[big[int(np.argmin(dmat[np.ix_(big, big)].sum(axis=1)))]]
+        picks.append((rec, rec.n - j))
+    seg = OrbitSegment(points=_points_at(*zip(*picks)), zeta=zeta, lam=lam,
                        map_label=f.label, chain_tol=tol)
+    if verify_backward(seg, f) > tol:
+        return None
     res = analyze_orbit(seg, lam, params, "cluster")
     return res if res.accepted else None
 
@@ -622,7 +635,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     step sees the candidates a step-by-step march sees.
 
     Whether f steps adapted depends on the map and the point's reference
-    alone (every kind's `_astep` decides from `ref`), so it is probed once
+    alone (every kind's `_plan` decides from `ref`), so it is probed once
     per reference: every point after z_0 holds zeta, or z_0's reference
     where the adapted solve carried it on.  Grid solutions equal to an
     earlier candidate (within 1e-8) are dropped before points are built.
@@ -737,36 +750,38 @@ def extend_to_bilateral(seg: OrbitSegment, f: cat.SelfMap) -> OrbitSegment:
         if len(fwd) >= 2 and np.linalg.norm(
                 fwd[-1].coords - fwd[-2].coords) < 1e-13:
             break
-    pts = tuple(reversed(fwd)) + seg.points
+    pts = tuple(reversed(fwd)) + tuple(seg.points)
     return OrbitSegment(points=pts, zeta=seg.zeta, lam=seg.lam,
                         map_label=seg.map_label,
                         base_index=seg.base_index - len(fwd),
                         chain_tol=seg.chain_tol)
 
 
-def orbit_csv(seg: OrbitSegment) -> str:
-    """CSV dump: j, re(z_1..q), im(z_1..q), horofunction, step_to_next,
-    dist_to_zeta -- one row per depth."""
-    steps, horos, dz = orbit_diagnostics(seg)
-    q = seg.points[0].q
+def orbit_csv(res: BackwardOrbitResult) -> str:
+    """CSV dump of an analysed orbit: j, re(z_1..q), im(z_1..q),
+    horofunction, step_to_next, dist_to_zeta -- one row per depth, with the
+    diagnostics its analysis measured."""
+    seg, steps, horos, dz = res.orbit, res.steps, res.horos, res.dist_zeta
+    coords = geo._lanes(seg.points)[0]
+    q = coords.shape[1]
     cols = (["j"] + [f"re_z{i+1}" for i in range(q)]
             + [f"im_z{i+1}" for i in range(q)]
             + ["horofunction", "step_to_next", "dist_to_zeta"])
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
-    for j, p in enumerate(seg.points):
+    for j, z in enumerate(coords):
         step = steps[j] if j < len(steps) else float("nan")
         row = ([seg.base_index + j]
-               + [f"{p.coords[i].real:.15g}" for i in range(q)]
-               + [f"{p.coords[i].imag:.15g}" for i in range(q)]
+               + [f"{z[i].real:.15g}" for i in range(q)]
+               + [f"{z[i].imag:.15g}" for i in range(q)]
                + [f"{horos[j]:.15g}", f"{step:.15g}", f"{dz[j]:.15g}"])
         buf.write(",".join(str(c) for c in row) + "\n")
     return buf.getvalue()
 
 
-def write_orbit_csv(seg: OrbitSegment, path) -> None:
+def write_orbit_csv(res: BackwardOrbitResult, path) -> None:
     with open(path, "w") as fh:
-        fh.write(orbit_csv(seg))
+        fh.write(orbit_csv(res))
 
 
 def orbit_svg(seg: OrbitSegment) -> str:

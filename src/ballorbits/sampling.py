@@ -105,7 +105,7 @@ def tube_samples(zeta: BoundaryPoint, width: float,
     _, margin, delta, _, tail = _lanes(offsets)
     # the (len(s), 1) translations broadcast against the offsets and origin
     stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
-    _, delta, tail, margin = stage.apply(zeta.coords, delta, tail, margin)
+    delta, tail, margin = stage.plan(zeta.coords)[1](delta, tail, margin)
     return PointBatch(ref=zeta.coords, delta=delta.reshape(-1),
                       tail=tail.reshape(-1, q), margin=margin.reshape(-1))
 
@@ -120,5 +120,6 @@ def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
 def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
     """Translate p (adapted against zeta) by s toward zeta along the axis."""
     stage = AxialStage(zeta.coords, np.exp(-s))
-    ref, delta, tail, margin = stage.apply(p.ref, p.delta, p.tail(), p.margin)
+    ref, kernel = stage.plan(p.ref)
+    delta, tail, margin = kernel(p.delta, p.tail(), p.margin)
     return boundary_adapted_point(ref, delta, tail=tail, margin=margin)

@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits import geometry as geo
+from ballorbits import orbits as orb
 from ballorbits.errors import (ConfigError, DilationOutOfScope,
-                               DimensionMismatch, DomainError)
+                               DimensionMismatch, DomainError, NumericalError)
 from ballorbits.sampling import sample_horodisc
 
-from conftest import random_interior
+from conftest import count_calls, random_interior
 
 LOG3 = np.log(3.0)
 
@@ -454,6 +455,99 @@ def test_pole_clearance_warped_tie_is_closed_form(monkeypatch):
     cat.ensure_pole_clearance(f, zeta)
     assert ts == [0.1]
     assert before_conjugation == [0]
+
+
+def test_pole_clearance_takes_the_callers_estimate(blaschke, e1,
+                                                  monkeypatch):
+    """A caller that has estimated f's dilation hands it over, and only the
+    cleared map is estimated; the check keeps its tolerance and message."""
+    calls = count_calls(monkeypatch, (cat, "estimate_dilation"))
+    lam = cat.estimate_dilation(blaschke, e1).lam_hat
+    cleared, conj = cat.ensure_pole_clearance(blaschke, e1, lam)
+    assert calls["estimate_dilation"] == 2
+    alone, conj_alone = cat.ensure_pole_clearance(blaschke, e1)
+    assert calls["estimate_dilation"] == 4
+    assert conj.label == conj_alone.label and cleared.label == alone.label
+    with pytest.raises(NumericalError, match=(
+            r"pole clearance changed the dilation: 3\.1 -> 3\.0000000")):
+        cat.ensure_pole_clearance(blaschke, e1, 3.1)
+
+
+def _check_chains():
+    """Chains with one stage that breaks the state, at each place a stage
+    chain runs: a Conjugate (h, f, h^{-1}) and a Compose of two maps."""
+    e1, e2 = geo.basis_boundary_point(1), geo.basis_boundary_point(2)
+    aut = cat.ball_automorphism
+    good, good2 = (geo.hyperbolic_automorphism(e, 3.0) for e in (e1, e2))
+    # an axial stage of dilation -2 turns every margin negative, and a
+    # stage that is not unitary turns a tail off its reference
+    bad = geo._aut(np.zeros(1), -np.eye(1),
+                   stages=(geo.AxialStage(e1.coords, -2.0),))
+    skew = geo._aut(np.zeros(2), -np.eye(2), stages=(geo.UnitaryStage(
+        np.array([[1.0, 0.5], [0.0, 1.0]], complex)),))
+    b = cat.blaschke_product([0.0, 1.0 / 3.0])
+
+    def conj(outer, mid, inner):
+        return cat.Conjugate(q=outer.q, params=(good,),
+                             children=(outer, mid, inner))
+    return {
+        "conj_inner": conj(aut(good), b, aut(bad)),
+        "conj_middle": conj(aut(good), aut(bad), aut(geo.inverse(good))),
+        "conj_outer": conj(aut(bad), b, aut(geo.inverse(good))),
+        "conj_input": conj(aut(good), b, aut(geo.inverse(good))),
+        "conj_tail": conj(aut(good2), aut(skew), aut(geo.inverse(good2))),
+        "comp_inner": cat.compose_maps(b, aut(bad)),
+        "comp_outer": cat.compose_maps(aut(bad), b),
+        "comp_between": cat.compose_maps(aut(good), aut(bad)),
+        "comp_input": cat.compose_maps(b, aut(good)),
+        "comp_tail": cat.compose_maps(aut(good2), aut(skew)),
+    }
+
+
+# What the stage-by-stage code raised for the anchors k = 2, 5, 9 as one
+# batch and for k = 5 alone (a refused tail is named without a number), and
+# for one point whose margin is -1e-3.
+NEGATIVE = "adapted point has nonpositive margin "
+CHECK_MESSAGES = {
+    "conj_inner": (NEGATIVE + "-1.469e+00", NEGATIVE + "-3.347e-02"),
+    "conj_middle": (NEGATIVE + "-3.456e-01", NEGATIVE + "-1.103e-02"),
+    "conj_outer": (NEGATIVE + "-1.463e+00", NEGATIVE + "-3.347e-02"),
+    "conj_input": (None, NEGATIVE + "-1.000e-03"),
+    "conj_tail": ("adapted point's tail is not orthogonal to ref",) * 2,
+    "comp_inner": (NEGATIVE + "-1.469e+00", NEGATIVE + "-3.347e-02"),
+    "comp_outer": (NEGATIVE + "-2.132e+01", NEGATIVE + "-1.038e-01"),
+    "comp_between": (NEGATIVE + "-1.469e+00", NEGATIVE + "-3.347e-02"),
+    "comp_input": (None, NEGATIVE + "-1.000e-03"),
+    "comp_tail": ("adapted point's tail is not orthogonal to ref",) * 2,
+}
+
+
+@pytest.mark.parametrize("name", CHECK_MESSAGES)
+def test_broken_state_is_refused_where_it_arises(name):
+    """A state that fails the margin or the tail check raises `DomainError`
+    at the stage chain it enters or leaves, once, with the message the
+    stage-by-stage code gave, for a batch and for one point, through
+    `step_point` and `adapted_step`."""
+    f = _check_chains()[name]
+    e = geo.basis_boundary_point(f.q)
+    batch = orb.radial_anchors(e, 3.0, [2, 5, 9])
+    if f.q == 2:
+        tail = np.array([[0, 0.01], [0, 0.02], [0, 0.001]], complex)
+        batch = geo.PointBatch(e.coords, batch.delta, tail, 2.0 * batch.delta.real
+                               - geo.abs_sq(batch.delta) - geo.sq_norm(tail))
+    one = batch.point(1)
+    if name.endswith("input"):
+        one = geo.BallPoint(coords=np.array([0.5 + 0j]), margin=-1e-3,
+                            ref=e.coords, delta=0.5 + 0j,
+                            tail_vec=np.zeros(1, complex))
+    for p, message in zip((batch, one), CHECK_MESSAGES[name]):
+        if message is None:
+            continue
+        for step in (cat.step_point, cat.adapted_step):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(DomainError) as exc:
+                step(f, p)
+            assert str(exc.value) == message
 
 
 def test_pole_clearance_already_clear(disc_auto, e1):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits.errors import ConfigError
+
+from conftest import count_calls
 
 
 def run(capsys, *argv):
@@ -347,3 +350,20 @@ def test_compare_from_csv_files(tmp_path, capsys):
     assert code == 0
     assert "plateau=True" in out
     assert "alpha=" in out
+
+
+@pytest.mark.parametrize("argv, estimates", [
+    (["blaschke:a=1/3", "--zeta=1"], 2),
+    (["blaschke:a=1/3", "--zeta=1", "--lambda", "3"], 2),
+    (["hyperbolic:lam=3", "--zeta=1", "--lambda", "3"], 0),
+    (["hyperbolic:lam=3", "--zeta=1"], 1),
+])
+def test_orbit_estimates_each_dilation_once(argv, estimates, monkeypatch,
+                                            capsys):
+    """`orbit` estimates f's dilation once, for lambda and for the pole
+    clearance's check, and the cleared map's once; a given --lambda on a
+    map that needs no clearance estimates nothing."""
+    calls = count_calls(monkeypatch, (cat, "estimate_dilation"))
+    code, _, _ = run(capsys, "orbit", *argv, "--kmax", "12")
+    assert code == 0
+    assert calls["estimate_dilation"] == estimates

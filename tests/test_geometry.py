@@ -334,6 +334,39 @@ def test_kob_dist_mpmath_oracle(rng, e1_q2):
                           geo.kob_dist(deep_z, deep_w))
 
 
+def test_point_batch_indexing(rng):
+    """A batch indexed by an index (negative ones too), a slice, a mask or
+    a (row, column) pair of a grid, and iterated, gives the points of
+    `point(i)`, as bytes."""
+    zeta = geo.boundary_point([0.6, 0.8j])
+    n = 7
+    delta = 10.0 ** rng.uniform(-12, -1, n) * np.exp(1j * rng.uniform(-1, 1, n))
+    tail = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) * 1e-3
+    tail = (tail - geo.herm(tail, zeta.coords)[:, None] * zeta.coords) \
+        * np.abs(delta)[:, None]
+    margin = 2.0 * delta.real - geo.abs_sq(delta) - geo.sq_norm(tail)
+    batch = geo.PointBatch(zeta.coords, delta, tail, margin)
+
+    def as_bytes(p):
+        return (p.coords.tobytes(), p.ref.tobytes(),
+                np.complex128(p.delta).tobytes(), p.tail().tobytes(),
+                np.float64(p.margin).tobytes())
+
+    points = [as_bytes(batch.point(i)) for i in range(n)]
+    assert [as_bytes(p) for p in batch] == points
+    assert [as_bytes(batch[i]) for i in range(-n, 0)] == points
+    for rows in (slice(2, 6), slice(None, None, -1), delta.real > 1e-6):
+        part = batch[rows]
+        assert isinstance(part, geo.PointBatch)
+        assert [as_bytes(p) for p in part] == [
+            points[i] for i in np.arange(n)[rows]]
+    grid = geo.PointBatch(zeta.coords, np.stack([delta, delta[::-1]]),
+                          np.stack([tail, tail[::-1]]),
+                          np.stack([margin, margin[::-1]]))
+    assert as_bytes(grid[1, 0]) == points[-1]
+    assert [as_bytes(p) for p in grid[1, 2:4]] == points[4:2:-1]
+
+
 # ---------------------------------------------------------------------------
 # involutions and automorphisms
 # ---------------------------------------------------------------------------
@@ -426,6 +459,12 @@ def test_horofunction_examples(e1, e1_q2):
         np.log(4.0 / 3.0), abs=1e-14)
 
 
+def horofunction_limit(z, zeta, s):
+    """The defining limit form lim_{w->zeta} [k(z,w) - k(0,w)], truncated at
+    the axis point gamma(s): the closed form's cross-check."""
+    return geo.kob_dist(z, geo.geodesic_point(zeta, s)) - s
+
+
 def test_horofunction_matches_limit_form(rng, e1_q2):
     # the two defining formulas agree within 1e-10 on 10^4 random points,
     # the limit form truncated along the radius at s = 30
@@ -433,7 +472,7 @@ def test_horofunction_matches_limit_form(rng, e1_q2):
     for _ in range(10000):
         z = random_interior(rng, 2)
         worst = max(worst, abs(geo.horofunction(z, e1_q2)
-                               - geo.horofunction_limit(z, e1_q2, s=30.0)))
+                               - horofunction_limit(z, e1_q2, s=30.0)))
     assert worst < 1e-10
 
 

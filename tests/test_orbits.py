@@ -1,6 +1,7 @@
 """Orbit engine: anchors, stopping times, chains, Newton preimages."""
 
 import contextlib
+import dataclasses
 import io
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ballorbits.errors import DomainError, NumericalError
 
 from conftest import count_calls
 
+GOLDEN = Path(__file__).parent / "golden"
 LOG3 = np.log(3.0)
 
 
@@ -128,13 +130,20 @@ def test_harvest_chain_structure(cleared_blaschke, e1):
 def test_construction_steps_each_anchor_once(disc_auto, e1, monkeypatch):
     # n(k) = k + 1 forward steps per anchor, k = 1..40, all anchors as lanes
     # of one kernel call per step: 41 calls for the deepest anchor, 860 lane
-    # steps in all.  Harvesting reads the stored iterates instead of stepping
-    # again.
-    calls = []
-    step = cat.step_point
-    monkeypatch.setattr(cat, "step_point",
-                        lambda f, p: calls.append(len(p)) or step(f, p))
+    # steps in all, counted at the kernel of the map's one plan.  Harvesting
+    # reads the stored iterates instead of stepping again.
+    calls, plans = [], []
+    plan = cat.BallAutomorphism._plan
+
+    def counted(self, ref):
+        out = plan(self, ref)
+        plans.append(ref)
+        return dataclasses.replace(out, kernel=lambda d, t, m: (
+            calls.append(len(d)) or out.kernel(d, t, m)))
+
+    monkeypatch.setattr(cat.BallAutomorphism, "_plan", counted)
     orb.construct_backward_orbit(disc_auto, e1, 3.0)
+    assert len(plans) == 1
     assert len(calls) == 41
     assert sum(calls) == sum(k + 1 for k in range(1, 41)) == 860
 
@@ -267,6 +276,70 @@ def test_orbit_diagnostics_alike_point_by_point(rng):
             [geo.horofunction(p, zeta) for p in points]).tobytes()
         assert dz.tobytes() == np.array(
             [geo.dist_to_zeta(p, zeta) for p in points]).tobytes()
+
+
+# every family of the benchmark's construct round, and a rotation conjugate
+HARVEST_SPECS = {
+    "blaschke": ("blaschke:a=1/3", "1"),
+    "blaschke_deg3": ("blaschke:factors=0;0.4;-0.1", "1"),
+    "hyperbolic_offaxis": ("hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                           "0.6,0;0,0.8"),
+    "compose": ("compose.ini", "1"),
+    "iterate": ("iterate.ini", "1"),
+    "warped": ("warped.ini", "1,0;0,0"),
+    "conjugate": ("conjugate.ini", "1"),
+    "conjugate_unitary": ("[map]\nkind = conjugate\n[map.inner]\n"
+                          "kind = blaschke\nfactors = 0 0.3\n"
+                          "[map.conjugator]\nkind = ball_automorphism\n"
+                          "subtype = unitary\nmatrix = 0.8,0.6\n", "0.8,0.6"),
+}
+
+
+def _chain_bytes(p):
+    return _point_bytes(p) + (None if p.ref is None else p.tail().tobytes(),)
+
+
+@pytest.mark.parametrize("name", [*HARVEST_SPECS, "callable"])
+def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
+                                                  tmp_path):
+    """Every chain harvested from one run of the anchors k = 1..40, against
+    the anchor stepped alone, point by point and read backward: every point
+    as bytes.  Maps that keep one reference give a `PointBatch` chain; a
+    map that steps in coordinates gives a tuple."""
+    if name == "callable":
+        f, zeta, lam, ks = (cat.callable_map(
+            lambda z: cat.evaluate(disc_auto, z), 1), e1, 3.0, range(1, 31))
+    else:
+        spec, zeta_text = HARVEST_SPECS[name]
+        if spec.startswith("[map]"):
+            (tmp_path / "map.ini").write_text(spec)
+            spec = str(tmp_path / "map.ini")
+        elif spec.endswith(".ini"):
+            spec = str(GOLDEN / spec)
+        f = cli.parse_mapspec(spec)
+        zeta = geo.boundary_point(cli.parse_point(zeta_text), q=f.q)
+        lam = cat.estimate_dilation(f, zeta).lam_hat
+        f, _ = cat.ensure_pole_clearance(f, zeta, lam)
+        ks = range(1, 41)
+    recs = orb.stopping_time(f, orb.radial_anchors(zeta, lam, ks), zeta, k=ks)
+    for k, rec in zip(ks, recs, strict=True):
+        chain = orb.harvest_chain(f, rec, zeta, lam).points
+        assert isinstance(chain, geo.PointBatch) == (name != "callable")
+        _, _, _, pts = reference_stopping(f, orb.radial_anchor(zeta, lam, k),
+                                          zeta, 100000)
+        assert ([_chain_bytes(p) for p in chain]
+                == [_chain_bytes(p) for p in reversed(pts)])
+
+
+def test_stopping_frames_stay_when_the_reference_moves(e1):
+    """A rotation moves the batch to another reference at each step, so the
+    run keeps its frames, not a grid, and the chains are tuples that equal
+    the anchors stepped alone."""
+    rotation = cat.catalog_build("unitary", matrix=np.array([[0.8 + 0.6j]]))
+    recs = _anchor_lanes(rotation, e1, 3.0, range(1, 11))
+    assert not isinstance(recs[0].frames, geo.PointBatch)
+    chain = orb.harvest_chain(rotation, recs[-1], e1, 3.0).points
+    assert isinstance(chain, tuple) and len(chain) == recs[-1].n + 1
 
 
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
@@ -803,7 +876,6 @@ def _compare_args(monkeypatch, argv):
     return _march_args(monkeypatch, lambda: cli.main(["compare", *argv]))
 
 
-GOLDEN = Path(__file__).parent / "golden"
 MARCHES = {
     **{f"c06_{offset}": offset for offset in (0.02, 0.05, 0.1, 0.3)},
     "warped_q2": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
@@ -1041,7 +1113,7 @@ def test_extend_to_bilateral_seam(blaschke_orbit, cleared_blaschke):
 
 
 def test_orbit_csv_format(blaschke_orbit):
-    text = orb.orbit_csv(blaschke_orbit.orbit)
+    text = orb.orbit_csv(blaschke_orbit)
     lines = text.strip().splitlines()
     assert lines[0] == ("j,re_z1,im_z1,horofunction,step_to_next,"
                         "dist_to_zeta")
@@ -1054,7 +1126,7 @@ def test_orbit_csv_format(blaschke_orbit):
 
 
 def test_orbit_csv_final_step_is_eq21_value(blaschke_orbit):
-    rows = orb.orbit_csv(blaschke_orbit.orbit).strip().splitlines()
+    rows = orb.orbit_csv(blaschke_orbit).strip().splitlines()
     step_col = [r.split(",")[4] for r in rows[1:]]
     assert float(step_col[-2]) == pytest.approx(LOG3, abs=1e-3)
     assert step_col[-1] == "nan"

@@ -12,8 +12,8 @@ S_GRID = np.arange(0.25, 30.001, 0.25)
 
 
 def reference_samples(zeta, width, s_values, n_angles, fractions):
-    """`tube_samples` one point at a time: adapted_at, then AxialStage.apply
-    to each offset and to the origin."""
+    """`tube_samples` one point at a time: adapted_at, then the AxialStage's
+    kernel on each offset and on the origin."""
     q = zeta.q
     dirs = []
     for j in range(2 * q):
@@ -32,7 +32,8 @@ def reference_samples(zeta, width, s_values, n_angles, fractions):
                 offsets.append(rho * direction)
         for u in offsets + [np.zeros(q, dtype=complex)]:
             u = sampling.adapted_at(zeta, u)
-            ref, delta, tail, margin = stage.apply(u.ref, u.delta, u.tail(),
+            ref, kernel = stage.plan(u.ref)
+            delta, tail, margin = kernel(u.delta, u.tail(),
                                                    u.margin)
             pts.append(geo.boundary_adapted_point(ref, delta, tail=tail,
                                                   margin=margin))

@@ -15,6 +15,7 @@ import numpy as np
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "ballorbits"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 MAX_OPTIONS = 51
 
 
@@ -89,7 +90,8 @@ def _reaches(workload):
 def test_construct_ops_reach_every_traced_name():
     """In-process `orbit` runs like the benchmark's construct ops, traced,
     reach every name its traced run requires: a lane path that bypasses a
-    traced layer fails here."""
+    traced layer fails here.  The INI conjugate and warped maps step
+    through the plans of a `Compose` and of a warped product's factor."""
     from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
     names = _reaches("construct")
     assert len(names) == 21
@@ -100,7 +102,9 @@ def test_construct_ops_reach_every_traced_name():
                      ["orbit", "blaschke:a=1/3", "--zeta=1", "--mode",
                       "cluster"],
                      ["orbit", "hyperbolic:lam=3,zeta=0.6,0;0,0.8",
-                      "--zeta=0.6,0;0,0.8"]):
+                      "--zeta=0.6,0;0,0.8"],
+                     ["orbit", str(GOLDEN / "conjugate.ini"), "--zeta=1"],
+                     ["orbit", str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
     finally:
