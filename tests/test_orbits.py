@@ -278,7 +278,8 @@ def test_orbit_diagnostics_alike_point_by_point(rng):
             [geo.dist_to_zeta(p, zeta) for p in points]).tobytes()
 
 
-# every family of the benchmark's construct round, and a rotation conjugate
+# the map families of the benchmark's construct round: the rotation
+# conjugate is its unitary-conjugator family
 HARVEST_SPECS = {
     "blaschke": ("blaschke:a=1/3", "1"),
     "blaschke_deg3": ("blaschke:factors=0;0.4;-0.1", "1"),
@@ -306,7 +307,7 @@ def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
     the anchor stepped alone, point by point and read backward: every point
     as bytes.  Maps that keep one reference give a `PointBatch` chain; a
     map that steps in coordinates gives a tuple."""
-    if name == "callable":
+    if name == "callable":   # from k = 31 on, a step nears the sphere
         f, zeta, lam, ks = (cat.callable_map(
             lambda z: cat.evaluate(disc_auto, z), 1), e1, 3.0, range(1, 31))
     else:
@@ -332,9 +333,9 @@ def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
 
 
 def test_stopping_frames_stay_when_the_reference_moves(e1):
-    """A rotation moves the batch to another reference at each step, so the
-    run keeps its frames, not a grid, and the chains are tuples that equal
-    the anchors stepped alone."""
+    """A rotation moves the batch to another reference, so the run keeps its
+    frames, not a grid, and the chains are tuples that equal the anchors
+    stepped alone."""
     rotation = cat.catalog_build("unitary", matrix=np.array([[0.8 + 0.6j]]))
     recs = _anchor_lanes(rotation, e1, 3.0, range(1, 11))
     assert not isinstance(recs[0].frames, geo.PointBatch)
