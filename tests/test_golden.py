@@ -80,6 +80,23 @@ def test_cluster_golden(name, capsys):
     assert out == (GOLDEN / f"cluster_{name}.txt").read_text()
 
 
+DILATION_CASES = {
+    "blaschke": (["blaschke:a=1/3", "--zeta", "1"], 0),
+    "conjugate": ([str(GOLDEN / "conjugate.ini"), "--zeta", "1"], 0),
+    "hyperbolic_offaxis": (["hyperbolic:lam=3,zeta=0.6,0;0,0.8",
+                            "--zeta=0.6,0;0,0.8"], 1),
+}
+
+
+@pytest.mark.parametrize("name", DILATION_CASES)
+def test_dilation_golden(name, capsys):
+    argv, exit_code = DILATION_CASES[name]
+    code = cli.main(["dilation", *argv])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert out == (GOLDEN / f"dilation_{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("name", ORBIT_CASES)
 def test_orbit_steps_equal_per_pair_distances(name, monkeypatch, capsys):
     """Every chain the construction analyses measures its steps with one
