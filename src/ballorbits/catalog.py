@@ -531,12 +531,17 @@ def adapted_step(f: SelfMap, p):
     plan = None if p.ref is None else f._plan(p.ref)
     if plan is None:
         return None
-    if isinstance(p, geo.PointBatch):   # checked, and its images as a batch
-        return geo.PointBatch(plan.ref, *plan.kernel(p.delta, p.tail,
-                                                     p.margin))
+    if isinstance(p, geo.PointBatch):
+        return _batch_step(plan, p)
     delta, tail, margin = _run(plan, *geo.point_state(p))
     return geo.boundary_adapted_point(plan.ref, delta[0], tail=tail[0],
                                       margin=margin[0])
+
+
+def _batch_step(plan: Plan, batch) -> geo.PointBatch:
+    """A checked `PointBatch`'s images through plan, checked as a batch."""
+    return geo.PointBatch(plan.ref, *plan.kernel(batch.delta, batch.tail,
+                                                 batch.margin))
 
 
 def step_point(f: SelfMap, p):
@@ -629,7 +634,6 @@ class DilationEstimate:
     profile: np.ndarray
     tail_infimum: float
     extrapolated: float
-    jacobian_check: float
 
 
 def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
@@ -639,14 +643,21 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     the tail infimum and sharpens it by Richardson extrapolation in e^{-s}
     (the decay rate of every catalog map).  The liminf defining the dilation
     is over all approaches to zeta but is attained radially for the maps
-    built here; the Jacobian cross-check below guards that assumption.
+    built here; `jacobian_check` guards that assumption.  f is planned at
+    zeta once: a planned map steps the grid through its plan's kernel as one
+    batch, out to s = 30; any other map steps it point by point, to s = 16.
     """
-    structured = adapted_step(f, geo._axis_point(zeta, 2.0)) is not None
-    grid = np.arange(1.0, (30.0 if structured else 16.0) + 1e-9, 0.5)
+    # planned against the reference its radial points hold, read off one
+    # built point: the `orbit` path's last call of boundary_adapted_point,
+    # a name perfbench's traced construct run must reach (ROADMAP item 7)
+    plan = f._plan(geo._axis_point(zeta, 1.0).ref)
+    grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
     delta, margin = geo._axis_defect(grid)
-    images = step_point(f, geo.PointBatch(
-        zeta.coords, delta.astype(complex),
-        np.zeros((len(grid), zeta.q), dtype=complex), margin))
+    radius = geo.PointBatch(zeta.coords, delta.astype(complex),
+                            np.zeros((len(grid), zeta.q), dtype=complex),
+                            margin)
+    images = step_point(f, radius) if plan is None \
+        else _batch_step(plan, radius)
     prof = grid - geo.kob_dist_origin(images)
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:
         raise DilationOutOfScope(
@@ -664,15 +675,20 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
         raise DilationOutOfScope(
             f"dilation log = {log_lam:.3e} is not distinguishable from a "
             "non-repelling point")
-    probes = np.array([geo._axis_point(zeta, s).coords
-                       for s in (8.0, 10.0, 12.0)])
-    vals = [abs(herm(j @ zeta.coords, zeta.coords))
-            for j in jacobian(f, probes)]
-    r = np.exp(-2.0)
-    jac_check = float((vals[2] - r * vals[1]) / (1.0 - r))
     return DilationEstimate(lam_hat=float(np.exp(log_lam)), s_grid=grid,
                             profile=prof, tail_infimum=tail_inf,
-                            extrapolated=extrap, jacobian_check=jac_check)
+                            extrapolated=extrap)
+
+
+def jacobian_check(f: SelfMap, zeta: BoundaryPoint) -> float:
+    """The dilation from the Jacobian, an independent cross-check of
+    `estimate_dilation`: |<f'(z) zeta, zeta>| at the axis points s = 10
+    and 12, extrapolated in e^{-s}."""
+    probes = np.array([geo._axis_point(zeta, s).coords for s in (10.0, 12.0)])
+    near, far = (abs(herm(j @ zeta.coords, zeta.coords))
+                 for j in jacobian(f, probes))
+    r = np.exp(-2.0)
+    return float((far - r * near) / (1.0 - r))
 
 
 def certify_brfp(f: SelfMap, zeta: BoundaryPoint) -> BrfpReport:

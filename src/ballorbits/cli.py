@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -198,7 +199,7 @@ def cmd_dilation(args) -> int:
     print(f"lambda_hat={fmt(est.lam_hat)}")
     print(f"tail_infimum={fmt(np.exp(est.tail_infimum))}")
     print(f"extrapolated={fmt(np.exp(est.extrapolated))}")
-    print(f"jacobian_check={fmt(est.jacobian_check)}")
+    print(f"jacobian_check={fmt(cat.jacobian_check(f, zeta))}")
     return EXIT_OK
 
 
@@ -326,7 +327,15 @@ def cmd_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and never changed after.
+
+    `parse_args` reads it and returns a new namespace each call.  Each
+    subcommand binds its `cmd_*` function when the parser is first built,
+    so replacing a `cmd_*` attribute of this module afterwards does not
+    reach `main`.
+    """
     p = argparse.ArgumentParser(
         prog="ballorbits",
         description="Backward orbits and boundary geometry of holomorphic "
@@ -394,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -333,7 +333,7 @@ def test_estimate_dilation_blaschke(blaschke, e1):
     # angular derivative b'(1) = 1 + (1+a)/(1-a) = 3
     est = cat.estimate_dilation(blaschke, e1)
     assert est.lam_hat == pytest.approx(3.0, abs=1e-4)
-    assert est.jacobian_check == pytest.approx(3.0, abs=1e-3)
+    assert cat.jacobian_check(blaschke, e1) == pytest.approx(3.0, abs=1e-3)
 
 
 def test_estimate_dilation_exact_for_automorphisms(e1):
@@ -377,7 +377,32 @@ def test_dilation_profile_matches_per_point_steps(make, zeta):
     vals = [abs(geo.herm(cat.jacobian(f, geo._axis_point(zeta, s).coords)
                          @ zeta.coords, zeta.coords)) for s in (8.0, 10.0, 12.0)]
     r = np.exp(-2.0)
-    assert est.jacobian_check == float((vals[2] - r * vals[1]) / (1.0 - r))
+    assert cat.jacobian_check(f, zeta) == float(
+        (vals[2] - r * vals[1]) / (1.0 - r))
+
+
+@pytest.mark.parametrize("make, zeta", [
+    (lambda: cat.blaschke_product([0.0, 1.0 / 3.0]),
+     geo.basis_boundary_point(1)),
+    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j])),
+    (lambda: cat.conjugate_map(cat.blaschke_product([0.0, 1.0 / 3.0]),
+                               geo.axis_translation(
+                                   geo.basis_boundary_point(1), 0.2)),
+     geo.basis_boundary_point(1)),
+])
+def test_estimate_dilation_plans_once(make, zeta, monkeypatch):
+    """A structured map is planned at zeta once per estimate, and its
+    whole radial grid steps through that plan."""
+    f = make()
+    plans = []
+    plan = type(f)._plan
+    monkeypatch.setattr(type(f), "_plan",
+                        lambda self, ref: plans.append(ref) or plan(self, ref))
+    for n in (1, 2):
+        est = cat.estimate_dilation(f, zeta)
+        assert len(plans) == n
+    assert plans[0].tobytes() == zeta.coords.tobytes()
+    assert est.s_grid[-1] == 30.0
 
 
 def test_certify_brfp(blaschke, e1):

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,59 @@ def test_validate_premodel_refusal_exit_2(tmp_path, capsys, premodel, argv):
                          str(pm), "--zeta", "1", *argv)
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """However many calls `main` takes, the parser is built by the first."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        code, out, _ = run(capsys, "geometry", "dist", "0", "0.5")
+        assert code == 0 and out == "1.09861228866811\n"
+    assert built.count("ballorbits") == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+SHORT_ORBIT = ("orbit", "blaschke:a=1/3", "--zeta", "1", "--lambda", "3",
+               "--kmax", "12")
+
+
+def fresh(capsys, *argv):
+    """A call on a parser built for it alone."""
+    cli.build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("before, before_code", [
+    (SHORT_ORBIT + ("--mode", "cluster"), 0),
+    (SHORT_ORBIT + ("--out", "OUT"), 0),
+    (SHORT_ORBIT + ("--mode", "wibble"), 2),
+    (("orbit", "--kmax", "12"), 2),
+])
+def test_parser_keeps_no_state_between_calls(before, before_code, tmp_path,
+                                             capsys):
+    """A call after another on the same parser gives what a fresh call
+    gives: the default mode after cluster, stdout after --out, a good call
+    after an argv error."""
+    expected = fresh(capsys, *SHORT_ORBIT)
+    assert expected[0] == 0 and expected[1].startswith("j,re_z1")
+    argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in before]
+    assert fresh(capsys, *argv)[0] == before_code
+    assert run(capsys, *SHORT_ORBIT) == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["orbit", "--help"]])
+def test_help_exits_0(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: ballorbits")
 
 
 # ---------------------------------------------------------------------------
