@@ -141,7 +141,7 @@ def criterion_06_finite_distance(seed, fx=None):
     quarter = max(len(comp.direct) // 4, 2)
     window = comp.direct[-quarter:]
     increase = float(window.max() - window.min())
-    shift = ana.shift_recovery(res.orbit, newton.orbit)
+    shift = ana.shift_recovery(comp, newton.orbit)
     ok = (increase < 1e-2
           and abs(geo.kob_dist(geo.ball_point(res.orbit.points[0].coords),
                                newton.orbit.points[0]) - 0.05) < 1e-12

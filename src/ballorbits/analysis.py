@@ -117,11 +117,19 @@ class ShiftResult:
     direct_max: float
 
 
-def shift_recovery(xi: OrbitSegment, eta: OrbitSegment) -> ShiftResult:
+def shift_recovery(comp: OrbitComparison, eta: OrbitSegment) -> ShiftResult:
     """Recover an index shift alpha with kob(x_n, y_{n+alpha}) < C for all n
-    in the window, certifying direct <= C + |alpha| * step(eta)."""
-    xi, eta = _with_refs(xi), _with_refs(eta)
-    comp = orbit_distance_profile(xi, eta)
+    in the window, certifying direct <= C + |alpha| * step(eta).
+
+    `comp` is `orbit_distance_profile(xi, eta)`, made by the caller; its
+    plateau verdict, the one field that depends on `eps_plateau`, is not
+    read here.
+    """
+    eta = _with_refs(eta)
+    if comp.dmat.shape[1] != len(eta):
+        raise DomainError(
+            f"the comparison measured {comp.dmat.shape[1]} points of eta, "
+            f"this orbit has {len(eta)}")
     c = comp.c_bound + 1e-12
     idx = comp.indices
     eta_steps, _, _ = orbit_diagnostics(eta)

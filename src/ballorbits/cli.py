@@ -278,7 +278,7 @@ def cmd_compare(args) -> int:
                                            args.offset)
         xi, eta = res.orbit, newton.orbit
     comp = ana.orbit_distance_profile(xi, eta, eps_plateau=args.eps_plateau)
-    shift = ana.shift_recovery(xi, eta)
+    shift = ana.shift_recovery(comp, eta)
     print(f"window={len(comp.direct)} direct_max={fmt(comp.direct.max())} "
           f"shifted_max={fmt(comp.c_bound)} plateau={comp.plateau}")
     print(f"alpha={shift.alpha} c_star={fmt(shift.c_star)} "

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ballorbits import acceptance, cli
+from ballorbits import analysis as ana
 from ballorbits import catalog as cat
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
@@ -51,6 +52,14 @@ def test_pass_builds_its_shared_fixtures_once(monkeypatch):
     assert all(line.passed for line in lines)
     assert calls == {"ensure_pole_clearance": 1,
                      "construct_backward_orbit": 2}
+
+
+def test_criterion_06_profiles_once(monkeypatch):
+    # the shift recovery reads the profile the criterion measured
+    calls = count_calls(monkeypatch, (ana, "orbit_distance_profile"),
+                        (ana, "shift_recovery"))
+    assert acceptance.criterion_06_finite_distance(12345).passed
+    assert calls == {"orbit_distance_profile": 1, "shift_recovery": 1}
 
 
 def test_criterion_07_fails_on_short_sample_set(monkeypatch):

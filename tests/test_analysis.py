@@ -80,13 +80,14 @@ def test_shift_recovery_known_shift(blaschke_orbit):
     seg = blaschke_orbit.orbit
     shifted = orb.OrbitSegment(points=seg.points[3:], zeta=seg.zeta,
                                lam=seg.lam, map_label=seg.map_label)
-    res = ana.shift_recovery(shifted, seg)
+    res = ana.shift_recovery(ana.orbit_distance_profile(shifted, seg), seg)
     assert res.alpha == 3
     assert res.c_star < 1e-6
 
 
 def test_shift_recovery_independent_orbits(blaschke_orbit, newton_orbit):
-    res = ana.shift_recovery(blaschke_orbit.orbit, newton_orbit.orbit)
+    xi, eta = blaschke_orbit.orbit, newton_orbit.orbit
+    res = ana.shift_recovery(ana.orbit_distance_profile(xi, eta), eta)
     sigma = newton_orbit.steps.max()
     assert res.certified_bound <= res.c_star + abs(res.alpha) * sigma + 1e-12
     assert res.direct_max <= res.certified_bound + 1e-9
@@ -97,7 +98,11 @@ def test_shift_recovery_refuses_mismatched(blaschke_orbit):
     other = orb.OrbitSegment(points=seg.points, zeta=geo.boundary_point(
         [-1.0]), lam=seg.lam, map_label=seg.map_label)
     with pytest.raises(DomainError):
-        ana.shift_recovery(seg, other)
+        ana.shift_recovery(ana.orbit_distance_profile(seg, other), other)
+    shorter = orb.OrbitSegment(points=seg.points[:-1], zeta=seg.zeta,
+                               lam=seg.lam, map_label=seg.map_label)
+    with pytest.raises(DomainError, match="measured"):
+        ana.shift_recovery(ana.orbit_distance_profile(seg, seg), shorter)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
+from ballorbits import analysis as ana
 from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits.errors import ConfigError
@@ -405,6 +406,16 @@ def test_compare_from_csv_files(tmp_path, capsys):
     assert code == 0
     assert "plateau=True" in out
     assert "alpha=" in out
+
+
+def test_compare_profiles_once(monkeypatch, capsys):
+    # the shift recovery reads the profile that compare measured
+    calls = count_calls(monkeypatch, (ana, "orbit_distance_profile"),
+                        (ana, "shift_recovery"))
+    code, out, _ = run(capsys, "compare", "blaschke:a=1/3", "--zeta=1",
+                       "--kmax", "12")
+    assert code == 0 and "alpha=" in out
+    assert calls == {"orbit_distance_profile": 1, "shift_recovery": 1}
 
 
 @pytest.mark.parametrize("argv, estimates", [
