@@ -229,15 +229,36 @@ class TubeCoveringReport:
 def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
                         s_values=None) -> TubeCoveringReport:
     """Checks that the tube A(gamma, width) lies within a bounded Kobayashi
-    distance of the orbit: R_hat <= width + 3*C_hat + sigma_hat (+1e-6)."""
+    distance of the orbit: R_hat <= width + 3*C_hat + sigma_hat (+1e-6).
+
+    R_hat, the max over samples of the distance to the nearest orbit point,
+    is read from the rows that can set it.  The orbit point nearest a
+    sample in horofunction and its two chain neighbours give a distance
+    m_i >= the sample's row minimum, as a pair rounds as its matrix entry;
+    the row minimum of the sample with the largest m_i is a lower bound L
+    of R_hat, so a row with m_i <= L cannot exceed L and only the others
+    are measured in full."""
+    if not len(eta):
+        raise DomainError("tube covering needs an orbit with points")
     eta = _with_refs(eta)
     # width 0 samples the axis alone
     samples = tube_samples(zeta, width, s_values=s_values,
                            radius_fractions=(1.0, 0.5) if width > 0.0 else ())
-    dmat = geo.kob_matrix(samples, eta.points)
-    r_hat = float(dmat.min(axis=1).max())
-    c_hat = geo.dist_to_geodesic(eta.points, zeta)[0].max()
-    steps, _, _ = orbit_diagnostics(eta)
+    pts = eta.points
+    steps, horos, _ = orbit_diagnostics(eta)
+    gap = np.abs(geo.horofunction(samples, zeta)[:, None] - horos[None, :])
+    near = np.clip(gap.argmin(axis=1)[:, None] + np.arange(-1, 2), 0,
+                   len(pts) - 1)
+    # the pairs (i, near[i, c]), with the orbit's lanes read once
+    coords, margin, delta, ref, tail = geo._lanes(pts)
+    m = geo._kob(geo._lanes(samples, 1),
+                 (coords[near], margin[near], delta[near],
+                  ref if ref.ndim == 1 else ref[near], tail[near])).min(axis=1)
+    top = int(np.argmax(m))
+    low = geo.kob_matrix(samples.take([top]), pts).min()
+    rows = samples.take(~(m <= low))   # a nan m_i keeps its row
+    r_hat = float(geo.kob_matrix(rows, pts).min(axis=1).max(initial=low))
+    c_hat = geo.dist_to_geodesic(pts, zeta)[0].max()
     sigma = float(steps.max()) if len(steps) else 0.0
     bound = width + 3.0 * c_hat + sigma + 1e-6
     ok = r_hat <= bound
@@ -311,11 +332,11 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
 
     tau_inv = geo.inverse(pm.tau)
     x = np.full(pm.base_dim, 0.25 + 0.1j, dtype=complex)
-    res_seq = []
+    iterates = []
     for _ in range(30):
         x = geo.apply_raw(tau_inv, x)
-        res_seq.append(float(np.linalg.norm(
-            np.asarray(pm.ell(x[None, :]))[0] - zeta.coords)))
+        iterates.append(x)
+    res_seq = _residuals(pm.ell(np.array(iterates)), zeta)
     backward_ok = res_seq[-1] < 1e-5 and res_seq[-1] < res_seq[0]
     lines.append(CheckLine("backward_orbit_to_zeta", backward_ok,
                            1e-5 - res_seq[-1]))
@@ -323,16 +344,20 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
     klim_ok = True
     worst = 0.0
     for seq in cat.koranyi_probes(pm.repelling, np.arange(4.0, 20.01, 2.0)):
-        res = [float(np.linalg.norm(
-            np.asarray(pm.ell(p.coords[None, :]))[0] - zeta.coords))
-            for p in seq]
-        worst = max(worst, res[-1])
+        res = _residuals(pm.ell(seq.coords), zeta)
+        worst = max(worst, float(res[-1]))
         if res[-1] > 1e-5 or res[-1] > res[0]:
             klim_ok = False
     lines.append(CheckLine("intertwiner_k_limit", klim_ok, 1e-5 - worst))
 
     return PremodelReport(lines=tuple(lines),
                           passed=all(l.passed for l in lines))
+
+
+def _residuals(images, zeta: BoundaryPoint) -> np.ndarray:
+    """|ell(w_i) - zeta| for the rows of ell's image, each rounded as
+    `np.linalg.norm` of the row alone."""
+    return geo._row_norms(np.asarray(images) - zeta.coords)
 
 
 def identity_premodel(f: cat.SelfMap, zeta: BoundaryPoint,

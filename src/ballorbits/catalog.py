@@ -29,7 +29,8 @@ from . import geometry as geo
 from .errors import (ConfigError, DilationOutOfScope, DomainError,
                      DimensionMismatch, NumericalError)
 from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
-from .sampling import _axial_transport, adapted_at, sample_ball, sample_shell
+from .sampling import (_axial_translates, adapted_at, sample_ball,
+                       sample_shell)
 
 _ONE = np.array([1.0 + 0.0j])   # the boundary point +1 of the disc
 
@@ -586,45 +587,58 @@ def self_map_check(f: SelfMap, n_samples: int = 10000, rng=None):
 
 
 def koranyi_probes(zeta: BoundaryPoint, s_values):
-    """Probe sequences approaching zeta inside K(zeta, 2): the radius plus
-    tangentially displaced copies (complex-tangent displacement for q = 1)."""
-    probes = []
-    for off in (0.0, 0.15, -0.15):
-        seq = []
-        for s in s_values:
-            if off == 0.0:
-                seq.append(geo._axis_point(zeta, float(s)))
-            else:
-                if zeta.q == 1:
-                    u_vec = 1j * off * zeta.coords
-                else:
-                    direction = np.zeros(zeta.q, dtype=complex)
-                    direction[1] = 1.0
-                    frame = geo.unitary_taking(
-                        geo.basis_boundary_point(zeta.q).coords, zeta.coords)
-                    u_vec = off * (frame @ direction)
-                seq.append(_axial_transport(zeta, float(s),
-                                            adapted_at(zeta, u_vec)))
-        probes.append(seq)
-    return probes
+    """Probe sequences approaching zeta inside K(zeta, 2), one `PointBatch`
+    each, row i at s_values[i]: the radius (`geo._axis_point`), plus two
+    tangentially displaced copies (complex-tangent displacement for q = 1),
+    whose starts move toward zeta by one broadcast `AxialStage`, row for
+    row `_axial_transport`."""
+    offsets = (0.15, -0.15)
+    if zeta.q == 1:
+        u_vecs = [1j * off * zeta.coords for off in offsets]
+    else:
+        direction = np.zeros(zeta.q, dtype=complex)
+        direction[1] = 1.0
+        frame = geo.unitary_taking(geo.basis_boundary_point(zeta.q).coords,
+                                   zeta.coords)
+        u_vecs = [off * (frame @ direction) for off in offsets]
+    starts = [adapted_at(zeta, u_vec) for u_vec in u_vecs]
+    delta, tail, margin = _axial_translates(zeta, s_values, starts)
+    return [geo._axis_batch(zeta, s_values)] + [
+        geo.PointBatch(zeta.coords, delta[:, i], tail[:, i], margin[:, i])
+        for i in range(len(starts))]
+
+
+def _probe_images(f: SelfMap, seq):
+    """f on one probe sequence: one planned step for the whole batch, or,
+    for a map without a plan there, raw steps point by point up to the
+    first that reaches the numerical boundary."""
+    plan = f._plan(seq.ref)
+    if plan is not None:
+        return _batch_step(plan, seq)
+    images = []
+    for p in seq:
+        try:
+            images.append(_raw_step(f, p.coords))
+        except NumericalError:
+            break
+    return images
+
+
+def _k_limit_residuals(f: SelfMap, zeta: BoundaryPoint):
+    """|f(z_i) - zeta| along each of the three Koranyi probe sequences, or
+    None at the first whose images do not tend to zeta."""
+    residuals = []
+    for seq in koranyi_probes(zeta, np.arange(4.0, 24.01, 2.0)):
+        res = geo.dist_to_zeta(_probe_images(f, seq), zeta)
+        if len(res) < 4 or res[-1] > 1e-8 or res[-1] > res[0]:
+            return None
+        residuals.append(res)
+    return residuals
 
 
 def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint) -> bool:
     """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe sequences."""
-    s_values = np.arange(4.0, 24.01, 2.0)
-    for seq in koranyi_probes(zeta, s_values):
-        images = []
-        for p in seq:
-            try:
-                images.append(step_point(f, p))
-            except NumericalError:
-                break
-        if len(images) < 4:
-            return False
-        res = geo.dist_to_zeta(images, zeta)
-        if res[-1] > 1e-8 or res[-1] > res[0]:
-            return False
-    return True
+    return _k_limit_residuals(f, zeta) is not None
 
 
 @dataclass(frozen=True)
@@ -652,10 +666,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     # a name perfbench's traced construct run must reach (ROADMAP item 7)
     plan = f._plan(geo._axis_point(zeta, 1.0).ref)
     grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
-    delta, margin = geo._axis_defect(grid)
-    radius = geo.PointBatch(zeta.coords, delta.astype(complex),
-                            np.zeros((len(grid), zeta.q), dtype=complex),
-                            margin)
+    radius = geo._axis_batch(zeta, grid)
     images = step_point(f, radius) if plan is None \
         else _batch_step(plan, radius)
     prof = grid - geo.kob_dist_origin(images)
@@ -692,13 +703,11 @@ def jacobian_check(f: SelfMap, zeta: BoundaryPoint) -> float:
 
 
 def certify_brfp(f: SelfMap, zeta: BoundaryPoint) -> BrfpReport:
-    if not is_boundary_fixed(f, zeta):
+    residuals = _k_limit_residuals(f, zeta)
+    if residuals is None:
         raise DomainError("zeta is not a K-limit fixed point of this map")
     est = estimate_dilation(f, zeta)
-    s_values = np.arange(4.0, 24.01, 2.0)
-    images = [step_point(f, p) for p in koranyi_probes(zeta, s_values)[0]]
-    return BrfpReport(zeta=zeta, dilation=est.lam_hat,
-                      residuals=geo.dist_to_zeta(images, zeta),
+    return BrfpReport(zeta=zeta, dilation=est.lam_hat, residuals=residuals[0],
                       step_profile=est.profile)
 
 

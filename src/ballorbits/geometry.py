@@ -578,6 +578,13 @@ def _axis_point(zeta: BoundaryPoint, s: float) -> BallPoint:
     return boundary_adapted_point(zeta.coords, delta, margin=margin)
 
 
+def _axis_batch(zeta: BoundaryPoint, s) -> PointBatch:
+    """The points `_axis_point(zeta, s[i])` as one batch."""
+    delta, margin = _axis_defect(np.asarray(s, dtype=float))
+    return PointBatch(zeta.coords, delta.astype(complex),
+                      np.zeros((len(delta), zeta.q), dtype=complex), margin)
+
+
 def geodesic_point(zeta: BoundaryPoint, s: float) -> BallPoint:
     """gamma(s) = ((e^s - 1)/(e^s + 1)) zeta; kob(0, gamma(s)) = s, s >= 0."""
     if s < 0.0:

@@ -85,11 +85,10 @@ def tube_samples(zeta: BoundaryPoint, width: float,
     `AxialStage` of dilation e^{-s} at zeta makes every row.
     """
     q = zeta.q
+    if not (np.isfinite(width) and width >= 0.0):
+        raise DomainError(f"tube width must be finite and >= 0, got {width}")
     if s_values is None:
         s_values = np.arange(1.0, 30.001, 1.0)
-    s = np.asarray(s_values, dtype=float)
-    if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
-        raise DomainError(f"axis parameter s = {s} exceeds float range")
     dirs = []
     for j in range(2 * q):
         d = np.zeros(q, dtype=complex)
@@ -102,12 +101,23 @@ def tube_samples(zeta: BoundaryPoint, width: float,
             direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
             offsets.append(adapted_at(zeta, rho * direction))
     offsets.append(adapted_at(zeta, np.zeros(q, dtype=complex)))
-    _, margin, delta, _, tail = _lanes(offsets)
-    # the (len(s), 1) translations broadcast against the offsets and origin
-    stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
-    delta, tail, margin = stage.plan(zeta.coords)[1](delta, tail, margin)
+    delta, tail, margin = _axial_translates(zeta, s_values, offsets)
     return PointBatch(ref=zeta.coords, delta=delta.reshape(-1),
                       tail=tail.reshape(-1, q), margin=margin.reshape(-1))
+
+
+def _axial_translates(zeta: BoundaryPoint, s_values, points):
+    """The state (delta[k, n], tail[k, n, q], margin[k, n]) of n points
+    adapted against zeta, each translated by every s_values[k] toward zeta
+    along the axis: one broadcast `AxialStage` of dilation e^{-s}, whose
+    row (k, i) is `_axial_transport(zeta, s_values[k], points[i])`."""
+    s = np.asarray(s_values, dtype=float)
+    if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
+        raise DomainError(f"axis parameter s = {s} exceeds float range")
+    _, margin, delta, _, tail = _lanes(points)
+    # the (k, 1) translations broadcast against the n points
+    stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
+    return stage.plan(zeta.coords)[1](delta, tail, margin)
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:

@@ -1,5 +1,7 @@
 """Orbit comparison, region equivalence, tube covering, pre-model checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ballorbits import catalog as cat
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
 from ballorbits.errors import DimensionMismatch, DomainError
+from ballorbits.sampling import tube_samples
 
 LOG3 = np.log(3.0)
 
@@ -163,6 +166,111 @@ def test_tube_covering_blaschke(blaschke_orbit, e1):
     assert rep.r_hat <= 1.0 + 3.0 * rep.c_hat + rep.sigma_hat + 1e-6
 
 
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), -1.0])
+def test_region_check_refuses_a_width_not_finite_and_nonnegative(e1, width):
+    # a nan width passed with a nan functional max, and -1 read as a
+    # violated invariant
+    with pytest.raises(DomainError, match="tube width"):
+        ana.region_equivalence_check([], e1, width, 2.0)
+
+
+def test_tube_covering_refuses_an_empty_orbit(e1):
+    empty = orb.OrbitSegment(points=(), zeta=e1, lam=3.0)
+    with pytest.raises(DomainError, match="orbit with points"):
+        ana.tube_covering_check(empty, e1, 1.0)
+
+
+def reference_covering(eta, zeta, width, s_values=None):
+    """`tube_covering_check` from the full matrix: every sample's distance
+    to every orbit point, the row minima and their max."""
+    eta = ana._with_refs(eta)
+    samples = tube_samples(zeta, width, s_values=s_values,
+                           radius_fractions=(1.0, 0.5) if width > 0.0 else ())
+    r_hat = float(geo.kob_matrix(samples, eta.points).min(axis=1).max())
+    c_hat = geo.dist_to_geodesic(eta.points, zeta)[0].max()
+    steps, _, _ = orb.orbit_diagnostics(eta)
+    sigma = float(steps.max()) if len(steps) else 0.0
+    bound = width + 3.0 * c_hat + sigma + 1e-6
+    return ana.TubeCoveringReport(r_hat=r_hat, c_hat=float(c_hat),
+                                  sigma_hat=sigma, bound=float(bound),
+                                  ok=r_hat <= bound, n_samples=len(samples))
+
+
+def _assert_covering_matches(seg, zeta, width, s_values=None):
+    rep = ana.tube_covering_check(seg, zeta, width, s_values=s_values)
+    # repr keeps every bit of a float
+    assert repr(rep) == repr(reference_covering(seg, zeta, width, s_values))
+
+
+@pytest.fixture(scope="module")
+def offaxis_chains():
+    """A backward orbit of the hyperbolic map of dilation 3 at an off-axis
+    zeta, for q = 1, 2, 3."""
+    chains = {}
+    for q in (1, 2, 3):
+        v = np.array([1.0, 1j]) @ np.random.default_rng(q).normal(size=(2, q))
+        zeta = geo.boundary_point(v / np.linalg.norm(v))
+        res = orb.construct_backward_orbit(cat.hyperbolic_selfmap(zeta, 3.0),
+                                           zeta, 3.0)
+        chains[q] = _ray_part(res.orbit)
+    return chains
+
+
+@pytest.mark.parametrize("form", ["batch", "tuple"])
+@pytest.mark.parametrize("width", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_tube_covering_matches_full_matrix(offaxis_chains, q, width, form):
+    seg = offaxis_chains[q]
+    assert isinstance(seg.points, geo.PointBatch)
+    if form == "tuple":
+        seg = orb.OrbitSegment(points=tuple(seg.points), zeta=seg.zeta,
+                               lam=seg.lam)
+    _assert_covering_matches(seg, seg.zeta, width)
+
+
+def test_tube_covering_matches_full_matrix_on_coordinate_points(e1):
+    auto = cat.hyperbolic_selfmap(e1, 3.0)
+    # no structured step: every point but the deepest, its anchor, holds
+    # coordinates alone
+    raw = cat.callable_map(lambda z: cat.evaluate(auto, z), 1)
+    res = orb.construct_backward_orbit(
+        raw, e1, 3.0, orb.OrbitParams(k_max=6, dist_target=1e-2))
+    assert all(p.ref is None for p in res.orbit.points[:-1])
+    for width in (0.0, 0.5, 2.0):
+        _assert_covering_matches(res.orbit, e1, width, np.arange(1.0, 6.0))
+
+
+@pytest.fixture(scope="module")
+def criterion_08_chains(auto_orbit, blaschke_orbit):
+    return [_ray_part(auto_orbit.orbit), _ray_part(blaschke_orbit.orbit)]
+
+
+def test_tube_covering_matches_full_matrix_on_criterion_08(
+        criterion_08_chains, e1):
+    for seg in criterion_08_chains:
+        _assert_covering_matches(seg, e1, 1.0)
+
+
+def test_tube_covering_measures_few_pairs(criterion_08_chains, e1,
+                                          monkeypatch):
+    """The rows that cannot set the covering radius are not measured: the
+    distance kernel sees under a quarter of the sample-orbit pairs."""
+    shapes = []
+    kob = geo._kob
+
+    def counted(z_lanes, w_lanes):
+        shapes.append(np.broadcast_shapes(z_lanes[1].shape,
+                                          w_lanes[1].shape))
+        return kob(z_lanes, w_lanes)
+
+    monkeypatch.setattr(geo, "_kob", counted)
+    for seg in criterion_08_chains:
+        shapes.clear()
+        rep = ana.tube_covering_check(seg, e1, 1.0)
+        assert rep.n_samples == 510
+        assert sum(math.prod(shape) for shape in shapes) < 510 * len(seg) / 4
+
+
 # ---------------------------------------------------------------------------
 # intertwining triples
 # ---------------------------------------------------------------------------
@@ -238,3 +346,49 @@ def test_premodel_conjugation_equivariance(warped_setup, e1_q2, rng):
     r1 = 1e-8 - rep_conj.lines[0].margin
     assert abs(r0 - r1) < 1e-10
     assert rep_conj.passed
+
+
+def reference_premodel_tail(pm, zeta):
+    """`premodel_validate`'s backward-orbit and K-limit lines point by
+    point: one `ell` call and one `np.linalg.norm` per backward tau-iterate
+    and per probe point."""
+    def residual(w):
+        return float(np.linalg.norm(np.asarray(pm.ell(w[None, :]))[0]
+                                    - zeta.coords))
+
+    tau_inv = geo.inverse(pm.tau)
+    x = np.full(pm.base_dim, 0.25 + 0.1j, dtype=complex)
+    res_seq = []
+    for _ in range(30):
+        x = geo.apply_raw(tau_inv, x)
+        res_seq.append(residual(x))
+    lines = [ana.CheckLine("backward_orbit_to_zeta",
+                           res_seq[-1] < 1e-5 and res_seq[-1] < res_seq[0],
+                           1e-5 - res_seq[-1])]
+    klim_ok = True
+    worst = 0.0
+    for seq in cat.koranyi_probes(pm.repelling, np.arange(4.0, 20.01, 2.0)):
+        res = [residual(p.coords) for p in seq]
+        worst = max(worst, res[-1])
+        if res[-1] > 1e-5 or res[-1] > res[0]:
+            klim_ok = False
+    lines.append(ana.CheckLine("intertwiner_k_limit", klim_ok, 1e-5 - worst))
+    return ana.render_report(lines)
+
+
+def test_premodel_lines_match_per_point_reference(warped_setup, e1_q2):
+    """Criterion 09's good and bad triples, and identity triples."""
+    wp, good = warped_setup
+    bad = ana.PreModel(base_dim=1, ell=good.ell,
+                       tau=geo.hyperbolic_automorphism(
+                           geo.basis_boundary_point(1), 3.3),
+                       repelling=good.repelling)
+    cases = [(wp, good, e1_q2), (wp, bad, e1_q2)]
+    for zeta in (geo.basis_boundary_point(1), geo.boundary_point([0.6, 0.8j])):
+        auto = cat.hyperbolic_selfmap(zeta, 3.0)
+        cases.append((auto, ana.identity_premodel(auto, zeta, 3.0), zeta))
+    for f, pm, target in cases:
+        rep = ana.premodel_validate(f, pm, target, lam=3.0,
+                                    rng=np.random.default_rng(12345))
+        assert (ana.render_report(rep.lines[2:])
+                == reference_premodel_tail(pm, target))

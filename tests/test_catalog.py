@@ -10,6 +10,7 @@ from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
+from ballorbits import sampling
 from ballorbits.errors import (ConfigError, DilationOutOfScope,
                                DimensionMismatch, DomainError, NumericalError)
 from ballorbits.sampling import sample_horodisc
@@ -411,6 +412,104 @@ def test_certify_brfp(blaschke, e1):
     assert rep.residuals[-1] < rep.residuals[0]
     with pytest.raises(DomainError):
         cat.certify_brfp(blaschke, geo.boundary_point([-1.0]))
+
+
+def reference_probes(zeta, s_values):
+    """`koranyi_probes` one point at a time: the axis point at each s, and
+    each tangentially displaced start moved by `_axial_transport`."""
+    probes = [[geo._axis_point(zeta, float(s)) for s in s_values]]
+    for off in (0.15, -0.15):
+        if zeta.q == 1:
+            u_vec = 1j * off * zeta.coords
+        else:
+            direction = np.zeros(zeta.q, dtype=complex)
+            direction[1] = 1.0
+            frame = geo.unitary_taking(
+                geo.basis_boundary_point(zeta.q).coords, zeta.coords)
+            u_vec = off * (frame @ direction)
+        start = sampling.adapted_at(zeta, u_vec)
+        probes.append([sampling._axial_transport(zeta, float(s), start)
+                       for s in s_values])
+    return probes
+
+
+def _state_bytes(p):
+    return (np.complex128(p.delta).tobytes(), p.tail().tobytes(),
+            np.float64(p.margin).tobytes(), p.coords.tobytes())
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_koranyi_probes_match_reference(q):
+    rng = np.random.default_rng(100 + q)
+    s_values = np.arange(0.0, 200.001, 2.5)
+    zetas = [geo.basis_boundary_point(q)] + [
+        geo.boundary_point(v / np.linalg.norm(v))
+        for v in rng.normal(size=(4, q)) + 1j * rng.normal(size=(4, q))]
+    for zeta in zetas:
+        probes = cat.koranyi_probes(zeta, s_values)
+        ref = reference_probes(zeta, s_values)
+        assert len(probes) == len(ref) == 3
+        for seq, seq_ref in zip(probes, ref):
+            assert isinstance(seq, geo.PointBatch)
+            assert len(seq) == len(s_values)
+            assert ([_state_bytes(p) for p in seq]
+                    == [_state_bytes(p) for p in seq_ref])
+            assert seq.coords.tobytes() == np.array(
+                [p.coords for p in seq_ref]).tobytes()
+
+
+def _hyperbolic_raw(zeta):
+    """The hyperbolic map of dilation 3 at zeta, with no plan: it steps in
+    coordinates."""
+    auto = cat.hyperbolic_selfmap(zeta, 3.0)
+    return cat.callable_map(lambda z: cat.evaluate(auto, z), zeta.q)
+
+
+@pytest.mark.parametrize("make, zeta, sequences", [
+    (lambda: cat.blaschke_product([0.0, 1.0 / 3.0]),
+     geo.basis_boundary_point(1), 3),
+    # b(-1) = 1: the radius already fails
+    (lambda: cat.blaschke_product([0.0, 1.0 / 3.0]),
+     geo.boundary_point([-1.0]), 1),
+    (lambda: cat.conjugate_map(cat.blaschke_product([0.0, 1.0 / 3.0]),
+                               geo.axis_translation(
+                                   geo.basis_boundary_point(1), 0.2)),
+     geo.basis_boundary_point(1), 3),
+    # the tangential probes of a q = 2 map fail the 1e-8 test (ROADMAP
+    # item 3): the first of them is the last stepped
+    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j]), 2),
+    (lambda: _hyperbolic_raw(geo.basis_boundary_point(1)),
+     geo.basis_boundary_point(1), 3),
+])
+def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
+                                               monkeypatch):
+    """Each probe sequence is planned once and stepped as one batch; a map
+    without a plan steps each point in coordinates.  certify_brfp builds
+    and steps the probes once, and plans once more for its estimate."""
+    f = make()
+    plans = []
+    plan = type(f)._plan
+    monkeypatch.setattr(type(f), "_plan", lambda self, ref: (
+        plans.append(ref) if self is f else None) or plan(self, ref))
+    raw = count_calls(monkeypatch, (cat, "_raw_step"))
+    fixed = cat.is_boundary_fixed(f, zeta)
+    assert fixed == (sequences == 3)
+    assert len(plans) == sequences
+    assert all(ref.tobytes() == zeta.coords.tobytes() for ref in plans)
+    # 11 points a sequence
+    assert raw["_raw_step"] == (11 * sequences if plan(f, zeta.coords) is None
+                                else 0)
+    if fixed:
+        plans.clear()
+        cat.estimate_dilation(f, zeta)
+        estimate = len(plans)
+        plans.clear()
+        rep = cat.certify_brfp(f, zeta)
+        assert len(plans) == 3 + estimate
+        radius = cat.koranyi_probes(zeta, np.arange(4.0, 24.01, 2.0))[0]
+        per_point = geo.dist_to_zeta([cat.step_point(f, p) for p in radius],
+                                     zeta)
+        assert rep.residuals.tobytes() == per_point.tobytes()
 
 
 def test_warped_dilation(e1, e1_q2):

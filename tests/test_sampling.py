@@ -76,6 +76,13 @@ def test_tube_samples_match_reference_off_axis():
                           [geo.koranyi_functional(p, other) for p in ref])
 
 
+@pytest.mark.parametrize("width", [float("nan"), float("inf"),
+                                   float("-inf"), -1.0, -1e-300])
+def test_tube_samples_refuse_a_width_not_finite_and_nonnegative(e1, width):
+    with pytest.raises(DomainError, match="tube width"):
+        sampling.tube_samples(e1, width)
+
+
 def test_abs_sq_matches_scalar_rounding():
     # np.abs(z) ** 2 rounds differently from the scalar path on about a
     # third of these values; abs_sq must not
