@@ -63,8 +63,7 @@ def _with_refs(seg: OrbitSegment) -> OrbitSegment:
     pts = tuple(p if p.ref is not None else geo.with_reference(p, seg.zeta)
                 for p in seg.points)
     return OrbitSegment(points=pts, zeta=seg.zeta, lam=seg.lam,
-                        map_label=seg.map_label, base_index=seg.base_index,
-                        chain_tol=seg.chain_tol)
+                        map_label=seg.map_label, base_index=seg.base_index)
 
 
 def _require_same_target(xi: OrbitSegment, eta: OrbitSegment):

@@ -50,8 +50,6 @@ class SelfMap:
     q: int
     params: tuple = ()
     children: tuple = ()
-    boundary_fixed: tuple = ()   # ((coords, dilation), ...), analytic metadata
-    interior_fixed: np.ndarray | None = None
     label: str = ""
 
     def __call__(self, z):
@@ -309,38 +307,21 @@ def blaschke_product(factors, theta: float = 0.0) -> SelfMap:
 
 
 def _finish_blaschke(facs, theta, cls) -> SelfMap:
-    fixed = []
-    real_rigid = all(abs(a.imag) == 0.0 for a in facs) and theta == 0.0
-    if real_rigid:
-        # real factors and no rotation: +1 is always fixed, -1 iff odd degree
-        lam_plus = sum((1.0 + a.real) / (1.0 - a.real) for a in facs)
-        fixed.append((_freeze([1.0]), float(lam_plus)))
-        if len(facs) % 2 == 1:
-            lam_minus = sum((1.0 - a.real) / (1.0 + a.real) for a in facs)
-            fixed.append((_freeze([-1.0]), float(lam_minus)))
-    interior = _freeze([0.0]) if any(a == 0 for a in facs) else None
     return cls(q=1, params=(facs, theta),
-               boundary_fixed=tuple(fixed), interior_fixed=interior,
                label=f"{cls.kind}({', '.join(f'{a:g}' for a in facs)})")
 
 
-def ball_automorphism(aut: geo.Automorphism,
-                      boundary_fixed=()) -> SelfMap:
+def ball_automorphism(aut: geo.Automorphism) -> SelfMap:
     return BallAutomorphism(q=aut.q, params=(aut,),
-                            boundary_fixed=tuple(boundary_fixed),
                             label=aut.label or "automorphism")
 
 
 def hyperbolic_selfmap(zeta: BoundaryPoint, lam: float) -> SelfMap:
-    aut = geo.hyperbolic_automorphism(zeta, lam)
-    return ball_automorphism(
-        aut, boundary_fixed=((_freeze(zeta.coords), float(lam)),))
+    return ball_automorphism(geo.hyperbolic_automorphism(zeta, lam))
 
 
 def parabolic_selfmap(zeta: BoundaryPoint, b, t: float) -> SelfMap:
-    aut = geo.parabolic_automorphism(zeta, b, t)
-    return ball_automorphism(
-        aut, boundary_fixed=((_freeze(zeta.coords), 1.0),))
+    return ball_automorphism(geo.parabolic_automorphism(zeta, b, t))
 
 
 def warped_product(phi: SelfMap, c, q: int = 2) -> SelfMap:
@@ -356,14 +337,7 @@ def warped_product(phi: SelfMap, c, q: int = 2) -> SelfMap:
         raise ConfigError(
             f"warped factor |c|^2 = {abs(c)**2:.6g} exceeds admissible "
             f"bound {bound:.6g}")
-    fixed = tuple((_freeze(np.concatenate([zc, np.zeros(q - 1)])), lam)
-                  for zc, lam in phi.boundary_fixed)
-    interior = None
-    if phi.interior_fixed is not None and abs(c) < 1.0:
-        interior = _freeze(np.concatenate([phi.interior_fixed,
-                                           np.zeros(q - 1)]))
     return WarpedProduct(q=q, params=(c,), children=(phi,),
-                         boundary_fixed=fixed, interior_fixed=interior,
                          label=f"warped({phi.label}, c={c:g})")
 
 
@@ -371,18 +345,9 @@ def conjugate_map(f: SelfMap, h: geo.Automorphism) -> SelfMap:
     """h o f o h^{-1}."""
     if f.q != h.q:
         raise DimensionMismatch("conjugator dimension mismatch")
-    fixed = []
-    for zc, lam in f.boundary_fixed:
-        image = geo.apply_raw(h, np.asarray(zc))
-        image = image / np.linalg.norm(image)
-        fixed.append((_freeze(image), lam))
-    interior = None
-    if f.interior_fixed is not None:
-        interior = _freeze(geo.apply_raw(h, np.asarray(f.interior_fixed)))
     return Conjugate(q=f.q, params=(h,),
                      children=(ball_automorphism(h), f,
                                ball_automorphism(geo.inverse(h))),
-                     boundary_fixed=tuple(fixed), interior_fixed=interior,
                      label=f"conj({f.label})")
 
 
@@ -396,10 +361,8 @@ def compose_maps(outer: SelfMap, inner: SelfMap) -> SelfMap:
 def iterate_map(base: SelfMap, power: int) -> SelfMap:
     if power < 1:
         raise ConfigError("iterate power must be >= 1")
-    fixed = tuple((zc, lam ** power) for zc, lam in base.boundary_fixed)
     return Iterate(q=base.q, params=(int(power),),
                    children=(base,) * int(power),
-                   boundary_fixed=fixed, interior_fixed=base.interior_fixed,
                    label=f"{base.label}^{power}")
 
 
@@ -667,7 +630,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     plan = f._plan(geo._axis_point(zeta, 1.0).ref)
     grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
     radius = geo._axis_batch(zeta, grid)
-    images = step_point(f, radius) if plan is None \
+    images = tuple(_raw_step(f, c) for c in radius.coords) if plan is None \
         else _batch_step(plan, radius)
     prof = grid - geo.kob_dist_origin(images)
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:

@@ -28,11 +28,11 @@ rejected there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NumericalError
+from .errors import DimensionMismatch, DomainError
 
 # Coordinate-only points closer to the sphere than this are rejected: every
 # formula divides by 1 - |z|^2, which subtraction can no longer resolve.
@@ -523,18 +523,6 @@ class KoranyiRegion:
             raise DomainError("Koranyi amplitude must exceed 1")
 
 
-@dataclass(frozen=True)
-class GeodesicTube:
-    """A(gamma, L): points within distance L of the ray from 0 to `target`."""
-
-    target: BoundaryPoint
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError("tube width must be positive")
-
-
 def horosphere_contains(z: BallPoint, sphere: Horosphere):
     """(inside, margin): margin = log R - horofunction, positive inside."""
     m = np.log(sphere.radius) - horofunction(z, sphere.center)
@@ -550,12 +538,6 @@ def koranyi_functional(z, vertex: BoundaryPoint):
 def koranyi_contains(z: BallPoint, region: KoranyiRegion):
     """(inside, margin): margin = 2 log M - [kob(0,z) + horofunction]."""
     m = 2.0 * np.log(region.amplitude) - koranyi_functional(z, region.vertex)
-    return bool(m > 0.0), float(m)
-
-
-def tube_contains(z: BallPoint, tube: GeodesicTube):
-    d, _ = dist_to_geodesic(z, tube.target)
-    m = tube.width - d
     return bool(m > 0.0), float(m)
 
 
@@ -920,18 +902,6 @@ def inverse(g: Automorphism) -> Automorphism:
                 label=f"inv({g.label})" if g.label else "")
 
 
-def compose(g2: Automorphism, g1: Automorphism) -> Automorphism:
-    """Normal form of z -> g2(g1(z))."""
-    if g1.q != g2.q:
-        raise DimensionMismatch("cannot compose automorphisms of different q")
-    q = g1.q
-    center = mobius_shift(g1.center, g1.unitary.conj().T @ g2.center)
-    unitary = _linear_part(
-        lambda v: apply_raw(g2, apply_raw(g1, mobius_shift(center, v))), q)
-    return _aut(center, unitary, stages=g1.stages + g2.stages,
-                label=f"{g2.label}*{g1.label}" if g1.label or g2.label else "")
-
-
 def boundary_image(g: Automorphism, zeta: BoundaryPoint) -> np.ndarray:
     """Continuous extension of g to the sphere (the formulas are rational
     with nonvanishing denominator on the closed ball)."""
@@ -953,35 +923,3 @@ def automorphism_dilation(g: Automorphism, zeta: BoundaryPoint) -> float:
         raise DomainError("dilation requested at a non-fixed boundary point")
     return float((1.0 - sq_norm(g.center))
                  / abs(1.0 - herm(zeta.coords, g.center)) ** 2)
-
-
-def normalizing_automorphism(a: BallPoint, zeta: BoundaryPoint):
-    """Automorphism g with g(a) = 0 and g(zeta) = zeta, plus its dilation.
-
-    Built as axial-hyperbolic composed with a Heisenberg parabolic: the
-    parabolic slides a along its horosphere onto the axis through zeta, the
-    hyperbolic then pulls that axis point to the origin.  The dilation at
-    zeta is exp(-horofunction(a, zeta)) exactly.
-    """
-    q = zeta.q
-    if a.q != q:
-        raise DimensionMismatch(f"dimensions {a.q} != {q}")
-    rot = unitary_taking(zeta.coords, basis_boundary_point(q).coords)
-    w = _cayley(rot @ a.coords)
-    b = -w[1:]
-    t = -float(w[0].real)
-    if np.linalg.norm(b) < 1e-15 and abs(t) < 1e-15:
-        parab = identity_automorphism(q)
-    else:
-        parab = parabolic_automorphism(zeta, b, t)
-    mu = float(np.exp(-horofunction(a, zeta)))
-    if abs((mu - 1.0) / (mu + 1.0)) < 1e-16:
-        hyper = identity_automorphism(q)
-    else:
-        hyper = _axial(zeta, mu, "axial")
-    g = compose(hyper, parab)
-    resid = np.linalg.norm(apply_raw(g, a.coords))
-    if resid > 1e-10:
-        raise NumericalError(
-            f"normalizing automorphism residual |g(a)| = {resid:.3e}")
-    return g, mu

@@ -31,7 +31,8 @@ class StoppingRecord:
     iterates stay in `frames`: a `PointBatch` grid, point (lane, j) f^j(r_k),
     when every step kept one batch on one reference, else one (points, lanes)
     pair per step: the points still running (a `PointBatch` or a tuple of
-    points) and the lane of each row.  Points are built only when asked for."""
+    points) and the lane of each row.  A point is built only when `point(j)`
+    asks for it; `point(n)` is the exit point."""
 
     k: int
     n: int                      # first index with f^n(r_k) outside closed E_0
@@ -47,28 +48,18 @@ class StoppingRecord:
         points, lanes = self.frames[j]
         return points[int(np.searchsorted(lanes, self.lane))]
 
-    @property
-    def exit_point(self) -> BallPoint:
-        return self.point(self.n)
-
-    @property
-    def iterates(self) -> tuple:
-        """r_k, f(r_k), ..., f^n(r_k); none if capped."""
-        return () if self.capped else tuple(
-            self.point(j) for j in range(self.n + 1))
-
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """Finite backward orbit: f(points[j+1]) = points[j] (+ base_index for
-    bilateral extensions; index n = base_index + j, larger = deeper)."""
+    """Finite backward orbit: f(points[j+1]) = points[j]; point n is
+    points[n - base_index] (larger = deeper).  `base_index` is the first
+    row's `j` when `cli.read_orbit_csv` reads the orbit back from a CSV."""
 
     points: tuple | PointBatch
     zeta: BoundaryPoint
     lam: float
     map_label: str = ""
     base_index: int = 0
-    chain_tol: float = 0.0
 
     def __len__(self):
         return len(self.points)
@@ -140,26 +131,22 @@ def radial_anchors(zeta: BoundaryPoint, lam: float, ks) -> PointBatch:
                       4.0 * lk / geo.abs_sq(lk + 1.0))
 
 
-def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
-                  n_max: int = 100000, k=None):
-    """First n with f^n(r_k) outside the closed horosphere E_0(zeta, 1).
+def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
+                  n_max: int = 100000, *, k):
+    """First n with f^n(r_k) outside the closed horosphere E_0(zeta, 1), for
+    each anchor r_k of the `PointBatch` anchors, `k` the index of each: one
+    `StoppingRecord` per anchor, in order.
 
     Exit is strict: horofunction values within 1e-13 of zero count as
-    inside, so automorphism chains stop at exactly n = k + 1.  The record
-    keeps the iterates up to the exit for `harvest_chain`.
+    inside, so automorphism chains stop at exactly n = k + 1.  The records
+    keep the iterates up to the exit for `harvest_chain`.
 
-    `r_k` is one point, with `k` its anchor index, or a `PointBatch` of
-    anchors, with `k` the index of each: every lane then steps in one
-    kernel call per step, f planned once per reference the batch holds, and
-    one record per lane comes back.  A lane retires when it leaves the
+    Every lane steps in one kernel call per step, f planned once per
+    reference the batch holds.  A lane retires when it leaves the
     horosphere or reaches `n_max` (capped).  If a step raises, the anchors
     rerun alone, lowest first, until one raises.
     """
-    batch = isinstance(r_k, PointBatch)
-    if batch:
-        points, ks = r_k, [-1] * len(r_k) if k is None else list(k)
-    else:
-        points, ks = (r_k,), [-1 if k is None else k]
+    points, ks = anchors, list(k)
     lanes = np.arange(len(ks))
     frames, exits = [], {}
     planned = None   # the ref bytes f is planned against, as `plan`
@@ -191,14 +178,13 @@ def stopping_time(f: cat.SelfMap, r_k, zeta: BoundaryPoint,
         except Exception:
             if len(ks) == 1:
                 raise
-            return [stopping_time(f, r_k.take([i]), zeta, n_max, [ks[i]])[0]
-                    for i in range(len(ks))]
+            return [stopping_time(f, anchors.take([i]), zeta, n_max,
+                                  k=[ks[i]])[0] for i in range(len(ks))]
     grid = _grid(frames, len(ks))
-    records = [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
-                              capped=capped, lane=lane,
-                              frames=tuple(frames) if grid is None else grid)
-               for lane, (n, h_exit, capped) in sorted(exits.items())]
-    return records if batch else records[0]
+    return [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
+                           capped=capped, lane=lane,
+                           frames=tuple(frames) if grid is None else grid)
+            for lane, (n, h_exit, capped) in sorted(exits.items())]
 
 
 def _grid(frames, n_lanes):
@@ -237,8 +223,7 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
     if record.capped:
         raise DomainError("cannot harvest a capped stopping record")
     points = _points_at([record] * (record.n + 1), range(record.n, -1, -1))
-    return OrbitSegment(points=points, zeta=zeta, lam=lam, map_label=f.label,
-                        chain_tol=0.0)
+    return OrbitSegment(points=points, zeta=zeta, lam=lam, map_label=f.label)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +317,6 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
             "no anchor chain could be harvested; per-k report: "
             + "; ".join(f"k={k}: {msg}" for k, msg in per_k))
 
-    chains: dict[int, OrbitSegment] = {}
-
-    def chain(k):
-        if k not in chains:
-            chains[k] = harvest_chain(f, records[k], zeta, lam)
-        return chains[k]
-
     if params.mode == "cluster":
         result = _cluster_orbit(records, zeta, lam, params, f)
         if result is not None:
@@ -349,7 +327,8 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
     # first to pass in descending (length, k) order
     best, k_deepest = None, max(records)
     for k in sorted(records, key=lambda k: (records[k].n, k), reverse=True):
-        res = analyze_orbit(chain(k), lam, params, "single-tail")
+        res = analyze_orbit(harvest_chain(f, records[k], zeta, lam), lam,
+                            params, "single-tail")
         if k == k_deepest:
             deepest = res
         if res.accepted:
@@ -390,7 +369,7 @@ def _cluster_orbit(records, zeta, lam, params, f):
         rec = recs[big[int(np.argmin(dmat[np.ix_(big, big)].sum(axis=1)))]]
         picks.append((rec, rec.n - j))
     seg = OrbitSegment(points=_points_at(*zip(*picks)), zeta=zeta, lam=lam,
-                       map_label=f.label, chain_tol=tol)
+                       map_label=f.label)
     if verify_backward(seg, f) > tol:
         return None
     res = analyze_orbit(seg, lam, params, "cluster")
@@ -635,8 +614,8 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     step sees the candidates a step-by-step march sees.
 
     Whether f steps adapted depends on the map and the point's reference
-    alone (every kind's `_plan` decides from `ref`), so it is probed once
-    per reference: every point after z_0 holds zeta, or z_0's reference
+    alone (every kind's `_plan` decides from `ref`), so `_plan` is asked
+    once per reference: every point after z_0 holds zeta, or z_0's reference
     where the adapted solve carried it on.  Grid solutions equal to an
     earlier candidate (within 1e-8) are dropped before points are built.
     """
@@ -651,7 +630,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     def steps_adapted(p):
         key = p.ref.tobytes()
         if key not in adapted:
-            adapted[key] = cat.adapted_step(f, p) is not None
+            adapted[key] = f._plan(p.ref) is not None
         return adapted[key]
 
     walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps), steps_adapted)
@@ -709,7 +688,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
         cur = nxt
     seg = OrbitSegment(points=tuple(pts), zeta=zeta,
                        lam=lam_hint if lam_hint is not None else float("nan"),
-                       map_label=f.label, chain_tol=1e-10)
+                       map_label=f.label)
     lam_for_check = lam_hint if lam_hint is not None else float(np.exp(step))
     return analyze_orbit(seg, lam_for_check, OrbitParams(), "preimage")
 
@@ -728,34 +707,8 @@ def offset_preimage_orbit(f: cat.SelfMap, orbit: OrbitSegment, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# bilateral extension and CSV dump
+# CSV and SVG dumps
 # ---------------------------------------------------------------------------
-
-def extend_to_bilateral(seg: OrbitSegment, f: cat.SelfMap) -> OrbitSegment:
-    """Prepend the forward iterates x_{-n} = f^n(x_0); the seam satisfies
-    the same backward identity as the harvested part.
-
-    Extension stops once the iterates either settle (interior limit) or
-    fall below margin 1e-9 near the sphere (Denjoy-Wolff side), where a
-    shared-reference representation against zeta stops helping.
-    """
-    fwd = []
-    p = seg.points[0]
-    for _ in range(60):
-        nxt = cat.step_point(f, p)
-        if nxt.margin < 1e-9:
-            break
-        p = nxt
-        fwd.append(p)
-        if len(fwd) >= 2 and np.linalg.norm(
-                fwd[-1].coords - fwd[-2].coords) < 1e-13:
-            break
-    pts = tuple(reversed(fwd)) + tuple(seg.points)
-    return OrbitSegment(points=pts, zeta=seg.zeta, lam=seg.lam,
-                        map_label=seg.map_label,
-                        base_index=seg.base_index - len(fwd),
-                        chain_tol=seg.chain_tol)
-
 
 def orbit_csv(res: BackwardOrbitResult) -> str:
     """CSV dump of an analysed orbit: j, re(z_1..q), im(z_1..q),

@@ -89,6 +89,8 @@ def tube_samples(zeta: BoundaryPoint, width: float,
         raise DomainError(f"tube width must be finite and >= 0, got {width}")
     if s_values is None:
         s_values = np.arange(1.0, 30.001, 1.0)
+    if np.size(s_values) == 0:
+        raise DomainError("tube samples need at least one s value")
     dirs = []
     for j in range(2 * q):
         d = np.zeros(q, dtype=complex)

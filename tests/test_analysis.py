@@ -174,6 +174,19 @@ def test_region_check_refuses_a_width_not_finite_and_nonnegative(e1, width):
         ana.region_equivalence_check([], e1, width, 2.0)
 
 
+def test_region_check_refuses_no_s_values(e1):
+    # an input error, not numpy's ValueError from an empty reduction
+    with pytest.raises(DomainError, match="at least one s value"):
+        ana.region_equivalence_check([], e1, 1.0, 2.0, s_values=[])
+
+
+def test_tube_covering_refuses_no_s_values(blaschke_orbit, e1):
+    # an input error, not numpy's ValueError from an empty argmax
+    with pytest.raises(DomainError, match="at least one s value"):
+        ana.tube_covering_check(_ray_part(blaschke_orbit.orbit), e1, 1.0,
+                                s_values=[])
+
+
 def test_tube_covering_refuses_an_empty_orbit(e1):
     empty = orb.OrbitSegment(points=(), zeta=e1, lam=3.0)
     with pytest.raises(DomainError, match="orbit with points"):

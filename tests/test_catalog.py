@@ -484,7 +484,8 @@ def _hyperbolic_raw(zeta):
 def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
                                                monkeypatch):
     """Each probe sequence is planned once and stepped as one batch; a map
-    without a plan steps each point in coordinates.  certify_brfp builds
+    without a plan steps each point in coordinates.  An estimate plans
+    once, whether or not the map has a plan there.  certify_brfp builds
     and steps the probes once, and plans once more for its estimate."""
     f = make()
     plans = []
@@ -499,13 +500,13 @@ def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
     # 11 points a sequence
     assert raw["_raw_step"] == (11 * sequences if plan(f, zeta.coords) is None
                                 else 0)
+    plans.clear()
+    cat.estimate_dilation(f, zeta)
+    assert len(plans) == 1
     if fixed:
         plans.clear()
-        cat.estimate_dilation(f, zeta)
-        estimate = len(plans)
-        plans.clear()
         rep = cat.certify_brfp(f, zeta)
-        assert len(plans) == 3 + estimate
+        assert len(plans) == 3 + 1
         radius = cat.koranyi_probes(zeta, np.arange(4.0, 24.01, 2.0))[0]
         per_point = geo.dist_to_zeta([cat.step_point(f, p) for p in radius],
                                      zeta)

@@ -8,6 +8,7 @@ import pytest
 from ballorbits import analysis as ana
 from ballorbits import catalog as cat
 from ballorbits import cli
+from ballorbits import geometry as geo
 from ballorbits.errors import ConfigError
 
 from conftest import count_calls
@@ -40,7 +41,8 @@ def test_parse_point():
 def test_inline_mapspec():
     f = cli.parse_mapspec("blaschke:a=1/3")
     assert f.kind == "blaschke"
-    assert f.boundary_fixed[0][1] == pytest.approx(3.0)
+    assert cat.estimate_dilation(
+        f, geo.basis_boundary_point(1)).lam_hat == pytest.approx(3.0)
     g = cli.parse_mapspec("hyperbolic:lam=3,zeta=1")
     assert g.q == 1
     with pytest.raises(ConfigError):

@@ -79,8 +79,8 @@ def test_stopping_time_automorphism_exact(disc_auto, e1):
     # the horofunction advances by exactly log(lam) per step, so the first
     # strict exit from the closed unit horosphere is one step past k
     for k in range(1, 31):
-        rec = orb.stopping_time(disc_auto, orb.radial_anchor(e1, 3.0, k),
-                                e1, k=k)
+        rec, = orb.stopping_time(disc_auto, orb.radial_anchors(e1, 3.0, [k]),
+                                 e1, k=[k])
         assert rec.n == k + 1
         assert not rec.capped
         assert rec.exit_margin > 0.0
@@ -88,22 +88,23 @@ def test_stopping_time_automorphism_exact(disc_auto, e1):
 
 def test_stopping_time_from_origin(disc_auto, e1):
     # r_0 = 0 on the horosphere boundary, f(0) already outside
-    rec = orb.stopping_time(disc_auto, orb.radial_anchor(e1, 3.0, 0), e1, k=0)
+    rec, = orb.stopping_time(disc_auto, orb.radial_anchors(e1, 3.0, [0]), e1,
+                             k=[0])
     assert rec.n == 1
 
 
 def test_stopping_time_blaschke(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
     for k in range(1, 31):
-        rec = orb.stopping_time(cleared, orb.radial_anchor(e1, 3.0, k),
-                                e1, k=k)
+        rec, = orb.stopping_time(cleared, orb.radial_anchors(e1, 3.0, [k]),
+                                 e1, k=[k])
         assert rec.n > k
 
 
 def test_stopping_time_cap(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
-    rec = orb.stopping_time(cleared, orb.radial_anchor(e1, 3.0, 20), e1,
-                            n_max=5, k=20)
+    rec, = orb.stopping_time(cleared, orb.radial_anchors(e1, 3.0, [20]), e1,
+                             n_max=5, k=[20])
     assert rec.capped
 
 
@@ -111,7 +112,8 @@ def test_harvest_chain_structure(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
     k = 12
     r_k = orb.radial_anchor(e1, 3.0, k)
-    rec = orb.stopping_time(cleared, r_k, e1, k=k)
+    rec, = orb.stopping_time(cleared, orb.radial_anchors(e1, 3.0, [k]), e1,
+                             k=[k])
     seg = orb.harvest_chain(cleared, rec, e1, 3.0)
     assert len(seg) == rec.n + 1
     # stored forward iterates reproduce bit for bit
@@ -191,8 +193,7 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
         assert np.float64(rec.exit_margin).tobytes() == np.float64(h).tobytes()
         assert ([_point_bytes(rec.point(j)) for j in range(n + 1)]
                 == [_point_bytes(p) for p in pts])
-        assert _point_bytes(rec.exit_point) == _point_bytes(pts[-1])
-        assert len(rec.iterates) == (0 if capped else n + 1)
+        assert _point_bytes(rec.point(rec.n)) == _point_bytes(pts[-1])
     return recs
 
 
@@ -345,8 +346,8 @@ def test_stopping_frames_stay_when_the_reference_moves(e1):
 
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
     cleared, _ = cleared_blaschke
-    r_k = orb.radial_anchor(e1, 3.0, 10)
-    rec = orb.stopping_time(cleared, r_k, e1, n_max=3, k=10)
+    rec, = orb.stopping_time(cleared, orb.radial_anchors(e1, 3.0, [10]), e1,
+                             n_max=3, k=[10])
     with pytest.raises(DomainError):
         orb.harvest_chain(cleared, rec, e1, 3.0)
 
@@ -742,14 +743,14 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
 
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
                                             monkeypatch):
-    # criterion 06's march asks whether the map steps adapted once for its
-    # one reference (the rest are the adapted solves' steps), and builds
+    # criterion 06's march asks `_plan`, not a step, whether the map steps
+    # adapted (every call here is an adapted solve's step), and builds
     # points only for grid solutions no earlier candidate holds
     calls = count_calls(monkeypatch, (cat, "adapted_step"),
                         (geo, "ball_point"))
     cleared, _ = cleared_blaschke
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls["adapted_step"] == 113
+    assert calls["adapted_step"] == 112
     assert calls["ball_point"] <= 11
 
 
@@ -1079,10 +1080,10 @@ def test_preimage_orbit_branch_locality():
     # triple product with boundary repelling points at both +1 and -1
     b3 = cat.blaschke_product([0.0, 1.0 / 3.0, -1.0 / 3.0])
     lam = 3.5    # sum of (1+a)/(1-a) over the factors, by log-derivative
-    assert b3.boundary_fixed[0][1] == pytest.approx(lam)
-    assert b3.boundary_fixed[1][1] == pytest.approx(lam)
     plus = geo.basis_boundary_point(1)
     minus = geo.boundary_point([-1.0])
+    assert cat.estimate_dilation(b3, plus).lam_hat == pytest.approx(lam)
+    assert cat.estimate_dilation(b3, minus).lam_hat == pytest.approx(lam)
     cleared, _ = cat.ensure_pole_clearance(b3, plus)
     r = orb.backward_orbit_via_preimages(cleared, geo.ball_point([0.8]),
                                          plus, 12, lam_hint=lam)
@@ -1094,24 +1095,8 @@ def test_preimage_orbit_branch_locality():
 
 
 # ---------------------------------------------------------------------------
-# bilateral extension and CSV
+# CSV
 # ---------------------------------------------------------------------------
-
-def test_extend_to_bilateral_seam(blaschke_orbit, cleared_blaschke):
-    cleared, _ = cleared_blaschke
-    bil = orb.extend_to_bilateral(blaschke_orbit.orbit, cleared)
-    assert bil.base_index < 0
-    j0 = -bil.base_index
-    x0, x1 = bil.points[j0], bil.points[j0 + 1]
-    xm1 = bil.points[j0 - 1]
-    # f(x_1) = x_0 and x_{-1} = f(x_0) both hold across the seam
-    assert np.linalg.norm(cat.step_point(cleared, x1).coords
-                          - x0.coords) == 0.0
-    assert np.linalg.norm(cat.step_point(cleared, x0).coords
-                          - xm1.coords) == 0.0
-    # forward extension approaches the interior fixed witness -tanh(0.1)
-    assert abs(bil.points[0].coords[0] + np.tanh(0.1)) < 1e-6
-
 
 def test_orbit_csv_format(blaschke_orbit):
     text = orb.orbit_csv(blaschke_orbit)

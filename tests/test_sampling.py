@@ -83,6 +83,12 @@ def test_tube_samples_refuse_a_width_not_finite_and_nonnegative(e1, width):
         sampling.tube_samples(e1, width)
 
 
+def test_tube_samples_refuse_no_s_values(e1):
+    # no s value gives no sample, and no check can read an empty batch
+    with pytest.raises(DomainError, match="at least one s value"):
+        sampling.tube_samples(e1, 1.0, s_values=[])
+
+
 def test_abs_sq_matches_scalar_rounding():
     # np.abs(z) ** 2 rounds differently from the scalar path on about a
     # third of these values; abs_sq must not

@@ -1,22 +1,32 @@
 """Checks on the code itself.  The benchmark's tracer wraps library
 functions by name: every name it lists must resolve, so that a rename fails
-here and not in a traced run.  And the options of the library are counted,
-so that a new one shows in the diff that adds it."""
+here and not in a traced run.  The options of the library are counted, so
+that a new one shows in the diff that adds it.  And every public name has a
+reader besides the tests."""
 
 import ast
 import contextlib
 import importlib
 import io
+import re
 import runpy
 from pathlib import Path
 
 import numpy as np
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
-SRC = Path(__file__).resolve().parents[1] / "src" / "ballorbits"
+SRC = ROOT / "src" / "ballorbits"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MAX_OPTIONS = 51
+MAX_OPTIONS = 49
+# Public names that nothing but the tests reads, each kept for its reason.
+UNREAD_EXPORTS = (
+    "callable_map",    # the entry point for a map given as a raw evaluator
+    "geodesic_point",  # the geodesic primitive that tests build points with
+    "certify_brfp",    # ROADMAP item 3 gives it a caller: certify zeta first
+                       # (README describes it already)
+)
 
 
 def test_traced_names_resolve():
@@ -179,3 +189,45 @@ def test_options_inventory():
     the diff that adds it."""
     options = _options()
     assert len(options) <= MAX_OPTIONS, "\n".join(options)
+
+
+def _exports():
+    """The names `ballorbits/__init__.py` takes from the package's modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _src_reads():
+    """Every name that src reads, as a name or an attribute, outside the
+    top-level definition that binds it; `__init__.py`'s re-exports do not
+    count."""
+    reads = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    reads.add(name)
+    return reads
+
+
+def test_public_names_have_callers():
+    """A name `ballorbits` exports is read by src outside its own
+    definition, or named by perfbench or README: a public name that only
+    tests reach is dead code, to be deleted with its tests or listed in
+    UNREAD_EXPORTS with its reason."""
+    reads = _src_reads()
+    text = "\n".join(p.read_text() for p in [ROOT / "README.md",
+                                             *sorted(PERFBENCH.iterdir())]
+                     if p.is_file())
+    exports = _exports()
+    assert set(UNREAD_EXPORTS) <= set(exports)
+    unread = [name for name in exports if name not in reads
+              and name not in UNREAD_EXPORTS
+              and not re.search(rf"\b{name}\b", text)]
+    assert unread == []
