@@ -60,6 +60,24 @@ def test_compare_golden(name, capsys):
     assert out == (GOLDEN / f"compare_{name}.txt").read_text()
 
 
+def test_compare_csv_golden(tmp_path, capsys):
+    """`compare --csv-a --csv-b` on two Blaschke orbit CSVs, 15 and 12
+    anchors deep: the CSV reader's path, byte for byte."""
+    paths = []
+    for kmax in (15, 12):
+        path = tmp_path / f"k{kmax}.csv"
+        assert cli.main(["orbit", "blaschke:a=1/3", "--zeta", "1",
+                         "--lambda", "3", "--kmax", str(kmax),
+                         "--out", str(path)]) == 0
+        paths.append(str(path))
+    capsys.readouterr()
+    code = cli.main(["compare", "--csv-a", paths[0], "--csv-b", paths[1],
+                     "--zeta", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "compare_csv.txt").read_text()
+
+
 CLUSTER_CASES = {
     "blaschke": ["blaschke:a=1/3", "--zeta=1"],
     "warped": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
