@@ -9,6 +9,7 @@ once, in a `PassFixtures` it hands to each criterion.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -173,13 +174,11 @@ def criterion_08_tube_covering(seed, fx=None):
     width = 1.0
     auto = _disc_automorphism()
     res_a = orb.construct_backward_orbit(auto, e1, 3.0)
-    seg_a = orb.OrbitSegment(points=res_a.orbit.points[1:], zeta=e1, lam=3.0,
-                             map_label=res_a.orbit.map_label)
+    seg_a = replace(res_a.orbit, points=res_a.orbit.points[1:])
     rep_a = ana.tube_covering_check(seg_a, e1, width)
     ok_a = rep_a.r_hat <= width + rep_a.sigma_hat + 1e-6
     res_b = (fx or PassFixtures()).blaschke_orbit
-    seg_b = orb.OrbitSegment(points=res_b.orbit.points[1:], zeta=e1, lam=3.0,
-                             map_label=res_b.orbit.map_label)
+    seg_b = replace(res_b.orbit, points=res_b.orbit.points[1:])
     rep_b = ana.tube_covering_check(seg_b, e1, width)
     ok_b = rep_b.r_hat <= width + 3.0 * rep_b.c_hat + rep_b.sigma_hat + 1e-6
     margin = min(width + rep_a.sigma_hat + 1e-6 - rep_a.r_hat,

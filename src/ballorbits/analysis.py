@@ -54,18 +54,6 @@ class OrbitComparison:
     dmat: np.ndarray               # kob(x_n, y_m): n in indices, all of eta
 
 
-def _with_refs(seg: OrbitSegment) -> OrbitSegment:
-    """Ensure every point carries the orbit's boundary reference (points
-    from coordinate-only code paths may lack one)."""
-    if isinstance(seg.points, geo.PointBatch) or all(
-            p.ref is not None for p in seg.points):
-        return seg
-    pts = tuple(p if p.ref is not None else geo.with_reference(p, seg.zeta)
-                for p in seg.points)
-    return OrbitSegment(points=pts, zeta=seg.zeta, lam=seg.lam,
-                        map_label=seg.map_label, base_index=seg.base_index)
-
-
 def _require_same_target(xi: OrbitSegment, eta: OrbitSegment):
     if np.linalg.norm(xi.zeta.coords - eta.zeta.coords) > 1e-9:
         raise DomainError(
@@ -90,14 +78,13 @@ def orbit_distance_profile(xi: OrbitSegment, eta: OrbitSegment,
     """
     if not eps_plateau > 0.0:
         raise DomainError(f"eps_plateau must be positive, got {eps_plateau}")
-    xi, eta = _with_refs(xi), _with_refs(eta)
     _require_same_target(xi, eta)
     lo = max(xi.base_index, eta.base_index)
     hi = min(xi.base_index + len(xi) - 1, eta.base_index + len(eta) - 1)
     if hi - lo < 3:
         raise DomainError("orbits share too short an index window")
     idx = np.arange(lo, hi + 1)
-    dmat = geo.kob_matrix([xi.point(n) for n in idx], eta.points)
+    dmat = geo.kob_matrix(xi.points.take(idx - xi.base_index), eta.points)
     direct = dmat[np.arange(len(idx)), idx - eta.base_index]
     shifted = dmat.min(axis=1)
     quarter = max(len(direct) // 4, 2)
@@ -124,7 +111,6 @@ def shift_recovery(comp: OrbitComparison, eta: OrbitSegment) -> ShiftResult:
     plateau verdict, the one field that depends on `eps_plateau`, is not
     read here.
     """
-    eta = _with_refs(eta)
     if comp.dmat.shape[1] != len(eta):
         raise DomainError(
             f"the comparison measured {comp.dmat.shape[1]} points of eta, "
@@ -239,7 +225,6 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
     are measured in full."""
     if not len(eta):
         raise DomainError("tube covering needs an orbit with points")
-    eta = _with_refs(eta)
     # width 0 samples the axis alone
     samples = tube_samples(zeta, width, s_values=s_values,
                            radius_fractions=(1.0, 0.5) if width > 0.0 else ())
@@ -248,11 +233,10 @@ def tube_covering_check(eta: OrbitSegment, zeta: BoundaryPoint, width: float,
     gap = np.abs(geo.horofunction(samples, zeta)[:, None] - horos[None, :])
     near = np.clip(gap.argmin(axis=1)[:, None] + np.arange(-1, 2), 0,
                    len(pts) - 1)
-    # the pairs (i, near[i, c]), with the orbit's lanes read once
-    coords, margin, delta, ref, tail = geo._lanes(pts)
+    # the pairs (i, near[i, c])
     m = geo._kob(geo._lanes(samples, 1),
-                 (coords[near], margin[near], delta[near],
-                  ref if ref.ndim == 1 else ref[near], tail[near])).min(axis=1)
+                 (pts.coords[near], pts.margin[near], pts.delta[near], pts.ref,
+                  pts.tail[near])).min(axis=1)
     top = int(np.argmax(m))
     low = geo.kob_matrix(samples.take([top]), pts).min()
     rows = samples.take(~(m <= low))   # a nan m_i keeps its row

@@ -497,9 +497,7 @@ def adapted_step(f: SelfMap, p):
         return None
     if isinstance(p, geo.PointBatch):
         return _batch_step(plan, p)
-    delta, tail, margin = _run(plan, *geo.point_state(p))
-    return geo.boundary_adapted_point(plan.ref, delta[0], tail=tail[0],
-                                      margin=margin[0])
+    return _batch_step(plan, geo.PointBatch(*geo.point_state(p))).point(0)
 
 
 def _batch_step(plan: Plan, batch) -> geo.PointBatch:
@@ -510,14 +508,20 @@ def _batch_step(plan: Plan, batch) -> geo.PointBatch:
 
 def step_point(f: SelfMap, p):
     """f(p) for a BallPoint or for every point of a `PointBatch`: adapted
-    when possible (a BallPoint or a PointBatch), else from raw coordinates
-    evaluated point by point (a BallPoint, or a tuple of them)."""
+    when possible, else from raw coordinates evaluated point by point, a
+    batch's images held against its reference (`geo.held`)."""
     out = adapted_step(f, p)
     if out is not None:
         return out
     if isinstance(p, geo.PointBatch):
-        return tuple(_raw_step(f, coords) for coords in p.coords)
+        return _raw_images(f, p)
     return _raw_step(f, p.coords)
+
+
+def _raw_images(f: SelfMap, batch) -> geo.PointBatch:
+    """f on a batch's points from coordinates, held against its ref."""
+    return geo.held([_raw_step(f, coords) for coords in batch.coords],
+                    BoundaryPoint(batch.ref))
 
 
 def _raw_step(f: SelfMap, coords) -> BallPoint:
@@ -626,11 +630,11 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     """
     # planned against the reference its radial points hold, read off one
     # built point: the `orbit` path's last call of boundary_adapted_point,
-    # a name perfbench's traced construct run must reach (ROADMAP item 7)
+    # a name perfbench's traced construct run must reach (ROADMAP item 9)
     plan = f._plan(geo._axis_point(zeta, 1.0).ref)
     grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
     radius = geo._axis_batch(zeta, grid)
-    images = tuple(_raw_step(f, c) for c in radius.coords) if plan is None \
+    images = _raw_images(f, radius) if plan is None \
         else _batch_step(plan, radius)
     prof = grid - geo.kob_dist_origin(images)
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:

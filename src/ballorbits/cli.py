@@ -243,24 +243,29 @@ def read_orbit_csv(path, zeta: geo.BoundaryPoint) -> orb.OrbitSegment:
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ConfigError(f"orbit CSV {path!r} is empty")
     header = lines[0].split(",")
     q = sum(1 for c in header if c.startswith("re_z"))
-    pts = []
-    base = None
+    pts, js = [], []
     for ln in lines[1:]:
         cells = ln.split(",")
-        j = int(cells[0])
-        coords = np.array([float(cells[1 + i]) + 1j * float(cells[1 + q + i])
-                           for i in range(q)])
+        try:
+            j = int(cells[0])
+            coords = np.array([float(cells[1 + i])
+                               + 1j * float(cells[1 + q + i])
+                               for i in range(q)])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"orbit CSV {path!r}: cannot read row {ln!r}") from exc
         if 1.0 - np.linalg.norm(coords) < geo.BOUNDARY_GUARD:
             break
-        if base is None:
-            base = j
-        pts.append(geo.with_reference(geo.ball_point(coords), zeta))
+        js.append(j)
+        pts.append(geo.ball_point(coords))
     if len(pts) < 4:
         raise ConfigError(f"orbit CSV {path!r} has too few usable rows")
-    return orb.OrbitSegment(points=tuple(pts), zeta=zeta, lam=float("nan"),
-                            map_label=path, base_index=base)
+    return orb.OrbitSegment(points=pts, zeta=zeta, lam=float("nan"),
+                            map_label=path, base_index=js[0])
 
 
 def cmd_compare(args) -> int:

@@ -29,6 +29,7 @@ rejected there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -215,7 +216,8 @@ class PointBatch:
     form of `boundary_adapted_point`, with delta[n], tail[n, q] and
     margin[n] (or a grid: delta[n, m], indexed by (row, column)).  `point(i)`
     and `batch[i]` are the i-th point as a `BallPoint`, and `batch[rows]`
-    the batch of a slice, mask or index array."""
+    the batch of a slice, mask or index array.  `coords` is built once and
+    kept; a batch that `held` makes from points keeps theirs."""
 
     ref: np.ndarray
     delta: np.ndarray
@@ -237,8 +239,14 @@ class PointBatch:
         return len(self.delta)
 
     def point(self, i: int) -> BallPoint:
-        return boundary_adapted_point(self.ref, self.delta[i],
-                                      tail=self.tail[i], margin=self.margin[i])
+        """Row i, not checked again; its coordinates are the batch's row, or
+        (1 - delta) ref + tail as `boundary_adapted_point` builds them."""
+        delta, tail = complex(self.delta[i]), self.tail[i]
+        coords = self.__dict__.get("coords")
+        coords = (1.0 - delta) * self.ref + tail if coords is None \
+            else coords[i]
+        return BallPoint(coords=coords, margin=float(self.margin[i]),
+                         ref=self.ref, delta=delta, tail_vec=tail)
 
     def __getitem__(self, i):
         return self.point(i) if np.ndim(self.delta[i]) == 0 else self.take(i)
@@ -246,17 +254,18 @@ class PointBatch:
     def __iter__(self):
         return (self.point(i) for i in range(len(self)))
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """coords[n, q]; row i equals `point(i).coords`."""
         return _defect_coords(self.ref, self.delta, self.tail)
 
     def take(self, rows) -> "PointBatch":
         """The points at `rows` (indices, a mask or a slice), in order: rows
-        of a checked batch, which are not checked again."""
+        of a checked batch, which are not checked again, with their kept
+        coordinates."""
         batch = object.__new__(PointBatch)
-        batch.__dict__.update(ref=self.ref, delta=self.delta[rows],
-                              tail=self.tail[rows], margin=self.margin[rows])
+        batch.__dict__.update((name, a if name == "ref" else a[rows])
+                              for name, a in vars(self).items())
         return batch
 
 
@@ -279,6 +288,8 @@ def point_state(p: BallPoint):
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
     """Attach boundary-adapted data to a point, computed once from its
     coordinates, which are the point's truth here."""
+    if p.q != zeta.q:
+        raise DimensionMismatch(f"dimensions {p.q} != {zeta.q}")
     a = herm(p.coords, zeta.coords)
     tail = p.coords - a * zeta.coords
     tail.flags.writeable = False
@@ -293,6 +304,29 @@ class BoundaryPoint:
     @property
     def q(self) -> int:
         return self.coords.shape[0]
+
+
+def held(points, zeta: BoundaryPoint) -> PointBatch:
+    """Points, or one point (the batch of one), as one batch held against
+    zeta, each with its own coordinates.
+
+    A point held against zeta, its reference within 1e-12 of it
+    (`_same_direction`), keeps its stored defect; any other takes the one
+    `with_reference` computes.  A batch held against zeta comes back as it
+    is."""
+    if isinstance(points, PointBatch) and points.q == zeta.q \
+            and _same_direction(points.ref, zeta.coords):
+        return points
+    points = (points,) if isinstance(points, BallPoint) else points
+    pts = [p if p.q == zeta.q and p.ref is not None
+           and _same_direction(p.ref, zeta.coords)
+           else with_reference(p, zeta) for p in points]
+    rows = (len(pts), zeta.q)
+    batch = PointBatch(zeta.coords, np.array([p.delta for p in pts], complex),
+                       np.reshape([p.tail() for p in pts], rows),
+                       np.array([p.margin for p in pts], float))
+    batch.__dict__["coords"] = np.reshape([p.coords for p in pts], rows)
+    return batch
 
 
 def boundary_point(coords, q=None) -> BoundaryPoint:
@@ -347,24 +381,6 @@ def _lanes(points, axis=None):
                                        for x in (coords, margin, delta, tail))
         ref = ref if ref.ndim == 1 else np.expand_dims(ref, axis)
     return coords, margin, delta, ref, tail
-
-
-def _against(z, zeta: BoundaryPoint):
-    """The lanes of z (see `_lanes`) and the mask of those held against
-    zeta, whose reference lies within 1e-12 of it (`_same_direction`): exact
-    in their defect form, where the others are as exact as coordinates."""
-    if not isinstance(z, BallPoint) and not len(z):
-        z = PointBatch(zeta.coords, np.zeros(0, dtype=complex),
-                       np.zeros((0, zeta.q), dtype=complex), np.zeros(0))
-    if (isinstance(z, PointBatch) and z.q == zeta.q
-            and _same_direction(z.ref, zeta.coords)):
-        # every lane held: none reads the coordinates a batch would build
-        return (None, z.margin, z.delta, z.ref, z.tail), np.ones(len(z), bool)
-    lanes = _lanes(z)
-    if lanes[0].shape[-1] != zeta.q:
-        raise DimensionMismatch(f"dimensions {lanes[0].shape[-1]} != {zeta.q}")
-    held = np.linalg.norm(lanes[3] - zeta.coords, axis=-1) <= 1e-12
-    return lanes, np.full(lanes[1].shape, held)
 
 
 def _one(z, out):
@@ -467,32 +483,25 @@ def kob_matrix(points_a, points_b) -> np.ndarray:
 def horofunction(z, zeta: BoundaryPoint):
     """log(|1 - <z, zeta>|^2 / (1 - |z|^2)); z in E_0(zeta, R) iff < log R.
     A float for a point, or an array for a sequence of points or a
-    `PointBatch`: the defect form on held lanes, coordinates elsewhere."""
-    (coords, margin, delta, _, _), held = _against(z, zeta)
-    out = np.log(abs_sq(delta) / margin)
-    if not held.all():
-        out[~held] = horo_raw(coords[~held], zeta.coords, margin[~held])
-    return _one(z, out)
+    `PointBatch`, from the defect against zeta (`held`)."""
+    b = held(z, zeta)
+    return _one(z, np.log(abs_sq(b.delta) / b.margin))
 
 
-def horo_raw(z, zeta_coords, margin=None):
+def horo_raw(z, zeta_coords):
     """Vectorised horofunction on raw coordinate arrays (..., q), each value
     rounded as alone: squared by pow, as `**` squares a scalar."""
     z = np.asarray(z, dtype=complex)
-    if margin is None:
-        margin = 1.0 - sq_norm(z)
     d = 1.0 - herm(z, zeta_coords)
-    return np.log(np.float_power(np.abs(d), 2.0) / margin)
+    return np.log(np.float_power(np.abs(d), 2.0) / (1.0 - sq_norm(z)))
 
 
 def dist_to_zeta(z, zeta: BoundaryPoint):
-    """Euclidean distance |z - zeta|, stable for adapted points: a float
-    for a point, or an array for a sequence of points or a `PointBatch`."""
-    (coords, _, delta, _, tail), held = _against(z, zeta)
-    out = np.sqrt(abs_sq(delta) + sq_norm(tail))
-    if not held.all():
-        out[~held] = _row_norms(coords[~held] - zeta.coords)
-    return _one(z, out)
+    """Euclidean distance |z - zeta| from the defect against zeta (`held`):
+    a float for a point, or an array for a sequence of points or a
+    `PointBatch`."""
+    b = held(z, zeta)
+    return _one(z, np.sqrt(abs_sq(b.delta) + sq_norm(b.tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +595,11 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
     At the root, with w = delta conj(2 - delta) and D = |w| + Re(w), the
     quotient (1 - |z|^2)(1 - t^2) / |1 - t a|^2 of the distance formula is
     2 (1 - |z|^2) / D and one minus it is (2 |tail|^2 + Im(w)^2 / D) / D,
-    so neither cancels for points deep toward zeta or on the axis.  Lanes
-    not held against zeta take their defect from coordinates, as
-    `with_reference` does.
+    so neither cancels for points deep toward zeta or on the axis.  Points
+    not held against zeta take the defect `with_reference` gives (`held`).
     """
-    (coords, margin, delta, _, tail), held = _against(z, zeta)
-    if not held.all():
-        a = herm(coords[~held], zeta.coords)
-        delta, tail = delta.copy(), tail.copy()
-        delta[~held] = 1.0 - a
-        # zeta with its row axis rounds a row as alone (`_defect_coords`)
-        tail[~held] = coords[~held] - a[:, None] * zeta.coords[None, :]
+    b = held(z, zeta)
+    delta, margin, tail = b.delta, b.margin, b.tail
     d2 = 2.0 - delta
     mod, mod2 = np.hypot(delta.real, delta.imag), np.hypot(d2.real, d2.imag)
     w = _cmul(delta, np.conj(d2))

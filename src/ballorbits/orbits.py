@@ -29,10 +29,9 @@ from .geometry import BallPoint, BoundaryPoint, PointBatch, _row_norms
 class StoppingRecord:
     """The stopping time of one lane of a `stopping_time` run.  The run's
     iterates stay in `frames`: a `PointBatch` grid, point (lane, j) f^j(r_k),
-    when every step kept one batch on one reference, else one (points, lanes)
-    pair per step: the points still running (a `PointBatch` or a tuple of
-    points) and the lane of each row.  A point is built only when `point(j)`
-    asks for it; `point(n)` is the exit point."""
+    when every step kept one reference, else one (points, lanes) pair per
+    step: the batch still running and the lane of each row.  A point is
+    built only when `point(j)` asks for it; `point(n)` is the exit point."""
 
     k: int
     n: int                      # first index with f^n(r_k) outside closed E_0
@@ -43,6 +42,8 @@ class StoppingRecord:
 
     def point(self, j: int) -> BallPoint:
         """f^j(r_k), j = 0..n."""
+        if not 0 <= j <= self.n:
+            raise DomainError(f"iterate {j} is outside 0..{self.n}")
         if isinstance(self.frames, PointBatch):
             return self.frames[self.lane, j]
         points, lanes = self.frames[j]
@@ -52,20 +53,29 @@ class StoppingRecord:
 @dataclass(frozen=True)
 class OrbitSegment:
     """Finite backward orbit: f(points[j+1]) = points[j]; point n is
-    points[n - base_index] (larger = deeper).  `base_index` is the first
-    row's `j` when `cli.read_orbit_csv` reads the orbit back from a CSV."""
+    points[n - base_index] (larger = deeper).  `points` is one `PointBatch`
+    held against zeta: a sequence of points given here becomes one
+    (`geo.held`).  `base_index` is the first row's `j` when
+    `cli.read_orbit_csv` reads the orbit back from a CSV."""
 
-    points: tuple | PointBatch
+    points: PointBatch
     zeta: BoundaryPoint
     lam: float
     map_label: str = ""
     base_index: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "points", geo.held(self.points, self.zeta))
+
     def __len__(self):
         return len(self.points)
 
     def point(self, n: int) -> BallPoint:
-        return self.points[n - self.base_index]
+        i = n - self.base_index
+        if not 0 <= i < len(self):
+            raise DomainError(f"orbit index {n} is outside {self.base_index}"
+                              f"..{self.base_index + len(self) - 1}")
+        return self.points.point(i)
 
 
 @dataclass(frozen=True)
@@ -160,21 +170,16 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
         out = h > geo.HOROSPHERE_BAND
         exits.update((lane, (n, float(h_i), False))
                      for lane, h_i in zip(lanes[out], h[out]))
-        points, lanes = (points.take(~out) if isinstance(points, PointBatch)
-                         else tuple(p for p, o in zip(points, out) if not o),
-                         lanes[~out])
+        points, lanes = points.take(~out), lanes[~out]
         if not len(lanes):
             break
         try:
-            # points without a structured step step in coordinates, alone
-            if isinstance(points, PointBatch):
-                if points.ref.tobytes() != planned:
-                    planned, plan = points.ref.tobytes(), f._plan(points.ref)
-                points = cat.step_point(f, points) if plan is None else \
-                    PointBatch(plan.ref, *plan.kernel(
-                        points.delta, points.tail, points.margin))
-            else:
-                points = tuple(cat.step_point(f, p) for p in points)
+            if points.ref.tobytes() != planned:
+                planned, plan = points.ref.tobytes(), f._plan(points.ref)
+            # points without a structured step step in coordinates
+            points = cat.step_point(f, points) if plan is None else \
+                PointBatch(plan.ref, *plan.kernel(
+                    points.delta, points.tail, points.margin))
         except Exception:
             if len(ks) == 1:
                 raise
@@ -189,27 +194,31 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
 
 def _grid(frames, n_lanes):
     """The frames as one `PointBatch` grid, point (lane, j) the lane's j-th
-    iterate (nan once retired), or None unless all are batches on one ref."""
+    iterate (nan once retired), or None unless all share one ref.  The grid
+    keeps coordinates when a frame kept its own (raw steps)."""
     first = frames[0][0]
-    if not all(isinstance(p, PointBatch)
-               and p.ref.tobytes() == first.ref.tobytes() for p, _ in frames):
+    if any(p.ref.tobytes() != first.ref.tobytes() for p, _ in frames):
         return None
-    grid = [np.full((n_lanes, len(frames)) + a.shape[1:], np.nan, a.dtype)
-            for a in (first.delta, first.tail, first.margin)]
+    grid = {name: np.full((n_lanes, len(frames)) + a.shape[1:], np.nan,
+                          a.dtype)
+            for name in {name for p, _ in frames for name in vars(p)} - {"ref"}
+            for a in [getattr(first, name)]}
     for j, (p, lanes) in enumerate(frames):
-        for g, a in zip(grid, (p.delta, p.tail, p.margin)):
-            g[lanes, j] = a
-    return PointBatch(first.ref, *grid)
+        for name, g in grid.items():
+            g[lanes, j] = getattr(p, name)
+    batch = object.__new__(PointBatch)   # rows of checked batches
+    batch.__dict__.update(grid, ref=first.ref)
+    return batch
 
 
-def _points_at(records, js):
-    """f^{js[i]}(r_k) of each records[i]: one `PointBatch` when the records
-    share one run's grid, else a tuple of points."""
+def _points_at(records, js, zeta: BoundaryPoint) -> PointBatch:
+    """f^{js[i]}(r_k) of each records[i] as one batch held against zeta:
+    rows of one grid when the records share it."""
     grid = records[0].frames
     if isinstance(grid, PointBatch) and all(r.frames is grid
                                             for r in records):
         return grid.take(([r.lane for r in records], list(js)))
-    return tuple(r.point(j) for r, j in zip(records, js))
+    return geo.held([r.point(j) for r, j in zip(records, js)], zeta)
 
 
 def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
@@ -217,12 +226,12 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
     """The backward chain z_j = f^{n(k)-j}(r_k), j = 0..n(k).
 
     Points are the stored forward iterates, so re-evaluating f on z_{j+1}
-    reproduces z_j bit for bit; the chain tolerance is exactly zero.  They
-    are a `PointBatch` when the run kept a grid, else a tuple.
+    reproduces z_j bit for bit; the chain tolerance is exactly zero.
     """
     if record.capped:
         raise DomainError("cannot harvest a capped stopping record")
-    points = _points_at([record] * (record.n + 1), range(record.n, -1, -1))
+    points = _points_at([record] * (record.n + 1), range(record.n, -1, -1),
+                        zeta)
     return OrbitSegment(points=points, zeta=zeta, lam=lam, map_label=f.label)
 
 
@@ -239,15 +248,10 @@ def orbit_diagnostics(seg: OrbitSegment):
 
 
 def verify_backward(seg: OrbitSegment, f: cat.SelfMap) -> float:
-    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain; a chain
-    held as a `PointBatch` steps as one batch, a tuple point by point."""
-    pts = seg.points
-    if len(pts) < 2:
-        return 0.0
-    images = (cat.step_point(f, pts[1:]) if isinstance(pts, PointBatch)
-              else [cat.step_point(f, p) for p in pts[1:]])
-    return float(_row_norms(geo._lanes(images)[0] - geo._lanes(pts[:-1])[0])
-                 .max())
+    """Max Euclidean residual |f(z_{j+1}) - z_j| over the chain, stepped
+    as one batch."""
+    images = cat.step_point(f, seg.points[1:]).coords
+    return float(_row_norms(images - seg.points[:-1].coords).max(initial=0.0))
 
 
 def analyze_orbit(seg: OrbitSegment, lam: float, params: OrbitParams,
@@ -355,7 +359,7 @@ def _cluster_orbit(records, zeta, lam, params, f):
         recs = [records[k] for k in k_all if k >= j and records[k].n >= j]
         if len(recs) < 2:
             return None
-        cands = _points_at(recs, [r.n - j for r in recs])
+        cands = _points_at(recs, [r.n - j for r in recs], zeta)
         dmat = geo.kob_matrix(cands, cands)
         clusters: list[list[int]] = []
         for i in range(len(cands)):
@@ -368,8 +372,8 @@ def _cluster_orbit(records, zeta, lam, params, f):
         big = max(clusters, key=len)
         rec = recs[big[int(np.argmin(dmat[np.ix_(big, big)].sum(axis=1)))]]
         picks.append((rec, rec.n - j))
-    seg = OrbitSegment(points=_points_at(*zip(*picks)), zeta=zeta, lam=lam,
-                       map_label=f.label)
+    seg = OrbitSegment(points=_points_at(*zip(*picks), zeta), zeta=zeta,
+                       lam=lam, map_label=f.label)
     if verify_backward(seg, f) > tol:
         return None
     res = analyze_orbit(seg, lam, params, "cluster")
@@ -686,7 +690,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
         lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt
-    seg = OrbitSegment(points=tuple(pts), zeta=zeta,
+    seg = OrbitSegment(points=pts, zeta=zeta,
                        lam=lam_hint if lam_hint is not None else float("nan"),
                        map_label=f.label)
     lam_for_check = lam_hint if lam_hint is not None else float(np.exp(step))
@@ -715,7 +719,7 @@ def orbit_csv(res: BackwardOrbitResult) -> str:
     horofunction, step_to_next, dist_to_zeta -- one row per depth, with the
     diagnostics its analysis measured."""
     seg, steps, horos, dz = res.orbit, res.steps, res.horos, res.dist_zeta
-    coords = geo._lanes(seg.points)[0]
+    coords = seg.points.coords
     q = coords.shape[1]
     cols = (["j"] + [f"re_z{i+1}" for i in range(q)]
             + [f"im_z{i+1}" for i in range(q)]
@@ -756,8 +760,8 @@ def orbit_svg(seg: OrbitSegment) -> str:
             *xy(0j), *xy(zeta1)),
     ]
     n = len(seg.points)
-    for j, p in enumerate(seg.points):
-        x, y = xy(complex(p.coords[0]))
+    for j, z1 in enumerate(seg.points.coords[:, 0]):
+        x, y = xy(complex(z1))
         shade = int(200 * (1.0 - j / max(n - 1, 1)))
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                      f'fill="rgb({shade},{shade // 2},{200 - shade})"/>')

@@ -196,7 +196,6 @@ def test_tube_covering_refuses_an_empty_orbit(e1):
 def reference_covering(eta, zeta, width, s_values=None):
     """`tube_covering_check` from the full matrix: every sample's distance
     to every orbit point, the row minima and their max."""
-    eta = ana._with_refs(eta)
     samples = tube_samples(zeta, width, s_values=s_values,
                            radius_fractions=(1.0, 0.5) if width > 0.0 else ())
     r_hat = float(geo.kob_matrix(samples, eta.points).min(axis=1).max())
@@ -248,7 +247,16 @@ def test_tube_covering_matches_full_matrix_on_coordinate_points(e1):
     raw = cat.callable_map(lambda z: cat.evaluate(auto, z), 1)
     res = orb.construct_backward_orbit(
         raw, e1, 3.0, orb.OrbitParams(k_max=6, dist_target=1e-2))
-    assert all(p.ref is None for p in res.orbit.points[:-1])
+    # held against e1 with the defect `with_reference` gives their
+    # coordinates, which are the raw steps'
+    assert res.orbit.points.ref.tobytes() == e1.coords.tobytes()
+    for p in list(res.orbit.points)[:-1]:
+        alone = geo.with_reference(geo.ball_point(p.coords), e1)
+        assert ((p.coords.tobytes(), np.float64(p.margin).tobytes(),
+                 np.complex128(p.delta).tobytes(), p.tail().tobytes())
+                == (alone.coords.tobytes(), np.float64(alone.margin).tobytes(),
+                    np.complex128(alone.delta).tobytes(),
+                    alone.tail().tobytes()))
     for width in (0.0, 0.5, 2.0):
         _assert_covering_matches(res.orbit, e1, width, np.arange(1.0, 6.0))
 

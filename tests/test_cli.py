@@ -395,6 +395,27 @@ def test_compare_missing_csv_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "none.csv" in err and out == ""
 
 
+_Q2_CSV = ("j,re_z1,re_z2,im_z1,im_z2,horofunction,step_to_next,"
+           "dist_to_zeta\n"
+           + "".join(f"{j},{0.3 + 0.1 * j},0,0,0.4,0,0,0\n" for j in range(5)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("j,re_z1,im_z1,horofunction,step_to_next,dist_to_zeta\n"
+     "0,0.5,abc,0,0,0\n", "cannot read row '0,0.5,abc,0,0,0'"),
+    (_Q2_CSV, "dimensions 2 != 1"),
+], ids=["empty", "non_numeric", "dimension"])
+def test_compare_refuses_a_bad_csv(text, message, tmp_path, capsys):
+    # an input error (exit 2), not a traceback or a warning
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "compare", "--csv-a", str(path),
+                         "--csv-b", str(path), "--zeta", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_compare_from_csv_files(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -127,6 +127,36 @@ def test_involution_isometry_property(a, z, w):
                - geo.kob_dist(z, w)) < 1e-10
 
 
+def test_references_refuse_another_dimension(e1):
+    # a q = 2 point against a q = 1 boundary point is refused, not broadcast
+    p = geo.ball_point([0.3, 0.4j])
+    with pytest.raises(DimensionMismatch, match="dimensions 2 != 1"):
+        geo.with_reference(p, e1)
+    with pytest.raises(DimensionMismatch, match="dimensions 2 != 1"):
+        geo.held([p], e1)
+
+
+def test_held_keeps_defects_and_coordinates(e1_q2):
+    """A point held against zeta keeps its stored defect, any other takes
+    `with_reference`'s; every point keeps its coordinates and margin."""
+    other = geo.boundary_point([0.6, 0.8j])
+    pts = [geo.boundary_adapted_point(e1_q2.coords, 1e-9, tail=[0, 1e-6j]),
+           bp(0.3 + 0.1j, 0.2),
+           geo.with_reference(bp(0.1, -0.5j), other)]
+    batch = geo.held(pts, e1_q2)
+    assert batch.ref.tobytes() == e1_q2.coords.tobytes()
+    assert geo.held(batch, e1_q2) is batch
+    for p, row, want in zip(pts, batch, [pts[0]] + [
+            geo.with_reference(p, e1_q2) for p in pts[1:]]):
+        assert row.coords.tobytes() == p.coords.tobytes()
+        assert ((row.margin, row.delta, row.tail().tobytes())
+                == (want.margin, want.delta, want.tail().tobytes()))
+    assert batch.coords.tobytes() == np.array(
+        [p.coords for p in pts]).tobytes()
+    assert batch.take([2, 0]).coords.tobytes() == np.array(
+        [pts[2].coords, pts[0].coords]).tobytes()
+
+
 def test_kob_matrix_resolves_close_pairs(e1_q2):
     # margins far from 0 and a pair 2e-8 apart: the defect quotient rounds
     # to 1, so the pair must take kob_dist's involution path, not read 0

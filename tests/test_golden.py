@@ -7,17 +7,25 @@ map kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
 INI compose, iterate, warped product and a hyperbolic conjugate.  Each
 compare case runs `ballorbits compare` and checks its exit code and its
 stdout against `golden/compare_<name>.txt`; these pin the preimage march's
-output.  Each cluster case runs `ballorbits orbit ... --mode cluster` and
-checks its exit code and its stdout against `golden/cluster_<name>.txt`:
-the Blaschke, warped and conjugate maps cluster their anchor chains, and the
-turned Blaschke map, which steps in coordinates, falls back to single-tail.
+output, and `golden/compare_csv.txt` pins `compare` on two orbit CSVs, the
+CSV reader's path.  Each cluster case runs `ballorbits orbit ... --mode
+cluster` and checks its exit code and its stdout against
+`golden/cluster_<name>.txt`: the Blaschke, warped and conjugate maps
+cluster their anchor chains, and the turned Blaschke map, which steps in
+coordinates, falls back to single-tail; its chain is held against zeta
+like every other, so its steps and distances to zeta take the defect
+formulas.  Every chain these sources build, and the preimage march's, the
+CSV reader's and a `callable_map`'s, is one `PointBatch` held against
+zeta, with the coordinates its source gave (`test_chains_are_held_batches`).
 The `suite` report golden is checked in test_acceptance.py.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits
@@ -139,3 +147,69 @@ def test_orbit_steps_equal_per_pair_distances(name, monkeypatch, capsys):
     summary = capsys.readouterr().out.splitlines()[-1]
     printed = int(summary.split("length=")[1].split()[0])
     assert printed in checked
+
+
+def _cli_chain(argv):
+    return cli._construct(cli.build_parser().parse_args(argv))[-1].orbit
+
+
+def _callable_chain():
+    e1 = geo.basis_boundary_point(1)
+    auto = cat.hyperbolic_selfmap(e1, 3.0)
+    raw = cat.callable_map(lambda z: cat.evaluate(auto, z), 1)
+    return orbits.construct_backward_orbit(
+        raw, e1, 3.0, orbits.OrbitParams(k_max=6, dist_target=1e-2)).orbit
+
+
+def _march_chain():
+    e1 = geo.basis_boundary_point(1)
+    cleared, _ = cat.ensure_pole_clearance(
+        cat.blaschke_product([0.0, 1.0 / 3.0]), e1)
+    res = orbits.construct_backward_orbit(cleared, e1, 3.0)
+    return orbits.offset_preimage_orbit(cleared, res.orbit, 3.0, 0.05).orbit
+
+
+def _csv_chain(tmp_path):
+    path = tmp_path / "orbit.csv"
+    assert cli.main(["orbit", "blaschke:a=1/3", "--zeta", "1", "--lambda",
+                     "3", "--kmax", "15", "--out", str(path)]) == 0
+    return cli.read_orbit_csv(str(path), geo.basis_boundary_point(1))
+
+
+CHAIN_SOURCES = {
+    **{f"orbit_{name}": (lambda _, spec=spec, zeta=zeta: _cli_chain(
+        ["orbit", spec, f"--zeta={zeta}"]))
+       for name, (spec, zeta) in ORBIT_CASES.items()},
+    "cluster_blaschke_turned": lambda _: _cli_chain(
+        ["orbit", *CLUSTER_CASES["blaschke_turned"], "--mode", "cluster"]),
+    "callable": lambda _: _callable_chain(),
+    "criterion_06_march": lambda _: _march_chain(),
+    "read_orbit_csv": _csv_chain,
+}
+# sha256 of each source's chain coordinates, the first 16 hex digits: the
+# bytes of the points each source built when a chain could also be a tuple
+CHAIN_COORDS = {
+    "orbit_blaschke": "55d874e39085ff41",
+    "orbit_hyperbolic_offaxis": "e92bb36e9cdae32d",
+    "orbit_compose": "eb1b1233d37cc97c",
+    "orbit_iterate": "64755b2f3e30448b",
+    "orbit_warped": "dcbc8ca217a48fda",
+    "orbit_conjugate": "b2bb95ba125a9b97",
+    "cluster_blaschke_turned": "b14add853cea3759",
+    "callable": "5c028893a96284b0",
+    "criterion_06_march": "218962e92cf314e3",
+    "read_orbit_csv": "3c12692259ffc3fd",
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_SOURCES)
+def test_chains_are_held_batches(name, tmp_path, capsys):
+    """Every chain is one `PointBatch` held against its zeta, with the
+    coordinates its source gives its points, as bytes."""
+    seg = CHAIN_SOURCES[name](tmp_path)
+    capsys.readouterr()
+    assert isinstance(seg.points, geo.PointBatch)
+    assert seg.points.ref.tobytes() == seg.zeta.coords.tobytes()
+    coords = seg.points.coords
+    assert hashlib.sha256(coords.tobytes()).hexdigest()[:16] \
+        == CHAIN_COORDS[name]

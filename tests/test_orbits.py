@@ -189,6 +189,9 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
     for k, rec in zip(ks, recs, strict=True):
         r_k = orb.radial_anchor(zeta, lam, k)
         n, h, capped, pts = reference_stopping(f, r_k, zeta, n_max)
+        # a raw step's image is held against the batch's reference, zeta
+        pts = [geo.with_reference(p, zeta) if p.ref is None else p
+               for p in pts]
         assert (rec.k, rec.n, rec.capped) == (k, n, capped)
         assert np.float64(rec.exit_margin).tobytes() == np.float64(h).tobytes()
         assert ([_point_bytes(rec.point(j)) for j in range(n + 1)]
@@ -272,6 +275,13 @@ def test_orbit_diagnostics_alike_point_by_point(rng):
     for points in (pts, pts[:-1] + [geo.ball_point(pts[-1].coords)],
                    pts[:-1] + [geo.with_reference(pts[-1], near)]):
         seg = orb.OrbitSegment(points=tuple(points), zeta=zeta, lam=3.0)
+        # a point without a reference is held with `with_reference`'s
+        # defect, and every point keeps its coordinates and margin
+        points = [geo.with_reference(p, zeta) if p.ref is None else p
+                  for p in points]
+        assert [_chain_bytes(p) for p in seg.points] == [
+            _chain_bytes(p)[:1] + (zeta.coords.tobytes(),)
+            + _chain_bytes(p)[2:] for p in points]
         _, horos, dz = orb.orbit_diagnostics(seg)
         assert horos.tobytes() == np.array(
             [geo.horofunction(p, zeta) for p in points]).tobytes()
@@ -306,8 +316,9 @@ def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
                                                   tmp_path):
     """Every chain harvested from one run of the anchors k = 1..40, against
     the anchor stepped alone, point by point and read backward: every point
-    as bytes.  Maps that keep one reference give a `PointBatch` chain; a
-    map that steps in coordinates gives a tuple."""
+    as bytes.  Every chain is a `PointBatch` held against zeta; a map that
+    steps in coordinates keeps each image's coordinates and margin, with
+    the defect `with_reference` gives them."""
     if name == "callable":   # from k = 31 on, a step nears the sphere
         f, zeta, lam, ks = (cat.callable_map(
             lambda z: cat.evaluate(disc_auto, z), 1), e1, 3.0, range(1, 31))
@@ -326,22 +337,51 @@ def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
     recs = orb.stopping_time(f, orb.radial_anchors(zeta, lam, ks), zeta, k=ks)
     for k, rec in zip(ks, recs, strict=True):
         chain = orb.harvest_chain(f, rec, zeta, lam).points
-        assert isinstance(chain, geo.PointBatch) == (name != "callable")
+        assert isinstance(chain, geo.PointBatch)
+        assert chain.ref.tobytes() == zeta.coords.tobytes()
         _, _, _, pts = reference_stopping(f, orb.radial_anchor(zeta, lam, k),
                                           zeta, 100000)
+        pts = [geo.with_reference(p, zeta) if p.ref is None else p
+               for p in pts]
         assert ([_chain_bytes(p) for p in chain]
                 == [_chain_bytes(p) for p in reversed(pts)])
 
 
 def test_stopping_frames_stay_when_the_reference_moves(e1):
     """A rotation moves the batch to another reference, so the run keeps its
-    frames, not a grid, and the chains are tuples that equal the anchors
-    stepped alone."""
+    frames, not a grid.  The chain is held against e1: the anchor stepped
+    alone, the anchor with its defect and each rotated point with its
+    coordinates, its margin and the defect `with_reference` gives it."""
     rotation = cat.catalog_build("unitary", matrix=np.array([[0.8 + 0.6j]]))
     recs = _anchor_lanes(rotation, e1, 3.0, range(1, 11))
     assert not isinstance(recs[0].frames, geo.PointBatch)
     chain = orb.harvest_chain(rotation, recs[-1], e1, 3.0).points
-    assert isinstance(chain, tuple) and len(chain) == recs[-1].n + 1
+    assert chain.ref.tobytes() == e1.coords.tobytes()
+    _, _, _, pts = reference_stopping(
+        rotation, orb.radial_anchor(e1, 3.0, recs[-1].k), e1, 100000)
+    assert len(chain) == len(pts) == recs[-1].n + 1
+    assert [_chain_bytes(p) for p in chain] == [
+        _chain_bytes(p if np.array_equal(p.ref, e1.coords)
+                     else geo.with_reference(p, e1)) for p in reversed(pts)]
+
+
+def test_chain_indices_stay_in_range(disc_auto, e1):
+    """An iterate or orbit index past either end is refused: no NaN point
+    read off a retired lane, no index counted from the deep end."""
+    rec, = orb.stopping_time(disc_auto, orb.radial_anchors(e1, 3.0, [3]),
+                             e1, k=[3])
+    assert isinstance(rec.frames, geo.PointBatch)
+    assert np.isfinite(rec.point(rec.n).coords).all()
+    for j in (-1, rec.n + 1):
+        with pytest.raises(DomainError, match="outside"):
+            rec.point(j)
+    seg = orb.harvest_chain(disc_auto, rec, e1, 3.0)
+    shifted = dataclasses.replace(seg, base_index=2)
+    assert shifted.point(2).coords.tobytes() == seg.point(0).coords.tobytes()
+    for seg, lo in ((seg, 0), (shifted, 2)):
+        for n in (lo - 1, lo + len(seg)):
+            with pytest.raises(DomainError, match="outside"):
+                seg.point(n)
 
 
 def test_harvest_requires_uncapped(cleared_blaschke, e1):
@@ -693,7 +733,7 @@ def test_newton_lanes_match_per_seed_solves(cleared_blaschke, c06_march):
     cleared, _ = cleared_blaschke
     pts = c06_march.orbit.points
     nones = []
-    for p in pts[:8] + (pts[26], pts[40]):
+    for p in list(pts[:8]) + [pts[26], pts[40]]:
         lanes = assert_lanes_match_reference(cleared, p.coords,
                                              orb._grid_seeds(1))
         nones.append(sum(z is None for z in lanes))
@@ -784,7 +824,9 @@ def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
     pts = res.orbit.points
     assert len(solves) == len(pts) - 1
     for i, (target, seed) in enumerate(solves):
-        assert target is pts[i]
+        # the chain holds the march's point as it is
+        assert (_point_bytes(target) + (target.tail().tobytes(),)
+                == _point_bytes(pts[i]) + (pts[i].tail().tobytes(),))
         lam = lam_hint if i == 0 else max(
             float(np.exp(geo.kob_dist(pts[i - 1], pts[i]))), 1.01)
         assert np.complex128(seed.delta).tobytes() == np.complex128(
@@ -982,7 +1024,7 @@ def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
         monkeypatch, [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"])
     warped = orb.backward_orbit_via_preimages(*args, **kwargs)
     nones = 0
-    for f, targets in ((cleared, pts[:8] + (pts[26], pts[40])),
+    for f, targets in ((cleared, list(pts[:8]) + [pts[26], pts[40]]),
                        (args[0], warped.orbit.points[:8])):
         grid = orb._grid_seeds(f.q)
         coords = np.array([p.coords for p in targets])

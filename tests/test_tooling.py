@@ -46,15 +46,15 @@ def test_traced_names_resolve():
 
 
 def test_traced_layers_reached():
-    """A traced construction, tube covering, region check and short
-    preimage march reach the layers the benchmark reads, so a refactor that
-    bypasses one shows up here."""
+    """A traced construction, tube covering, region check, short preimage
+    march and pole clearance reach the layers the benchmark reads, so a
+    refactor that bypasses one shows up here."""
     # the tracer wraps every module of the package, so import them all
     from ballorbits import acceptance, analysis, catalog, cli, geometry, orbits
     tracer = runpy.run_path(str(TRACER))["Tracer"]()
     e1 = geometry.basis_boundary_point(1)
     auto = catalog.hyperbolic_selfmap(e1, 3.0)
-    # no structured step: the chain runs in coordinates
+    # no structured step: the chain steps in coordinates, held against e1
     raw = catalog.callable_map(lambda z: catalog.evaluate(auto, z), 1)
     tracer.install()
     try:
@@ -69,6 +69,9 @@ def test_traced_layers_reached():
         short = orbits.OrbitSegment(points=res.orbit.points[:3], zeta=e1,
                                     lam=3.0)
         orbits.offset_preimage_orbit(auto, short, 3.0, 0.05)
+        # the witness cloud's horofunctions, on raw coordinates
+        catalog.ensure_pole_clearance(
+            catalog.blaschke_product([0.0, 1.0 / 3.0]), e1)
     finally:
         tracer.uninstall()
     for name in ("orbits.stopping_time", "orbits.harvest_chain",
