@@ -4,7 +4,9 @@ byte for byte.
 Each orbit case runs `ballorbits orbit SPEC --zeta ZETA` with default options
 and compares stdout with `golden/orbit_<name>.txt`.  The cases cover every
 map kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
-INI compose, iterate, warped product and a hyperbolic conjugate.  Each
+INI compose, iterate, warped product and a hyperbolic conjugate; two more
+INI maps step a unitary stage (a hyperbolic conjugated by a unitary) and a
+parabolic stage (a hyperbolic composed with a parabolic).  Each
 compare case runs `ballorbits compare` and checks its exit code and its
 stdout against `golden/compare_<name>.txt`; these pin the preimage march's
 output, and `golden/compare_csv.txt` pins `compare` on two orbit CSVs, the
@@ -31,6 +33,9 @@ from ballorbits import geometry as geo
 from ballorbits import orbits
 
 GOLDEN = Path(__file__).parent / "golden"
+# the first column of the unitary conjugator in conjugate_unitary.ini
+UNITARY_ZETA = ("-0.5286861817679318,0.7489569365395885;"
+                "-0.16373639135257528,-0.3643416289195023")
 
 ORBIT_CASES = {
     "blaschke": ("blaschke:a=1/3", "1"),
@@ -39,6 +44,11 @@ ORBIT_CASES = {
     "iterate": (str(GOLDEN / "iterate.ini"), "1"),
     "warped": (str(GOLDEN / "warped.ini"), "1,0;0,0"),
     "conjugate": (str(GOLDEN / "conjugate.ini"), "1"),
+    # a hyperbolic conjugated by a unitary, whose plan moves the reference
+    # by 1.1e-16: the stopping times keep per-step frames, not one grid
+    "conjugate_unitary": (str(GOLDEN / "conjugate_unitary.ini"),
+                          UNITARY_ZETA),
+    "compose_parabolic": (str(GOLDEN / "compose_parabolic.ini"), "1,0;0,0"),
 }
 
 
@@ -57,6 +67,10 @@ COMPARE_CASES = {
     "warped": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
     "hyperbolic_offaxis": ["hyperbolic:lam=3,zeta=0.6,0;0,0.8",
                            "--zeta=0.6,0;0,0.8", "--offset", "0.05"],
+    "conjugate_unitary": [str(GOLDEN / "conjugate_unitary.ini"),
+                          f"--zeta={UNITARY_ZETA}"],
+    "compose_parabolic": [str(GOLDEN / "compose_parabolic.ini"),
+                          "--zeta=1,0;0,0"],
 }
 
 
@@ -90,6 +104,8 @@ CLUSTER_CASES = {
     "blaschke": ["blaschke:a=1/3", "--zeta=1"],
     "warped": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
     "conjugate": [str(GOLDEN / "conjugate.ini"), "--zeta=1"],
+    "conjugate_unitary": [str(GOLDEN / "conjugate_unitary.ini"),
+                          f"--zeta={UNITARY_ZETA}"],
     # the golden Blaschke map turned by e^{0.7i}: no adapted step
     "blaschke_turned": [
         "blaschke:factors=0,0;0.25494739576149617,0.21473922907923032,"
@@ -195,6 +211,8 @@ CHAIN_COORDS = {
     "orbit_iterate": "64755b2f3e30448b",
     "orbit_warped": "dcbc8ca217a48fda",
     "orbit_conjugate": "b2bb95ba125a9b97",
+    "orbit_conjugate_unitary": "63489ffbf9eb08e4",
+    "orbit_compose_parabolic": "90ddb8635e9e8d51",
     "cluster_blaschke_turned": "b14add853cea3759",
     "callable": "5c028893a96284b0",
     "criterion_06_march": "218962e92cf314e3",
