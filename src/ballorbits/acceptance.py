@@ -35,8 +35,8 @@ def _disc_automorphism():
 class PassFixtures:
     """What the criteria of one pass share, each built on first use: the
     pole-cleared Blaschke map [0, 1/3] with its conjugator, and that map's
-    backward orbit at e_1 with lam = 3.  A pass makes one; a criterion
-    called without one makes its own, so no state outlives a pass."""
+    backward orbit at e_1 with lam = 3.  A pass makes one and hands it to
+    every criterion, so no state outlives a pass."""
 
     @cached_property
     def cleared_blaschke(self):
@@ -49,7 +49,7 @@ class PassFixtures:
                                             3.0)
 
 
-def criterion_01_anchor_on_horosphere(seed, fx=None):
+def criterion_01_anchor_on_horosphere(seed, fx):
     """horofunction(r_k) = -k log(lam) to 1e-12 for lam in {1.5, 3, 10}."""
     worst = 0.0
     e1 = _e1()
@@ -61,11 +61,11 @@ def criterion_01_anchor_on_horosphere(seed, fx=None):
                      1e-12 - worst)
 
 
-def criterion_02_step_limit_k40(seed, fx=None):
+def criterion_02_step_limit_k40(seed, fx):
     """|kob(r_40, f(r_40)) - log 3| < 1e-3 for both catalog maps."""
     e1 = _e1()
     worst = 0.0
-    cleared, _ = (fx or PassFixtures()).cleared_blaschke
+    cleared, _ = fx.cleared_blaschke
     maps = [_disc_automorphism(), cleared]
     for f in maps:
         r = orb.radial_anchor(e1, 3.0, 40)
@@ -75,11 +75,11 @@ def criterion_02_step_limit_k40(seed, fx=None):
                      1e-3 - worst)
 
 
-def criterion_03_horosphere_contraction(seed, fx=None):
+def criterion_03_horosphere_contraction(seed, fx):
     """10^4 samples of E_k land in E_{k-1}, k = 0..5, no violations."""
     rng = rng_from_seed(seed)
     e1 = _e1()
-    cleared, _ = (fx or PassFixtures()).cleared_blaschke
+    cleared, _ = fx.cleared_blaschke
     maps = [_disc_automorphism(), cleared]
     worst = -np.inf
     violations = 0
@@ -96,11 +96,11 @@ def criterion_03_horosphere_contraction(seed, fx=None):
                      1e-9 - worst)
 
 
-def criterion_04_stopping_times(seed, fx=None):
+def criterion_04_stopping_times(seed, fx):
     """n(k) > k on both maps for k = 1..30; exactly k+1 for the automorphism."""
     e1 = _e1()
     auto = _disc_automorphism()
-    cleared, _ = (fx or PassFixtures()).cleared_blaschke
+    cleared, _ = fx.cleared_blaschke
     ks = range(1, 31)
     anchors = orb.radial_anchors(e1, 3.0, ks)
     n_a = [rec.n for rec in orb.stopping_time(auto, anchors, e1, k=ks)]
@@ -111,10 +111,9 @@ def criterion_04_stopping_times(seed, fx=None):
     return CheckLine("criterion_04_stopping_times", ok, float(margin))
 
 
-def criterion_05_backward_orbit(seed, fx=None):
+def criterion_05_backward_orbit(seed, fx):
     """Constructed orbit: zero chain residual, step tail in log3 +- 1e-3,
     monotone steps, |z_25 - zeta| < 1e-4."""
-    fx = fx or PassFixtures()
     cleared, _ = fx.cleared_blaschke
     res = fx.blaschke_orbit
     resid = orb.verify_backward(res.orbit, cleared)
@@ -131,10 +130,9 @@ def criterion_05_backward_orbit(seed, fx=None):
                      float(margin))
 
 
-def criterion_06_finite_distance(seed, fx=None):
+def criterion_06_finite_distance(seed, fx):
     """Construction vs Newton-preimage orbit from a seed offset by 0.05:
     direct profile flat in its last quarter, with a certified shift bound."""
-    fx = fx or PassFixtures()
     cleared, _ = fx.cleared_blaschke
     res = fx.blaschke_orbit
     newton = orb.offset_preimage_orbit(cleared, res.orbit, 3.0, 0.05)
@@ -150,7 +148,7 @@ def criterion_06_finite_distance(seed, fx=None):
     return CheckLine("criterion_06_finite_distance", ok, 1e-2 - increase)
 
 
-def criterion_07_tube_in_koranyi(seed, fx=None):
+def criterion_07_tube_in_koranyi(seed, fx):
     """At least 10^4 graded tube samples per width, all satisfying the
     Koranyi functional bound 2L."""
     e1 = _e1()
@@ -167,7 +165,7 @@ def criterion_07_tube_in_koranyi(seed, fx=None):
                      1e-9 - worst)
 
 
-def criterion_08_tube_covering(seed, fx=None):
+def criterion_08_tube_covering(seed, fx):
     """Orbit neighborhoods cover the tube: R <= L + sigma for the axial
     orbit (C = 0), R <= L + 3C + sigma for the cleared Blaschke orbit."""
     e1 = _e1()
@@ -177,7 +175,7 @@ def criterion_08_tube_covering(seed, fx=None):
     seg_a = replace(res_a.orbit, points=res_a.orbit.points[1:])
     rep_a = ana.tube_covering_check(seg_a, e1, width)
     ok_a = rep_a.r_hat <= width + rep_a.sigma_hat + 1e-6
-    res_b = (fx or PassFixtures()).blaschke_orbit
+    res_b = fx.blaschke_orbit
     seg_b = replace(res_b.orbit, points=res_b.orbit.points[1:])
     rep_b = ana.tube_covering_check(seg_b, e1, width)
     ok_b = rep_b.r_hat <= width + 3.0 * rep_b.c_hat + rep_b.sigma_hat + 1e-6
@@ -188,7 +186,7 @@ def criterion_08_tube_covering(seed, fx=None):
                      float(margin))
 
 
-def criterion_09_intertwining_triple(seed, fx=None):
+def criterion_09_intertwining_triple(seed, fx):
     """Warped product with its embedded-disc triple passes all four checks;
     corrupting the base dilation by 10% fails the dilation check."""
     e1 = _e1()

@@ -3,8 +3,9 @@
 Maps are immutable descriptions.  Each map kind is one `SelfMap` subclass
 that defines evaluation, the Jacobian and the boundary-adapted step.  The
 adapted step is what lets forward iteration run exactly against a boundary
-fixed point: each structured kind propagates (delta, tail, margin) by a
-closed cancellation-free recursion.
+fixed point: each structured kind plans a closed cancellation-free
+recursion on (delta, tail, margin) into a `geometry.Plan`, and a compose
+chains its children's plans with `geometry.chain`.
 
 Kinds
 -----
@@ -41,11 +42,11 @@ class SelfMap:
     numbers and `children` its sub-maps.  It names its `kind` and defines
     `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
     (broadcasting over leading axes; the Jacobian is [..., q, q]), and
-    `_plan(ref)`: the map planned against one boundary reference (a `Plan`),
-    or None when the kind cannot keep the defect representation exact
-    there.  Whether a kind steps adapted depends on ref alone.  A row of a
-    plan's kernel rounds as the point alone.  Callers use the module
-    functions `evaluate`, `jacobian`, `adapted_step` and `step_point`."""
+    `_plan(ref)`: the map planned against one boundary reference (a
+    `geometry.Plan`), or None when the kind cannot keep the defect
+    representation exact there.  Whether a kind steps adapted depends on
+    ref alone.  A row of a plan's kernel rounds as the point alone.  Callers
+    use `evaluate`, `jacobian`, `adapted_step` and `step_point`."""
 
     q: int
     params: tuple = ()
@@ -56,20 +57,7 @@ class SelfMap:
         return evaluate(self, z)
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A map planned against one reference: `kernel(delta, tail, margin)`
-    maps the state of points held against it to their images' state, held
-    against `ref`.  `check_in`, `check_out`: a stage chain runs on the state
-    entering, leaving the kernel, which must pass `PointBatch`'s check."""
-
-    ref: np.ndarray
-    kernel: Callable
-    check_in: bool
-    check_out: bool
-
-
-def _run(plan: Plan, ref, delta, tail, margin):
+def _run(plan: geo.Plan, ref, delta, tail, margin):
     """A plan's kernel on a state held against ref, with its checks."""
     if plan.check_in:
         geo.PointBatch(ref, delta, tail, margin)
@@ -121,20 +109,20 @@ class Blaschke(SelfMap):
             return None
         factors = [geo.AxialStage(_ONE, (1.0 + a.real) / (1.0 - a.real))
                    .plan(ref) for a in facs]
-        if None in factors:
+        if any(factor is None for factor in factors):
             return None
 
         def kernel(delta, tail, margin):
             om_prod = m_prod = None
-            for _, factor in factors:
-                om, _, m_fac = factor(delta, tail, margin)
+            for factor in factors:
+                om, _, m_fac = factor.kernel(delta, tail, margin)
                 if om_prod is None:
                     om_prod, m_prod = om, m_fac
                 else:
                     om_prod = om_prod + om - geo._cmul(om_prod, om)
                     m_prod = m_prod + m_fac - m_prod * m_fac
             return om_prod, np.zeros_like(tail), m_prod
-        return Plan(ref, kernel, False, False)
+        return geo.Plan(ref, kernel)
 
 
 class Mobius(Blaschke):
@@ -166,8 +154,7 @@ class BallAutomorphism(SelfMap):
         return u @ (num / (1.0 - herm(z, a))[..., None, None])
 
     def _plan(self, ref):
-        plan = self.params[0].plan(ref)
-        return None if plan is None else Plan(*plan, True, True)
+        return self.params[0].plan(ref)
 
 
 class WarpedProduct(SelfMap):
@@ -200,8 +187,8 @@ class WarpedProduct(SelfMap):
                                  np.zeros(delta.shape + (1,), complex),
                                  margin + tail_sq)
             return delta1, c * tail, m1 - abs(c) ** 2 * tail_sq
-        return Plan(np.concatenate([sub.ref, np.zeros(self.q - 1, complex)]),
-                    kernel, False, False)
+        return geo.Plan(np.append(sub.ref, np.zeros(self.q - 1, complex)),
+                        kernel)
 
 
 class Compose(SelfMap):
@@ -223,22 +210,7 @@ class Compose(SelfMap):
         return j
 
     def _plan(self, ref):
-        plans = []
-        for g in reversed(self.children):
-            plan = g._plan(ref)
-            if plan is None:
-                return None
-            plans.append(plan)
-            ref = plan.ref
-
-        def kernel(*state):
-            state = plans[0].kernel(*state)
-            for before, plan in zip(plans, plans[1:]):
-                if before.check_out or plan.check_in:   # once between them
-                    geo.PointBatch(before.ref, *state)
-                state = plan.kernel(*state)
-            return state
-        return Plan(ref, kernel, plans[0].check_in, plans[-1].check_out)
+        return geo.chain([g._plan for g in reversed(self.children)], ref)
 
 
 class Conjugate(Compose):
@@ -495,15 +467,8 @@ def adapted_step(f: SelfMap, p):
     plan = None if p.ref is None else f._plan(p.ref)
     if plan is None:
         return None
-    if isinstance(p, geo.PointBatch):
-        return _batch_step(plan, p)
-    return _batch_step(plan, geo.PointBatch(*geo.point_state(p))).point(0)
-
-
-def _batch_step(plan: Plan, batch) -> geo.PointBatch:
-    """A checked `PointBatch`'s images through plan, checked as a batch."""
-    return geo.PointBatch(plan.ref, *plan.kernel(batch.delta, batch.tail,
-                                                 batch.margin))
+    out = plan.step(geo.held(p, BoundaryPoint(p.ref)))
+    return out if isinstance(p, geo.PointBatch) else out.point(0)
 
 
 def step_point(f: SelfMap, p):
@@ -581,7 +546,7 @@ def _probe_images(f: SelfMap, seq):
     first that reaches the numerical boundary."""
     plan = f._plan(seq.ref)
     if plan is not None:
-        return _batch_step(plan, seq)
+        return plan.step(seq)
     images = []
     for p in seq:
         try:
@@ -634,8 +599,7 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     plan = f._plan(geo._axis_point(zeta, 1.0).ref)
     grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
     radius = geo._axis_batch(zeta, grid)
-    images = _raw_images(f, radius) if plan is None \
-        else _batch_step(plan, radius)
+    images = _raw_images(f, radius) if plan is None else plan.step(radius)
     prof = grid - geo.kob_dist_origin(images)
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:
         raise DilationOutOfScope(

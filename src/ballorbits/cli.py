@@ -164,10 +164,12 @@ def _map_and_zeta(args):
 # ---------------------------------------------------------------------------
 
 def cmd_geometry(args) -> int:
+    n = 2 if args.query == "dist" else 1
+    if len(args.points) != n:
+        raise ConfigError(f"geometry {args.query} needs "
+                          f"{('one point', 'two points')[n - 1]}")
     z = geo.ball_point(parse_point(args.points[0]))
     if args.query == "dist":
-        if len(args.points) != 2:
-            raise ConfigError("geometry dist needs two points")
         w = geo.ball_point(parse_point(args.points[1]))
         print(fmt(geo.kob_dist(z, w)))
         return EXIT_OK
@@ -182,11 +184,9 @@ def cmd_geometry(args) -> int:
         inside, margin = geo.koranyi_contains(
             z, geo.KoranyiRegion(vertex=zeta, amplitude=args.amplitude))
         print(f"{'inside' if inside else 'outside'} margin={fmt(margin)}")
-    elif args.query == "tube":
+    else:   # tube, the last of the parser's choices
         d, s_star = geo.dist_to_geodesic(z, zeta)
         print(f"dist={fmt(d)} s_star={fmt(s_star)}")
-    else:
-        raise ConfigError(f"unknown geometry query {args.query!r}")
     return EXIT_OK
 
 
@@ -258,6 +258,9 @@ def read_orbit_csv(path, zeta: geo.BoundaryPoint) -> orb.OrbitSegment:
         except (ValueError, IndexError) as exc:
             raise ConfigError(
                 f"orbit CSV {path!r}: cannot read row {ln!r}") from exc
+        if js and j != js[-1] + 1:
+            raise ConfigError(f"orbit CSV {path!r}: row {ln!r} has j = {j}, "
+                              f"not {js[-1] + 1}")
         if 1.0 - np.linalg.norm(coords) < geo.BOUNDARY_GUARD:
             break
         js.append(j)

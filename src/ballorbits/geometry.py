@@ -23,13 +23,16 @@ computed without subtractive cancellation.  The tail is stored, not read
 back from coordinates, which round toward the sphere.  All
 distance/horofunction routines prefer those fields when available;
 coordinates alone stop being usable roughly at 1 - |z| ~ 1e-14 and are
-rejected there.
+rejected there.  Structured automorphisms step such points exactly: each
+stage plans into a `Plan` against one reference, `chain` plans a list of
+parts into one, and `Plan.step` is the one planned step of a `PointBatch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -279,12 +282,6 @@ def _defect_coords(ref, delta, tail):
     return (1.0 - delta)[:, None] * ref[None, :] + tail
 
 
-def point_state(p: BallPoint):
-    """The defect state (ref, delta[1], tail[1, q], margin[1]) of one
-    point, with its stored tail."""
-    return p.ref, np.array([p.delta]), p.tail()[None], np.array([p.margin])
-
-
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
     """Attach boundary-adapted data to a point, computed once from its
     coordinates, which are the point's truth here."""
@@ -323,17 +320,17 @@ def held(points, zeta: BoundaryPoint) -> PointBatch:
            else with_reference(p, zeta) for p in points]
     rows = (len(pts), zeta.q)
     batch = PointBatch(zeta.coords, np.array([p.delta for p in pts], complex),
-                       np.reshape([p.tail() for p in pts], rows),
+                       np.array([p.tail() for p in pts]).reshape(rows),
                        np.array([p.margin for p in pts], float))
-    batch.__dict__["coords"] = np.reshape([p.coords for p in pts], rows)
+    batch.__dict__["coords"] = np.array([p.coords for p in pts]).reshape(rows)
     return batch
 
 
 def boundary_point(coords, q=None) -> BoundaryPoint:
     v = as_vector(coords, q)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > BOUNDARY_TOL:
-        raise DomainError(f"|zeta| = {n!r} is not on the unit sphere")
+    if not abs(n - 1.0) <= BOUNDARY_TOL:   # NaN and inf included
+        raise DomainError(f"|zeta| = {float(n)!r} is not on the unit sphere")
     v = (v / n).copy()
     v.flags.writeable = False
     return BoundaryPoint(coords=v)
@@ -346,7 +343,7 @@ def basis_boundary_point(q: int, axis: int = 0) -> BoundaryPoint:
 
 
 def _same_direction(u, v, tol=1e-12) -> bool:
-    return bool(np.linalg.norm(np.asarray(u) - np.asarray(v)) <= tol)
+    return u is v or bool(np.linalg.norm(u - v) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +617,54 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
 
 # Stages let structured automorphisms act on boundary-adapted points by exact
 # recursions on the state (delta[n], tail[n, q], margin[n]) of n points held
-# against one ref.  `plan(ref)` makes every decision that depends on ref
-# once: it returns the images' ref and a kernel on the state, or None when
-# the stage cannot keep the representation exact.  `inverse` is the stage
-# of the inverse map.  A row rounds as the point alone: one point is the
-# batch of one, and matrices act through einsum.
+# against one ref.  A stage's `plan(ref)` makes every decision that depends on
+# ref once, or is None where the stage cannot stay exact; `inverse` is the
+# stage of the inverse map.  A row rounds as the point alone (one point is the
+# batch of one), and matrices act through einsum.
+
+@dataclass(frozen=True)
+class Plan:
+    """A map planned against one reference: `kernel(delta, tail, margin)`
+    maps the state of points held against it to their images' state, held
+    against `ref`; a chain checks the state entering it if `check_in`, and
+    leaving it if `check_out`."""
+
+    ref: np.ndarray
+    kernel: Callable
+    check_in: bool = False
+    check_out: bool = False
+
+    def step(self, batch: PointBatch) -> PointBatch:
+        """The checked images of a checked batch: the one planned step."""
+        return PointBatch(self.ref, *self.kernel(batch.delta, batch.tail,
+                                                 batch.margin))
+
+
+def chain(planners, ref) -> Plan | None:
+    """The parts `planners` (each ref -> `Plan` or None) planned in turn,
+    each against the ref the one before leaves, as one plan running their
+    kernels, or None without parts or where one has none.  It checks the
+    state between two parts if the first checks its output or the second
+    its input."""
+    plans = []
+    for plan_at in planners:
+        plan = plan_at(ref)
+        if plan is None:
+            return None
+        plans.append(plan)
+        ref = plan.ref
+    if len(plans) < 2:
+        return plans[0] if plans else None
+
+    def kernel(*state):
+        state = plans[0].kernel(*state)
+        for before, plan in zip(plans, plans[1:]):
+            if before.check_out or plan.check_in:
+                PointBatch(before.ref, *state)
+            state = plan.kernel(*state)
+        return state
+    return Plan(ref, kernel, plans[0].check_in, plans[-1].check_out)
+
 
 @dataclass(frozen=True)
 class AxialStage:
@@ -657,7 +697,7 @@ class AxialStage:
             return (lam * delta / den,
                     np.sqrt(lam)[..., None] * tail / den[..., None],
                     lam * margin / abs_sq(den))
-        return ref, kernel
+        return Plan(ref, kernel)
 
     def inverse(self):
         return AxialStage(self.zeta, 1.0 / self.lam)
@@ -671,26 +711,11 @@ class UnitaryStage:
 
     def plan(self, ref):
         new_ref = self.v @ ref
-        return new_ref / np.linalg.norm(new_ref), lambda delta, tail, margin: (
-            delta, np.einsum("ij,...j->...i", self.v, tail), margin)
+        return Plan(new_ref / np.linalg.norm(new_ref), lambda d, t, m: (
+            d, np.einsum("ij,...j->...i", self.v, t), m))
 
     def inverse(self):
         return UnitaryStage(self.v.conj().T)
-
-
-@dataclass(frozen=True)
-class MobiusStage:
-    """z |-> phi_a(z); exact on adapted points only for phi_0 = -id."""
-
-    a: np.ndarray
-
-    def plan(self, ref):
-        if sq_norm(self.a) < 1e-32:
-            return -ref, lambda delta, tail, margin: (delta, -tail, margin)
-        return None
-
-    def inverse(self):
-        return self
 
 
 @dataclass(frozen=True)
@@ -705,7 +730,7 @@ class ParabolicStage:
 
     def plan(self, ref):
         fixed = _same_direction(self.zeta, ref, FIX_TOL)
-        return (ref, self._kernel) if fixed else None
+        return Plan(ref, self._kernel) if fixed else None
 
     def _kernel(self, delta, tail, margin):
         tail_e1 = np.einsum("ij,...j->...i", self.rot, tail)
@@ -737,22 +762,11 @@ class Automorphism:
     def q(self) -> int:
         return self.center.shape[0]
 
-    def plan(self, ref):
-        """The stage chain planned against ref (the images' ref, a kernel),
-        or None without a chain or where a stage cannot stay exact."""
-        kernels = []
-        for st in self.stages:
-            plan = st.plan(ref)
-            if plan is None:
-                return None
-            ref, kernel = plan
-            kernels.append(kernel)
-
-        def chain(delta, tail, margin):
-            for kernel in kernels:
-                delta, tail, margin = kernel(delta, tail, margin)
-            return delta, tail, margin
-        return (ref, chain) if kernels else None
+    def plan(self, ref) -> Plan | None:
+        """The stages chained against ref (`chain`), checking the state in
+        and out, or None without stages or where one cannot stay exact."""
+        plan = chain([st.plan for st in self.stages], ref)
+        return plan and Plan(plan.ref, plan.kernel, True, True)
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -771,11 +785,11 @@ def identity_automorphism(q: int) -> Automorphism:
 
 
 def mobius_involution(a: BallPoint) -> Automorphism:
-    """The involution exchanging a and 0 (phi_0 is the antipodal map)."""
+    """The involution exchanging a and 0 (phi_0 is the antipodal map); it
+    has no stages, so it acts on coordinates."""
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
-    return _aut(a.coords, np.eye(a.q, dtype=complex),
-                stages=(MobiusStage(a.coords),), label="involution")
+    return _aut(a.coords, np.eye(a.q, dtype=complex), label="involution")
 
 
 def unitary_automorphism(v) -> Automorphism:
@@ -794,24 +808,16 @@ def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
     """
     if not lam > 1.0:
         raise DomainError("hyperbolic automorphism needs dilation > 1")
-    return _axial(zeta, lam, f"hyperbolic(lam={lam:g})")
-
-
-def _axial(zeta: BoundaryPoint, lam: float, label: str) -> Automorphism:
-    """The axial automorphism of dilation lam at zeta as a one-stage
-    automorphism: z |-> -phi_{c zeta}(z), c = (lam - 1)/(lam + 1)."""
-    c = (lam - 1.0) / (lam + 1.0)
+    c = (lam - 1.0) / (lam + 1.0)   # z |-> -phi_{c zeta}(z), one AxialStage
     return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
-                stages=(AxialStage(zeta.coords, lam),), label=label)
+                stages=(AxialStage(zeta.coords, lam),),
+                label=f"hyperbolic(lam={lam:g})")
 
 
 def axis_translation(zeta: BoundaryPoint, t: float) -> Automorphism:
-    """Axial automorphism moving 0 to gamma(-t): horofunction shifts by +t."""
-    if t == 0.0:
-        return identity_automorphism(zeta.q)
-    if t > 0.0:
-        return hyperbolic_automorphism(zeta, float(np.exp(t)))
-    return _axial(zeta, float(np.exp(t)), f"axial(t={t:g})")
+    """Axial automorphism moving 0 to gamma(-t), t > 0: horofunction shifts
+    by +t."""
+    return hyperbolic_automorphism(zeta, float(np.exp(t)))
 
 
 # --- Siegel half-space model, used for parabolic automorphisms ------------
@@ -893,7 +899,7 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
     plan = None if p.ref is None else g.plan(p.ref)
     if plan is not None:
-        return PointBatch(plan[0], *plan[1](*point_state(p)[1:])).point(0)
+        return plan.step(held(p, BoundaryPoint(p.ref))).point(0)
     coords = apply_raw(g, p.coords)
     coords.flags.writeable = False
     return BallPoint(coords=coords, margin=_margin_through(g, p.coords, p.margin))
@@ -905,15 +911,12 @@ def inverse(g: Automorphism) -> Automorphism:
                 label=f"inv({g.label})" if g.label else "")
 
 
-def boundary_image(g: Automorphism, zeta: BoundaryPoint) -> np.ndarray:
-    """Continuous extension of g to the sphere (the formulas are rational
-    with nonvanishing denominator on the closed ball)."""
-    return apply_raw(g, zeta.coords)
-
-
 def fixes_boundary_point(g: Automorphism, zeta: BoundaryPoint,
                          tol: float = FIX_TOL) -> bool:
-    return bool(np.linalg.norm(boundary_image(g, zeta) - zeta.coords) <= tol)
+    """g extends continuously to the sphere: its formulas are rational with
+    a denominator that does not vanish on the closed ball."""
+    return bool(np.linalg.norm(apply_raw(g, zeta.coords) - zeta.coords)
+                <= tol)
 
 
 def automorphism_dilation(g: Automorphism, zeta: BoundaryPoint) -> float:

@@ -178,8 +178,7 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
                 planned, plan = points.ref.tobytes(), f._plan(points.ref)
             # points without a structured step step in coordinates
             points = cat.step_point(f, points) if plan is None else \
-                PointBatch(plan.ref, *plan.kernel(
-                    points.delta, points.tail, points.margin))
+                plan.step(points)
         except Exception:
             if len(ks) == 1:
                 raise
@@ -516,7 +515,7 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     ref, q = target.ref, f.q
     if seed.ref is None or not np.array_equal(seed.ref, ref):
         seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
-    img = cat.adapted_step(f, PointBatch(*geo.point_state(seed)))
+    img = cat.adapted_step(f, geo.held(seed, geo.BoundaryPoint(seed.ref)))
     if img is None:
         return None
     rot = geo.unitary_taking(geo.basis_boundary_point(q).coords, ref)

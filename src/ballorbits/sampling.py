@@ -119,7 +119,7 @@ def _axial_translates(zeta: BoundaryPoint, s_values, points):
     _, margin, delta, _, tail = _lanes(points)
     # the (k, 1) translations broadcast against the n points
     stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
-    return stage.plan(zeta.coords)[1](delta, tail, margin)
+    return stage.plan(zeta.coords).kernel(delta, tail, margin)
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
@@ -132,6 +132,6 @@ def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
 def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
     """Translate p (adapted against zeta) by s toward zeta along the axis."""
     stage = AxialStage(zeta.coords, np.exp(-s))
-    ref, kernel = stage.plan(p.ref)
-    delta, tail, margin = kernel(p.delta, p.tail(), p.margin)
-    return boundary_adapted_point(ref, delta, tail=tail, margin=margin)
+    plan = stage.plan(p.ref)
+    delta, tail, margin = plan.kernel(p.delta, p.tail(), p.margin)
+    return boundary_adapted_point(plan.ref, delta, tail=tail, margin=margin)

@@ -23,7 +23,7 @@ SUITE_GOLDEN = Path(__file__).parent / "golden" / "suite_12345.txt"
     "criterion", acceptance._CRITERIA,
     ids=[c.__name__ for c in acceptance._CRITERIA])
 def test_criterion(criterion):
-    line = criterion(12345)
+    line = criterion(12345, acceptance.PassFixtures())
     print(line.render())
     assert line.passed, line.render()
 
@@ -58,7 +58,8 @@ def test_criterion_06_profiles_once(monkeypatch):
     # the shift recovery reads the profile the criterion measured
     calls = count_calls(monkeypatch, (ana, "orbit_distance_profile"),
                         (ana, "shift_recovery"))
-    assert acceptance.criterion_06_finite_distance(12345).passed
+    assert acceptance.criterion_06_finite_distance(
+        12345, acceptance.PassFixtures()).passed
     assert calls == {"orbit_distance_profile": 1, "shift_recovery": 1}
 
 
@@ -73,5 +74,6 @@ def test_criterion_07_fails_on_short_sample_set(monkeypatch):
                               tail=b.tail[:10], margin=b.margin[:10])
 
     monkeypatch.setattr(acceptance, "tube_samples", ten_samples)
-    line = acceptance.criterion_07_tube_in_koranyi(12345).render()
+    line = acceptance.criterion_07_tube_in_koranyi(
+        12345, acceptance.PassFixtures()).render()
     assert line.startswith("CHECK criterion_07_tube_in_koranyi FAIL ")

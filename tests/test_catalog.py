@@ -675,6 +675,39 @@ def test_broken_state_is_refused_where_it_arises(name):
             assert str(exc.value) == message
 
 
+def _map_tree(f):
+    yield f
+    for child in f.children:
+        yield from _map_tree(child)
+
+
+def test_every_stage_and_kind_plans_into_one_plan_type():
+    """Each stage kind, and each catalog kind among the golden specs' maps,
+    plans into `geometry.Plan` or None: at +-e_1 of its dimension and at
+    the spec's zeta."""
+    import test_golden
+    specs = dict(test_golden.ORBIT_CASES.values())
+    specs.update((spec, zeta.partition("=")[2]) for spec, zeta, *_
+                 in test_golden.CLUSTER_CASES.values())
+    kinds, stages = set(), set()
+    for spec, zeta in specs.items():
+        zeta = cli.parse_point(zeta)
+        for g in _map_tree(cli.parse_mapspec(spec)):
+            e = geo.basis_boundary_point(g.q).coords
+            refs = [e, -e] + [zeta] * (len(zeta) == g.q)
+            kinds.add(g.kind)
+            planners = [g._plan] + [st.plan for st in (
+                g.params[0].stages if g.kind == "ball_automorphism" else ())]
+            stages.update(type(p.__self__) for p in planners[1:])
+            for plan in (plan_at(ref) for plan_at in planners
+                         for ref in refs):
+                assert plan is None or type(plan) is geo.Plan
+    assert kinds == {"blaschke", "ball_automorphism", "compose", "iterate",
+                     "warped_product", "conjugate"}
+    assert stages == {v for name, v in vars(geo).items()
+                      if name.endswith("Stage")}
+
+
 def test_pole_clearance_already_clear(disc_auto, e1):
     cleared, conj = cat.ensure_pole_clearance(disc_auto, e1)
     assert conj.label == "id"

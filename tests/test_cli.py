@@ -274,6 +274,25 @@ def test_geometry_dist_needs_two_points_exit_2(capsys):
     assert err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize("query", ["horo", "horosphere", "koranyi", "tube"])
+def test_geometry_one_point_query_refuses_two_exit_2(capsys, query):
+    code, out, err = run(capsys, "geometry", query, "0.5", "0.7")
+    assert code == 2 and out == ""
+    assert err == f"error: geometry {query} needs one point\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "horo", "0.5", "--zeta", "nan"],
+    ["geometry", "tube", "0.5", "--zeta", "1,nan"],
+    ["dilation", "blaschke:a=1/3", "--zeta", "nan"],
+    ["orbit", "blaschke:a=1/3", "--zeta", "nan"],
+])
+def test_nan_boundary_point_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: |zeta| = nan is not on the unit sphere")
+
+
 def test_dilation_blaschke(capsys):
     code, out, _ = run(capsys, "dilation", "blaschke:a=1/3", "--zeta", "1")
     assert code == 0
@@ -414,6 +433,25 @@ def test_compare_refuses_a_bad_csv(text, message, tmp_path, capsys):
                          "--csv-b", str(path), "--zeta", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_compare_refuses_a_csv_whose_j_skips(tmp_path, capsys):
+    """A row whose j is not the previous j + 1 is an input error that names
+    the row; rows that all start at a larger j still load."""
+    path = tmp_path / "a.csv"
+    assert run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1", "--kmax",
+               "12", "--out", str(path))[0] == 0
+    header, *rows = path.read_text().splitlines()
+    gapped, shifted = tmp_path / "gapped.csv", tmp_path / "shifted.csv"
+    gapped.write_text("\n".join([header] + rows[::2]) + "\n")
+    shifted.write_text("\n".join([header] + rows[1:]) + "\n")
+    code, out, err = run(capsys, "compare", "--csv-a", str(path),
+                         "--csv-b", str(gapped), "--zeta", "1")
+    assert code == 2 and out == ""
+    assert err == (f"error: orbit CSV {str(gapped)!r}: row {rows[2]!r} has "
+                   "j = 2, not 1\n")
+    assert cli.read_orbit_csv(str(shifted),
+                              geo.basis_boundary_point(1)).base_index == 1
 
 
 def test_compare_from_csv_files(tmp_path, capsys):

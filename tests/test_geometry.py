@@ -36,6 +36,14 @@ def test_boundary_point_needs_unit_norm():
         geo.boundary_point([0.5])
 
 
+@pytest.mark.parametrize("coords", [[np.nan], [1.0, np.nan], [np.inf],
+                                    [complex(np.nan, 0.0)]])
+def test_boundary_point_refuses_a_norm_that_is_not_finite(coords):
+    # |n - 1| > tol is False for a NaN norm, which once let NaN through
+    with pytest.raises(DomainError, match="is not on the unit sphere"):
+        geo.boundary_point(coords)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         geo.kob_dist(bp(0.1), bp(0.1, 0.0))

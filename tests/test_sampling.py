@@ -32,10 +32,9 @@ def reference_samples(zeta, width, s_values, n_angles, fractions):
                 offsets.append(rho * direction)
         for u in offsets + [np.zeros(q, dtype=complex)]:
             u = sampling.adapted_at(zeta, u)
-            ref, kernel = stage.plan(u.ref)
-            delta, tail, margin = kernel(u.delta, u.tail(),
-                                                   u.margin)
-            pts.append(geo.boundary_adapted_point(ref, delta, tail=tail,
+            plan = stage.plan(u.ref)
+            delta, tail, margin = plan.kernel(u.delta, u.tail(), u.margin)
+            pts.append(geo.boundary_adapted_point(plan.ref, delta, tail=tail,
                                                   margin=margin))
     return pts
 

@@ -19,7 +19,7 @@ PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 SRC = ROOT / "src" / "ballorbits"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MAX_OPTIONS = 49
+MAX_OPTIONS = 40
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "callable_map",    # the entry point for a map given as a raw evaluator
