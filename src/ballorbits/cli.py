@@ -167,7 +167,7 @@ def cmd_geometry(args) -> int:
     n = 2 if args.query == "dist" else 1
     if len(args.points) != n:
         raise ConfigError(f"geometry {args.query} needs "
-                          f"{('one point', 'two points')[n - 1]}")
+                          + ("two points" if n == 2 else "one point"))
     z = geo.ball_point(parse_point(args.points[0]))
     if args.query == "dist":
         w = geo.ball_point(parse_point(args.points[1]))
