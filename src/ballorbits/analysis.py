@@ -184,16 +184,16 @@ def region_equivalence_check(seq_points, zeta: BoundaryPoint, width: float,
             f"bound 2L: worst {functional.max():.9g} vs {2 * width:.9g}")
     tail_start = None
     l_hat = None
-    if seq_points:
+    if len(seq_points):
+        seq = geo.held(seq_points, zeta)
         region = geo.KoranyiRegion(vertex=zeta, amplitude=amplitude)
         inside = (2.0 * np.log(region.amplitude)
-                  - geo.koranyi_functional(seq_points, zeta)) > 0.0
+                  - geo.koranyi_functional(seq, zeta)) > 0.0
         # the tail starts after the last point outside K(zeta, M)
         start = len(inside) - int(np.cumprod(inside[::-1]).sum())
         if start < len(inside):
             tail_start = start
-            l_hat = float(geo.dist_to_geodesic(seq_points[start:], zeta)[0]
-                          .max())
+            l_hat = float(geo.dist_to_geodesic(seq[start:], zeta)[0].max())
             lines.append(CheckLine("sequence_tail_in_tube", True, l_hat))
     return RegionReport(tube_functional_max=float(functional.max()),
                         violations=violations, n_samples=len(samples),

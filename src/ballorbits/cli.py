@@ -88,9 +88,7 @@ def parse_mapspec(spec: str) -> cat.SelfMap:
     if ":" in spec and not os.path.exists(spec):
         sections = {"map": _inline_section(spec)}
     elif os.path.exists(spec):
-        sections = configparser.ConfigParser()
-        if not sections.read(spec):
-            raise ConfigError(f"cannot read map spec file {spec!r}")
+        sections = _read_ini(spec, "map spec")
     else:
         raise ConfigError(f"map spec {spec!r}: no such file and not inline "
                           f"syntax kind:key=val")
@@ -122,8 +120,23 @@ def _inline_section(spec: str) -> dict:
         key, _, val = item.partition("=")
         if not val:
             raise ConfigError(f"inline map spec needs key=val, got {item!r}")
+        if key.strip() in kv:
+            raise ConfigError(f"inline map spec repeats key {key.strip()!r}")
         kv[key.strip()] = val.strip()
     return {**kv, "kind": kind.strip()}
+
+
+def _read_ini(path, what: str) -> dict:
+    """The sections of an INI file as {name: {key: text}}, every value read
+    here: what configparser refuses is a ConfigError naming the file."""
+    cp = configparser.ConfigParser()
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read {what} file {path!r}")
+        return {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        msg = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"{what} file {path!r}: {msg}") from exc
 
 
 def _build_section(sections, name: str) -> cat.SelfMap:
@@ -148,10 +161,12 @@ def _build_section(sections, name: str) -> cat.SelfMap:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BALLORBITS_SEED")
-    return int(env) if env else 12345
+    """--seed, else $BALLORBITS_SEED, else 12345: a non-negative integer."""
+    source, text = ("--seed", args.seed) if args.seed is not None else \
+        ("BALLORBITS_SEED", os.environ.get("BALLORBITS_SEED") or "12345")
+    if not str(text).strip().isdecimal():
+        raise ConfigError(f"{source} must be a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _map_and_zeta(args):
@@ -296,9 +311,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate_premodel(args) -> int:
     f, zeta = _map_and_zeta(args)
-    cp = configparser.ConfigParser()
-    if not cp.read(args.premodel):
-        raise ConfigError(f"cannot read premodel file {args.premodel!r}")
+    cp = _read_ini(args.premodel, "premodel")
     if "premodel" not in cp:
         raise ConfigError("premodel file needs a [premodel] section")
     opts = cp["premodel"]

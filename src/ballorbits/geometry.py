@@ -158,6 +158,11 @@ class BallPoint:
     delta: complex | None = None
     tail_vec: np.ndarray | None = None
 
+    def __post_init__(self):   # its coordinates and tail are read-only
+        for a in (self.coords, self.tail_vec):
+            if a is not None:
+                a.setflags(write=False)
+
     @property
     def q(self) -> int:
         return self.coords.shape[0]
@@ -180,13 +185,12 @@ def ball_point(coords) -> BallPoint:
         raise DomainError(
             f"point with 1 - |z| = {1.0 - n:.3e} is numerically on the sphere"
         )
-    v = v.copy()
-    v.flags.writeable = False
-    return BallPoint(coords=v, margin=float(1.0 - n * n))
+    return BallPoint(coords=v.copy(), margin=float(1.0 - n * n))
 
 
 def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
-    """Interior point given by its defect against a boundary point.
+    """Interior point given by its defect against a boundary point: the
+    batch of one (`PointBatch` checks it).
 
     coords = (1 - delta) * ref + tail with tail orthogonal to ref: a tail
     with |<tail, ref>| > 1e-12 is refused.  The margin is derived
@@ -195,22 +199,12 @@ def boundary_adapted_point(ref, delta, tail=None, margin=None) -> BallPoint:
     """
     refv = as_vector(np.asarray(ref.coords if isinstance(ref, BoundaryPoint) else ref))
     delta = complex(delta)
-    if tail is None:
-        tail = np.zeros_like(refv)
-    else:
-        tail = as_vector(tail, refv.shape[0]).copy()
-        if abs(np.vdot(refv, tail)) > 1e-12:   # |<tail, ref>|
-            raise DomainError("adapted point's tail is not orthogonal to ref")
+    tail = np.zeros_like(refv) if tail is None else \
+        as_vector(tail, refv.shape[0]).copy()
     if margin is None:
         margin = 2.0 * delta.real - abs(delta) ** 2 - sq_norm(tail)
-    margin = float(margin)
-    if margin <= 0.0:
-        raise DomainError(f"adapted point has nonpositive margin {margin:.3e}")
-    coords = (1.0 - delta) * refv + tail
-    coords.flags.writeable = False
-    tail.flags.writeable = False
-    return BallPoint(coords=coords, margin=margin, ref=refv, delta=delta,
-                     tail_vec=tail)
+    return PointBatch(refv, np.array([delta]), tail[None],
+                      np.array([float(margin)])).point(0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,8 @@ class PointBatch:
     margin[n] (or a grid: delta[n, m], indexed by (row, column)).  `point(i)`
     and `batch[i]` are the i-th point as a `BallPoint`, and `batch[rows]`
     the batch of a slice, mask or index array.  `coords` is built once and
-    kept; a batch that `held` makes from points keeps theirs."""
+    kept; a batch that `held` makes from points keeps theirs.  The arrays
+    of a batch and of its points are read-only."""
 
     ref: np.ndarray
     delta: np.ndarray
@@ -233,6 +228,7 @@ class PointBatch:
                               f"{self.margin.min():.3e}")
         if (np.abs(herm(self.tail, self.ref)) > 1e-12).any():
             raise DomainError("adapted point's tail is not orthogonal to ref")
+        _freeze(self)
 
     @property
     def q(self) -> int:
@@ -260,7 +256,9 @@ class PointBatch:
     @cached_property
     def coords(self) -> np.ndarray:
         """coords[n, q]; row i equals `point(i).coords`."""
-        return _defect_coords(self.ref, self.delta, self.tail)
+        coords = _defect_coords(self.ref, self.delta, self.tail)
+        coords.setflags(write=False)
+        return coords
 
     def take(self, rows) -> "PointBatch":
         """The points at `rows` (indices, a mask or a slice), in order: rows
@@ -269,17 +267,25 @@ class PointBatch:
         batch = object.__new__(PointBatch)
         batch.__dict__.update((name, a if name == "ref" else a[rows])
                               for name, a in vars(self).items())
-        return batch
+        return _freeze(batch)
+
+
+def _freeze(batch: PointBatch) -> PointBatch:
+    """The batch, its arrays but ref (often the caller's) made read-only."""
+    for name, a in vars(batch).items():
+        if name != "ref":
+            a.setflags(write=False)
+    return batch
 
 
 def _defect_coords(ref, delta, tail):
-    """(1 - delta) ref + tail for delta[n] and tail[n, q], row i equal to
-    the coordinates `boundary_adapted_point` gives the row's point.  Each
-    row of the product is rounded as the complex scalar 1 - delta[i] times
-    the vector ref: numpy's complex product fuses multiply-adds except for
-    one row against a one-entry ref left to broadcast, so ref gets its row
-    axis here."""
-    return (1.0 - delta)[:, None] * ref[None, :] + tail
+    """(1 - delta) ref + tail for delta[n] and tail[n, q], or a grid's,
+    row i equal to the coordinates `boundary_adapted_point` gives the row's
+    point.  Each row of the product is rounded as the complex scalar
+    1 - delta[i] times the vector ref: numpy's complex product fuses
+    multiply-adds except for one row against a one-entry ref left to
+    broadcast, so ref gets its row axis here."""
+    return (1.0 - delta)[..., None] * ref[None, :] + tail
 
 
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
@@ -289,7 +295,6 @@ def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
         raise DimensionMismatch(f"dimensions {p.q} != {zeta.q}")
     a = herm(p.coords, zeta.coords)
     tail = p.coords - a * zeta.coords
-    tail.flags.writeable = False
     return BallPoint(coords=p.coords, margin=p.margin, ref=zeta.coords,
                      delta=complex(1.0 - a), tail_vec=tail)
 
@@ -323,7 +328,7 @@ def held(points, zeta: BoundaryPoint) -> PointBatch:
                        np.array([p.tail() for p in pts]).reshape(rows),
                        np.array([p.margin for p in pts], float))
     batch.__dict__["coords"] = np.array([p.coords for p in pts]).reshape(rows)
-    return batch
+    return _freeze(batch)
 
 
 def boundary_point(coords, q=None) -> BoundaryPoint:
@@ -351,33 +356,29 @@ def _same_direction(u, v, tol=1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def _lanes(points, axis=None):
-    """(coords, margin, delta, ref, tail) of a point, a sequence of points
-    or a `PointBatch`, one row per point, on `axis` of an outer pairing if
-    given.  ref is one vector when all points hold the same, else one row
-    per point; tail is each point's stored tail; delta, ref and tail are
-    nan for a point without a reference.  An empty sequence has no rows."""
+    """[coords, margin, delta, ref, tail] of a `PointBatch` or a point (the
+    batch of one; nan delta, ref and tail without a reference), a row per
+    point, on `axis` of an outer pairing if given.  A list of points that
+    all hold one reference is read as that batch (`held`); others are not."""
     if isinstance(points, BallPoint):
-        points = (points,)
-    if isinstance(points, PointBatch):
-        ref, delta, margin, tail, coords = (points.ref, points.delta,
-                                            points.margin, points.tail,
-                                            points.coords)
+        p, nan = points, np.full(points.q, np.nan, dtype=complex)
+        ref, delta, tail = (nan, nan[0], nan) if p.ref is None else \
+            (p.ref, p.delta, p.tail())
+        lanes = [p.coords[None], np.array([p.margin]), np.array([delta]), ref,
+                 tail[None]]
     else:
-        coords = np.array([p.coords for p in points])
-        margin = np.array([p.margin for p in points])
-        delta = np.array([np.nan if p.ref is None else p.delta
-                          for p in points], dtype=complex)
-        nan = np.full(coords.shape[-1], np.nan)
-        ref = np.array([nan if p.ref is None else p.ref for p in points],
-                       dtype=complex)
-        tail = np.array([nan if p.ref is None else p.tail() for p in points],
-                        dtype=complex)
-        ref = ref[0] if len(ref) and (ref == ref[0]).all() else ref
-    if axis is not None:
-        coords, margin, delta, tail = (np.expand_dims(x, axis)
-                                       for x in (coords, margin, delta, tail))
-        ref = ref if ref.ndim == 1 else np.expand_dims(ref, axis)
-    return coords, margin, delta, ref, tail
+        if not isinstance(points, PointBatch):
+            refs = {None if p.ref is None else p.ref.tobytes() for p in points}
+            if len(refs) != 1 or None in refs:
+                raise DomainError("a list of points must hold one reference: "
+                                  "pass a PointBatch, or hold them with held")
+            points = held(points, BoundaryPoint(points[0].ref))
+        lanes = [points.coords, points.margin, points.delta, points.ref,
+                 points.tail]
+    if axis is not None:   # every lane but ref gets the axis
+        lanes = [x if i == 3 else np.expand_dims(x, axis)
+                 for i, x in enumerate(lanes)]
+    return lanes
 
 
 def _one(z, out):
@@ -418,10 +419,8 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
         raise DimensionMismatch(f"dimensions {zc.shape[-1]} != {wc.shape[-1]}")
     share = sq_norm(ref - ref_w) <= 1e-24
     if not np.array_equal(ref_w, ref):
-        # a w tail holds against w's own reference: rebuild it against z's
-        # from coordinates where w has none or another
-        own = (ref_w == ref).all(axis=-1)[..., None]
-        tw = np.where(own, tw, wc - herm(wc, ref)[..., None] * ref)
+        # w's tails hold against w's reference: rebuild them against z's
+        tw = wc - herm(wc, ref)[..., None] * ref
     # herm, _cmul, abs_sq and float_power round a lane as the pair alone
     with np.errstate(divide="ignore", invalid="ignore"):
         dwc = np.conj(dw)
@@ -448,15 +447,16 @@ def _kob(z_lanes, w_lanes) -> np.ndarray:
         rho = np.sqrt(sq_norm(mobius_shift(zc, wc)))
         rho[(zc == wc).all(axis=-1)] = 0.0
         # far pairs keep the quotient of 1 - <z,w> from coordinates
-        out[inv] = np.where(rho < 0.95, np.log1p(2.0 * rho / (1.0 - rho)),
-                            out[inv])
+        near = rho < 0.95
+        rho = rho[near]
+        out[tuple(i[near] for i in inv)] = np.log1p(2.0 * rho / (1.0 - rho))
     return out
 
 
 def kob_dist(z, w):
     """Kobayashi distance, kob_dist(0, z) = log((1+|z|)/(1-|z|)), of two
-    points as a float, or of the pairs of two equal-length sequences (lists
-    of points or `PointBatch`es) as an array; see `_kob` for its lanes."""
+    points as a float, or of the pairs of two equal-length `PointBatch`es
+    as an array; see `_lanes` for the lists it takes, `_kob` for lanes."""
     z_lanes, w_lanes = _lanes(z), _lanes(w)
     if (n := len(z_lanes[1])) != len(w_lanes[1]):
         raise DimensionMismatch(f"sequence lengths {n} != {len(w_lanes[1])}")
@@ -464,15 +464,15 @@ def kob_dist(z, w):
 
 
 def kob_dist_origin(z):
-    """kob_dist(0, z) of a point as a float, or of a sequence of points or
-    a `PointBatch` as an array."""
+    """kob_dist(0, z) of a point as a float, or of a `PointBatch` as an
+    array."""
     margin = _lanes(z)[1]
     norm = np.sqrt(np.maximum(1.0 - margin, 0.0))
     return _one(z, np.log(abs_sq(1.0 + norm) / margin))
 
 
 def kob_matrix(points_a, points_b) -> np.ndarray:
-    """`kob_dist` over every pair of two lists of points or `PointBatch`es:
+    """`kob_dist` over every pair of two `PointBatch`es (or points):
     entry (i, j) is kob_dist(points_a[i], points_b[j])."""
     return _kob(_lanes(points_a, 1), _lanes(points_b, 0))
 
@@ -536,9 +536,10 @@ def horosphere_contains(z: BallPoint, sphere: Horosphere):
 
 
 def koranyi_functional(z, vertex: BoundaryPoint):
-    """kob(0, z) + horofunction(z, vertex) for a point, or as an array for
-    a `PointBatch`, equal element for element to the per-point value."""
-    return kob_dist_origin(z) + horofunction(z, vertex)
+    """kob(0, z) + horofunction(z, vertex) of z held against vertex
+    (`held`): equal element for element to the per-point value."""
+    b = held(z, vertex)
+    return _one(z, kob_dist_origin(b) + horofunction(b, vertex))
 
 
 def koranyi_contains(z: BallPoint, region: KoranyiRegion):
@@ -900,9 +901,8 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
     plan = None if p.ref is None else g.plan(p.ref)
     if plan is not None:
         return plan.step(held(p, BoundaryPoint(p.ref))).point(0)
-    coords = apply_raw(g, p.coords)
-    coords.flags.writeable = False
-    return BallPoint(coords=coords, margin=_margin_through(g, p.coords, p.margin))
+    return BallPoint(coords=apply_raw(g, p.coords),
+                     margin=_margin_through(g, p.coords, p.margin))
 
 
 def inverse(g: Automorphism) -> Automorphism:

@@ -207,7 +207,7 @@ def _grid(frames, n_lanes):
             g[lanes, j] = getattr(p, name)
     batch = object.__new__(PointBatch)   # rows of checked batches
     batch.__dict__.update(grid, ref=first.ref)
-    return batch
+    return geo._freeze(batch)
 
 
 def _points_at(records, js, zeta: BoundaryPoint) -> PointBatch:
@@ -564,27 +564,23 @@ def _grid_seeds(q: int):
 
 
 def _adapted_preimage(f, cur: BallPoint, lam_guess: float) -> BallPoint:
-    """The march's adapted candidate: the preimage of cur solved from the
-    seed with cur's reference and tail and delta cur.delta / lam_guess."""
-    return newton_preimage(f, cur, geo.boundary_adapted_point(
-        cur.ref, cur.delta / lam_guess, tail=cur.tail()))
+    """The march's adapted candidate, held against cur's reference: the
+    preimage of cur solved from cur's tail and delta cur.delta / lam_guess."""
+    return geo.held(newton_preimage(f, cur, geo.boundary_adapted_point(
+        cur.ref, cur.delta / lam_guess, tail=cur.tail())),
+        BoundaryPoint(cur.ref)).point(0)
 
 
-def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int, steps_adapted):
+def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int):
     """The march's first n steps as they go when each step's adapted
-    candidate wins: one (point, lam_guess, candidate) per walked step.  The
-    walk stops at the first step without an adapted candidate and after a
-    candidate without a reference.  It never raises: a step that raises ends
-    it, and the march then takes that step itself and raises there."""
+    candidate wins: one (point, lam_guess, candidate) per walked step.  It
+    never raises: a step that raises ends it, and the march then takes that
+    step itself and raises there."""
     walk = []
     try:
         for _ in range(n):
-            if not steps_adapted(cur):
-                break
             cand = _adapted_preimage(f, cur, lam_guess)
             walk.append((cur, lam_guess, cand))
-            if cand.ref is None:
-                break
             lam_guess = max(float(np.exp(geo.kob_dist(cur, cand))), 1.01)
             cur = cand
     except Exception:
@@ -616,27 +612,20 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     value; otherwise, and from step 8 on, it solves them itself.  So every
     step sees the candidates a step-by-step march sees.
 
-    Whether f steps adapted depends on the map and the point's reference
-    alone (every kind's `_plan` decides from `ref`), so `_plan` is asked
-    once per reference: every point after z_0 holds zeta, or z_0's reference
-    where the adapted solve carried it on.  Grid solutions equal to an
-    earlier candidate (within 1e-8) are dropped before points are built.
+    Every point of the march, z_0 included (`geo.held`), and every
+    candidate is held against zeta.  Whether f steps adapted depends on the
+    map and the reference alone (every kind's `_plan` decides from `ref`),
+    so `_plan` is asked once.  Grid solutions equal to an earlier candidate
+    (within 1e-8) are dropped before points are built.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
     grid = _grid_seeds(f.q)
-    cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
+    cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    adapted = {}   # ref bytes -> whether f steps adapted there
-
-    def steps_adapted(p):
-        key = p.ref.tobytes()
-        if key not in adapted:
-            adapted[key] = f._plan(p.ref) is not None
-        return adapted[key]
-
-    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps), steps_adapted)
+    adapted = f._plan(zeta.coords) is not None
+    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps)) if adapted else []
     grids = []   # each walked step's grid solutions
     if walk:
         targets = np.array([p.coords for p, _, _ in walk]).repeat(len(grid), 0)
@@ -650,7 +639,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
             uniq, outs = [walk[step_idx][2]], grids[step_idx]
         else:
             uniq = []
-            if steps_adapted(cur):
+            if adapted:
                 try:
                     uniq.append(_adapted_preimage(f, cur, lam_guess))
                 except (NumericalError, DomainError):
@@ -683,9 +672,6 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 "within 0.05")
         nxt, step = uniq[order[0]], dists[order[0]]
-        if nxt.ref is None:
-            nxt = geo.with_reference(nxt, zeta)
-            step = geo.kob_dist(cur, nxt)
         lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt

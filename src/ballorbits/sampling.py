@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
-                       _lanes, boundary_adapted_point, herm)
+                       boundary_adapted_point, held, herm)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -116,10 +116,10 @@ def _axial_translates(zeta: BoundaryPoint, s_values, points):
     s = np.asarray(s_values, dtype=float)
     if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
         raise DomainError(f"axis parameter s = {s} exceeds float range")
-    _, margin, delta, _, tail = _lanes(points)
+    b = held(points, zeta)
     # the (k, 1) translations broadcast against the n points
     stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
-    return stage.plan(zeta.coords).kernel(delta, tail, margin)
+    return stage.plan(zeta.coords).kernel(b.delta, b.tail, b.margin)
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:

@@ -56,6 +56,14 @@ def random_interior(rng, q, scale=0.85):
     return geo.ball_point(v)
 
 
+def apart(zs, ws):
+    """Two lists of points as two batches held against different
+    references, e_1 and -e_1: every pair of them takes kob_dist's coordinate
+    lane, as a pair of points without a reference does."""
+    e = geo.basis_boundary_point(zs[0].q)
+    return geo.held(zs, e), geo.held(ws, geo.BoundaryPoint(-e.coords))
+
+
 def count_calls(monkeypatch, *targets):
     """Wrap each (module, name) so that its calls are counted; returns the
     dict of counts by name, filled as the wrapped functions run."""

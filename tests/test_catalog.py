@@ -15,7 +15,7 @@ from ballorbits.errors import (ConfigError, DilationOutOfScope,
                                DimensionMismatch, DomainError, NumericalError)
 from ballorbits.sampling import sample_horodisc
 
-from conftest import count_calls, random_interior
+from conftest import apart, count_calls, random_interior
 
 LOG3 = np.log(3.0)
 
@@ -98,7 +98,8 @@ def test_schwarz_pick(make, rng):
            for v in cat.evaluate(f, np.array([z.coords for z in zs]))]
     fws = [geo.ball_point(v)
            for v in cat.evaluate(f, np.array([w.coords for w in ws]))]
-    worst = (geo.kob_dist(fzs, fws) - geo.kob_dist(zs, ws)).max()
+    worst = (geo.kob_dist(*apart(fzs, fws))
+             - geo.kob_dist(*apart(zs, ws))).max()
     assert worst <= 1e-10
 
 

@@ -157,6 +157,64 @@ def test_premodel_key_exit_2(tmp_path, capsys, premodel, key):
     assert f"'{key}'" in err and "[premodel]" in err
 
 
+UNREADABLE_INI = {
+    "no-section-header": "kind = blaschke\nfactors = 0 1/3\n",
+    "duplicate-section": "[map]\nkind = blaschke\n\n[map]\nkind = mobius\n",
+    "duplicate-option": "[map]\nkind = blaschke\nkind = mobius\n",
+    "percent": "[map]\nkind = blaschke\nfactors = 0 1/3%\n",
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_INI.values(), ids=UNREADABLE_INI)
+@pytest.mark.parametrize("role", ["map", "premodel"])
+def test_unreadable_ini_exit_2(text, role, tmp_path, capsys):
+    """A map spec or premodel file that configparser refuses, when it reads
+    the file or a value, is an input error naming the file."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text.replace("[map]", f"[{role}]"))
+    argv = (("dilation", str(path)) if role == "map" else
+            ("validate-premodel", "hyperbolic:lam=3,zeta=1", str(path)))
+    code, out, err = run(capsys, *argv, "--zeta", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(str(path)) in err
+
+
+def test_inline_spec_refuses_a_repeated_key(capsys):
+    # as the INI form refuses a repeated option, not the last value winning
+    with pytest.raises(ConfigError, match="repeats key 'lam'"):
+        cli.parse_mapspec("hyperbolic:lam=3,lam=5,zeta=1")
+    code, out, err = run(capsys, "dilation", "hyperbolic:lam=3,lam=5",
+                         "--zeta", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'lam'" in err
+
+
+@pytest.mark.parametrize("argv, env, source", [
+    (("--seed", "-5"), None, "--seed"),
+    ((), "abc", "BALLORBITS_SEED"),
+    ((), "-1", "BALLORBITS_SEED"),
+    ((), "2.5", "BALLORBITS_SEED"),
+], ids=["flag-negative", "env-text", "env-negative", "env-float"])
+def test_bad_seed_exit_2(argv, env, source, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("BALLORBITS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BALLORBITS_SEED", env)
+    code, out, err = run(capsys, *argv, "suite")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and source in err
+
+
+def test_seed_sources(monkeypatch):
+    monkeypatch.setenv("BALLORBITS_SEED", "7")
+    assert cli._seed(argparse.Namespace(seed=0)) == 0
+    assert cli._seed(argparse.Namespace(seed=None)) == 7
+    monkeypatch.setenv("BALLORBITS_SEED", "")
+    assert cli._seed(argparse.Namespace(seed=None)) == 12345
+    monkeypatch.delenv("BALLORBITS_SEED")
+    assert cli._seed(argparse.Namespace(seed=None)) == 12345
+
+
 @pytest.mark.parametrize("argv", [
     ("orbit", "blaschke:a=1/3", "--zeta=1", "--lambda", "3.1",
      "--eps-sigma", "nan"),
@@ -247,6 +305,13 @@ def test_geometry_dist(capsys):
     code, out, _ = run(capsys, "geometry", "dist", "0,0", "0.5,0")
     assert code == 0
     assert out.strip() == "1.09861228866811"
+
+
+def test_geometry_dist_of_a_far_pair(capsys):
+    # the involution's far branch: no divide-by-zero warning on stderr
+    code, out, err = run(capsys, "geometry", "dist", "0.9999999999999",
+                         "-0.9999999999999")
+    assert (code, out, err) == (0, "61.2528849852572\n", "")
 
 
 def test_geometry_horo(capsys):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ballorbits import catalog as cat
 from ballorbits import geometry as geo
+from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DimensionMismatch, DomainError
 
-from conftest import random_interior
+from conftest import apart, random_interior
 
 LOG3 = np.log(3.0)
 
@@ -101,7 +103,8 @@ def test_triangle_inequality_bulk(rng):
               / np.linalg.norm(v, axis=1))[:, None]
         triples.append([geo.ball_point(x) for x in v])
     a, b, c = zip(*triples)
-    slack = geo.kob_dist(a, b) + geo.kob_dist(b, c) - geo.kob_dist(a, c)
+    slack = (geo.kob_dist(*apart(a, b)) + geo.kob_dist(*apart(b, c))
+             - geo.kob_dist(*apart(a, c)))
     assert slack.min() >= -1e-12
 
 
@@ -176,28 +179,30 @@ def test_kob_matrix_resolves_close_pairs(e1_q2):
 
 
 def test_kob_matrix_matches_kob_dist(rng, e1_q2):
+    # one batch held against e_1 and one against another reference: shared
+    # lanes within each, coordinate lanes between them
     other = geo.boundary_point([0.6, 0.8j])
-    pts = []
-    for i in range(12):
-        p = random_interior(rng, 2)
-        pts.append(p if i % 3 == 0 else
-                   geo.with_reference(p, e1_q2 if i % 3 == 1 else other))
+    pts = [random_interior(rng, 2) for _ in range(12)]
     # a deep point, and a repeated point: a collapsed pair off the sphere
-    pts.append(geo.geodesic_point(e1_q2, 12.0))
-    pts.append(pts[1])
-    dmat = geo.kob_matrix(pts, pts)
-    for i, z in enumerate(pts):
-        for j, w in enumerate(pts):
-            assert dmat[i, j] == pytest.approx(geo.kob_dist(z, w), rel=1e-12,
-                                               abs=1e-15)
+    mine = geo.held(pts[:6] + [geo.geodesic_point(e1_q2, 12.0), pts[1]],
+                    e1_q2)
+    theirs = geo.held(pts[6:], other)
+    for a in (mine, theirs):
+        for b in (mine, theirs):
+            dmat = geo.kob_matrix(a, b)
+            for i, z in enumerate(a):
+                for j, w in enumerate(b):
+                    assert dmat[i, j] == pytest.approx(
+                        geo.kob_dist(z, w), rel=1e-12, abs=1e-15)
     # a batch of tube samples on e_1 gives what its points give, pair for pair
     batch = sampling.tube_samples(e1_q2, 1.0, s_values=np.arange(0.5, 8.0),
                                   n_angles=6)
     as_points = [batch.point(i) for i in range(len(batch))]
-    assert np.array_equal(geo.kob_matrix(batch, pts),
-                          geo.kob_matrix(as_points, pts))
-    assert np.array_equal(geo.kob_matrix(pts, batch),
-                          geo.kob_matrix(pts, as_points))
+    for b in (mine, theirs):
+        assert np.array_equal(geo.kob_matrix(batch, b),
+                              geo.kob_matrix(as_points, b))
+        assert np.array_equal(geo.kob_matrix(b, batch),
+                              geo.kob_matrix(b, as_points))
 
 
 def test_kob_dist_of_a_point_with_itself_is_zero(e1, e1_q2):
@@ -211,7 +216,8 @@ def test_kob_dist_of_a_point_with_itself_is_zero(e1, e1_q2):
     pts.append(geo.with_reference(bp(0.3 + 0.1j, 0.2), e2))
     for p in pts:
         assert geo.kob_dist(p, p) == 0.0
-    assert np.all(geo.kob_dist(pts, pts) == 0.0)
+    for b in (geo.held(pts[:-1], e1_q2), geo.held(pts[-1:], e2)):
+        assert np.all(geo.kob_dist(b, b) == 0.0)
     # deep axis points and a point at e_2 share no reference, and the
     # saturated axis points cannot centre the involution: one matrix each
     assert np.all(np.diag(geo.kob_matrix(pts[:-1], pts[:-1])) == 0.0)
@@ -223,46 +229,126 @@ def test_kob_dist_sequences(e1_q2):
     out = geo.kob_dist(pts[:-1], pts[1:])
     assert isinstance(out, np.ndarray) and out.shape == (5,)
     assert out.tolist() == [geo.kob_dist(z, w) for z, w in zip(pts, pts[1:])]
-    assert geo.kob_dist([], []).shape == (0,)
+    none = geo.held([], e1_q2)
+    assert geo.kob_dist(none, none).shape == (0,)
     with pytest.raises(DimensionMismatch):
         geo.kob_dist(pts[:2], pts[:3])
     with pytest.raises(DimensionMismatch):
-        geo.kob_dist(pts[:1], [bp(0.1)])
+        geo.kob_dist(pts[:1], geo.held([bp(0.1)], geo.basis_boundary_point(1)))
     # an involution lane whose centre has left the ball fails as
     # mobius_shift does, in a sequence as for one pair
     on_sphere = geo.BallPoint(coords=np.array([1.0, 0.0], dtype=complex),
                               margin=1e-20)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="mobius center"):
         geo.kob_dist(on_sphere, pts[1])
-    with pytest.raises(DomainError):
-        geo.kob_dist([pts[1], on_sphere], [pts[2], pts[1]])
+    e2 = geo.basis_boundary_point(2, 1)
+    with pytest.raises(DomainError, match="mobius center"):
+        geo.kob_dist(geo.held([pts[1], on_sphere], e2), [pts[2], pts[1]])
 
 
 def test_kob_matrix_of_no_points(e1_q2):
-    pts = [geo.geodesic_point(e1_q2, float(s)) for s in range(3)]
-    assert geo.kob_matrix([], pts).shape == (0, 3)
-    assert geo.kob_matrix(pts, []).shape == (3, 0)
-    assert geo.kob_matrix([], []).shape == (0, 0)
+    pts = geo.held([geo.geodesic_point(e1_q2, float(s)) for s in range(3)],
+                   e1_q2)
+    assert geo.kob_matrix(pts[:0], pts).shape == (0, 3)
+    assert geo.kob_matrix(pts, pts[:0]).shape == (3, 0)
+    assert geo.kob_matrix(pts[:0], pts[:0]).shape == (0, 0)
+
+
+def test_lane_routines_refuse_lists_without_one_reference(e1_q2):
+    """A list whose points hold different references, points without one,
+    or no points at all is refused: hold them with `held` first."""
+    other = geo.boundary_point([0.6, 0.8j])
+    axis = [geo.geodesic_point(e1_q2, float(s)) for s in range(3)]
+    raw = [bp(0.1, 0.2j), bp(-0.3, 0.1)]
+    mixed = axis[:2] + [geo.with_reference(raw[0], other)]
+    partly_raw = axis[:2] + raw[:1]
+    for bad in (mixed, raw, partly_raw, []):
+        pair = axis[:len(bad)]
+        for call in (lambda: geo.kob_dist(bad, pair),
+                     lambda: geo.kob_dist(pair, bad),
+                     lambda: geo.kob_matrix(bad, axis),
+                     lambda: geo.kob_matrix(axis, bad),
+                     lambda: geo.kob_dist_origin(bad)):
+            with pytest.raises(DomainError, match="held"):
+                call()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_coordinate_lanes_through_two_references(q):
+    """Two batches held against different references give each pair the
+    distance of its two points without a reference, bit for bit, down to
+    1 - |z| = 1e-9, where the involution's far branch keeps the quotient."""
+    rng = np.random.default_rng(q)
+    zs = [random_interior(rng, q, scale=1.0 - 1e-9) for _ in range(600)]
+    ws = [random_interior(rng, q, scale=1.0 - 1e-9) for _ in range(600)]
+    zb, wb = apart(zs, ws)
+    alone = [geo.kob_dist(z, w) for z, w in zip(zs, ws)]
+    assert geo.kob_dist(zb, wb).tolist() == alone
+    assert np.diag(geo.kob_matrix(zb, wb)).tolist() == alone
+
+
+def test_far_pair_has_no_warning():
+    # rho rounds to 1 on this involution lane: the far branch keeps the
+    # coordinate quotient and divides by nothing (the suite's filter turns
+    # a RuntimeWarning into an error)
+    z, w = bp(0.9999999999999), bp(-0.9999999999999)
+    assert geo.kob_dist(z, w) == 61.25288498525722
+    assert geo.kob_matrix(z, w)[0, 0] == 61.25288498525722
+
+
+def test_batch_and_point_arrays_are_read_only(rng, e1_q2):
+    tail = np.array([0.0, 0.01j])
+    p = geo.boundary_adapted_point(e1_q2.coords, 1e-3, tail=tail)
+    tail[1] = 0.5   # the caller's array: the point keeps its own copy
+    assert p.tail().tolist() == [0.0, 0.01j]
+    assert p.coords.tolist() == [1.0 - 1e-3, 0.01j]
+    batch = sampling.tube_samples(e1_q2, 1.0, s_values=np.arange(1.0, 5.0))
+    raw = [random_interior(rng, 2) for _ in range(4)]
+    record = orb.stopping_time(cat.hyperbolic_selfmap(e1_q2, 3.0),
+                               orb.radial_anchors(e1_q2, 3.0, [2, 3]),
+                               e1_q2, k=[2, 3])[0]
+    assert isinstance(record.frames, geo.PointBatch)   # the stopping grid
+    batches = [batch, batch.take([0, 2]), batch[batch.margin > 0.1],
+               batch[1:3], geo.held(raw, e1_q2),
+               orb.radial_anchors(e1_q2, 3.0, range(4)), record.frames[0]]
+    for a in (record.frames.delta, record.frames.tail, record.frames.margin):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.5
+    for b in batches:
+        arrays = [b.delta, b.tail, b.margin, b.coords]
+        point = b.point(0)
+        arrays += [point.coords, point.tail()]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        p.coords[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        p.tail()[0] = 0.5
 
 
 def test_kob_dist_alike_in_every_layout(rng):
-    # one pair gives the same bits alone, in a sequence and in a matrix,
-    # on shared-reference and coordinate-only lanes, and on deep adapted
-    # points, whose stored tails a lane takes in lists of mixed references
+    # one pair gives the same bits alone, in a sequence and in a matrix:
+    # on shared-reference lanes through one batch, deep adapted points with
+    # their stored tails among them, and on coordinate lanes through two
+    # batches held against different references, alone as points without
+    # a reference
     ref = geo.boundary_point([0.6, 0.48j, 0.64])
-    pts = [random_interior(rng, 3, scale=0.97) for _ in range(200)]
-    pts = [p if i % 3 == 0 else geo.with_reference(p, ref)
-           for i, p in enumerate(pts)]
+    raw = [random_interior(rng, 3, scale=0.97) for _ in range(200)]
+    pts = [geo.with_reference(p, ref) for p in raw]
     pts = [geo.boundary_adapted_point(ref.coords, 1e-6 * p.delta,
                                       tail=1e-3 * p.tail())
-           if i % 3 == 2 else p for i, p in enumerate(pts)]
-    z, w = pts[:100], pts[100:]
-    alone = [geo.kob_dist(a, b) for a, b in zip(z, w)]
-    assert geo.kob_dist(z, w).tolist() == alone
-    dmat = geo.kob_matrix(z, w)
-    assert np.diag(dmat).tolist() == alone
-    assert dmat[:10, 50:60].tolist() == [[geo.kob_dist(a, b) for b in w[50:60]]
-                                         for a in z[:10]]
+           if i % 2 else p for i, p in enumerate(pts)]
+    for (z, w), (z1, w1) in [
+            ((geo.held(pts[:100], ref), geo.held(pts[100:], ref)),
+             (pts[:100], pts[100:])),
+            (apart(raw[:100], raw[100:]), (raw[:100], raw[100:]))]:
+        alone = [geo.kob_dist(a, b) for a, b in zip(z1, w1)]
+        assert geo.kob_dist(z, w).tolist() == alone
+        dmat = geo.kob_matrix(z, w)
+        assert np.diag(dmat).tolist() == alone
+        assert dmat[:10, 50:60].tolist() == [
+            [geo.kob_dist(a, b) for b in w1[50:60]] for a in z1[:10]]
 
 
 def test_kob_dist_mpmath_oracle(rng, e1_q2):
@@ -323,14 +409,13 @@ def test_kob_dist_mpmath_oracle(rng, e1_q2):
     for _ in range(30):      # the defect lane off the sphere
         cases["moderate"].append([interior(0.95, e2), interior(0.95, e2)])
     for i in range(30):      # the involution: no shared reference
-        refs = (e2, other, None)
-        cases["mixed"].append([interior(0.95, refs[i % 3]),
-                               interior(0.95, refs[(i // 3) % 3])])
+        cases["mixed"].append([interior(0.95, e2), interior(0.95, other)])
     for _ in range(4):       # the involution's far branch, rho >= 0.95
         p = random_interior(rng, 2, scale=1.0 - 1e-3)
         antipode = geo.ball_point(-p.coords)
-        cases["mixed"].append([(p, from_coords(p)),
-                               (antipode, from_coords(antipode))])
+        cases["mixed"].append([
+            (geo.with_reference(p, e2), from_coords(p)),
+            (geo.with_reference(antipode, other), from_coords(antipode))])
     for _ in range(20):      # the defect lane near -e_2, partly cancelling
         turn = rng.uniform()
         cases["minus_ref"].append([
@@ -403,6 +488,10 @@ def test_point_batch_indexing(rng):
                           np.stack([margin, margin[::-1]]))
     assert as_bytes(grid[1, 0]) == points[-1]
     assert [as_bytes(p) for p in grid[1, 2:4]] == points[4:2:-1]
+    # a grid's coordinates, built once, are its points' at (row, column)
+    alone = [grid[i, j].coords for i in range(2) for j in range(n)]
+    assert grid.coords.shape == (2, n, 2)
+    assert grid.coords.reshape(-1, 2).tobytes() == np.array(alone).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +671,7 @@ def test_dist_to_geodesic_against_grid_oracle(e1_q2):
     z = geo.ball_point([0.1 + 0.2j, 0.35 - 0.1j])
     axis = [geo.geodesic_point(e1_q2, float(s))
             for s in np.linspace(0.0, 8.0, 10000)]
-    oracle = geo.kob_matrix([z], axis).min()
+    oracle = geo.kob_matrix(z, axis).min()
     d, s_star = geo.dist_to_geodesic(z, e1_q2)
     assert d <= oracle + 1e-9
     assert abs(d - oracle) < 1e-6
@@ -596,7 +685,7 @@ def test_dist_to_geodesic_monotone_off_axis(e1_q2):
     for t in (0.1, 0.3, 0.5, 0.7):
         z = geo.ball_point([0.0, t])
         d, _ = geo.dist_to_geodesic(z, e1_q2)
-        oracle = geo.kob_matrix([z], axis).min()
+        oracle = geo.kob_matrix(z, axis).min()
         assert abs(d - oracle) < 1e-6
         assert d > prev
         prev = d
@@ -769,9 +858,11 @@ def mixed_lanes(rng, zeta, other, n=80):
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("name", LANE_ROUTINES)
 def test_routines_alike_on_mixed_lanes(name, q, rng):
-    """One call over a list of mixed lanes, or over a batch held against
-    the vertex or against another, equals the one-point calls bit for bit;
-    a point gives a float and an empty list an empty array."""
+    """One call over a list of mixed lanes, held against the vertex, or
+    over a batch held against the vertex or against another, equals the
+    one-point calls bit for bit; a point gives a float and no points an
+    empty array.  kob_dist_origin, the one without a vertex, takes the
+    list as one batch (`held`)."""
     fn = LANE_ROUTINES[name]
     v = rng.normal(size=q) + 1j * rng.normal(size=q)
     zeta = geo.boundary_point(v / np.linalg.norm(v))
@@ -780,12 +871,15 @@ def test_routines_alike_on_mixed_lanes(name, q, rng):
     pts = mixed_lanes(rng, zeta, other)
     alone = [fn(p, zeta) for p in pts]
     assert all(type(a) is float for a in alone)
-    assert fn(pts, zeta).tobytes() == np.array(alone).tobytes()
+    as_one = name == "kob_dist_origin"
+    many, none = (geo.held(pts, zeta), geo.held([], zeta)) if as_one \
+        else (pts, [])
+    assert fn(many, zeta).tobytes() == np.array(alone).tobytes()
     batch = sampling.tube_samples(zeta, 1.0, s_values=np.arange(0.0, 20, 4))
     for vertex in (zeta, other):
         assert fn(batch, vertex).tobytes() == np.array(
             [fn(batch.point(i), vertex) for i in range(len(batch))]).tobytes()
-    assert fn([], zeta).shape == (0,)
+    assert fn(none, zeta).shape == (0,)
     if name != "kob_dist_origin":   # the one without a vertex
         with pytest.raises(DimensionMismatch):
             fn(pts, geo.basis_boundary_point(q + 1))

@@ -835,22 +835,21 @@ def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
 
 def reference_march(f, z0, zeta, n_steps, lam_hint=None):
     """`backward_orbit_via_preimages` as a step-by-step loop, each step
-    solving its own adapted candidate and its own grid; the points."""
+    solving its own adapted candidate and its own grid; the points, each
+    held against zeta as every candidate is."""
     grid = orb._grid_seeds(f.q)
-    cur = z0 if z0.ref is not None else geo.with_reference(z0, zeta)
+    cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    adapted = {}   # ref bytes -> whether f steps adapted there
+    adapted = cat.adapted_step(f, cur) is not None
     for step_idx in range(n_steps):
         uniq = []
-        key = cur.ref.tobytes()
-        if key not in adapted:
-            adapted[key] = cat.adapted_step(f, cur) is not None
-        if adapted[key]:
+        if adapted:
             try:
                 seed = geo.boundary_adapted_point(
                     cur.ref, cur.delta / lam_guess, tail=cur.tail())
-                uniq.append(orb.newton_preimage(f, cur, seed))
+                uniq.append(geo.held(orb.newton_preimage(f, cur, seed),
+                                     zeta).point(0))
             except (NumericalError, DomainError):
                 pass
         if not uniq or step_idx < 8:
@@ -878,9 +877,6 @@ def reference_march(f, z0, zeta, n_steps, lam_hint=None):
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 "within 0.05")
         nxt, step = uniq[order[0]], dists[order[0]]
-        if nxt.ref is None:
-            nxt = geo.with_reference(nxt, zeta)
-            step = geo.kob_dist(cur, nxt)
         lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt
@@ -1038,6 +1034,19 @@ def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
                    for z, r in zip(lanes, alone) if r is not None)
         nones += sum(z is None for z in lanes)
     assert nones > 32
+
+
+def test_march_holds_its_start_against_zeta(disc_auto, e1):
+    """A start held against another reference, here -zeta, where the map
+    steps adapted too, is held against zeta from its coordinates, as a
+    start without a reference is: the same points, as bytes."""
+    x = geo.ball_point([0.3 + 0.1j])
+    starts = (x, geo.with_reference(x, geo.boundary_point([-1.0])))
+    runs = [[_point_bytes(p) + (p.tail().tobytes(),)
+             for p in orb.backward_orbit_via_preimages(
+                 disc_auto, z0, e1, 12, lam_hint=3.0).orbit.points]
+            for z0 in starts]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("lam_hint", [None, 3.0])

@@ -1,8 +1,8 @@
 """Checks on the code itself.  The benchmark's tracer wraps library
 functions by name: every name it lists must resolve, so that a rename fails
 here and not in a traced run.  The options of the library are counted, so
-that a new one shows in the diff that adds it.  And every public name has a
-reader besides the tests."""
+that a new one shows in the diff that adds it.  Every public name has a
+reader besides the tests, and the tests import this checkout's package."""
 
 import ast
 import contextlib
@@ -27,6 +27,13 @@ UNREAD_EXPORTS = (
     "certify_brfp",    # ROADMAP item 3 gives it a caller: certify zeta first
                        # (README describes it already)
 )
+
+
+def test_tests_import_this_checkout():
+    # pytest puts src/ first on sys.path, so another installed copy of the
+    # package is never the one tested
+    import ballorbits
+    assert Path(ballorbits.__file__).resolve().parent == SRC
 
 
 def test_traced_names_resolve():
