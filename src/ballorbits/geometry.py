@@ -358,8 +358,8 @@ def _same_direction(u, v, tol=1e-12) -> bool:
 def _lanes(points, axis=None):
     """[coords, margin, delta, ref, tail] of a `PointBatch` or a point (the
     batch of one; nan delta, ref and tail without a reference), a row per
-    point, on `axis` of an outer pairing if given.  A list of points that
-    all hold one reference is read as that batch (`held`); others are not."""
+    point, on `axis` of an outer pairing if given.  Lists are refused but
+    those whose points hold one reference, read as that batch (`held`)."""
     if isinstance(points, BallPoint):
         p, nan = points, np.full(points.q, np.nan, dtype=complex)
         ref, delta, tail = (nan, nan[0], nan) if p.ref is None else \
