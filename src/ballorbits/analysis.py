@@ -284,7 +284,7 @@ class PremodelReport:
 
 
 def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
-                      lam: float | None = None, rng=None) -> PremodelReport:
+                      lam: float | None = None, *, rng) -> PremodelReport:
     """Four checks: (i) the square commutes on samples, (ii) the base
     dilation matches the dilation of f at zeta, (iii) backward base orbits
     are carried to zeta, (iv) the intertwiner has K-limit zeta at the
@@ -294,8 +294,6 @@ def premodel_validate(f: cat.SelfMap, pm: PreModel, zeta: BoundaryPoint,
                                 f"the dimension {pm.tau.q} of its tau")
     if lam is not None and not lam > 1.0:
         raise DomainError(f"premodel check needs dilation > 1, got {lam}")
-    if rng is None:
-        rng = np.random.default_rng(7)
     if lam is None:
         lam = cat.estimate_dilation(f, zeta).lam_hat
     lines = []

@@ -53,9 +53,6 @@ class SelfMap:
     children: tuple = ()
     label: str = ""
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
 
 def _run(plan: geo.Plan, ref, delta, tail, margin):
     """A plan's kernel on a state held against ref, with its checks."""

@@ -222,11 +222,11 @@ class PointBatch:
     tail: np.ndarray
     margin: np.ndarray
 
-    def __post_init__(self):
-        if (self.margin <= 0.0).any():
+    def __post_init__(self):   # the checks refuse NaN too
+        if not (self.margin > 0.0).all():
             raise DomainError("adapted point has nonpositive margin "
                               f"{self.margin.min():.3e}")
-        if (np.abs(herm(self.tail, self.ref)) > 1e-12).any():
+        if not (np.abs(herm(self.tail, self.ref)) <= 1e-12).all():
             raise DomainError("adapted point's tail is not orthogonal to ref")
         _freeze(self)
 
@@ -314,11 +314,17 @@ def held(points, zeta: BoundaryPoint) -> PointBatch:
 
     A point held against zeta, its reference within 1e-12 of it
     (`_same_direction`), keeps its stored defect; any other takes the one
-    `with_reference` computes.  A batch held against zeta comes back as it
-    is."""
+    `with_reference` computes.  A batch held against zeta comes back on
+    zeta's reference with its defect and its coordinates, built once from
+    its own reference; one that has zeta's bytes comes back as it is."""
     if isinstance(points, PointBatch) and points.q == zeta.q \
             and _same_direction(points.ref, zeta.coords):
-        return points
+        if points.ref.tobytes() == zeta.coords.tobytes():
+            return points
+        batch = object.__new__(PointBatch)   # rows of a checked batch
+        batch.__dict__.update(vars(points), coords=points.coords,
+                              ref=zeta.coords)
+        return _freeze(batch)
     points = (points,) if isinstance(points, BallPoint) else points
     pts = [p if p.q == zeta.q and p.ref is not None
            and _same_direction(p.ref, zeta.coords)
@@ -341,9 +347,9 @@ def boundary_point(coords, q=None) -> BoundaryPoint:
     return BoundaryPoint(coords=v)
 
 
-def basis_boundary_point(q: int, axis: int = 0) -> BoundaryPoint:
+def basis_boundary_point(q: int) -> BoundaryPoint:
     e = np.zeros(q, dtype=complex)
-    e[axis] = 1.0
+    e[0] = 1.0
     return boundary_point(e)
 
 
@@ -894,13 +900,9 @@ def _margin_through(g: Automorphism, coords, margin):
 
 
 def apply(g: Automorphism, p: BallPoint) -> BallPoint:
-    """Apply an automorphism to a point, preserving boundary-adapted data
-    whenever the stage chain supports it."""
+    """Apply an automorphism to a point's coordinates and margin."""
     if p.q != g.q:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
-    plan = None if p.ref is None else g.plan(p.ref)
-    if plan is not None:
-        return plan.step(held(p, BoundaryPoint(p.ref))).point(0)
     return BallPoint(coords=apply_raw(g, p.coords),
                      margin=_margin_through(g, p.coords, p.margin))
 

@@ -15,7 +15,7 @@ stay exactly representable.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,26 +28,22 @@ from .geometry import BallPoint, BoundaryPoint, PointBatch, _row_norms
 @dataclass(frozen=True)
 class StoppingRecord:
     """The stopping time of one lane of a `stopping_time` run.  The run's
-    iterates stay in `frames`: a `PointBatch` grid, point (lane, j) f^j(r_k),
-    when every step kept one reference, else one (points, lanes) pair per
-    step: the batch still running and the lane of each row.  A point is
-    built only when `point(j)` asks for it; `point(n)` is the exit point."""
+    iterates stay in `grid`, one `PointBatch` held against zeta that every
+    record of the run shares: point (lane, j) is f^j(r_k).  A point is built
+    only when `point(j)` asks for it; `point(n)` is the exit point."""
 
     k: int
     n: int                      # first index with f^n(r_k) outside closed E_0
     exit_margin: float          # horofunction of the exit point (> 0)
     capped: bool
-    lane: int = 0
-    frames: tuple = ()
+    lane: int
+    grid: PointBatch
 
     def point(self, j: int) -> BallPoint:
-        """f^j(r_k), j = 0..n."""
+        """f^j(r_k), j = 0..n, held against zeta."""
         if not 0 <= j <= self.n:
             raise DomainError(f"iterate {j} is outside 0..{self.n}")
-        if isinstance(self.frames, PointBatch):
-            return self.frames[self.lane, j]
-        points, lanes = self.frames[j]
-        return points[int(np.searchsorted(lanes, self.lane))]
+        return self.grid[self.lane, j]
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
     Every lane steps in one kernel call per step, f planned once per
     reference the batch holds.  A lane retires when it leaves the
     horosphere or reaches `n_max` (capped).  If a step raises, the anchors
-    rerun alone, lowest first, until one raises.
+    rerun alone, lowest first, so that the lowest anchor's error comes out.
     """
     points, ks = anchors, list(k)
     lanes = np.arange(len(ks))
@@ -180,24 +176,24 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
             points = cat.step_point(f, points) if plan is None else \
                 plan.step(points)
         except Exception:
-            if len(ks) == 1:
-                raise
-            return [stopping_time(f, anchors.take([i]), zeta, n_max,
-                                  k=[ks[i]])[0] for i in range(len(ks))]
-    grid = _grid(frames, len(ks))
+            if len(ks) > 1:   # the lowest anchor to raise alone raises here
+                for i in range(len(ks)):
+                    stopping_time(f, anchors.take([i]), zeta, n_max,
+                                  k=[ks[i]])
+            raise
+    grid = _grid(frames, len(ks), zeta)
     return [StoppingRecord(k=ks[lane], n=n, exit_margin=h_exit,
-                           capped=capped, lane=lane,
-                           frames=tuple(frames) if grid is None else grid)
+                           capped=capped, lane=lane, grid=grid)
             for lane, (n, h_exit, capped) in sorted(exits.items())]
 
 
-def _grid(frames, n_lanes):
-    """The frames as one `PointBatch` grid, point (lane, j) the lane's j-th
-    iterate (nan once retired), or None unless all share one ref.  The grid
-    keeps coordinates when a frame kept its own (raw steps)."""
+def _grid(frames, n_lanes, zeta):
+    """The frames held against zeta (`held`) as one `PointBatch` grid, point
+    (lane, j) the lane's j-th iterate (nan once retired).  The grid keeps
+    coordinates when a held frame has its own (raw steps, or a reference
+    other than zeta's bytes)."""
+    frames = [(geo.held(p, zeta), lanes) for p, lanes in frames]
     first = frames[0][0]
-    if any(p.ref.tobytes() != first.ref.tobytes() for p, _ in frames):
-        return None
     grid = {name: np.full((n_lanes, len(frames)) + a.shape[1:], np.nan,
                           a.dtype)
             for name in {name for p, _ in frames for name in vars(p)} - {"ref"}
@@ -206,18 +202,8 @@ def _grid(frames, n_lanes):
         for name, g in grid.items():
             g[lanes, j] = getattr(p, name)
     batch = object.__new__(PointBatch)   # rows of checked batches
-    batch.__dict__.update(grid, ref=first.ref)
+    batch.__dict__.update(grid, ref=zeta.coords)
     return geo._freeze(batch)
-
-
-def _points_at(records, js, zeta: BoundaryPoint) -> PointBatch:
-    """f^{js[i]}(r_k) of each records[i] as one batch held against zeta:
-    rows of one grid when the records share it."""
-    grid = records[0].frames
-    if isinstance(grid, PointBatch) and all(r.frames is grid
-                                            for r in records):
-        return grid.take(([r.lane for r in records], list(js)))
-    return geo.held([r.point(j) for r, j in zip(records, js)], zeta)
 
 
 def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
@@ -229,8 +215,7 @@ def harvest_chain(f: cat.SelfMap, record: StoppingRecord,
     """
     if record.capped:
         raise DomainError("cannot harvest a capped stopping record")
-    points = _points_at([record] * (record.n + 1), range(record.n, -1, -1),
-                        zeta)
+    points = record.grid.take((record.lane, np.arange(record.n, -1, -1)))
     return OrbitSegment(points=points, zeta=zeta, lam=lam, map_label=f.label)
 
 
@@ -342,23 +327,20 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
             "no chain passed the orbit diagnostics; deepest chain report: "
             + "; ".join(deepest.report)
             + " | per-k: " + "; ".join(f"k={k}: {m}" for k, m in per_k))
-    return BackwardOrbitResult(orbit=best.orbit, steps=best.steps,
-                               sigma_hat=best.sigma_hat, horos=best.horos,
-                               dist_zeta=best.dist_zeta, mode=best.mode,
-                               accepted=True,
-                               report=tuple(f"k={k}: {m}" for k, m in per_k))
+    return replace(best, report=tuple(f"k={k}: {m}" for k, m in per_k))
 
 
 def _cluster_orbit(records, zeta, lam, params, f):
     tol = 1e-6   # how far f(medoid j) may land from medoid j - 1
     k_all = sorted(records)
     depth_max = min(records[k].n for k in k_all[-5:])
-    picks = []   # (record, iterate) of each depth's medoid
+    grid = records[k_all[0]].grid   # the run's, shared by every record
+    picks = []   # (lane, iterate) of each depth's medoid
     for j in range(depth_max + 1):
         recs = [records[k] for k in k_all if k >= j and records[k].n >= j]
         if len(recs) < 2:
             return None
-        cands = _points_at(recs, [r.n - j for r in recs], zeta)
+        cands = grid.take(([r.lane for r in recs], [r.n - j for r in recs]))
         dmat = geo.kob_matrix(cands, cands)
         clusters: list[list[int]] = []
         for i in range(len(cands)):
@@ -370,9 +352,9 @@ def _cluster_orbit(records, zeta, lam, params, f):
                 clusters.append([i])
         big = max(clusters, key=len)
         rec = recs[big[int(np.argmin(dmat[np.ix_(big, big)].sum(axis=1)))]]
-        picks.append((rec, rec.n - j))
-    seg = OrbitSegment(points=_points_at(*zip(*picks), zeta), zeta=zeta,
-                       lam=lam, map_label=f.label)
+        picks.append((rec.lane, rec.n - j))
+    seg = OrbitSegment(points=grid.take(tuple(zip(*picks))),
+                       zeta=zeta, lam=lam, map_label=f.label)
     if verify_backward(seg, f) > tol:
         return None
     res = analyze_orbit(seg, lam, params, "cluster")

@@ -307,14 +307,16 @@ def warped_setup():
 
 def test_premodel_identity_case(disc_auto, e1):
     pm = ana.identity_premodel(disc_auto, e1, 3.0)
-    rep = ana.premodel_validate(disc_auto, pm, e1, lam=3.0)
+    rep = ana.premodel_validate(disc_auto, pm, e1, lam=3.0,
+                                rng=np.random.default_rng(7))
     assert rep.passed
     assert "CHECK intertwining PASS" in rep.render()
 
 
 def test_premodel_warped_product(warped_setup, e1_q2):
     wp, pm = warped_setup
-    rep = ana.premodel_validate(wp, pm, e1_q2, lam=3.0)
+    rep = ana.premodel_validate(wp, pm, e1_q2, lam=3.0,
+                                rng=np.random.default_rng(7))
     assert rep.passed
     for line in rep.lines:
         assert line.passed
@@ -324,7 +326,8 @@ def test_premodel_warped_product(warped_setup, e1_q2):
 def test_premodel_refuses_a_dilation_not_above_1(warped_setup, e1_q2, lam):
     wp, pm = warped_setup
     with pytest.raises(DomainError, match="dilation > 1"):
-        ana.premodel_validate(wp, pm, e1_q2, lam=lam)
+        ana.premodel_validate(wp, pm, e1_q2, lam=lam,
+                              rng=np.random.default_rng(7))
 
 
 def test_premodel_refuses_a_base_of_another_dimension(disc_auto, e1):
@@ -333,7 +336,8 @@ def test_premodel_refuses_a_base_of_another_dimension(disc_auto, e1):
     pm = ana.PreModel(base_dim=3, ell=lambda w: w,
                       tau=geo.hyperbolic_automorphism(e1, 3.0), repelling=e1)
     with pytest.raises(DimensionMismatch, match="base_dim"):
-        ana.premodel_validate(disc_auto, pm, e1, lam=3.0)
+        ana.premodel_validate(disc_auto, pm, e1, lam=3.0,
+                              rng=np.random.default_rng(7))
 
 
 def test_premodel_corrupted_dilation_fails(warped_setup, e1_q2):
@@ -342,7 +346,8 @@ def test_premodel_corrupted_dilation_fails(warped_setup, e1_q2):
     bad = ana.PreModel(base_dim=1, ell=pm.ell,
                        tau=geo.hyperbolic_automorphism(e1, 3.0 * 1.1),
                        repelling=e1)
-    rep = ana.premodel_validate(wp, bad, e1_q2, lam=3.0)
+    rep = ana.premodel_validate(wp, bad, e1_q2, lam=3.0,
+                                rng=np.random.default_rng(7))
     assert not rep.passed
     assert not rep.lines[1].passed          # the dilation check
     assert "CHECK base_dilation FAIL" in rep.render()

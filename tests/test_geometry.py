@@ -211,7 +211,7 @@ def test_kob_dist_of_a_point_with_itself_is_zero(e1, e1_q2):
     for s in range(41):
         assert geo.kob_dist(geo.geodesic_point(e1, s),
                             geo.geodesic_point(e1, s)) == 0.0
-    e2 = geo.basis_boundary_point(2, 1)
+    e2 = geo.boundary_point([0, 1])
     pts = [geo.geodesic_point(e1_q2, float(s)) for s in range(41)]
     pts.append(geo.with_reference(bp(0.3 + 0.1j, 0.2), e2))
     for p in pts:
@@ -241,7 +241,7 @@ def test_kob_dist_sequences(e1_q2):
                               margin=1e-20)
     with pytest.raises(DomainError, match="mobius center"):
         geo.kob_dist(on_sphere, pts[1])
-    e2 = geo.basis_boundary_point(2, 1)
+    e2 = geo.boundary_point([0, 1])
     with pytest.raises(DomainError, match="mobius center"):
         geo.kob_dist(geo.held([pts[1], on_sphere], e2), [pts[2], pts[1]])
 
@@ -307,11 +307,11 @@ def test_batch_and_point_arrays_are_read_only(rng, e1_q2):
     record = orb.stopping_time(cat.hyperbolic_selfmap(e1_q2, 3.0),
                                orb.radial_anchors(e1_q2, 3.0, [2, 3]),
                                e1_q2, k=[2, 3])[0]
-    assert isinstance(record.frames, geo.PointBatch)   # the stopping grid
+    assert isinstance(record.grid, geo.PointBatch)   # the stopping grid
     batches = [batch, batch.take([0, 2]), batch[batch.margin > 0.1],
                batch[1:3], geo.held(raw, e1_q2),
-               orb.radial_anchors(e1_q2, 3.0, range(4)), record.frames[0]]
-    for a in (record.frames.delta, record.frames.tail, record.frames.margin):
+               orb.radial_anchors(e1_q2, 3.0, range(4)), record.grid[0]]
+    for a in (record.grid.delta, record.grid.tail, record.grid.margin):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.5
     for b in batches:
@@ -356,7 +356,7 @@ def test_kob_dist_mpmath_oracle(rng, e1_q2):
     pair by pair and as one sequence call, which agree bit for bit."""
     mp = mpmath.mp
     mp.dps = 50
-    e2 = geo.basis_boundary_point(2, 1)
+    e2 = geo.boundary_point([0, 1])
     other = geo.boundary_point([0.6, 0.8j])
 
     def oracle(z, w):

@@ -25,6 +25,7 @@ The `suite` report golden is checked in test_acceptance.py.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ballorbits import catalog as cat
@@ -45,7 +46,7 @@ ORBIT_CASES = {
     "warped": (str(GOLDEN / "warped.ini"), "1,0;0,0"),
     "conjugate": (str(GOLDEN / "conjugate.ini"), "1"),
     # a hyperbolic conjugated by a unitary, whose plan moves the reference
-    # by 1.1e-16: the stopping times keep per-step frames, not one grid
+    # by 1.1e-16: the stopping grid holds its images on zeta's reference
     "conjugate_unitary": (str(GOLDEN / "conjugate_unitary.ini"),
                           UNITARY_ZETA),
     "compose_parabolic": (str(GOLDEN / "compose_parabolic.ini"), "1,0;0,0"),
@@ -228,6 +229,60 @@ def test_chains_are_held_batches(name, tmp_path, capsys):
     capsys.readouterr()
     assert isinstance(seg.points, geo.PointBatch)
     assert seg.points.ref.tobytes() == seg.zeta.coords.tobytes()
-    coords = seg.points.coords
-    assert hashlib.sha256(coords.tobytes()).hexdigest()[:16] \
-        == CHAIN_COORDS[name]
+    assert _digest(seg.points) == CHAIN_COORDS[name]
+
+
+def _digest(points):
+    return hashlib.sha256(points.coords.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", [*ORBIT_CASES, "rotation"])
+def test_one_grid_per_run(name, monkeypatch):
+    """Every record of a stopping-time run shares one `PointBatch` grid
+    whose reference is zeta's bytes, also where a plan moves the reference:
+    the unitary conjugate's by 1.1e-16, a rotation's off zeta.  The chain
+    `orbit` harvests from it keeps its `CHAIN_COORDS` digest."""
+    runs, stopping_time = [], orbits.stopping_time
+
+    def recorded(f, anchors, zeta, *args, **kwargs):
+        runs.append((zeta, stopping_time(f, anchors, zeta, *args, **kwargs)))
+        return runs[-1][1]
+    monkeypatch.setattr(orbits, "stopping_time", recorded)
+    if name == "rotation":
+        e1, ks = geo.basis_boundary_point(1), range(1, 11)
+        rotation = cat.catalog_build("unitary",
+                                     matrix=np.array([[0.8 + 0.6j]]))
+        orbits.stopping_time(rotation, orbits.radial_anchors(e1, 3.0, ks), e1,
+                             k=ks)
+    else:
+        spec, zeta = ORBIT_CASES[name]
+        assert _digest(_cli_chain(["orbit", spec, f"--zeta={zeta}"])
+                       .points) == CHAIN_COORDS[f"orbit_{name}"]
+    assert runs
+    for zeta, recs in runs:
+        assert all(rec.grid is recs[0].grid for rec in recs)
+        assert recs[0].grid.ref.tobytes() == zeta.coords.tobytes()
+
+
+def test_held_batch_takes_zetas_reference():
+    """The unitary conjugate's plan moves the reference by 1.1e-16.  Its
+    first step's images held as a batch come back on zeta's reference with
+    their defect, and with the coordinates the same points held as a list
+    get: the two are at distance exactly 0 (3.4e-7 on the moved reference)."""
+    spec, zeta_text = ORBIT_CASES["conjugate_unitary"]
+    f = cli.parse_mapspec(spec)
+    zeta = geo.boundary_point(cli.parse_point(zeta_text), q=f.q)
+    lam = cat.estimate_dilation(f, zeta).lam_hat
+    f, _ = cat.ensure_pole_clearance(f, zeta, lam)
+    images = f._plan(zeta.coords).step(
+        orbits.radial_anchors(zeta, lam, range(1, 41)))
+    assert 0.0 < np.linalg.norm(images.ref - zeta.coords) <= 1e-12
+    batch, listed = geo.held(images, zeta), geo.held(list(images), zeta)
+    assert batch.ref.tobytes() == zeta.coords.tobytes()
+    assert np.all(geo.kob_dist(batch, listed) == 0.0)
+    for name in ("delta", "tail", "margin"):
+        assert (getattr(batch, name).tobytes()
+                == getattr(listed, name).tobytes()
+                == getattr(images, name).tobytes())
+    assert batch.coords.tobytes() == listed.coords.tobytes()
+    assert geo.held(batch, zeta) is batch

@@ -270,7 +270,7 @@ def test_kob_dist_of_close_pairs(rng):
     """`with_reference` pairs at |z| = 0.6 against e_2, from 1e-4 down to
     1e-12 apart: each distance, alone and in a matrix, within 1e-12
     relative of the distance of the points their defect states define."""
-    e2 = geo.basis_boundary_point(2, 1)
+    e2 = geo.boundary_point([0, 1])
     with mp.workdps(DPS):
         unit = _unit(e2)
         for sep in 10.0 ** -np.arange(4.0, 12.5, 0.5):

@@ -189,9 +189,9 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
     for k, rec in zip(ks, recs, strict=True):
         r_k = orb.radial_anchor(zeta, lam, k)
         n, h, capped, pts = reference_stopping(f, r_k, zeta, n_max)
-        # a raw step's image is held against the batch's reference, zeta
-        pts = [geo.with_reference(p, zeta) if p.ref is None else p
-               for p in pts]
+        # the run holds every iterate against zeta: a raw step's image, or
+        # a rotated one, with the defect `with_reference` gives it
+        pts = list(geo.held(pts, zeta))
         assert (rec.k, rec.n, rec.capped) == (k, n, capped)
         assert np.float64(rec.exit_margin).tobytes() == np.float64(h).tobytes()
         assert ([_point_bytes(rec.point(j)) for j in range(n + 1)]
@@ -348,13 +348,14 @@ def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
 
 
 def test_stopping_frames_stay_when_the_reference_moves(e1):
-    """A rotation moves the batch to another reference, so the run keeps its
-    frames, not a grid.  The chain is held against e1: the anchor stepped
+    """A rotation moves the batch to another reference, and the run still
+    keeps one grid held against e1, as does the chain: the anchor stepped
     alone, the anchor with its defect and each rotated point with its
     coordinates, its margin and the defect `with_reference` gives it."""
     rotation = cat.catalog_build("unitary", matrix=np.array([[0.8 + 0.6j]]))
     recs = _anchor_lanes(rotation, e1, 3.0, range(1, 11))
-    assert not isinstance(recs[0].frames, geo.PointBatch)
+    assert all(rec.grid is recs[0].grid for rec in recs)
+    assert recs[0].grid.ref.tobytes() == e1.coords.tobytes()
     chain = orb.harvest_chain(rotation, recs[-1], e1, 3.0).points
     assert chain.ref.tobytes() == e1.coords.tobytes()
     _, _, _, pts = reference_stopping(
@@ -370,7 +371,7 @@ def test_chain_indices_stay_in_range(disc_auto, e1):
     read off a retired lane, no index counted from the deep end."""
     rec, = orb.stopping_time(disc_auto, orb.radial_anchors(e1, 3.0, [3]),
                              e1, k=[3])
-    assert isinstance(rec.frames, geo.PointBatch)
+    assert isinstance(rec.grid, geo.PointBatch)
     assert np.isfinite(rec.point(rec.n).coords).all()
     for j in (-1, rec.n + 1):
         with pytest.raises(DomainError, match="outside"):

@@ -119,6 +119,26 @@ def test_point_batch_refuses_a_tail_along_ref():
     assert ok.tail[0, 0] == 1e-13
 
 
+def test_point_batch_refuses_nan(e1, e1_q2):
+    """A NaN margin or tail is no point: each check refuses it, as a batch
+    row, as one point and as a planned step's image (a NaN lane would read
+    as inside every horosphere)."""
+    nan = float("nan")
+    with pytest.raises(DomainError, match="nonpositive margin nan"):
+        geo.boundary_adapted_point(e1, nan)
+    with pytest.raises(DomainError, match="nonpositive margin nan"):
+        geo.PointBatch(e1.coords, np.array([0.5, 0.1 + 0j]),
+                       np.zeros((2, 1), dtype=complex), np.array([0.75, nan]))
+    with pytest.raises(DomainError, match="not orthogonal to ref"):
+        geo.PointBatch(e1_q2.coords, np.array([0.5, 0.1 + 0j]),
+                       np.array([[0.0, 0.1], [0.0, nan]]), np.array([0.5, 0.1]))
+    anchors = geo.PointBatch(e1.coords, np.array([0.5 + 0j]),
+                             np.zeros((1, 1), dtype=complex), np.array([0.75]))
+    to_nan = geo.Plan(e1.coords, lambda d, t, m: (d * nan, t * nan, m * nan))
+    with pytest.raises(DomainError, match="nonpositive margin nan"):
+        to_nan.step(anchors)
+
+
 # ---------------------------------------------------------------------------
 # horosphere samples E_0(zeta, R)
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Checks on the code itself.  The benchmark's tracer wraps library
 functions by name: every name it lists must resolve, so that a rename fails
-here and not in a traced run.  The options of the library are counted, so
-that a new one shows in the diff that adds it.  Every public name has a
-reader besides the tests, and the tests import this checkout's package."""
+here and not in a traced run.  The options of the library and the lines of
+src are counted, so that a new option or a longer src shows in the diff
+that adds it.  Every public name has a reader besides the tests, and the
+tests import this checkout's package."""
 
 import ast
 import contextlib
@@ -19,7 +20,10 @@ PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 SRC = ROOT / "src" / "ballorbits"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MAX_OPTIONS = 40
+MAX_OPTIONS = 37
+# `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
+# aims at 3,319
+MAX_SRC_LINES = 3677
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "callable_map",    # the entry point for a map given as a raw evaluator
@@ -199,6 +203,13 @@ def test_options_inventory():
     the diff that adds it."""
     options = _options()
     assert len(options) <= MAX_OPTIONS, "\n".join(options)
+
+
+def test_src_line_count():
+    """src is counted as `wc -l` counts it, so that a change that grows it
+    raises MAX_SRC_LINES in its own diff."""
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= MAX_SRC_LINES, lines
 
 
 def _exports():
