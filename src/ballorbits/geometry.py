@@ -314,17 +314,11 @@ def held(points, zeta: BoundaryPoint) -> PointBatch:
 
     A point held against zeta, its reference within 1e-12 of it
     (`_same_direction`), keeps its stored defect; any other takes the one
-    `with_reference` computes.  A batch held against zeta comes back on
-    zeta's reference with its defect and its coordinates, built once from
-    its own reference; one that has zeta's bytes comes back as it is."""
-    if isinstance(points, PointBatch) and points.q == zeta.q \
-            and _same_direction(points.ref, zeta.coords):
-        if points.ref.tobytes() == zeta.coords.tobytes():
-            return points
-        batch = object.__new__(PointBatch)   # rows of a checked batch
-        batch.__dict__.update(vars(points), coords=points.coords,
-                              ref=zeta.coords)
-        return _freeze(batch)
+    `with_reference` computes.  A batch whose reference has zeta's bytes
+    comes back as it is; any other is held as the list of its points."""
+    if isinstance(points, PointBatch) \
+            and points.ref.tobytes() == zeta.coords.tobytes():
+        return points
     points = (points,) if isinstance(points, BallPoint) else points
     pts = [p if p.q == zeta.q and p.ref is not None
            and _same_direction(p.ref, zeta.coords)

@@ -150,7 +150,8 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
     Every lane steps in one kernel call per step, f planned once per
     reference the batch holds.  A lane retires when it leaves the
     horosphere or reaches `n_max` (capped).  If a step raises, the anchors
-    rerun alone, lowest first, so that the lowest anchor's error comes out.
+    rerun alone, lowest first, so that the lowest anchor's error comes out;
+    if none raises alone, the batch's own error does.
     """
     points, ks = anchors, list(k)
     lanes = np.arange(len(ks))

@@ -211,6 +211,31 @@ def _picky(disc_auto, near=None):
     return cat.callable_map(evaluate, 1)
 
 
+class _LoneOnly(cat.CallableMap):
+    """The map `params[1]`, planned with a kernel that refuses more than one
+    row."""
+
+    def _plan(self, ref):
+        plan = self.params[1]._plan(ref)
+
+        def kernel(delta, tail, margin):
+            if len(delta) > 1:
+                raise ValueError("refused a batch")
+            return plan.kernel(delta, tail, margin)
+        return geo.Plan(plan.ref, kernel)
+
+
+def test_stopping_batch_error_when_no_anchor_raises_alone(disc_auto, e1):
+    """A step that raises only for the batch: every anchor runs alone, none
+    raises, and the batch's own error comes out."""
+    f = _LoneOnly(q=1, params=(None, disc_auto))
+    for k in (2, 5):
+        rec, = orb.stopping_time(f, orb.radial_anchors(e1, 3.0, [k]), e1, k=[k])
+        assert (rec.n, rec.capped) == (k + 1, False)
+    with pytest.raises(ValueError, match="refused a batch"):
+        orb.stopping_time(f, orb.radial_anchors(e1, 3.0, [2, 5]), e1, k=[2, 5])
+
+
 @pytest.mark.parametrize("case", ["cleared", "offaxis", "callable", "capped",
                                   "raising"])
 def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,

@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MAX_OPTIONS = 37
 # `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
 # aims at 3,319
-MAX_SRC_LINES = 3677
+MAX_SRC_LINES = 3672
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "callable_map",    # the entry point for a map given as a raw evaluator
