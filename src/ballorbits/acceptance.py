@@ -3,7 +3,7 @@
 Each criterion renders exactly one line `CHECK <name> PASS|FAIL
 margin=<float>`; `run_suite` is deterministic for a fixed seed, byte for
 byte, which criterion 10 itself verifies.  A pass (`run_criteria`) builds
-what several criteria use, the pole-cleared Blaschke map and its orbit,
+what several criteria use, the pole-cleared Blaschke map and two orbits,
 once, in a `PassFixtures` it hands to each criterion.
 """
 
@@ -34,9 +34,9 @@ def _disc_automorphism():
 
 class PassFixtures:
     """What the criteria of one pass share, each built on first use: the
-    pole-cleared Blaschke map [0, 1/3] with its conjugator, and that map's
-    backward orbit at e_1 with lam = 3.  A pass makes one and hands it to
-    every criterion, so no state outlives a pass."""
+    pole-cleared Blaschke map [0, 1/3] with its conjugator, and its and the
+    disc automorphism's backward orbits at e_1 with lam = 3, anchor runs
+    (`records`) included.  A pass makes one for every criterion."""
 
     @cached_property
     def cleared_blaschke(self):
@@ -47,6 +47,10 @@ class PassFixtures:
     def blaschke_orbit(self) -> orb.BackwardOrbitResult:
         return orb.construct_backward_orbit(self.cleared_blaschke[0], _e1(),
                                             3.0)
+
+    @cached_property
+    def auto_orbit(self) -> orb.BackwardOrbitResult:
+        return orb.construct_backward_orbit(_disc_automorphism(), _e1(), 3.0)
 
 
 def criterion_01_anchor_on_horosphere(seed, fx):
@@ -62,15 +66,11 @@ def criterion_01_anchor_on_horosphere(seed, fx):
 
 
 def criterion_02_step_limit_k40(seed, fx):
-    """|kob(r_40, f(r_40)) - log 3| < 1e-3 for both catalog maps."""
-    e1 = _e1()
+    """|kob(r_40, f(r_40)) - log 3| < 1e-3 on both orbits' k = 40 runs."""
     worst = 0.0
-    cleared, _ = fx.cleared_blaschke
-    maps = [_disc_automorphism(), cleared]
-    for f in maps:
-        r = orb.radial_anchor(e1, 3.0, 40)
-        fr = cat.step_point(f, r)
-        worst = max(worst, abs(geo.kob_dist(r, fr) - LOG3))
+    for res in (fx.auto_orbit, fx.blaschke_orbit):
+        r = next(rec for rec in res.records if rec.k == 40)
+        worst = max(worst, abs(geo.kob_dist(r.point(0), r.point(1)) - LOG3))
     return CheckLine("criterion_02_step_limit_k40", worst < 1e-3,
                      1e-3 - worst)
 
@@ -80,10 +80,9 @@ def criterion_03_horosphere_contraction(seed, fx):
     rng = rng_from_seed(seed)
     e1 = _e1()
     cleared, _ = fx.cleared_blaschke
-    maps = [_disc_automorphism(), cleared]
     worst = -np.inf
     violations = 0
-    for f in maps:
+    for f in (_disc_automorphism(), cleared):
         for k in range(6):
             radius = 3.0 ** (-k)
             pts = sample_horodisc(rng, e1, radius, 10000)
@@ -98,13 +97,9 @@ def criterion_03_horosphere_contraction(seed, fx):
 
 def criterion_04_stopping_times(seed, fx):
     """n(k) > k on both maps for k = 1..30; exactly k+1 for the automorphism."""
-    e1 = _e1()
-    auto = _disc_automorphism()
-    cleared, _ = fx.cleared_blaschke
     ks = range(1, 31)
-    anchors = orb.radial_anchors(e1, 3.0, ks)
-    n_a = [rec.n for rec in orb.stopping_time(auto, anchors, e1, k=ks)]
-    n_b = [rec.n for rec in orb.stopping_time(cleared, anchors, e1, k=ks)]
+    n_a, n_b = ([rec.n for rec in res.records if rec.k in ks]
+                for res in (fx.auto_orbit, fx.blaschke_orbit))
     ok = all(n == k + 1 for n, k in zip(n_a, ks)) \
         and all(n > k for n, k in zip(n_b, ks))
     margin = min(n - k for n, k in zip(n_b, ks))
@@ -170,8 +165,7 @@ def criterion_08_tube_covering(seed, fx):
     orbit (C = 0), R <= L + 3C + sigma for the cleared Blaschke orbit."""
     e1 = _e1()
     width = 1.0
-    auto = _disc_automorphism()
-    res_a = orb.construct_backward_orbit(auto, e1, 3.0)
+    res_a = fx.auto_orbit
     seg_a = replace(res_a.orbit, points=res_a.orbit.points[1:])
     rep_a = ana.tube_covering_check(seg_a, e1, width)
     ok_a = rep_a.r_hat <= width + rep_a.sigma_hat + 1e-6

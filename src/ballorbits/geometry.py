@@ -888,17 +888,13 @@ def apply_raw(g: Automorphism, z):
     return np.einsum("ij,...j->...i", g.unitary, out)
 
 
-def _margin_through(g: Automorphism, coords, margin):
-    return float((1.0 - sq_norm(g.center)) * margin
-                 / abs(1.0 - herm(coords, g.center)) ** 2)
-
-
 def apply(g: Automorphism, p: BallPoint) -> BallPoint:
     """Apply an automorphism to a point's coordinates and margin."""
     if p.q != g.q:
         raise DimensionMismatch(f"dimensions {p.q} != {g.q}")
-    return BallPoint(coords=apply_raw(g, p.coords),
-                     margin=_margin_through(g, p.coords, p.margin))
+    return BallPoint(coords=apply_raw(g, p.coords), margin=float(
+        (1.0 - sq_norm(g.center)) * p.margin
+        / abs(1.0 - herm(p.coords, g.center)) ** 2))
 
 
 def inverse(g: Automorphism) -> Automorphism:

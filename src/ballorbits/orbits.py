@@ -100,6 +100,9 @@ class OrbitParams:
 
 @dataclass(frozen=True)
 class BackwardOrbitResult:
+    """An analysed orbit; `records` are its own anchor run's `StoppingRecord`s
+    in order of k, in either mode (none for the preimage march)."""
+
     orbit: OrbitSegment
     steps: np.ndarray              # d_j = kob(z_j, z_{j+1})
     sigma_hat: float               # tail step
@@ -108,6 +111,7 @@ class BackwardOrbitResult:
     mode: str
     accepted: bool
     report: tuple = ()
+    records: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +293,10 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
         raise DomainError("construction needs dilation > 1")
 
     ks = range(params.k_min, params.k_max + 1)
-    records = {}
-    per_k = []
-    for rec in stopping_time(f, radial_anchors(zeta, lam, ks), zeta,
-                             params.n_max, k=ks):
+    run = tuple(stopping_time(f, radial_anchors(zeta, lam, ks), zeta,
+                              params.n_max, k=ks))
+    records, per_k = {}, []
+    for rec in run:
         if rec.capped:
             per_k.append((rec.k, "capped"))
         elif rec.n <= rec.k:
@@ -309,7 +313,7 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
     if params.mode == "cluster":
         result = _cluster_orbit(records, zeta, lam, params, f)
         if result is not None:
-            return result
+            return replace(result, records=run)
         per_k.append((-1, "cluster residual too large; fell back to single-tail"))
 
     # the longest chain that passes, the deepest anchor among equals: the
@@ -328,7 +332,8 @@ def construct_backward_orbit(f: cat.SelfMap, zeta: BoundaryPoint, lam: float,
             "no chain passed the orbit diagnostics; deepest chain report: "
             + "; ".join(deepest.report)
             + " | per-k: " + "; ".join(f"k={k}: {m}" for k, m in per_k))
-    return replace(best, report=tuple(f"k={k}: {m}" for k, m in per_k))
+    return replace(best, report=tuple(f"k={k}: {m}" for k, m in per_k),
+                   records=run)
 
 
 def _cluster_orbit(records, zeta, lam, params, f):
@@ -492,14 +497,15 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     """`_damped_newton` in defect coordinates against target.ref: exact deep
     residuals.  Its one lane is (delta, tail, coords); steps solve for delta
     and the last q - 1 tail components in the frame `rot` taking e_1 to ref.
-    A seed without target.ref takes it, and a seed that solves is kept."""
+    A seed without target.ref takes it, and a seed that solves is kept.  The
+    seed and every trial batch step through one plan of f against ref."""
     if target.ref is None:
         return None
     ref, q = target.ref, f.q
     if seed.ref is None or not np.array_equal(seed.ref, ref):
         seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
-    img = cat.adapted_step(f, geo.held(seed, geo.BoundaryPoint(seed.ref)))
-    if img is None:
+    plan = f._plan(ref)
+    if plan is None:
         return None
     rot = geo.unitary_taking(geo.basis_boundary_point(q).coords, ref)
     rot_h = rot.conj().T
@@ -522,13 +528,14 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
         ok = margin > 0.0   # a trial outside the ball is no point
         res = np.full((len(x), q), np.inf, dtype=complex)
         if ok.any():
-            res[ok] = residual(cat.adapted_step(f, PointBatch(
+            res[ok] = residual(plan.step(PointBatch(
                 ref, delta[ok], tail[ok], margin[ok])))
         coords = geo._defect_coords(ref, delta, tail)
         return np.concatenate([delta[:, None], tail, coords], 1), res
 
     x0 = np.concatenate([[seed.delta], seed.tail(), seed.coords])[None]
     scale = abs(target.delta) + float(np.linalg.norm(target.tail())) + 1e-300
+    img = plan.step(geo.held(seed, geo.BoundaryPoint(ref)))
     out, = _damped_newton(x0.copy(), residual(img), tol * scale, max_iter,
                           jacobian, trials)
     if np.isnan(out[0]) or np.array_equal(out, x0[0]):   # none, or the seed
@@ -598,8 +605,8 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     Every point of the march, z_0 included (`geo.held`), and every
     candidate is held against zeta.  Whether f steps adapted depends on the
     map and the reference alone (every kind's `_plan` decides from `ref`),
-    so `_plan` is asked once.  Grid solutions equal to an earlier candidate
-    (within 1e-8) are dropped before points are built.
+    so the march and each adapted solve plan once.  Grid solutions equal
+    to an earlier candidate (within 1e-8) are dropped before points are built.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (AxialStage, BallPoint, BoundaryPoint, PointBatch,
-                       boundary_adapted_point, held, herm)
+                       abs_sq, basis_boundary_point, boundary_adapted_point,
+                       held, herm, sq_norm, unitary_taking)
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -63,12 +64,7 @@ def sample_horodisc(rng, zeta: BoundaryPoint, radius: float,
     w = unit_directions(rng, q, n) * u[:, None]
     w[:, 0] = c + a * w[:, 0]
     w[:, 1:] *= np.sqrt(a)  # b = sqrt(a)
-    return w @ _frame(zeta).T
-
-
-def _frame(zeta: BoundaryPoint) -> np.ndarray:
-    from .geometry import basis_boundary_point, unitary_taking
-    return unitary_taking(basis_boundary_point(zeta.q).coords, zeta.coords)
+    return w @ unitary_taking(basis_boundary_point(q).coords, zeta.coords).T
 
 
 def tube_samples(zeta: BoundaryPoint, width: float,
@@ -81,8 +77,9 @@ def tube_samples(zeta: BoundaryPoint, width: float,
     by construction, and the grading pushes samples toward zeta as s grows.
     For each s the batch holds the translates, angle by angle within each
     fraction, then the axis point gamma(s), the translate of the origin;
-    with no fractions it holds the axis points alone.  One broadcast
-    `AxialStage` of dilation e^{-s} at zeta makes every row.
+    with no fractions it holds the axis points alone.  One batch holds the
+    offsets, row for row `adapted_at`; one broadcast `AxialStage` of
+    dilation e^{-s} at zeta moves them to every row.
     """
     q = zeta.q
     if not (np.isfinite(width) and width >= 0.0):
@@ -96,13 +93,17 @@ def tube_samples(zeta: BoundaryPoint, width: float,
         d = np.zeros(q, dtype=complex)
         d[j // 2] = 1.0 if j % 2 == 0 else 1j
         dirs.append(d)
-    offsets = []
+    u = []
     for frac in radius_fractions:
         rho = np.tanh(frac * width / 2.0)
         for i in range(n_angles):
             direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i / n_angles)
-            offsets.append(adapted_at(zeta, rho * direction))
-    offsets.append(adapted_at(zeta, np.zeros(q, dtype=complex)))
+            u.append(rho * direction)
+    u = np.array(u + [np.zeros(q, dtype=complex)])
+    a = herm(u, zeta.coords)
+    delta, tail = 1.0 - a, u - a[:, None] * zeta.coords[None, :]
+    offsets = PointBatch(zeta.coords, delta, tail,
+                         2.0 * delta.real - abs_sq(delta) - sq_norm(tail))
     delta, tail, margin = _axial_translates(zeta, s_values, offsets)
     return PointBatch(ref=zeta.coords, delta=delta.reshape(-1),
                       tail=tail.reshape(-1, q), margin=margin.reshape(-1))

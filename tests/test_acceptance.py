@@ -6,6 +6,7 @@ criterion; `ballorbits suite` prints the same report.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ballorbits import acceptance, cli
@@ -44,14 +45,50 @@ def test_criterion_10_suite_determinism(capsys):
 
 
 def test_pass_builds_its_shared_fixtures_once(monkeypatch):
-    # one pole clearance and one cleared-Blaschke orbit for the six
-    # criteria that use them; criterion 08 builds the axial orbit
+    # one pole clearance and the two fixture orbits, the cleared Blaschke
+    # map's and the disc automorphism's, for the criteria that use them
     calls = count_calls(monkeypatch, (cat, "ensure_pole_clearance"),
                         (orb, "construct_backward_orbit"))
     lines = acceptance.run_criteria(12345)
     assert all(line.passed for line in lines)
     assert calls == {"ensure_pole_clearance": 1,
                      "construct_backward_orbit": 2}
+
+
+def reference_criteria_02_04(fx):
+    """Criteria 02 and 04 from runs of their own, not the fixture orbits':
+    r_40 stepped alone, and `stopping_time` on k = 1..30 for each map.
+    Returns criterion 02's worst step error and criterion 04's ok, margin."""
+    e1 = geo.basis_boundary_point(1)
+    auto = cat.hyperbolic_selfmap(e1, 3.0)
+    cleared, _ = fx.cleared_blaschke
+    worst = 0.0
+    for f in (auto, cleared):
+        r = orb.radial_anchor(e1, 3.0, 40)
+        fr = cat.step_point(f, r)
+        worst = max(worst, abs(geo.kob_dist(r, fr) - acceptance.LOG3))
+    ks = range(1, 31)
+    anchors = orb.radial_anchors(e1, 3.0, ks)
+    n_a = [rec.n for rec in orb.stopping_time(auto, anchors, e1, k=ks)]
+    n_b = [rec.n for rec in orb.stopping_time(cleared, anchors, e1, k=ks)]
+    ok = all(n == k + 1 for n, k in zip(n_a, ks)) \
+        and all(n > k for n, k in zip(n_b, ks))
+    return worst, ok, float(min(n - k for n, k in zip(n_b, ks)))
+
+
+def test_pass_runs_each_anchor_set_once(monkeypatch):
+    # criteria 02 and 04 read the anchor runs of the two fixture orbits
+    # (criterion 08 takes the automorphism's), so a pass runs
+    # `stopping_time` once per orbit, and the two lines are unchanged
+    calls = count_calls(monkeypatch, (orb, "stopping_time"))
+    lines = acceptance.run_criteria(12345)
+    assert all(line.passed for line in lines)
+    assert calls["stopping_time"] == 2
+    worst, ok, margin = reference_criteria_02_04(acceptance.PassFixtures())
+    assert lines[1].passed == (worst < 1e-3)
+    assert np.float64(lines[1].margin).tobytes() == np.float64(
+        1e-3 - worst).tobytes()
+    assert (lines[3].passed, lines[3].margin) == (ok, margin)
 
 
 def test_criterion_06_profiles_once(monkeypatch):

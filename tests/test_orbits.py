@@ -810,13 +810,15 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
                                             monkeypatch):
     # criterion 06's march asks `_plan`, not a step, whether the map steps
-    # adapted (every call here is an adapted solve's step), and builds
-    # points only for grid solutions no earlier candidate holds
-    calls = count_calls(monkeypatch, (cat, "adapted_step"),
-                        (geo, "ball_point"))
+    # adapted, and each of its 41 adapted solves plans the map once and
+    # steps through that plan (every step here is an adapted solve's); it
+    # builds points only for grid solutions no earlier candidate holds
     cleared, _ = cleared_blaschke
+    calls = count_calls(monkeypatch, (type(cleared), "_plan"),
+                        (geo.Plan, "step"), (geo, "ball_point"))
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls["adapted_step"] == 112
+    assert calls["_plan"] == 42
+    assert calls["step"] == 112
     assert calls["ball_point"] <= 11
 
 

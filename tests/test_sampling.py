@@ -11,26 +11,30 @@ from ballorbits.errors import DomainError
 S_GRID = np.arange(0.25, 30.001, 0.25)
 
 
-def reference_samples(zeta, width, s_values, n_angles, fractions):
-    """`tube_samples` one point at a time: adapted_at, then the AxialStage's
-    kernel on each offset and on the origin."""
-    q = zeta.q
+def offset_coords(q, width, n_angles, fractions):
+    """The coordinates of `tube_samples`' offsets, the origin last."""
     dirs = []
     for j in range(2 * q):
         d = np.zeros(q, dtype=complex)
         d[j // 2] = 1.0 if j % 2 == 0 else 1j
         dirs.append(d)
+    offsets = []
+    for frac in fractions:
+        rho = np.tanh(frac * width / 2.0)
+        for i in range(n_angles):
+            direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i
+                                                     / n_angles)
+            offsets.append(rho * direction)
+    return offsets + [np.zeros(q, dtype=complex)]
+
+
+def reference_samples(zeta, width, s_values, n_angles, fractions):
+    """`tube_samples` one point at a time: adapted_at, then the AxialStage's
+    kernel on each offset and on the origin."""
     pts = []
     for s in s_values:
         stage = geo.AxialStage(zeta.coords, np.exp(-float(s)))
-        offsets = []
-        for frac in fractions:
-            rho = np.tanh(frac * width / 2.0)
-            for i in range(n_angles):
-                direction = dirs[i % len(dirs)] * np.exp(2j * np.pi * i
-                                                         / n_angles)
-                offsets.append(rho * direction)
-        for u in offsets + [np.zeros(q, dtype=complex)]:
+        for u in offset_coords(zeta.q, width, n_angles, fractions):
             u = sampling.adapted_at(zeta, u)
             plan = stage.plan(u.ref)
             delta, tail, margin = plan.kernel(u.delta, u.tail(), u.margin)
@@ -73,6 +77,38 @@ def test_tube_samples_match_reference_off_axis():
     other = geo.boundary_point([0.8, 0.6])
     assert np.array_equal(geo.koranyi_functional(batch, other),
                           [geo.koranyi_functional(p, other) for p in ref])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_tube_offsets_match_adapted_at(q, monkeypatch):
+    """The offsets `tube_samples` builds as one batch equal, as bytes of
+    delta, tail and margin, the points `adapted_at` builds one at a time:
+    at random zeta, widths 0 to 2, on criterion 07's angles and fractions."""
+    batches = []
+    translates = sampling._axial_translates
+
+    def capture(zeta, s_values, points):
+        batches.append(points)
+        return translates(zeta, s_values, points)
+
+    monkeypatch.setattr(sampling, "_axial_translates", capture)
+    rng = np.random.default_rng(q)
+    for _ in range(10):
+        v = rng.normal(size=q) + 1j * rng.normal(size=q)
+        zeta = geo.boundary_point(v / np.linalg.norm(v))
+        for width in (0.0, 0.5, 1.0, 2.0):
+            sampling.tube_samples(zeta, width, s_values=[1.0], n_angles=28,
+                                  radius_fractions=(1.0, 0.75, 0.5))
+            batch = batches.pop()
+            ref = [sampling.adapted_at(zeta, u)
+                   for u in offset_coords(q, width, 28, (1.0, 0.75, 0.5))]
+            assert len(batch) == len(ref) == 85
+            assert batch.delta.tobytes() == np.array(
+                [p.delta for p in ref]).tobytes()
+            assert batch.tail.tobytes() == np.array(
+                [p.tail() for p in ref]).tobytes()
+            assert batch.margin.tobytes() == np.array(
+                [p.margin for p in ref]).tobytes()
 
 
 @pytest.mark.parametrize("width", [float("nan"), float("inf"),
