@@ -33,9 +33,6 @@ from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
 from .sampling import (_axial_translates, adapted_at, sample_ball,
                        sample_shell)
 
-_ONE = np.array([1.0 + 0.0j])   # the boundary point +1 of the disc
-
-
 @dataclass(frozen=True)
 class SelfMap:
     """A self-map of B^q.  Each subclass is one map kind, with `params` its
@@ -93,33 +90,41 @@ class Blaschke(SelfMap):
         return geo._cmul(np.exp(1j * theta), total)[..., None, None]
 
     def _plan(self, ref):
-        """Defect recursion for real-coefficient Blaschke products at ref = +-1.
+        """Defect recursion at any unimodular ref (Rudin, *Function Theory
+        in the Unit Ball of C^n*, 2.2).  The factor u_a = (z - a)/(1 - conj(a)
+        z) maps ref to eta = (ref - a)/(1 - b), b = conj(a) ref, and with
+        c = (1 + b)/(1 - b) and den = 1 + (c - 1) delta / 2 its image holds
 
-        Each factor (z - a)/(1 - a z) is the axial automorphism of dilation
-        (1+a)/(1-a) at +1, and one-minus values and margins multiply as
-        om(uv) = om_u + om_v - om_u om_v.
+            delta' = Re(c) delta / den,   margin' = Re(c) margin / |den|^2
+
+        against eta, with no cancellation near ref; a real zero at +1 steps
+        as the axial automorphism of dilation c.  One-minus values and
+        margins multiply as om(uv) = om_u + om_v - om_u om_v, against
+        e^{i theta} prod eta, which is ref where it lies within FIX_TOL.
         """
         facs, theta = self.params
-        if theta != 0.0 or any(a.imag != 0.0 for a in facs):
-            return None
-        if len(facs) % 2 == 0 and ref[0].real < 0.0:   # -1 maps to +1
-            return None
-        factors = [geo.AxialStage(_ONE, (1.0 + a.real) / (1.0 - a.real))
-                   .plan(ref) for a in facs]
-        if any(factor is None for factor in factors):
-            return None
+        r, image, steps = complex(ref[0]), np.exp(1j * theta), []
+        for a in facs:
+            b = a.conjugate() * r
+            c = (1.0 + b) / (1.0 - b)
+            steps.append((c.real, c - 1.0))
+            image *= (r - a) / (1.0 - b)
+        image = np.array([image / abs(image)])
+        if geo._same_direction(image, ref, geo.FIX_TOL):
+            image = ref
 
         def kernel(delta, tail, margin):
             om_prod = m_prod = None
-            for factor in factors:
-                om, _, m_fac = factor.kernel(delta, tail, margin)
+            for re_c, c_1 in steps:
+                den = 1.0 + geo._cmul(c_1, delta) / 2.0
+                om, m_fac = re_c * delta / den, re_c * margin / geo.abs_sq(den)
                 if om_prod is None:
                     om_prod, m_prod = om, m_fac
                 else:
                     om_prod = om_prod + om - geo._cmul(om_prod, om)
                     m_prod = m_prod + m_fac - m_prod * m_fac
             return om_prod, np.zeros_like(tail), m_prod
-        return geo.Plan(ref, kernel)
+        return geo.Plan(image, kernel)
 
 
 class Mobius(Blaschke):

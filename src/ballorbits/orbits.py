@@ -498,14 +498,15 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     residuals.  Its one lane is (delta, tail, coords); steps solve for delta
     and the last q - 1 tail components in the frame `rot` taking e_1 to ref.
     A seed without target.ref takes it, and a seed that solves is kept.  The
-    seed and every trial batch step through one plan of f against ref."""
+    seed and every trial batch step through one plan of f against ref; None
+    where f has none, or where its images leave ref (f does not fix it)."""
     if target.ref is None:
         return None
     ref, q = target.ref, f.q
     if seed.ref is None or not np.array_equal(seed.ref, ref):
         seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
-    plan = f._plan(ref)
-    if plan is None:
+    plan = f._plan(ref)   # its images' delta must hold against ref too
+    if plan is None or not geo._same_direction(plan.ref, ref, geo.FIX_TOL):
         return None
     rot = geo.unitary_taking(geo.basis_boundary_point(q).coords, ref)
     rot_h = rot.conj().T
