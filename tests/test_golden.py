@@ -13,10 +13,9 @@ output, and `golden/compare_csv.txt` pins `compare` on two orbit CSVs, the
 CSV reader's path.  Each cluster case runs `ballorbits orbit ... --mode
 cluster` and checks its exit code and its stdout against
 `golden/cluster_<name>.txt`: the Blaschke, warped and conjugate maps
-cluster their anchor chains, and the turned Blaschke map, which steps in
-coordinates, falls back to single-tail; its chain is held against zeta
-like every other, so its steps and distances to zeta take the defect
-formulas.  Every chain these sources build, and the preimage march's, the
+cluster their anchor chains, and so does the turned Blaschke map, whose
+complex zero and rotation step by the same closed form at zeta = e^{0.7i}
+as the real zeros do at +1.  Every chain these sources build, and the preimage march's, the
 CSV reader's and a `callable_map`'s, is one `PointBatch` held against
 zeta, with the coordinates its source gave (`test_chains_are_held_batches`).
 The `suite` report golden is checked in test_acceptance.py.
@@ -107,7 +106,8 @@ CLUSTER_CASES = {
     "conjugate": [str(GOLDEN / "conjugate.ini"), "--zeta=1"],
     "conjugate_unitary": [str(GOLDEN / "conjugate_unitary.ini"),
                           f"--zeta={UNITARY_ZETA}"],
-    # the golden Blaschke map turned by e^{0.7i}: no adapted step
+    # the golden Blaschke map turned by e^{0.7i}: a complex zero and
+    # theta != 0, planned at zeta
     "blaschke_turned": [
         "blaschke:factors=0,0;0.25494739576149617,0.21473922907923032,"
         "theta=-0.7", "--zeta=0.7648421872844885,0.644217687237691",
@@ -214,7 +214,7 @@ CHAIN_COORDS = {
     "orbit_conjugate": "b2bb95ba125a9b97",
     "orbit_conjugate_unitary": "63489ffbf9eb08e4",
     "orbit_compose_parabolic": "90ddb8635e9e8d51",
-    "cluster_blaschke_turned": "b14add853cea3759",
+    "cluster_blaschke_turned": "d8b51b443521d3dd",
     "callable": "5c028893a96284b0",
     "criterion_06_march": "218962e92cf314e3",
     "read_orbit_csv": "3c12692259ffc3fd",
