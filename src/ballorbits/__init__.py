@@ -12,12 +12,12 @@ from .geometry import (Automorphism, BallPoint, BoundaryPoint, Horosphere,
                        kob_dist_origin, koranyi_contains, mobius_involution,
                        parabolic_automorphism, unitary_automorphism)
 from .catalog import (BrfpReport, DynamicsClass, SelfMap, blaschke_product,
-                      callable_map, catalog_build, certify_brfp,
-                      classify_dynamics, compose_maps, conjugate_map,
-                      disc_mobius, ensure_pole_clearance, estimate_dilation,
-                      evaluate, hyperbolic_selfmap, is_boundary_fixed,
-                      iterate_map, jacobian, parabolic_selfmap,
-                      self_map_check, warped_product)
+                      catalog_build, certify_brfp, classify_dynamics,
+                      compose_maps, conjugate_map, disc_mobius,
+                      ensure_pole_clearance, estimate_dilation, evaluate,
+                      hyperbolic_selfmap, is_boundary_fixed, iterate_map,
+                      jacobian, parabolic_selfmap, self_map_check,
+                      warped_product)
 from .orbits import (BackwardOrbitResult, OrbitParams, OrbitSegment,
                      StoppingRecord, backward_orbit_via_preimages,
                      construct_backward_orbit, harvest_chain,

@@ -16,7 +16,6 @@ warped_product   (z1, z') -> (phi(z1), c z') for a disc map phi
 compose          children[0] o children[1] o ...: the last child applies first
 conjugate        h o f o h^{-1}: a compose of the children (h, f, h^{-1})
 iterate          f^n: a compose of n children f
-callable         a raw evaluator: finite-difference Jacobian, no adapted step
 """
 
 from __future__ import annotations
@@ -97,17 +96,17 @@ class Blaschke(SelfMap):
 
             delta' = Re(c) delta / den,   margin' = Re(c) margin / |den|^2
 
-        against eta, with no cancellation near ref; a real zero at +1 steps
-        as the axial automorphism of dilation c.  One-minus values and
-        margins multiply as om(uv) = om_u + om_v - om_u om_v, against
-        e^{i theta} prod eta, which is ref where it lies within FIX_TOL.
+        against eta, with no cancellation near ref; a real c - 1 is a float,
+        so a real zero at +1 steps as `AxialStage` of dilation c does, bit for
+        bit.  One-minus values and margins multiply as om(uv) = om_u + om_v -
+        om_u om_v, against e^{i theta} prod eta, or ref within FIX_TOL of it.
         """
         facs, theta = self.params
         r, image, steps = complex(ref[0]), np.exp(1j * theta), []
         for a in facs:
             b = a.conjugate() * r
             c = (1.0 + b) / (1.0 - b)
-            steps.append((c.real, c - 1.0))
+            steps.append((c.real, c - 1.0 if c.imag else c.real - 1.0))
             image *= (r - a) / (1.0 - b)
         image = np.array([image / abs(image)])
         if geo._same_direction(image, ref, geo.FIX_TOL):
@@ -223,22 +222,6 @@ class Iterate(Compose):
     kind = "iterate"
 
 
-class CallableMap(SelfMap):
-    kind = "callable"
-
-    def _evaluate(self, z):
-        return np.asarray(self.params[0](z), dtype=complex)
-
-    def _jacobian(self, z):
-        # one point at a time, so each row equals the single-point quotient
-        # however the evaluator rounds a batch
-        rows = [jacobian_fd(self, p) for p in z.reshape(-1, self.q)]
-        return np.reshape(rows, z.shape + (self.q,))
-
-    def _plan(self, ref):
-        return None
-
-
 @dataclass(frozen=True)
 class BrfpReport:
     zeta: BoundaryPoint
@@ -340,12 +323,6 @@ def iterate_map(base: SelfMap, power: int) -> SelfMap:
                    label=f"{base.label}^{power}")
 
 
-def callable_map(fn, q: int, label: str = "callable") -> SelfMap:
-    """Wrap a raw evaluator (..., q) -> (..., q); Jacobians fall back to
-    finite differences and there is no boundary-adapted stepping."""
-    return CallableMap(q=q, params=(fn,), label=label)
-
-
 # ---------------------------------------------------------------------------
 # map specs
 # ---------------------------------------------------------------------------
@@ -445,18 +422,6 @@ def jacobian(f: SelfMap, z) -> np.ndarray:
     return f._jacobian(z)
 
 
-def jacobian_fd(f: SelfMap, z) -> np.ndarray:
-    """Central finite differences, the independent cross-check for jacobian()."""
-    z = geo.as_vector(z, f.q)
-    h = 1e-6
-    cols = []
-    for i in range(f.q):
-        e = np.zeros(f.q, dtype=complex)
-        e[i] = h
-        cols.append((evaluate(f, z + e) - evaluate(f, z - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # boundary-adapted stepping
 # ---------------------------------------------------------------------------
@@ -496,8 +461,8 @@ def _raw_step(f: SelfMap, coords) -> BallPoint:
     n = np.linalg.norm(coords)
     if 1.0 - n < geo.BOUNDARY_GUARD:
         raise NumericalError(
-            "iterate reached the numerical boundary and this map has no "
-            "structured stepping; rebuild it from catalog kinds")
+            "iterate reached the numerical boundary, where this map has no "
+            "structured stepping")
     return geo.ball_point(coords)
 
 

@@ -77,7 +77,10 @@ def abs_sq(x):
 
 def _cmul(x, y):
     """x * y on complex arrays, rounded as for two complex scalars (numpy's
-    array loop may fuse its multiply-adds)."""
+    array loop may fuse its multiply-adds); a real scalar x, whose product
+    has nothing to fuse, scales y as numpy does."""
+    if isinstance(x, float):
+        return x * y
     return ((x.real * y.real - x.imag * y.imag)
             + 1j * (x.real * y.imag + x.imag * y.real))
 
@@ -290,11 +293,12 @@ def _defect_coords(ref, delta, tail):
 
 def with_reference(p: BallPoint, zeta: "BoundaryPoint") -> BallPoint:
     """Attach boundary-adapted data to a point, computed once from its
-    coordinates, which are the point's truth here."""
+    coordinates, which are the point's truth here.  In q = 1 nothing is
+    orthogonal to zeta, so the tail is 0 rather than a roundoff residue."""
     if p.q != zeta.q:
         raise DimensionMismatch(f"dimensions {p.q} != {zeta.q}")
     a = herm(p.coords, zeta.coords)
-    tail = p.coords - a * zeta.coords
+    tail = p.coords - a * zeta.coords if p.q > 1 else np.zeros(1, complex)
     return BallPoint(coords=p.coords, margin=p.margin, ref=zeta.coords,
                      delta=complex(1.0 - a), tail_vec=tail)
 

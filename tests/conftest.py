@@ -56,6 +56,51 @@ def random_interior(rng, q, scale=0.85):
     return geo.ball_point(v)
 
 
+def unplanned_hyperbolic():
+    """A map with dilation 3 at e_1 and no plan there: the hyperbolic map
+    of dilation 3 at zeta0, conjugated by the hyperbolic automorphism h of
+    dilation 2 along the axis through i, zeta0 = h^{-1}(e_1).  No part fixes
+    the reference it meets, so the map steps in coordinates at e_1."""
+    e1 = geo.basis_boundary_point(1)
+    h = geo.hyperbolic_automorphism(geo.boundary_point([1j]), 2.0)
+    zeta0 = geo.boundary_point(geo.apply_raw(geo.inverse(h), e1.coords))
+    return cat.conjugate_map(cat.hyperbolic_selfmap(zeta0, 3.0), h)
+
+
+def fixed_blaschke(rng, lam_min=1.6):
+    """A Blaschke product with one to three complex zeros, |a| < 0.8, turned
+    to fix a random unimodular zeta where its dilation, the closed form
+    lam = sum_j (1 - |a_j|^2) / |zeta - a_j|^2, is at least lam_min:
+    (zeros, f, zeta, lam)."""
+    while True:
+        n = rng.integers(1, 4)
+        zeros = 0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(
+            2j * np.pi * rng.uniform(size=n))
+        zeta = geo.boundary_point([np.exp(2j * np.pi * rng.uniform())])
+        lam = float(np.sum((1.0 - np.abs(zeros) ** 2)
+                           / np.abs(zeta.coords[0] - zeros) ** 2))
+        if lam >= lam_min:
+            break
+    image = np.prod((zeta.coords[0] - zeros)
+                    / (1.0 - np.conj(zeros) * zeta.coords[0]))
+    theta = float(np.angle(zeta.coords[0] / image))
+    return zeros, cat.blaschke_product(zeros, theta), zeta, lam
+
+
+def jacobian_fd(f, z):
+    """Central finite differences, the independent cross-check for
+    `catalog.jacobian`."""
+    z = geo.as_vector(z, f.q)
+    h = 1e-6
+    cols = []
+    for i in range(f.q):
+        e = np.zeros(f.q, dtype=complex)
+        e[i] = h
+        cols.append((cat.evaluate(f, z + e) - cat.evaluate(f, z - e))
+                    / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
 def apart(zs, ws):
     """Two lists of points as two batches held against different
     references, e_1 and -e_1: every pair of them takes kob_dist's coordinate

@@ -12,6 +12,8 @@ from ballorbits import orbits as orb
 from ballorbits.errors import DimensionMismatch, DomainError
 from ballorbits.sampling import tube_samples
 
+from conftest import unplanned_hyperbolic
+
 LOG3 = np.log(3.0)
 
 
@@ -241,12 +243,11 @@ def test_tube_covering_matches_full_matrix(offaxis_chains, q, width, form):
 
 
 def test_tube_covering_matches_full_matrix_on_coordinate_points(e1):
-    auto = cat.hyperbolic_selfmap(e1, 3.0)
-    # no structured step: every point but the deepest, its anchor, holds
+    # no plan at e1: every point but the deepest, its anchor, holds
     # coordinates alone
-    raw = cat.callable_map(lambda z: cat.evaluate(auto, z), 1)
     res = orb.construct_backward_orbit(
-        raw, e1, 3.0, orb.OrbitParams(k_max=6, dist_target=1e-2))
+        unplanned_hyperbolic(), e1, 3.0,
+        orb.OrbitParams(k_max=6, dist_target=1e-2))
     # held against e1 with the defect `with_reference` gives their
     # coordinates, which are the raw steps'
     assert res.orbit.points.ref.tobytes() == e1.coords.tobytes()

@@ -15,7 +15,8 @@ from ballorbits.errors import (ConfigError, DilationOutOfScope,
                                DimensionMismatch, DomainError, NumericalError)
 from ballorbits.sampling import sample_horodisc
 
-from conftest import apart, count_calls, random_interior
+from conftest import (apart, count_calls, fixed_blaschke, jacobian_fd,
+                      random_interior, unplanned_hyperbolic)
 
 LOG3 = np.log(3.0)
 
@@ -38,8 +39,16 @@ def test_blaschke_fixes_zero_and_one(blaschke):
                   - 1.0).max() < 1e-12
 
 
+class _Expanding(cat.SelfMap):
+    """z -> 1.01 z, which leaves the ball: a map no catalog kind gives."""
+    kind = "expanding"
+
+    def _evaluate(self, z):
+        return 1.01 * z
+
+
 def test_expanding_map_fails_check(rng):
-    bad = cat.callable_map(lambda z: 1.01 * z, q=1, label="1.01z")
+    bad = _Expanding(q=1, label="1.01z")
     ok, worst, witness = cat.self_map_check(bad, 2000, rng)
     assert not ok
     assert np.linalg.norm(cat.evaluate(bad, witness)) > 1.0
@@ -124,6 +133,22 @@ def _offaxis_hyperbolic():
     return cat.hyperbolic_selfmap(geo.boundary_point([0.6, 0.8j]), 3.0)
 
 
+def _turned_blaschke():
+    """The golden Blaschke map [0, 1/3] turned by e^{0.7i}: it fixes
+    e^{0.7i} with dilation 3."""
+    return cat.blaschke_product([0.0, np.exp(0.7j) / 3.0], -0.7)
+
+
+def _mobius_repelling():
+    """disc_mobius(0.3 + 0.2i, theta=0.4) and its repelling fixed point, the
+    root of conj(a) z^2 + (e^{i theta} - 1) z - e^{i theta} a nearer a
+    (dilation 1.886)."""
+    a, turn = 0.3 + 0.2j, np.exp(0.4j)
+    roots = np.roots([np.conj(a), turn - 1.0, -turn * a])
+    return (cat.disc_mobius(a, theta=0.4),
+            geo.boundary_point([roots[np.argmin(np.abs(roots - a))]]))
+
+
 def _complex_disc_hyperbolic():
     """A q = 1 automorphism with a complex centre."""
     return cat.hyperbolic_selfmap(geo.boundary_point([np.exp(0.5j)]), 3.0)
@@ -135,15 +160,14 @@ def test_jacobian_matches_finite_differences(make, rng):
     for _ in range(5):
         z = random_interior(rng, f.q, scale=0.6)
         err = np.abs(cat.jacobian(f, z.coords)
-                     - cat.jacobian_fd(f, z.coords)).max()
+                     - jacobian_fd(f, z.coords)).max()
         assert err < 1e-6
 
 
 @pytest.mark.parametrize("make", JACOBIAN_CASES + [
     _offaxis_hyperbolic,
     _complex_disc_hyperbolic,
-    lambda: cat.callable_map(
-        lambda z: cat.evaluate(_offaxis_hyperbolic(), z), q=2),
+    lambda: unplanned_hyperbolic(),
 ])
 def test_jacobian_alike_in_every_layout(make, rng):
     """Row i of the Jacobian (and of the map) at 200 points equals the
@@ -157,7 +181,7 @@ def test_jacobian_alike_in_every_layout(make, rng):
     for z, j, v in zip(zs, jac, vals):
         assert j.tobytes() == cat.jacobian(f, z).tobytes()
         assert v.tobytes() == cat.evaluate(f, z).tobytes()
-        assert np.abs(j - cat.jacobian_fd(f, z)).max() < 1e-6
+        assert np.abs(j - jacobian_fd(f, z)).max() < 1e-6
 
 
 def _random_zeta(seed):
@@ -190,6 +214,11 @@ ADAPTED_CASES = [
                                geo.unitary_automorphism([[np.exp(0.5j)]])),
      geo.boundary_point([np.exp(0.5j)])),
     (_complex_disc_hyperbolic, geo.boundary_point([np.exp(0.5j)])),
+    (_turned_blaschke, geo.boundary_point([np.exp(0.7j)])),
+    (lambda: _mobius_repelling()[0], _mobius_repelling()[1]),
+    (lambda: fixed_blaschke(np.random.default_rng(5))[1],
+     fixed_blaschke(np.random.default_rng(5))[2]),
+    (unplanned_hyperbolic, geo.basis_boundary_point(1)),
 ]
 
 
@@ -221,14 +250,24 @@ def test_adapted_step_alike_in_every_layout(make, zeta, rng):
         assert np.float64(one.margin).tobytes() == out.margin[i].tobytes()
 
 
-@pytest.mark.parametrize("make, zeta", [
-    (make, zeta) for make, zeta in ADAPTED_CASES
-    if cat.adapted_step(make(), geo._axis_point(zeta, 2.0)) is not None])
+def _planned(fixes):
+    """The layout cases with an adapted step whose images keep zeta as
+    their reference (within FIX_TOL), or those whose images leave it."""
+    cases = []
+    for make, zeta in ADAPTED_CASES:
+        plan = make()._plan(zeta.coords)
+        if plan is not None and fixes == geo._same_direction(
+                plan.ref, zeta.coords, geo.FIX_TOL):
+            cases.append((make, zeta))
+    return cases
+
+
+@pytest.mark.parametrize("make, zeta", _planned(True) + _planned(False))
 def test_adapted_step_agrees_with_evaluate(make, zeta, rng):
     """The defect recursion against raw evaluation, the two paths to an
     image, on the lanes with margin >= 1e-6 of every layout case that has
-    an adapted step: coordinates within 1e-14, and each margin within
-    1e-14 of 1 - |f(z)|^2."""
+    an adapted step, at a reference the map fixes or moves: coordinates
+    within 1e-14, and each margin within 1e-14 of 1 - |f(z)|^2."""
     f = make()
     batch = _adapted_lanes(zeta, rng)
     out = cat.adapted_step(f, batch)
@@ -256,6 +295,8 @@ ADAPTED_KINDS = {
     "conjugate": (JACOBIAN_CASES[5], [1.0]),
     "iterate": (lambda: cat.iterate_map(
         cat.blaschke_product([0.0, 1.0 / 3.0]), 2), [1.0]),
+    "turned": (_turned_blaschke, [np.exp(0.7j)]),
+    "mobius": (lambda: _mobius_repelling()[0], _mobius_repelling()[1].coords),
 }
 
 
@@ -331,6 +372,17 @@ def test_estimate_dilation_disc_automorphism():
     assert np.allclose(cat.evaluate(m, z), cat.evaluate(f, z))
 
 
+def test_estimate_dilation_matches_the_closed_form():
+    """Blaschke products with complex zeros at random unimodular fixed
+    points: the estimate within 1e-12 relative of the dilation
+    sum_j (1 - |a_j|^2) / |zeta - a_j|^2 (Garnett, *Bounded Analytic
+    Functions*)."""
+    rng = np.random.default_rng(7)
+    for _ in range(127):
+        _, f, zeta, lam = fixed_blaschke(rng, lam_min=1.05)
+        assert abs(cat.estimate_dilation(f, zeta).lam_hat - lam) <= 1e-12 * lam
+
+
 def test_estimate_dilation_blaschke(blaschke, e1):
     # angular derivative b'(1) = 1 + (1+a)/(1-a) = 3
     est = cat.estimate_dilation(blaschke, e1)
@@ -365,8 +417,7 @@ def test_estimate_dilation_attracting_side_out_of_scope(e1):
     (lambda: cat.warped_product(cat.hyperbolic_selfmap(
         geo.basis_boundary_point(1), 3.0), 0.3 + 0.2j),
      geo.basis_boundary_point(2)),
-    (lambda: cat.callable_map(lambda z: cat.evaluate(_offaxis_hyperbolic(), z),
-                              q=2), geo.boundary_point([0.6, 0.8j])),
+    (lambda: unplanned_hyperbolic(), geo.basis_boundary_point(1)),
 ])
 def test_dilation_profile_matches_per_point_steps(make, zeta):
     # the radial grid steps as one batch, the Jacobian probes as one call:
@@ -459,13 +510,6 @@ def test_koranyi_probes_match_reference(q):
                 [p.coords for p in seq_ref]).tobytes()
 
 
-def _hyperbolic_raw(zeta):
-    """The hyperbolic map of dilation 3 at zeta, with no plan: it steps in
-    coordinates."""
-    auto = cat.hyperbolic_selfmap(zeta, 3.0)
-    return cat.callable_map(lambda z: cat.evaluate(auto, z), zeta.q)
-
-
 @pytest.mark.parametrize("make, zeta, sequences", [
     (lambda: cat.blaschke_product([0.0, 1.0 / 3.0]),
      geo.basis_boundary_point(1), 3),
@@ -479,8 +523,7 @@ def _hyperbolic_raw(zeta):
     # the tangential probes of a q = 2 map fail the 1e-8 test (ROADMAP
     # item 3): the first of them is the last stepped
     (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j]), 2),
-    (lambda: _hyperbolic_raw(geo.basis_boundary_point(1)),
-     geo.basis_boundary_point(1), 3),
+    (lambda: unplanned_hyperbolic(), geo.basis_boundary_point(1), 3),
 ])
 def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
                                                monkeypatch):

@@ -15,9 +15,10 @@ cluster` and checks its exit code and its stdout against
 `golden/cluster_<name>.txt`: the Blaschke, warped and conjugate maps
 cluster their anchor chains, and so does the turned Blaschke map, whose
 complex zero and rotation step by the same closed form at zeta = e^{0.7i}
-as the real zeros do at +1.  Every chain these sources build, and the preimage march's, the
-CSV reader's and a `callable_map`'s, is one `PointBatch` held against
-zeta, with the coordinates its source gave (`test_chains_are_held_batches`).
+as the real zeros do at +1.  Every chain these sources build, and the
+preimage march's, the CSV reader's and that of a map with no plan at
+zeta, is one `PointBatch` held against zeta, with the coordinates its
+source gave (`test_chains_are_held_batches`).
 The `suite` report golden is checked in test_acceptance.py.
 """
 
@@ -31,6 +32,8 @@ from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits
+
+from conftest import unplanned_hyperbolic
 
 GOLDEN = Path(__file__).parent / "golden"
 # the first column of the unitary conjugator in conjugate_unitary.ini
@@ -170,12 +173,10 @@ def _cli_chain(argv):
     return cli._construct(cli.build_parser().parse_args(argv))[-1].orbit
 
 
-def _callable_chain():
-    e1 = geo.basis_boundary_point(1)
-    auto = cat.hyperbolic_selfmap(e1, 3.0)
-    raw = cat.callable_map(lambda z: cat.evaluate(auto, z), 1)
+def _unplanned_chain():
     return orbits.construct_backward_orbit(
-        raw, e1, 3.0, orbits.OrbitParams(k_max=6, dist_target=1e-2)).orbit
+        unplanned_hyperbolic(), geo.basis_boundary_point(1), 3.0,
+        orbits.OrbitParams(k_max=6, dist_target=1e-2)).orbit
 
 
 def _march_chain():
@@ -199,7 +200,7 @@ CHAIN_SOURCES = {
        for name, (spec, zeta) in ORBIT_CASES.items()},
     "cluster_blaschke_turned": lambda _: _cli_chain(
         ["orbit", *CLUSTER_CASES["blaschke_turned"], "--mode", "cluster"]),
-    "callable": lambda _: _callable_chain(),
+    "unplanned": lambda _: _unplanned_chain(),
     "criterion_06_march": lambda _: _march_chain(),
     "read_orbit_csv": _csv_chain,
 }
@@ -215,7 +216,7 @@ CHAIN_COORDS = {
     "orbit_conjugate_unitary": "63489ffbf9eb08e4",
     "orbit_compose_parabolic": "90ddb8635e9e8d51",
     "cluster_blaschke_turned": "d8b51b443521d3dd",
-    "callable": "5c028893a96284b0",
+    "unplanned": "9808c93d6dbd0216",
     "criterion_06_march": "218962e92cf314e3",
     "read_orbit_csv": "3c12692259ffc3fd",
 }
@@ -262,6 +263,24 @@ def test_one_grid_per_run(name, monkeypatch):
     for zeta, recs in runs:
         assert all(rec.grid is recs[0].grid for rec in recs)
         assert recs[0].grid.ref.tobytes() == zeta.coords.tobytes()
+
+
+def test_turned_orbit_is_the_golden_orbit_turned(capsys):
+    """The turned Blaschke map is the golden one conjugated by the rotation
+    e^{0.7i}, so at default options its orbit has the golden orbit's 42
+    points, each with its delta and margin within 1e-13 relative, and a
+    sigma_hat of log 3."""
+    turned = CLUSTER_CASES["blaschke_turned"][:2]
+    assert cli.main(["orbit", *turned]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert f"length=42 sigma_hat={np.log(3.0):.15g} " in summary
+    spec, zeta = ORBIT_CASES["blaschke"]
+    want = _cli_chain(["orbit", spec, f"--zeta={zeta}"]).points
+    got = _cli_chain(["orbit", *turned]).points
+    assert len(got) == len(want) == 42
+    for name in ("delta", "margin"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
 
 
 def test_held_batch_takes_zetas_reference():

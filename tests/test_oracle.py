@@ -1,4 +1,5 @@
-"""High-precision oracles for the defect recursions of the axial stage.
+"""High-precision oracles for the defect recursions of the axial stage and
+of Blaschke factors.
 
 Each check rebuilds a float point's image from coordinates with mpmath and
 compares the float defect state (delta, tail, margin) with the image's,
@@ -18,7 +19,7 @@ from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DomainError
 
-from conftest import random_interior
+from conftest import fixed_blaschke, random_interior
 
 mp = mpmath.mp
 DPS = 150
@@ -149,7 +150,8 @@ def _blaschke(zeros):
     def b(z):
         out = mp.mpc(1)
         for a in zeros:
-            out *= (z - mp.mpf(a)) / (1 - mp.mpf(a) * z)
+            a = mp.mpc(a)
+            out *= (z - a) / (1 - mp.conj(a) * z)
         return out
     return b
 
@@ -193,6 +195,30 @@ def test_radial_anchor_steps_match_coordinates(case):
                 z = _coords(unit, anchors.delta[i], anchors.tail[i])
                 _assert_state(out.delta[i], out.tail[i], out.margin[i],
                               [f_mp(z[0])], unit)
+
+
+def test_complex_zeros_at_unimodular_fixed_points():
+    """Blaschke products with complex zeros and theta != 0, each at a
+    random unimodular fixed point zeta with dilation lam >= 1.6: anchors
+    r_0..r_60 stepped once, against the product on 50 digits below the
+    anchor's depth.  The plan keeps zeta's bytes as the images' reference,
+    treating zeta as fixed as `AxialStage` does, so the oracle takes zeta
+    of modulus 1 and the rotation that fixes it exactly."""
+    rng = np.random.default_rng(26)
+    ks = range(61)
+    with mp.workdps(DPS):
+        for _ in range(24):
+            zeros, f, zeta, lam = fixed_blaschke(rng)
+            assert f._plan(zeta.coords).ref.tobytes() == zeta.coords.tobytes()
+            unit = _unit(zeta)
+            b = _blaschke(zeros)
+            turn = unit[0] / b(unit[0])
+            anchors = orb.radial_anchors(zeta, lam, ks)
+            out = cat.step_point(f, anchors)
+            for i in range(len(anchors)):
+                z = _coords(unit, anchors.delta[i], anchors.tail[i])
+                _assert_state(out.delta[i], out.tail[i], out.margin[i],
+                              [turn * b(z[0])], unit)
 
 
 def test_deep_iterate_off_axis_matches_coordinates(rng):

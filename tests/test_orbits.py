@@ -14,7 +14,7 @@ from ballorbits import geometry as geo
 from ballorbits import orbits as orb
 from ballorbits.errors import DomainError, NumericalError
 
-from conftest import count_calls
+from conftest import count_calls, unplanned_hyperbolic
 
 GOLDEN = Path(__file__).parent / "golden"
 LOG3 = np.log(3.0)
@@ -200,23 +200,33 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
     return recs
 
 
-def _picky(disc_auto, near=None):
-    """The disc automorphism in raw coordinates, refusing points beyond
-    radius 0.99, or within 1e-6 of radius `near`, with their coordinate in
-    the message."""
-    def evaluate(z):
+class _Picky(cat.SelfMap):
+    """The map `children[0]` in raw coordinates, with no plan, refusing
+    points beyond radius 0.99, or within 1e-6 of radius `params[0]`, with
+    their coordinate in the message."""
+    kind = "picky"
+
+    def _evaluate(self, z):
+        near, = self.params
         if abs(z[0]) > 0.99 or near is not None and abs(abs(z[0]) - near) < 1e-6:
             raise ValueError(f"refused {float(z[0].real)!r}")
-        return cat.evaluate(disc_auto, z)
-    return cat.callable_map(evaluate, 1)
-
-
-class _LoneOnly(cat.CallableMap):
-    """The map `params[1]`, planned with a kernel that refuses more than one
-    row."""
+        return cat.evaluate(self.children[0], z)
 
     def _plan(self, ref):
-        plan = self.params[1]._plan(ref)
+        return None
+
+
+def _picky(disc_auto, near=None):
+    return _Picky(q=1, params=(near,), children=(disc_auto,))
+
+
+class _LoneOnly(cat.SelfMap):
+    """The map `children[0]`, planned with a kernel that refuses more than
+    one row."""
+    kind = "lone_only"
+
+    def _plan(self, ref):
+        plan = self.children[0]._plan(ref)
 
         def kernel(delta, tail, margin):
             if len(delta) > 1:
@@ -228,7 +238,7 @@ class _LoneOnly(cat.CallableMap):
 def test_stopping_batch_error_when_no_anchor_raises_alone(disc_auto, e1):
     """A step that raises only for the batch: every anchor runs alone, none
     raises, and the batch's own error comes out."""
-    f = _LoneOnly(q=1, params=(None, disc_auto))
+    f = _LoneOnly(q=1, children=(disc_auto,))
     for k in (2, 5):
         rec, = orb.stopping_time(f, orb.radial_anchors(e1, 3.0, [k]), e1, k=[k])
         assert (rec.n, rec.capped) == (k + 1, False)
@@ -236,7 +246,7 @@ def test_stopping_batch_error_when_no_anchor_raises_alone(disc_auto, e1):
         orb.stopping_time(f, orb.radial_anchors(e1, 3.0, [2, 5]), e1, k=[2, 5])
 
 
-@pytest.mark.parametrize("case", ["cleared", "offaxis", "callable", "capped",
+@pytest.mark.parametrize("case", ["cleared", "offaxis", "unplanned", "capped",
                                   "raising"])
 def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
                                          e1):
@@ -252,12 +262,12 @@ def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
         zeta = geo.boundary_point([0.6, 0.8j])
         f = cat.hyperbolic_selfmap(zeta, 3.0)
     else:
-        # raw coordinates.  callable: from k = 31 on, a step lands
+        # raw coordinates.  unplanned: from k = 32 on, a step lands
         # within the sphere's guard; raising: from k = 5 on, the anchor is
         # beyond radius 0.99
-        f = (cat.callable_map(lambda z: cat.evaluate(disc_auto, z), 1)
-             if case == "callable" else _picky(disc_auto))
-        error = NumericalError if case == "callable" else ValueError
+        f = (unplanned_hyperbolic() if case == "unplanned"
+             else _picky(disc_auto))
+        error = NumericalError if case == "unplanned" else ValueError
         with pytest.raises(error) as lanes:
             orb.stopping_time(f, orb.radial_anchors(zeta, 3.0, ks), zeta,
                               k=ks)
@@ -279,7 +289,7 @@ def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
                                    zeta, n_max)
             assert str(lanes.value) == str(alone.value)
             assert abs(float(str(lanes.value).split()[1]) - 0.5) < 1e-6
-        ks = range(1, 31) if case == "callable" else range(1, 5)
+        ks = range(1, 32) if case == "unplanned" else range(1, 5)
     recs = _anchor_lanes(f, zeta, 3.0, ks, n_max)
     capped = sum(rec.capped for rec in recs)
     assert 0 < capped < len(recs) if case == "capped" else capped == 0
@@ -336,17 +346,15 @@ def _chain_bytes(p):
     return _point_bytes(p) + (None if p.ref is None else p.tail().tobytes(),)
 
 
-@pytest.mark.parametrize("name", [*HARVEST_SPECS, "callable"])
-def test_harvested_chains_are_the_stepwise_chains(name, disc_auto, e1,
-                                                  tmp_path):
+@pytest.mark.parametrize("name", [*HARVEST_SPECS, "unplanned"])
+def test_harvested_chains_are_the_stepwise_chains(name, e1, tmp_path):
     """Every chain harvested from one run of the anchors k = 1..40, against
     the anchor stepped alone, point by point and read backward: every point
     as bytes.  Every chain is a `PointBatch` held against zeta; a map that
     steps in coordinates keeps each image's coordinates and margin, with
     the defect `with_reference` gives them."""
-    if name == "callable":   # from k = 31 on, a step nears the sphere
-        f, zeta, lam, ks = (cat.callable_map(
-            lambda z: cat.evaluate(disc_auto, z), 1), e1, 3.0, range(1, 31))
+    if name == "unplanned":   # from k = 32 on, a step nears the sphere
+        f, zeta, lam, ks = unplanned_hyperbolic(), e1, 3.0, range(1, 32)
     else:
         spec, zeta_text = HARVEST_SPECS[name]
         if spec.startswith("[map]"):
@@ -746,6 +754,25 @@ def test_newton_seed_with_another_reference(disc_auto, e1):
     assert abs(img.delta - target.delta) < 1e-12 * abs(target.delta)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cat.catalog_build("unitary", matrix=np.array([[np.exp(0.5j)]])),
+    lambda: cat.blaschke_product([0.3 + 0.2j, -0.1j], 0.4),
+], ids=["unitary", "blaschke"])
+def test_newton_where_the_map_moves_the_reference(make):
+    """Neither map fixes +1, so their images of points held against +1 hold
+    against another reference, and a residual comparing the two defects
+    compares points held against different references.  The solve then
+    leaves the defect form, and its preimage maps onto the target."""
+    f = make()
+    target = geo.boundary_adapted_point([1.0], 0.3 + 0.1j)
+    seed = geo.boundary_adapted_point([1.0], 0.25)
+    assert not geo._same_direction(f._plan(target.ref).ref, target.ref,
+                                   geo.FIX_TOL)
+    pre = orb.newton_preimage(f, target, seed)
+    assert np.abs(cat.evaluate(f, pre.coords)
+                  - target.coords).max() <= 1e-12 * abs(target.delta)
+
+
 @pytest.fixture(scope="module")
 def c06_march(cleared_blaschke, blaschke_orbit):
     """Criterion 06's preimage march."""
@@ -1075,6 +1102,31 @@ def test_march_holds_its_start_against_zeta(disc_auto, e1):
                  disc_auto, z0, e1, 12, lam_hint=3.0).orbit.points]
             for z0 in starts]
     assert runs[0] == runs[1]
+
+
+def test_march_solves_each_step_at_a_complex_zeta():
+    """A q = 1 march at zeta = e^{2.13i}, on a Blaschke product with two
+    complex zeros turned to fix it (dilation 6.29): each point maps onto
+    the one before within the solve's 1e-12 relative, to depth 41.  Its
+    start holds against zeta from coordinates with a tail of exactly 0: a
+    q = 1 tail of roundoff (7e-18) would stay as the points go deeper and,
+    past depth 35, outweigh delta in the solve's tolerance and in the
+    margins, leaving residuals of 1e-2."""
+    zeros = [-0.32096553563217606 + 0.6674664684669969j,
+             -0.3538157543117615 - 0.5262670842007672j]
+    f = cat.blaschke_product(zeros, -1.842057824944224)
+    zeta = geo.boundary_point([-0.5259916310522812 + 0.8504897436553606j])
+    lam = sum((1.0 - abs(a) ** 2) / abs(zeta.coords[0] - a) ** 2
+              for a in zeros)
+    chain = orb.construct_backward_orbit(f, zeta, lam).orbit
+    pts = orb.offset_preimage_orbit(f, chain, lam, 0.05).orbit.points
+    assert len(pts) == 42 and not pts.tail.any()
+    img = cat.step_point(f, pts[1:])
+    assert img.ref is pts.ref
+    for name in ("delta", "margin"):
+        want = getattr(pts, name)[:-1]
+        assert np.all(np.abs(getattr(img, name) - want)
+                      <= 1e-12 * np.abs(want)), name
 
 
 @pytest.mark.parametrize("lam_hint", [None, 3.0])

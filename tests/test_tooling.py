@@ -15,18 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import unplanned_hyperbolic
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 SRC = ROOT / "src" / "ballorbits"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MAX_OPTIONS = 37
+MAX_OPTIONS = 36
 # `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
 # aims at 3,319
-MAX_SRC_LINES = 3670
+MAX_SRC_LINES = 3645
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
-    "callable_map",    # the entry point for a map given as a raw evaluator
     "geodesic_point",  # the geodesic primitive that tests build points with
     "certify_brfp",    # ROADMAP item 3 gives it a caller: certify zeta first
                        # (README describes it already)
@@ -65,8 +66,8 @@ def test_traced_layers_reached():
     tracer = runpy.run_path(str(TRACER))["Tracer"]()
     e1 = geometry.basis_boundary_point(1)
     auto = catalog.hyperbolic_selfmap(e1, 3.0)
-    # no structured step: the chain steps in coordinates, held against e1
-    raw = catalog.callable_map(lambda z: catalog.evaluate(auto, z), 1)
+    # no plan at e1: the chain steps in coordinates, held against e1
+    raw = unplanned_hyperbolic()
     tracer.install()
     try:
         res = orbits.construct_backward_orbit(
