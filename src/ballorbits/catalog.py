@@ -32,6 +32,7 @@ from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
 from .sampling import (_axial_translates, adapted_at, sample_ball,
                        sample_shell)
 
+
 @dataclass(frozen=True)
 class SelfMap:
     """A self-map of B^q.  Each subclass is one map kind, with `params` its

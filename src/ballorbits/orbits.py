@@ -505,7 +505,7 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     ref, q = target.ref, f.q
     if seed.ref is None or not np.array_equal(seed.ref, ref):
         seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
-    plan = f._plan(ref)   # its images' delta must hold against ref too
+    plan = f._plan(ref)
     if plan is None or not geo._same_direction(plan.ref, ref, geo.FIX_TOL):
         return None
     rot = geo.unitary_taking(geo.basis_boundary_point(q).coords, ref)
