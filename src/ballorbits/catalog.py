@@ -28,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import (ConfigError, DilationOutOfScope, DomainError,
                      DimensionMismatch, NumericalError)
-from .geometry import BallPoint, BoundaryPoint, herm, sq_norm
+from .geometry import BoundaryPoint, herm, sq_norm
 from .sampling import (_axial_translates, adapted_at, sample_ball,
                        sample_shell)
 
@@ -40,25 +40,15 @@ class SelfMap:
     `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
     (broadcasting over leading axes; the Jacobian is [..., q, q]), and
     `_plan(ref)`: the map planned against one boundary reference (a
-    `geometry.Plan`), or None when the kind cannot keep the defect
-    representation exact there.  Whether a kind steps adapted depends on
-    ref alone.  A row of a plan's kernel rounds as the point alone.  Callers
-    use `evaluate`, `jacobian`, `adapted_step` and `step_point`."""
+    `geometry.Plan`), made at every ref but by a warped product off its
+    invariant circle (None).  A plan depends on ref alone, and a row of its
+    kernel rounds as the point alone.  Callers use `evaluate`, `jacobian`,
+    `adapted_step`, `step_point` and `plan_at`."""
 
     q: int
     params: tuple = ()
     children: tuple = ()
     label: str = ""
-
-
-def _run(plan: geo.Plan, ref, delta, tail, margin):
-    """A plan's kernel on a state held against ref, with its checks."""
-    if plan.check_in:
-        geo.PointBatch(ref, delta, tail, margin)
-    state = plan.kernel(delta, tail, margin)
-    if plan.check_out:
-        geo.PointBatch(plan.ref, *state)
-    return state
 
 
 class Blaschke(SelfMap):
@@ -176,21 +166,22 @@ class WarpedProduct(SelfMap):
         return j
 
     def _plan(self, ref):
+        """The factor's plan, with its checks on the product's state, on the
+        invariant circle |z_1| = 1, z' = 0; None off it, where |c| < 1
+        sends ref into the ball."""
         c, = self.params
-        if np.abs(ref[1:]).max() > 1e-14:   # boundary point must be (+-1, 0)
+        if np.abs(ref[1:]).max() > 1e-14:
             return None
-        sub = self.children[0]._plan(ref[:1])
-        if sub is None:
-            return None
+        sub = self.children[0]._plan(ref[:1])   # every disc map plans
 
         def kernel(delta, tail, margin):
             tail_sq = sq_norm(tail)
-            delta1, _, m1 = _run(sub, ref[:1], delta,
-                                 np.zeros(delta.shape + (1,), complex),
-                                 margin + tail_sq)
+            delta1, _, m1 = sub.kernel(delta, np.zeros(delta.shape + (1,),
+                                                       complex),
+                                       margin + tail_sq)
             return delta1, c * tail, m1 - abs(c) ** 2 * tail_sq
         return geo.Plan(np.append(sub.ref, np.zeros(self.q - 1, complex)),
-                        kernel)
+                        kernel, sub.check_in, sub.check_out)
 
 
 class Compose(SelfMap):
@@ -429,9 +420,9 @@ def jacobian(f: SelfMap, z) -> np.ndarray:
 
 def adapted_step(f: SelfMap, p):
     """f on a boundary-adapted point, or on every point of a `PointBatch`
-    in one kernel call; None when the map structure cannot keep the defect
-    representation exact.  Row i of a batch's image is the image of
-    `p.point(i)`, bit for bit: one point is the batch of one."""
+    in one kernel call; None for a point without a reference, or where f
+    has no plan.  Row i of a batch's image is the image of `p.point(i)`,
+    bit for bit: one point is the batch of one."""
     plan = None if p.ref is None else f._plan(p.ref)
     if plan is None:
         return None
@@ -440,31 +431,24 @@ def adapted_step(f: SelfMap, p):
 
 
 def step_point(f: SelfMap, p):
-    """f(p) for a BallPoint or for every point of a `PointBatch`: adapted
-    when possible, else from raw coordinates evaluated point by point, a
-    batch's images held against its reference (`geo.held`)."""
+    """f(p) for a point held against a reference, or for every point of a
+    `PointBatch`: its `adapted_step`, or the DomainError of `plan_at`."""
     out = adapted_step(f, p)
-    if out is not None:
-        return out
-    if isinstance(p, geo.PointBatch):
-        return _raw_images(f, p)
-    return _raw_step(f, p.coords)
+    if out is None:
+        plan_at(f, p.ref)   # raises: f has no plan at p's reference
+    return out
 
 
-def _raw_images(f: SelfMap, batch) -> geo.PointBatch:
-    """f on a batch's points from coordinates, held against its ref."""
-    return geo.held([_raw_step(f, coords) for coords in batch.coords],
-                    BoundaryPoint(batch.ref))
-
-
-def _raw_step(f: SelfMap, coords) -> BallPoint:
-    coords = evaluate(f, coords)
-    n = np.linalg.norm(coords)
-    if 1.0 - n < geo.BOUNDARY_GUARD:
-        raise NumericalError(
-            "iterate reached the numerical boundary, where this map has no "
-            "structured stepping")
-    return geo.ball_point(coords)
+def plan_at(f: SelfMap, ref) -> geo.Plan:
+    """f planned against the boundary reference ref, or a DomainError where
+    it has no plan (a warped product off its invariant circle)."""
+    plan = f._plan(ref)
+    if plan is None:
+        norm = float(np.linalg.norm(evaluate(f, ref)))
+        raise DomainError(f"the map sends zeta = {np.round(ref, 6)} to norm "
+                          f"{norm:.6g}{', into the ball' * (norm < 1.0)}, "
+                          "and has no plan there")
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +475,7 @@ def koranyi_probes(zeta: BoundaryPoint, s_values):
     each, row i at s_values[i]: the radius (`geo._axis_point`), plus two
     tangentially displaced copies (complex-tangent displacement for q = 1),
     whose starts move toward zeta by one broadcast `AxialStage`, row for
-    row `_axial_transport`."""
+    row the stage on one start."""
     offsets = (0.15, -0.15)
     if zeta.q == 1:
         u_vecs = [1j * off * zeta.coords for off in offsets]
@@ -508,36 +492,25 @@ def koranyi_probes(zeta: BoundaryPoint, s_values):
         for i in range(len(starts))]
 
 
-def _probe_images(f: SelfMap, seq):
-    """f on one probe sequence: one planned step for the whole batch, or,
-    for a map without a plan there, raw steps point by point up to the
-    first that reaches the numerical boundary."""
-    plan = f._plan(seq.ref)
-    if plan is not None:
-        return plan.step(seq)
-    images = []
-    for p in seq:
-        try:
-            images.append(_raw_step(f, p.coords))
-        except NumericalError:
-            break
-    return images
-
-
 def _k_limit_residuals(f: SelfMap, zeta: BoundaryPoint):
-    """|f(z_i) - zeta| along each of the three Koranyi probe sequences, or
-    None at the first whose images do not tend to zeta."""
+    """|f(z_i) - zeta| along each of the three Koranyi probe sequences, each
+    one batch stepped by f's plan at zeta; None without a plan, or at the
+    first sequence whose images do not tend to zeta."""
+    plan = f._plan(zeta.coords)
+    if plan is None:
+        return None
     residuals = []
     for seq in koranyi_probes(zeta, np.arange(4.0, 24.01, 2.0)):
-        res = geo.dist_to_zeta(_probe_images(f, seq), zeta)
-        if len(res) < 4 or res[-1] > 1e-8 or res[-1] > res[0]:
+        res = geo.dist_to_zeta(plan.step(seq), zeta)
+        if res[-1] > 1e-8 or res[-1] > res[0]:
             return None
         residuals.append(res)
     return residuals
 
 
 def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint) -> bool:
-    """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe sequences."""
+    """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe
+    sequences."""
     return _k_limit_residuals(f, zeta) is not None
 
 
@@ -558,17 +531,15 @@ def estimate_dilation(f: SelfMap, zeta: BoundaryPoint) -> DilationEstimate:
     (the decay rate of every catalog map).  The liminf defining the dilation
     is over all approaches to zeta but is attained radially for the maps
     built here; `jacobian_check` guards that assumption.  f is planned at
-    zeta once: a planned map steps the grid through its plan's kernel as one
-    batch, out to s = 30; any other map steps it point by point, to s = 16.
+    zeta once (`plan_at`), and the grid, out to s = 30, steps through the
+    plan's kernel as one batch.
     """
     # planned against the reference its radial points hold, read off one
     # built point: the `orbit` path's last call of boundary_adapted_point,
     # a name perfbench's traced construct run must reach (ROADMAP item 9)
-    plan = f._plan(geo._axis_point(zeta, 1.0).ref)
-    grid = np.arange(1.0, (16.0 if plan is None else 30.0) + 1e-9, 0.5)
-    radius = geo._axis_batch(zeta, grid)
-    images = _raw_images(f, radius) if plan is None else plan.step(radius)
-    prof = grid - geo.kob_dist_origin(images)
+    plan = plan_at(f, geo._axis_point(zeta, 1.0).ref)
+    grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+    prof = grid - geo.kob_dist_origin(plan.step(geo._axis_batch(zeta, grid)))
     if prof[-1] > 23.0 and prof[-1] - prof[-4] > 1.0:
         raise DilationOutOfScope(
             "radial profile diverges: super-repelling point (dilation = inf)")

@@ -23,9 +23,10 @@ computed without subtractive cancellation.  The tail is stored, not read
 back from coordinates, which round toward the sphere.  All
 distance/horofunction routines prefer those fields when available;
 coordinates alone stop being usable roughly at 1 - |z| ~ 1e-14 and are
-rejected there.  Structured automorphisms step such points exactly: each
-stage plans into a `Plan` against one reference, `chain` plans a list of
-parts into one, and `Plan.step` is the one planned step of a `PointBatch`.
+rejected there.  Automorphisms step such points exactly: each plans into a
+`Plan` against any reference, by its stage at the stage's fixed point and
+by one closed form elsewhere; `chain` plans a list of parts into one, and
+`Plan.step` is the one planned step of a `PointBatch`.
 """
 
 from __future__ import annotations
@@ -623,8 +624,8 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
 # Stages let structured automorphisms act on boundary-adapted points by exact
 # recursions on the state (delta[n], tail[n, q], margin[n]) of n points held
 # against one ref.  A stage's `plan(ref)` makes every decision that depends on
-# ref once, or is None where the stage cannot stay exact; `inverse` is the
-# stage of the inverse map.  A row rounds as the point alone (one point is the
+# ref once, or is None off the stage's fixed point, where its automorphism
+# plans by its closed form; `inverse` is the stage of the inverse map.  A row rounds as the point alone (one point is the
 # batch of one), and matrices act through einsum.
 
 @dataclass(frozen=True)
@@ -674,7 +675,7 @@ def chain(planners, ref) -> Plan | None:
 @dataclass(frozen=True)
 class AxialStage:
     """z |-> -phi_{c zeta}(z), c = (lam - 1)/(lam + 1): fixes +-zeta, with
-    boundary dilation lam at zeta and 1/lam at -zeta.
+    boundary dilation lam at zeta, where it plans.
 
     With den = 1 + (lam - 1) delta / 2 the state moves to
 
@@ -690,12 +691,9 @@ class AxialStage:
     lam: float
 
     def plan(self, ref):
-        if _same_direction(self.zeta, ref, FIX_TOL):
-            lam = self.lam
-        elif _same_direction(-self.zeta, ref, FIX_TOL):
-            lam = 1.0 / self.lam
-        else:
+        if not _same_direction(self.zeta, ref, FIX_TOL):
             return None
+        lam = self.lam
 
         def kernel(delta, tail, margin):
             den = 1.0 + (lam - 1.0) * delta / 2.0
@@ -767,11 +765,47 @@ class Automorphism:
     def q(self) -> int:
         return self.center.shape[0]
 
-    def plan(self, ref) -> Plan | None:
-        """The stages chained against ref (`chain`), checking the state in
-        and out, or None without stages or where one cannot stay exact."""
-        plan = chain([st.plan for st in self.stages], ref)
-        return plan and Plan(plan.ref, plan.kernel, True, True)
+    def plan(self, ref) -> Plan:
+        """g planned against any unit ref, checking the state in and out:
+        its stages (`chain`) where they plan, else `_closed_plan`."""
+        plan = chain([st.plan for st in self.stages], ref) \
+            or self._closed_plan(ref)
+        return Plan(plan.ref, plan.kernel, True, True)
+
+    def _closed_plan(self, ref) -> Plan:
+        """g = U phi_a at any unit ref, by 1 - <phi_a(z), phi_a(w)> =
+        (1 - |a|^2)(1 - <z, w>) / ((1 - <z, a>)(1 - <a, w>)) (Rudin, *Function
+        Theory in the Unit Ball of C^n*, Thm 2.2.2).  With D = z - ref =
+        -delta ref + tail, om = 1 - <ref, a>, L = (1 - |a|^2)/|om|^2,
+        den = 1 - <D, a>/om and s = sqrt(1 - |a|^2), the image held against
+        eta = U phi_a(ref) (or ref, within FIX_TOL of it) has
+
+            delta' = L delta / den,   margin' = L margin / |den|^2,
+
+        and as tail the part orthogonal to eta of g(z) - eta =
+        U (phi_a(ref) <D, a> - s D - <D, a> a/(1 + s)) / (om den), 0 in
+        q = 1.  No term cancels near ref."""
+        a, u, aa = self.center, self.unitary, sq_norm(self.center)
+        s, om = np.sqrt(1.0 - aa), 1.0 - herm(ref, a)
+        lam = (1.0 - aa) / abs_sq(om)
+        image = mobius_shift(a, ref)
+        eta = u @ image / np.linalg.norm(u @ image)
+        if _same_direction(eta, ref, FIX_TOL):
+            eta = ref
+
+        def kernel(delta, tail, margin):
+            d = tail - _cmul(delta[..., None], ref)
+            da = herm(d, a)
+            den = 1.0 - da / om
+            if self.q == 1:
+                new_tail = np.zeros_like(tail)
+            else:
+                w = (_cmul(da[..., None], image) - s * d
+                     - _cmul(da[..., None], a / (1.0 + s)))
+                w = np.einsum("ij,...j->...i", u, w) / (om * den)[..., None]
+                new_tail = w - _cmul(herm(w, eta)[..., None], eta)
+            return lam * delta / den, new_tail, lam * margin / abs_sq(den)
+        return Plan(eta, kernel)
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -791,7 +825,7 @@ def identity_automorphism(q: int) -> Automorphism:
 
 def mobius_involution(a: BallPoint) -> Automorphism:
     """The involution exchanging a and 0 (phi_0 is the antipodal map); it
-    has no stages, so it acts on coordinates."""
+    has no stages, so it plans by `Automorphism._closed_plan`."""
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
     return _aut(a.coords, np.eye(a.q, dtype=complex), label="involution")

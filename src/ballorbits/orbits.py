@@ -152,10 +152,10 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
     keep the iterates up to the exit for `harvest_chain`.
 
     Every lane steps in one kernel call per step, f planned once per
-    reference the batch holds.  A lane retires when it leaves the
-    horosphere or reaches `n_max` (capped).  If a step raises, the anchors
-    rerun alone, lowest first, so that the lowest anchor's error comes out;
-    if none raises alone, the batch's own error does.
+    reference the batch holds (`cat.plan_at`).  A lane retires when it
+    leaves the horosphere or reaches `n_max` (capped).  If a step raises,
+    the anchors rerun alone, lowest first, so that the lowest anchor's
+    error comes out; if none raises alone, the batch's own error does.
     """
     points, ks = anchors, list(k)
     lanes = np.arange(len(ks))
@@ -176,10 +176,9 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
             break
         try:
             if points.ref.tobytes() != planned:
-                planned, plan = points.ref.tobytes(), f._plan(points.ref)
-            # points without a structured step step in coordinates
-            points = cat.step_point(f, points) if plan is None else \
-                plan.step(points)
+                planned = points.ref.tobytes()
+                plan = cat.plan_at(f, points.ref)
+            points = plan.step(points)
         except Exception:
             if len(ks) > 1:   # the lowest anchor to raise alone raises here
                 for i in range(len(ks)):
@@ -195,8 +194,8 @@ def stopping_time(f: cat.SelfMap, anchors: PointBatch, zeta: BoundaryPoint,
 def _grid(frames, n_lanes, zeta):
     """The frames held against zeta (`held`) as one `PointBatch` grid, point
     (lane, j) the lane's j-th iterate (nan once retired).  The grid keeps
-    coordinates when a held frame has its own (raw steps, or a reference
-    other than zeta's bytes)."""
+    coordinates when a held frame has its own (a plan whose images hold a
+    reference other than zeta's bytes)."""
     frames = [(geo.held(p, zeta), lanes) for p, lanes in frames]
     first = frames[0][0]
     grid = {name: np.full((n_lanes, len(frames)) + a.shape[1:], np.nan,
@@ -604,9 +603,8 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     step sees the candidates a step-by-step march sees.
 
     Every point of the march, z_0 included (`geo.held`), and every
-    candidate is held against zeta.  Whether f steps adapted depends on the
-    map and the reference alone (every kind's `_plan` decides from `ref`),
-    so the march and each adapted solve plan once.  Grid solutions equal
+    candidate is held against zeta, and each adapted solve plans f once
+    against zeta (`_newton_adapted`).  Grid solutions equal
     to an earlier candidate (within 1e-8) are dropped before points are built.
     """
     if n_steps < 1:
@@ -615,8 +613,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    adapted = f._plan(zeta.coords) is not None
-    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps)) if adapted else []
+    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps))
     grids = []   # each walked step's grid solutions
     if walk:
         targets = np.array([p.coords for p, _, _ in walk]).repeat(len(grid), 0)
@@ -630,11 +627,10 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
             uniq, outs = [walk[step_idx][2]], grids[step_idx]
         else:
             uniq = []
-            if adapted:
-                try:
-                    uniq.append(_adapted_preimage(f, cur, lam_guess))
-                except (NumericalError, DomainError):
-                    pass
+            try:
+                uniq.append(_adapted_preimage(f, cur, lam_guess))
+            except (NumericalError, DomainError):
+                pass
             outs = (_newton_coords(f, cur.coords, grid, 1e-12, 60)
                     if not uniq or step_idx < 8 else ())
         kept = [c.coords for c in uniq]

@@ -12,7 +12,7 @@ from ballorbits import orbits as orb
 from ballorbits.errors import DimensionMismatch, DomainError
 from ballorbits.sampling import tube_samples
 
-from conftest import unplanned_hyperbolic
+from conftest import offaxis_conjugate
 
 LOG3 = np.log(3.0)
 
@@ -243,23 +243,25 @@ def test_tube_covering_matches_full_matrix(offaxis_chains, q, width, form):
 
 
 def test_tube_covering_matches_full_matrix_on_coordinate_points(e1):
-    # no plan at e1: every point but the deepest, its anchor, holds
-    # coordinates alone
-    res = orb.construct_backward_orbit(
-        unplanned_hyperbolic(), e1, 3.0,
-        orb.OrbitParams(k_max=6, dist_target=1e-2))
+    # the off-axis conjugate's chain with every point but the deepest, its
+    # anchor, read back from its coordinates alone
+    chain = orb.construct_backward_orbit(
+        offaxis_conjugate(), e1, 3.0,
+        orb.OrbitParams(k_max=6, dist_target=1e-2)).orbit.points
+    coords = [geo.ball_point(p.coords) for p in list(chain)[:-1]]
+    seg = orb.OrbitSegment(points=coords + [chain[-1]], zeta=e1, lam=3.0)
     # held against e1 with the defect `with_reference` gives their
-    # coordinates, which are the raw steps'
-    assert res.orbit.points.ref.tobytes() == e1.coords.tobytes()
-    for p in list(res.orbit.points)[:-1]:
-        alone = geo.with_reference(geo.ball_point(p.coords), e1)
+    # coordinates
+    assert seg.points.ref.tobytes() == e1.coords.tobytes()
+    for p, z in zip(seg.points, coords):
+        alone = geo.with_reference(z, e1)
         assert ((p.coords.tobytes(), np.float64(p.margin).tobytes(),
                  np.complex128(p.delta).tobytes(), p.tail().tobytes())
                 == (alone.coords.tobytes(), np.float64(alone.margin).tobytes(),
                     np.complex128(alone.delta).tobytes(),
                     alone.tail().tobytes()))
     for width in (0.0, 0.5, 2.0):
-        _assert_covering_matches(res.orbit, e1, width, np.arange(1.0, 6.0))
+        _assert_covering_matches(seg, e1, width, np.arange(1.0, 6.0))
 
 
 @pytest.fixture(scope="module")

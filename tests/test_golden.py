@@ -16,9 +16,9 @@ cluster` and checks its exit code and its stdout against
 cluster their anchor chains, and so does the turned Blaschke map, whose
 complex zero and rotation step by the same closed form at zeta = e^{0.7i}
 as the real zeros do at +1.  Every chain these sources build, and the
-preimage march's, the CSV reader's and that of a map with no plan at
-zeta, is one `PointBatch` held against zeta, with the coordinates its
-source gave (`test_chains_are_held_batches`).
+preimage march's, the CSV reader's and that of a conjugate whose outer
+parts fix no reference they meet, is one `PointBatch` held against zeta,
+with the coordinates its source gave (`test_chains_are_held_batches`).
 The `suite` report golden is checked in test_acceptance.py.
 """
 
@@ -33,7 +33,7 @@ from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits
 
-from conftest import unplanned_hyperbolic
+from conftest import offaxis_conjugate
 
 GOLDEN = Path(__file__).parent / "golden"
 # the first column of the unitary conjugator in conjugate_unitary.ini
@@ -173,9 +173,9 @@ def _cli_chain(argv):
     return cli._construct(cli.build_parser().parse_args(argv))[-1].orbit
 
 
-def _unplanned_chain():
+def _offaxis_conjugate_chain():
     return orbits.construct_backward_orbit(
-        unplanned_hyperbolic(), geo.basis_boundary_point(1), 3.0,
+        offaxis_conjugate(), geo.basis_boundary_point(1), 3.0,
         orbits.OrbitParams(k_max=6, dist_target=1e-2)).orbit
 
 
@@ -200,7 +200,7 @@ CHAIN_SOURCES = {
        for name, (spec, zeta) in ORBIT_CASES.items()},
     "cluster_blaschke_turned": lambda _: _cli_chain(
         ["orbit", *CLUSTER_CASES["blaschke_turned"], "--mode", "cluster"]),
-    "unplanned": lambda _: _unplanned_chain(),
+    "offaxis_conjugate": lambda _: _offaxis_conjugate_chain(),
     "criterion_06_march": lambda _: _march_chain(),
     "read_orbit_csv": _csv_chain,
 }

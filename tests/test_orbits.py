@@ -14,7 +14,7 @@ from ballorbits import geometry as geo
 from ballorbits import orbits as orb
 from ballorbits.errors import DomainError, NumericalError
 
-from conftest import count_calls, unplanned_hyperbolic
+from conftest import count_calls, offaxis_conjugate
 
 GOLDEN = Path(__file__).parent / "golden"
 LOG3 = np.log(3.0)
@@ -189,8 +189,8 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
     for k, rec in zip(ks, recs, strict=True):
         r_k = orb.radial_anchor(zeta, lam, k)
         n, h, capped, pts = reference_stopping(f, r_k, zeta, n_max)
-        # the run holds every iterate against zeta: a raw step's image, or
-        # a rotated one, with the defect `with_reference` gives it
+        # the run holds every iterate against zeta: one held against
+        # another reference with the defect `with_reference` gives it
         pts = list(geo.held(pts, zeta))
         assert (rec.k, rec.n, rec.capped) == (k, n, capped)
         assert np.float64(rec.exit_margin).tobytes() == np.float64(h).tobytes()
@@ -201,19 +201,24 @@ def _anchor_lanes(f, zeta, lam, ks, n_max=100000):
 
 
 class _Picky(cat.SelfMap):
-    """The map `children[0]` in raw coordinates, with no plan, refusing
-    points beyond radius 0.99, or within 1e-6 of radius `params[0]`, with
-    their coordinate in the message."""
+    """The map `children[0]`, planned with a kernel that refuses rows beyond
+    radius 0.99, or within 1e-6 of radius `params[0]`, with the first such
+    row's coordinate in the message."""
     kind = "picky"
 
-    def _evaluate(self, z):
-        near, = self.params
-        if abs(z[0]) > 0.99 or near is not None and abs(abs(z[0]) - near) < 1e-6:
-            raise ValueError(f"refused {float(z[0].real)!r}")
-        return cat.evaluate(self.children[0], z)
-
     def _plan(self, ref):
-        return None
+        near, = self.params
+        plan = self.children[0]._plan(ref)
+
+        def kernel(delta, tail, margin):
+            z = geo._defect_coords(ref, delta, tail)[:, 0]
+            bad = np.abs(z) > 0.99
+            if near is not None:
+                bad |= np.abs(np.abs(z) - near) < 1e-6
+            if bad.any():
+                raise ValueError(f"refused {float(z[bad][0].real)!r}")
+            return plan.kernel(delta, tail, margin)
+        return geo.Plan(plan.ref, kernel)
 
 
 def _picky(disc_auto, near=None):
@@ -246,8 +251,8 @@ def test_stopping_batch_error_when_no_anchor_raises_alone(disc_auto, e1):
         orb.stopping_time(f, orb.radial_anchors(e1, 3.0, [2, 5]), e1, k=[2, 5])
 
 
-@pytest.mark.parametrize("case", ["cleared", "offaxis", "unplanned", "capped",
-                                  "raising"])
+@pytest.mark.parametrize("case", ["cleared", "offaxis", "offaxis_conjugate",
+                                  "capped", "raising"])
 def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
                                          e1):
     """One batch of the anchors k = 1..40 against the anchors run one by
@@ -261,35 +266,32 @@ def test_stopping_lanes_match_per_anchor(case, cleared_blaschke, disc_auto,
     elif case == "offaxis":
         zeta = geo.boundary_point([0.6, 0.8j])
         f = cat.hyperbolic_selfmap(zeta, 3.0)
+    elif case == "offaxis_conjugate":
+        f = offaxis_conjugate()
     else:
-        # raw coordinates.  unplanned: from k = 32 on, a step lands
-        # within the sphere's guard; raising: from k = 5 on, the anchor is
-        # beyond radius 0.99
-        f = (unplanned_hyperbolic() if case == "unplanned"
-             else _picky(disc_auto))
-        error = NumericalError if case == "unplanned" else ValueError
-        with pytest.raises(error) as lanes:
+        # from k = 5 on, the anchor is beyond radius 0.99
+        f = _picky(disc_auto)
+        with pytest.raises(ValueError) as lanes:
             orb.stopping_time(f, orb.radial_anchors(zeta, 3.0, ks), zeta,
                               k=ks)
-        with pytest.raises(error) as alone:
+        with pytest.raises(ValueError) as alone:
             for k in ks:
                 reference_stopping(f, orb.radial_anchor(zeta, 3.0, k), zeta,
                                    n_max)
         assert str(lanes.value) == str(alone.value)
-        if case == "raising":
-            r_5 = float(orb.radial_anchor(e1, 3.0, 5).coords[0].real)
-            assert str(lanes.value) == f"refused {r_5!r}"
-            # the lower lane raises at r_1, two steps after the higher one
-            late = _picky(disc_auto, near=0.5)
-            with pytest.raises(ValueError) as lanes:
-                orb.stopping_time(late, orb.radial_anchors(zeta, 3.0, [3, 10]),
-                                  zeta, k=[3, 10])
-            with pytest.raises(ValueError) as alone:
-                reference_stopping(late, orb.radial_anchor(zeta, 3.0, 3),
-                                   zeta, n_max)
-            assert str(lanes.value) == str(alone.value)
-            assert abs(float(str(lanes.value).split()[1]) - 0.5) < 1e-6
-        ks = range(1, 32) if case == "unplanned" else range(1, 5)
+        r_5 = float(orb.radial_anchor(e1, 3.0, 5).coords[0].real)
+        assert str(lanes.value) == f"refused {r_5!r}"
+        # the lower lane raises at r_1, two steps after the higher one
+        late = _picky(disc_auto, near=0.5)
+        with pytest.raises(ValueError) as lanes:
+            orb.stopping_time(late, orb.radial_anchors(zeta, 3.0, [3, 10]),
+                              zeta, k=[3, 10])
+        with pytest.raises(ValueError) as alone:
+            reference_stopping(late, orb.radial_anchor(zeta, 3.0, 3),
+                               zeta, n_max)
+        assert str(lanes.value) == str(alone.value)
+        assert abs(float(str(lanes.value).split()[1]) - 0.5) < 1e-6
+        ks = range(1, 5)
     recs = _anchor_lanes(f, zeta, 3.0, ks, n_max)
     capped = sum(rec.capped for rec in recs)
     assert 0 < capped < len(recs) if case == "capped" else capped == 0
@@ -346,15 +348,13 @@ def _chain_bytes(p):
     return _point_bytes(p) + (None if p.ref is None else p.tail().tobytes(),)
 
 
-@pytest.mark.parametrize("name", [*HARVEST_SPECS, "unplanned"])
+@pytest.mark.parametrize("name", [*HARVEST_SPECS, "offaxis_conjugate"])
 def test_harvested_chains_are_the_stepwise_chains(name, e1, tmp_path):
     """Every chain harvested from one run of the anchors k = 1..40, against
     the anchor stepped alone, point by point and read backward: every point
-    as bytes.  Every chain is a `PointBatch` held against zeta; a map that
-    steps in coordinates keeps each image's coordinates and margin, with
-    the defect `with_reference` gives them."""
-    if name == "unplanned":   # from k = 32 on, a step nears the sphere
-        f, zeta, lam, ks = unplanned_hyperbolic(), e1, 3.0, range(1, 32)
+    as bytes.  Every chain is a `PointBatch` held against zeta."""
+    if name == "offaxis_conjugate":
+        f, zeta, lam, ks = offaxis_conjugate(), e1, 3.0, range(1, 41)
     else:
         spec, zeta_text = HARVEST_SPECS[name]
         if spec.startswith("[map]"):
@@ -374,8 +374,6 @@ def test_harvested_chains_are_the_stepwise_chains(name, e1, tmp_path):
         assert chain.ref.tobytes() == zeta.coords.tobytes()
         _, _, _, pts = reference_stopping(f, orb.radial_anchor(zeta, lam, k),
                                           zeta, 100000)
-        pts = [geo.with_reference(p, zeta) if p.ref is None else p
-               for p in pts]
         assert ([_chain_bytes(p) for p in chain]
                 == [_chain_bytes(p) for p in reversed(pts)])
 
@@ -836,15 +834,15 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
 
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
                                             monkeypatch):
-    # criterion 06's march asks `_plan`, not a step, whether the map steps
-    # adapted, and each of its 41 adapted solves plans the map once and
-    # steps through that plan (every step here is an adapted solve's); it
-    # builds points only for grid solutions no earlier candidate holds
+    # each of criterion 06's 41 adapted solves plans the map once and steps
+    # through that plan (every step here is an adapted solve's), and the
+    # march plans no more; it builds points only for grid solutions no
+    # earlier candidate holds
     cleared, _ = cleared_blaschke
     calls = count_calls(monkeypatch, (type(cleared), "_plan"),
                         (geo.Plan, "step"), (geo, "ball_point"))
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls["_plan"] == 42
+    assert calls["_plan"] == 41
     assert calls["step"] == 112
     assert calls["ball_point"] <= 11
 
@@ -896,17 +894,15 @@ def reference_march(f, z0, zeta, n_steps, lam_hint=None):
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    adapted = cat.adapted_step(f, cur) is not None
     for step_idx in range(n_steps):
         uniq = []
-        if adapted:
-            try:
-                seed = geo.boundary_adapted_point(
-                    cur.ref, cur.delta / lam_guess, tail=cur.tail())
-                uniq.append(geo.held(orb.newton_preimage(f, cur, seed),
-                                     zeta).point(0))
-            except (NumericalError, DomainError):
-                pass
+        try:
+            seed = geo.boundary_adapted_point(
+                cur.ref, cur.delta / lam_guess, tail=cur.tail())
+            uniq.append(geo.held(orb.newton_preimage(f, cur, seed),
+                                 zeta).point(0))
+        except (NumericalError, DomainError):
+            pass
         if not uniq or step_idx < 8:
             kept = [c.coords for c in uniq]
             for out in orb._newton_coords(f, cur.coords, grid, 1e-12, 60):
