@@ -216,7 +216,7 @@ CHAIN_COORDS = {
     "orbit_conjugate_unitary": "63489ffbf9eb08e4",
     "orbit_compose_parabolic": "90ddb8635e9e8d51",
     "cluster_blaschke_turned": "d8b51b443521d3dd",
-    "unplanned": "9808c93d6dbd0216",
+    "offaxis_conjugate": "ba347b2ff7472670",
     "criterion_06_march": "218962e92cf314e3",
     "read_orbit_csv": "3c12692259ffc3fd",
 }
