@@ -495,14 +495,16 @@ def koranyi_probes(zeta: BoundaryPoint, s_values):
 def _k_limit_residuals(f: SelfMap, zeta: BoundaryPoint):
     """|f(z_i) - zeta| along each of the three Koranyi probe sequences, each
     one batch stepped by f's plan at zeta; None without a plan, or at the
-    first sequence whose images do not tend to zeta."""
+    first sequence whose last-to-first ratio exceeds 10 times its probes'
+    own: a test relative to how fast the probes approach zeta."""
     plan = f._plan(zeta.coords)
     if plan is None:
         return None
     residuals = []
     for seq in koranyi_probes(zeta, np.arange(4.0, 24.01, 2.0)):
         res = geo.dist_to_zeta(plan.step(seq), zeta)
-        if res[-1] > 1e-8 or res[-1] > res[0]:
+        probe = geo.dist_to_zeta(seq, zeta)
+        if not res[-1] * probe[0] <= 10.0 * res[0] * probe[-1]:
             return None
         residuals.append(res)
     return residuals
@@ -510,7 +512,7 @@ def _k_limit_residuals(f: SelfMap, zeta: BoundaryPoint):
 
 def is_boundary_fixed(f: SelfMap, zeta: BoundaryPoint) -> bool:
     """K-limit test: |f(z_i) - zeta| -> 0 along three Koranyi probe
-    sequences."""
+    sequences, as fast as the probes approach zeta."""
     return _k_limit_residuals(f, zeta) is not None
 
 

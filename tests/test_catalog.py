@@ -511,9 +511,7 @@ def test_koranyi_probes_match_reference(q):
                                geo.axis_translation(
                                    geo.basis_boundary_point(1), 0.2)),
      geo.basis_boundary_point(1), 3),
-    # the tangential probes of a q = 2 map fail the 1e-8 test (ROADMAP
-    # item 3): the first of them is the last stepped
-    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j]), 2),
+    (_offaxis_hyperbolic, geo.boundary_point([0.6, 0.8j]), 3),
     (lambda: offaxis_conjugate(), geo.basis_boundary_point(1), 3),
 ])
 def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
@@ -544,6 +542,30 @@ def test_k_limit_plans_once_per_probe_sequence(make, zeta, sequences,
         per_point = geo.dist_to_zeta([cat.step_point(f, p) for p in radius],
                                      zeta)
         assert rep.residuals.tobytes() == per_point.tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_k_limit_test_is_relative_in_every_dimension(q):
+    """Random hyperbolic and parabolic maps are certified fixed at their
+    fixed point (a hyperbolic map at -zeta too), and refused at a random
+    boundary point they move.  In q >= 2 the tangential probes approach
+    zeta only like the square root of their margin, to about 3e-6 at
+    s = 24: each sequence's images are compared with its own probes."""
+    rng = np.random.default_rng(270 + q)
+
+    def unit():
+        v = rng.normal(size=q) + 1j * rng.normal(size=q)
+        return geo.boundary_point(v / np.linalg.norm(v))
+    for _ in range(40):
+        zeta, other = unit(), unit()
+        hyper = cat.hyperbolic_selfmap(zeta, rng.uniform(1.1, 20.0))
+        b = rng.normal(size=q - 1) + 1j * rng.normal(size=q - 1)
+        para = cat.parabolic_selfmap(zeta, b if q > 1 else None,
+                                     rng.normal())
+        for f in (hyper, para):
+            assert cat.is_boundary_fixed(f, zeta)
+            assert not cat.is_boundary_fixed(f, other)
+        assert cat.is_boundary_fixed(hyper, geo.BoundaryPoint(-zeta.coords))
 
 
 def test_warped_dilation(e1, e1_q2):

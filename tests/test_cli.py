@@ -1,6 +1,7 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from ballorbits import geometry as geo
 from ballorbits.errors import ConfigError
 
 from conftest import count_calls
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -363,6 +366,14 @@ def test_dilation_blaschke(capsys):
     assert code == 0
     lam = float(out.splitlines()[0].split("=")[1])
     assert lam == pytest.approx(3.0, abs=1e-4)
+
+
+def test_dilation_of_a_q2_map(capsys):
+    # the q = 2 K-limit test is relative to the probes' own approach
+    code, out, _ = run(capsys, "dilation", str(GOLDEN / "warped.ini"),
+                       "--zeta", "1,0;0,0")
+    assert code == 0
+    assert out.splitlines()[0] == "lambda_hat=2.5"
 
 
 def test_dilation_out_of_scope_exit_2(capsys):
