@@ -130,7 +130,7 @@ DILATION_CASES = {
     "blaschke": (["blaschke:a=1/3", "--zeta", "1"], 0),
     "conjugate": ([str(GOLDEN / "conjugate.ini"), "--zeta", "1"], 0),
     "hyperbolic_offaxis": (["hyperbolic:lam=3,zeta=0.6,0;0,0.8",
-                            "--zeta=0.6,0;0,0.8"], 1),
+                            "--zeta=0.6,0;0,0.8"], 0),
 }
 
 
