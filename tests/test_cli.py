@@ -473,6 +473,74 @@ def test_orbit_anchor_beyond_double_range_exit_2(capsys, option):
     assert "double precision" in err and out == ""
 
 
+# the off-axis conjugate of `conftest.offaxis_conjugate` as an INI spec: no
+# part of it but the inner map's stage fixes a reference the chain meets
+OFFAXIS_CONJUGATE = """[map]
+kind = conjugate
+
+[map.inner]
+kind = ball_automorphism
+subtype = hyperbolic
+zeta = 0.8,0.6
+lam = 3
+
+[map.conjugator]
+kind = ball_automorphism
+subtype = hyperbolic
+zeta = 0,1
+lam = 2
+"""
+
+
+@pytest.fixture()
+def offaxis_ini(tmp_path):
+    path = tmp_path / "offaxis_conjugate.ini"
+    path.write_text(OFFAXIS_CONJUGATE)
+    return str(path)
+
+
+def test_offaxis_conjugate_orbit_is_exact_at_depth(offaxis_ini, capsys):
+    # the automorphisms' closed form steps the chain at the default --kmax
+    code, out, _ = run(capsys, "orbit", offaxis_ini, "--zeta", "1")
+    assert code == 0
+    summary = out.splitlines()[-1]
+    assert summary.startswith("mode=single-tail length=42 "
+                              f"sigma_hat={np.log(3.0):.15g} ")
+
+
+def test_offaxis_conjugate_compare(offaxis_ini, capsys):
+    code, out, _ = run(capsys, "compare", offaxis_ini, "--zeta", "1")
+    assert code == 0
+    assert out.startswith("window=42 ")
+
+
+def test_offaxis_conjugate_dilation(offaxis_ini, capsys):
+    code, out, _ = run(capsys, "dilation", offaxis_ini, "--zeta", "1")
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    assert abs(float(values["extrapolated"]) - 3.0) <= 1e-13
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit"], ["compare"], ["orbit", "--mode", "cluster"],
+    ["orbit", "--lambda", "2.5"]])
+def test_zeta_sent_into_the_ball_exit_2(argv, capsys):
+    # the warped map plans only on its invariant circle |z_1| = 1, z' = 0,
+    # and sends zeta = (0.6, 0.8) into the ball
+    code, out, err = run(capsys, argv[0], str(GOLDEN / "warped.ini"),
+                         "--zeta", "0.6,0;0.8,0", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: the map sends zeta = [0.6+0.j 0.8+0.j] to norm "
+                   "0.484128, into the ball, and has no plan there\n")
+
+
+def test_dilation_of_zeta_sent_into_the_ball_exit_1(capsys):
+    code, out, _ = run(capsys, "dilation", str(GOLDEN / "warped.ini"),
+                       "--zeta", "0.6,0;0.8,0")
+    assert code == 1
+    assert out == "zeta=0.6,0;0.8,0 is not a K-limit fixed point\n"
+
+
 def test_compare_off_axis_automorphism(capsys):
     # an automorphism is an isometry, so the offset orbit keeps its offset
     code, out, _ = run(capsys, "compare", "hyperbolic:lam=3,zeta=0.6,0;0,0.8",
