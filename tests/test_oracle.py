@@ -1,5 +1,5 @@
-"""High-precision oracles for the defect recursions of the axial stage and
-of Blaschke factors.
+"""High-precision oracles for the defect recursions of the axial stage, of
+Blaschke factors and of the automorphisms' closed form.
 
 Each check rebuilds a float point's image from coordinates with mpmath and
 compares the float defect state (delta, tail, margin) with the image's,
@@ -219,6 +219,81 @@ def test_complex_zeros_at_unimodular_fixed_points():
                 z = _coords(unit, anchors.delta[i], anchors.tail[i])
                 _assert_state(out.delta[i], out.tail[i], out.margin[i],
                               [turn * b(z[0])], unit)
+
+
+def _phi_mp(a, z):
+    """The involution phi_a at z, at the working precision."""
+    aa = sum(abs(x) ** 2 for x in a)
+    if aa == 0:
+        return [-x for x in z]
+    za, s = _dot(z, a), mp.sqrt(1 - aa)
+    return [(u - za * u / aa - s * (x - za * u / aa)) / (1 - za)
+            for u, x in zip(a, z)]
+
+
+def _closed_form_draws(rng, q, n):
+    """n automorphisms U phi_a with a reference: a random centre (|a| <
+    0.9, every fifth one 0) and unitary at a random reference, which the
+    map moves, or a hyperbolic automorphism at its attracting point -zeta,
+    where its stage does not plan."""
+    for i in range(n):
+        ref = _off_axis_zeta(rng, q)
+        if i % 3 == 2:
+            g = geo.hyperbolic_automorphism(ref, rng.uniform(1.1, 20.0))
+            yield g, geo.BoundaryPoint(-ref.coords)
+            continue
+        a = rng.normal(size=q) + 1j * rng.normal(size=q)
+        a *= 0.0 if i % 5 == 0 else rng.uniform(0.0, 0.9) / np.linalg.norm(a)
+        u = geo.project_unitary(rng.normal(size=(q, q))
+                                + 1j * rng.normal(size=(q, q)))
+        yield geo._aut(a, u), ref
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_automorphism_closed_form_matches_the_map(rng, q):
+    """`Automorphism.plan` where no stage plans, on points held against
+    the reference at |delta| = 1e-2 down to 1e-40, with tails filling 10%
+    to 90% of their room (0 in q = 1), against g = U phi_a on 150 digits.
+    The oracle normalises ref and projects the tail orthogonal to it, and
+    takes delta and the margin from phi_a before U, which a float U keeps
+    unitary only to 1e-16."""
+    depths = 10.0 ** -np.arange(2.0, 40.1, 2.0)
+    n = len(depths)
+    with mp.workdps(DPS):
+        for g, ref in _closed_form_draws(rng, q, 30):
+            assert all(st.plan(ref.coords) is None for st in g.stages)
+            delta = depths * np.exp(1j * rng.uniform(-1.2, 1.2, n))
+            room = 2.0 * delta.real - np.abs(delta) ** 2
+            tail = rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q))
+            tail -= geo.herm(tail, ref.coords)[:, None] * ref.coords
+            tail *= np.sqrt(rng.uniform(0.1, 0.9, n) * room
+                            / np.maximum(geo.sq_norm(tail), 1e-300))[:, None]
+            if q == 1:
+                tail[:] = 0.0
+            out = g.plan(ref.coords).step(geo.PointBatch(
+                ref.coords, delta, tail, room - geo.sq_norm(tail)))
+            unit = _unit(ref)
+            a = [mp.mpc(x) for x in g.center]
+            u = mp.matrix([[mp.mpc(x) for x in row] for row in g.unitary])
+            image = _phi_mp(a, unit)
+            eta = u * mp.matrix(image)
+            eta = [x / mp.norm(eta) for x in eta]
+            for i in range(n):
+                w = _phi_mp(a, _coords(unit, delta[i], tail[i]))
+                want_delta = 1 - _dot(w, image)
+                want_margin = 1 - sum(abs(x) ** 2 for x in w)
+                gw = list(u * mp.matrix(w))
+                c = _dot(gw, eta)
+                want_tail = [x - c * e for x, e in zip(gw, eta)]
+                tail_err = mp.sqrt(sum(abs(mp.mpc(x) - y) ** 2
+                                       for x, y in zip(out.tail[i],
+                                                       want_tail)))
+                tail_norm = mp.sqrt(sum(abs(y) ** 2 for y in want_tail))
+                assert abs(mp.mpc(out.delta[i]) - want_delta) \
+                    <= REL * abs(want_delta)
+                assert abs(mp.mpf(out.margin[i]) - want_margin) \
+                    <= REL * want_margin
+                assert tail_err <= REL * tail_norm + 100 * mp.eps
 
 
 def test_deep_iterate_off_axis_matches_coordinates(rng):
