@@ -419,24 +419,20 @@ def jacobian(f: SelfMap, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def adapted_step(f: SelfMap, p):
-    """f on a boundary-adapted point, or on every point of a `PointBatch`
-    in one kernel call; None for a point without a reference, or where f
-    has no plan.  Row i of a batch's image is the image of `p.point(i)`,
-    bit for bit: one point is the batch of one."""
-    plan = None if p.ref is None else f._plan(p.ref)
-    if plan is None:
-        return None
-    out = plan.step(geo.held(p, BoundaryPoint(p.ref)))
+    """f on a point held against a reference, or on every point of a
+    `PointBatch`, in one kernel call of f's plan there (`plan_at`).  Row i
+    of a batch's image is the image of `p.point(i)`, bit for bit: one
+    point is the batch of one."""
+    if p.ref is None:
+        raise DomainError("a point without a reference has no planned step")
+    out = plan_at(f, p.ref).step(geo.held(p, BoundaryPoint(p.ref)))
     return out if isinstance(p, geo.PointBatch) else out.point(0)
 
 
 def step_point(f: SelfMap, p):
     """f(p) for a point held against a reference, or for every point of a
-    `PointBatch`: its `adapted_step`, or the DomainError of `plan_at`."""
-    out = adapted_step(f, p)
-    if out is None:
-        plan_at(f, p.ref)   # raises: f has no plan at p's reference
-    return out
+    `PointBatch`: the `adapted_step`, which every map takes."""
+    return adapted_step(f, p)
 
 
 def plan_at(f: SelfMap, ref) -> geo.Plan:
@@ -475,7 +471,7 @@ def koranyi_probes(zeta: BoundaryPoint, s_values):
     each, row i at s_values[i]: the radius (`geo._axis_point`), plus two
     tangentially displaced copies (complex-tangent displacement for q = 1),
     whose starts move toward zeta by one broadcast `AxialStage`, row for
-    row the stage on one start."""
+    row `_axial_transport`."""
     offsets = (0.15, -0.15)
     if zeta.q == 1:
         u_vecs = [1j * off * zeta.coords for off in offsets]

@@ -625,8 +625,9 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
 # recursions on the state (delta[n], tail[n, q], margin[n]) of n points held
 # against one ref.  A stage's `plan(ref)` makes every decision that depends on
 # ref once, or is None off the stage's fixed point, where its automorphism
-# plans by its closed form; `inverse` is the stage of the inverse map.  A row rounds as the point alone (one point is the
-# batch of one), and matrices act through einsum.
+# plans by its closed form; `inverse` is the stage of the inverse map.  A row
+# rounds as the point alone (one point is the batch of one), and matrices act
+# through einsum.
 
 @dataclass(frozen=True)
 class Plan:
@@ -691,16 +692,15 @@ class AxialStage:
     lam: float
 
     def plan(self, ref):
-        if not _same_direction(self.zeta, ref, FIX_TOL):
-            return None
-        lam = self.lam
+        fixed = _same_direction(self.zeta, ref, FIX_TOL)
+        return Plan(ref, self._kernel) if fixed else None
 
-        def kernel(delta, tail, margin):
-            den = 1.0 + (lam - 1.0) * delta / 2.0
-            return (lam * delta / den,
-                    np.sqrt(lam)[..., None] * tail / den[..., None],
-                    lam * margin / abs_sq(den))
-        return Plan(ref, kernel)
+    def _kernel(self, delta, tail, margin):
+        lam = self.lam
+        den = 1.0 + (lam - 1.0) * delta / 2.0
+        return (lam * delta / den,
+                np.sqrt(lam)[..., None] * tail / den[..., None],
+                lam * margin / abs_sq(den))
 
     def inverse(self):
         return AxialStage(self.zeta, 1.0 / self.lam)
@@ -767,29 +767,28 @@ class Automorphism:
 
     def plan(self, ref) -> Plan:
         """g planned against any unit ref, checking the state in and out:
-        its stages (`chain`) where they plan, else `_closed_plan`."""
-        plan = chain([st.plan for st in self.stages], ref) \
-            or self._closed_plan(ref)
-        return Plan(plan.ref, plan.kernel, True, True)
-
-    def _closed_plan(self, ref) -> Plan:
-        """g = U phi_a at any unit ref, by 1 - <phi_a(z), phi_a(w)> =
-        (1 - |a|^2)(1 - <z, w>) / ((1 - <z, a>)(1 - <a, w>)) (Rudin, *Function
-        Theory in the Unit Ball of C^n*, Thm 2.2.2).  With D = z - ref =
-        -delta ref + tail, om = 1 - <ref, a>, L = (1 - |a|^2)/|om|^2,
-        den = 1 - <D, a>/om and s = sqrt(1 - |a|^2), the image held against
-        eta = U phi_a(ref) (or ref, within FIX_TOL of it) has
+        its stages (`chain`) where they plan, else one closed form of
+        g = U phi_a, by 1 - <phi_a(z), phi_a(w)> = (1 - |a|^2)(1 - <z, w>)
+        / ((1 - <z, a>)(1 - <a, w>)) (Rudin, *Function Theory in the Unit
+        Ball of C^n*, Thm 2.2.2).  With D = z - ref = -delta ref + tail,
+        om = 1 - <ref, a>, L = (1 - |a|^2)/|om|^2, den = 1 - <D, a>/om and
+        s = sqrt(1 - |a|^2), the image held against eta = U phi_a(ref) (or
+        ref, within FIX_TOL of it) has
 
             delta' = L delta / den,   margin' = L margin / |den|^2,
 
         and as tail the part orthogonal to eta of g(z) - eta =
         U (phi_a(ref) <D, a> - s D - <D, a> a/(1 + s)) / (om den), 0 in
         q = 1.  No term cancels near ref."""
+        plan = chain([st.plan for st in self.stages], ref)
+        if plan is not None:
+            return Plan(plan.ref, plan.kernel, True, True)
         a, u, aa = self.center, self.unitary, sq_norm(self.center)
         s, om = np.sqrt(1.0 - aa), 1.0 - herm(ref, a)
         lam = (1.0 - aa) / abs_sq(om)
         image = mobius_shift(a, ref)
-        eta = u @ image / np.linalg.norm(u @ image)
+        eta = u @ image
+        eta = eta / np.linalg.norm(eta)
         if _same_direction(eta, ref, FIX_TOL):
             eta = ref
 
@@ -805,7 +804,7 @@ class Automorphism:
                 w = np.einsum("ij,...j->...i", u, w) / (om * den)[..., None]
                 new_tail = w - _cmul(herm(w, eta)[..., None], eta)
             return lam * delta / den, new_tail, lam * margin / abs_sq(den)
-        return Plan(eta, kernel)
+        return Plan(eta, kernel, True, True)
 
 
 def _aut(center, unitary, stages=(), label="") -> Automorphism:
@@ -825,7 +824,7 @@ def identity_automorphism(q: int) -> Automorphism:
 
 def mobius_involution(a: BallPoint) -> Automorphism:
     """The involution exchanging a and 0 (phi_0 is the antipodal map); it
-    has no stages, so it plans by `Automorphism._closed_plan`."""
+    has no stages, so it plans by the closed form of `Automorphism.plan`."""
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
     return _aut(a.coords, np.eye(a.q, dtype=complex), label="involution")

@@ -113,7 +113,7 @@ def _axial_translates(zeta: BoundaryPoint, s_values, points):
     """The state (delta[k, n], tail[k, n, q], margin[k, n]) of n points
     adapted against zeta, each translated by every s_values[k] toward zeta
     along the axis: one broadcast `AxialStage` of dilation e^{-s}, whose
-    row (k, i) is the stage of e^{-s_values[k]} on points[i] alone."""
+    row (k, i) is `_axial_transport(zeta, s_values[k], points[i])`."""
     s = np.asarray(s_values, dtype=float)
     if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
         raise DomainError(f"axis parameter s = {s} exceeds float range")
@@ -129,3 +129,10 @@ def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
     return boundary_adapted_point(zeta.coords, 1.0 - a,
                                   tail=u - a * zeta.coords)
 
+
+def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
+    """Translate p (adapted against zeta) by s toward zeta along the axis."""
+    stage = AxialStage(zeta.coords, np.exp(-s))
+    plan = stage.plan(p.ref)
+    delta, tail, margin = plan.kernel(p.delta, p.tail(), p.margin)
+    return boundary_adapted_point(plan.ref, delta, tail=tail, margin=margin)

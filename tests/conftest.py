@@ -61,21 +61,11 @@ def offaxis_conjugate():
     meet: the hyperbolic map of dilation 3 at zeta0, conjugated by the
     hyperbolic automorphism h of dilation 2 along the axis through i,
     zeta0 = h^{-1}(e_1).  Its plan at e_1 runs h^{-1} and h by their closed
-    form (`geometry.Automorphism._closed_plan`), and the map's own stage."""
+    form (`geometry.Automorphism.plan`), and the map's own stage."""
     e1 = geo.basis_boundary_point(1)
     h = geo.hyperbolic_automorphism(geo.boundary_point([1j]), 2.0)
     zeta0 = geo.boundary_point(geo.apply_raw(geo.inverse(h), e1.coords))
     return cat.conjugate_map(cat.hyperbolic_selfmap(zeta0, 3.0), h)
-
-
-def axial_transport(zeta, s, p):
-    """p, held against zeta, translated by s toward zeta along the axis:
-    the stage of e^{-s} on one point, the reference for the broadcast
-    stage of `sampling._axial_translates`."""
-    plan = geo.AxialStage(zeta.coords, np.exp(-s)).plan(p.ref)
-    delta, tail, margin = plan.kernel(p.delta, p.tail(), p.margin)
-    return geo.boundary_adapted_point(plan.ref, delta, tail=tail,
-                                      margin=margin)
 
 
 def fixed_blaschke(rng, lam_min=1.6):

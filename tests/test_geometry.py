@@ -11,7 +11,7 @@ from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DimensionMismatch, DomainError
 
-from conftest import apart, axial_transport, random_interior
+from conftest import apart, random_interior
 
 LOG3 = np.log(3.0)
 
@@ -707,7 +707,7 @@ def test_dist_to_geodesic_transported_points(e1_q2):
         u = sampling.adapted_at(e1_q2, np.array([0.0, np.tanh(w / 2.0)]))
         for s in (0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 38.0, 60.0):
             d, s_star = geo.dist_to_geodesic(
-                axial_transport(e1_q2, s, u), e1_q2)
+                sampling._axial_transport(e1_q2, s, u), e1_q2)
             assert d == pytest.approx(w, rel=1e-12)
             assert abs(s_star - s) < 1e-12
     # deeper, the same translate in closed form in u = e^{-s}

@@ -19,7 +19,7 @@ from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DomainError
 
-from conftest import axial_transport, fixed_blaschke, random_interior
+from conftest import fixed_blaschke, random_interior
 
 mp = mpmath.mp
 DPS = 150
@@ -84,7 +84,7 @@ def test_axial_transport_matches_mobius_map(rng, q):
             p = sampling.adapted_at(zeta, random_interior(rng, q).coords)
             z = _coords(unit, p.delta, p.tail())
             for s in DEPTHS:
-                out = axial_transport(zeta, s, p)
+                out = sampling._axial_transport(zeta, s, p)
                 _assert_state(out.delta, out.tail(), out.margin,
                               _translate(z, unit, s), unit)
 

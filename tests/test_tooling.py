@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MAX_OPTIONS = 36
 # `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
 # aims at 3,319
-MAX_SRC_LINES = 3642
+MAX_SRC_LINES = 3644
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "geodesic_point",  # the geodesic primitive that tests build points with
