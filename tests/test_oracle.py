@@ -232,10 +232,11 @@ def _phi_mp(a, z):
 
 
 def _closed_form_draws(rng, q, n):
-    """n automorphisms U phi_a with a reference: a random centre (|a| <
-    0.9, every fifth one 0) and unitary at a random reference, which the
-    map moves, or a hyperbolic automorphism at its attracting point -zeta,
-    where its stage does not plan."""
+    """n automorphisms U phi_a with a reference: a hyperbolic automorphism
+    at its attracting point -zeta, where its stage does not plan, in every
+    third draw, else a random unitary and centre (|a| < 0.9, or 0 where the
+    draw's index is a multiple of 5) at a random reference, which the map
+    moves."""
     for i in range(n):
         ref = _off_axis_zeta(rng, q)
         if i % 3 == 2:
