@@ -451,11 +451,9 @@ def plan_at(f: SelfMap, ref) -> geo.Plan:
 # checks and estimates
 # ---------------------------------------------------------------------------
 
-def self_map_check(f: SelfMap, n_samples: int = 10000, rng=None):
-    """(ok, worst_margin, witness): samples uniform-in-radius plus a
-    near-sphere shell and reports min(1 - |f(z)|)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def self_map_check(f: SelfMap, n_samples: int, rng):
+    """(ok, worst_margin, witness): n_samples points uniform in radius, drawn
+    from rng, plus a near-sphere shell; reports min(1 - |f(z)|)."""
     n_shell = max(n_samples // 10, 8)
     pts = np.concatenate([sample_ball(rng, f.q, n_samples),
                           sample_shell(rng, f.q, n_shell)], axis=0)
@@ -470,8 +468,8 @@ def koranyi_probes(zeta: BoundaryPoint, s_values):
     """Probe sequences approaching zeta inside K(zeta, 2), one `PointBatch`
     each, row i at s_values[i]: the radius (`geo._axis_point`), plus two
     tangentially displaced copies (complex-tangent displacement for q = 1),
-    whose starts move toward zeta by one broadcast `AxialStage`, row for
-    row `_axial_transport`."""
+    whose starts move toward zeta by one broadcast `AxialStage.kernel`,
+    row for row `_axial_transport`."""
     offsets = (0.15, -0.15)
     if zeta.q == 1:
         u_vecs = [1j * off * zeta.coords for off in offsets]

@@ -23,10 +23,10 @@ computed without subtractive cancellation.  The tail is stored, not read
 back from coordinates, which round toward the sphere.  All
 distance/horofunction routines prefer those fields when available;
 coordinates alone stop being usable roughly at 1 - |z| ~ 1e-14 and are
-rejected there.  Automorphisms step such points exactly: each plans into a
-`Plan` against any reference, by its stage at the stage's fixed point and
-by one closed form elsewhere; `chain` plans a list of parts into one, and
-`Plan.step` is the one planned step of a `PointBatch`.
+rejected there.  Automorphisms step such points exactly: `Automorphism.plan`
+plans each into a `Plan` against any reference (by its stage, a rotation or
+one closed form); `chain` plans a list of parts into one, and `Plan.step`
+is the one planned step of a `PointBatch`.
 """
 
 from __future__ import annotations
@@ -621,13 +621,11 @@ def dist_to_geodesic(z, zeta: BoundaryPoint):
 # automorphisms
 # ---------------------------------------------------------------------------
 
-# Stages let structured automorphisms act on boundary-adapted points by exact
-# recursions on the state (delta[n], tail[n, q], margin[n]) of n points held
-# against one ref.  A stage's `plan(ref)` makes every decision that depends on
-# ref once, or is None off the stage's fixed point, where its automorphism
-# plans by its closed form; `inverse` is the stage of the inverse map.  A row
-# rounds as the point alone (one point is the batch of one), and matrices act
-# through einsum.
+# A stage is the exact recursion of a structured automorphism on the state
+# (delta[n], tail[n, q], margin[n]) of n points held against the stage's fixed
+# point `zeta`: `kernel` maps it to the images' state against zeta, and
+# `inverse` is the stage of the inverse map.  A row rounds as the point alone
+# (one point is the batch of one), and matrices act through einsum.
 
 @dataclass(frozen=True)
 class Plan:
@@ -648,9 +646,9 @@ class Plan:
 
 
 def chain(planners, ref) -> Plan | None:
-    """The parts `planners` (each ref -> `Plan` or None) planned in turn,
-    each against the ref the one before leaves, as one plan running their
-    kernels, or None without parts or where one has none.  It checks the
+    """The parts `planners` (each ref -> `Plan` or None, at least one)
+    planned in turn, each against the ref the one before leaves, as one
+    plan running their kernels, or None where one has none.  It checks the
     state between two parts if the first checks its output or the second
     its input."""
     plans = []
@@ -660,8 +658,8 @@ def chain(planners, ref) -> Plan | None:
             return None
         plans.append(plan)
         ref = plan.ref
-    if len(plans) < 2:
-        return plans[0] if plans else None
+    if len(plans) == 1:
+        return plans[0]
 
     def kernel(*state):
         state = plans[0].kernel(*state)
@@ -676,7 +674,7 @@ def chain(planners, ref) -> Plan | None:
 @dataclass(frozen=True)
 class AxialStage:
     """z |-> -phi_{c zeta}(z), c = (lam - 1)/(lam + 1): fixes +-zeta, with
-    boundary dilation lam at zeta, where it plans.
+    boundary dilation lam at zeta.
 
     With den = 1 + (lam - 1) delta / 2 the state moves to
 
@@ -691,11 +689,7 @@ class AxialStage:
     zeta: np.ndarray
     lam: float
 
-    def plan(self, ref):
-        fixed = _same_direction(self.zeta, ref, FIX_TOL)
-        return Plan(ref, self._kernel) if fixed else None
-
-    def _kernel(self, delta, tail, margin):
+    def kernel(self, delta, tail, margin):
         lam = self.lam
         den = 1.0 + (lam - 1.0) * delta / 2.0
         return (lam * delta / den,
@@ -704,21 +698,6 @@ class AxialStage:
 
     def inverse(self):
         return AxialStage(self.zeta, 1.0 / self.lam)
-
-
-@dataclass(frozen=True)
-class UnitaryStage:
-    """z |-> V z."""
-
-    v: np.ndarray
-
-    def plan(self, ref):
-        new_ref = self.v @ ref
-        return Plan(new_ref / np.linalg.norm(new_ref), lambda d, t, m: (
-            d, np.einsum("ij,...j->...i", self.v, t), m))
-
-    def inverse(self):
-        return UnitaryStage(self.v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -731,11 +710,7 @@ class ParabolicStage:
     t: float
     rot: np.ndarray
 
-    def plan(self, ref):
-        fixed = _same_direction(self.zeta, ref, FIX_TOL)
-        return Plan(ref, self._kernel) if fixed else None
-
-    def _kernel(self, delta, tail, margin):
+    def kernel(self, delta, tail, margin):
         tail_e1 = np.einsum("ij,...j->...i", self.rot, tail)
         w_tan = tail_e1[..., 1:] / delta[..., None]
         w1 = 1j * (2.0 - delta) / delta
@@ -754,11 +729,12 @@ class ParabolicStage:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Ball automorphism in normal form z -> unitary @ phi_center(z)."""
+    """Ball automorphism in normal form z -> unitary @ phi_center(z), with
+    its exact `stage` at the stage's fixed point, if it has one."""
 
     center: np.ndarray
     unitary: np.ndarray
-    stages: tuple = ()
+    stage: AxialStage | ParabolicStage | None = None
     label: str = ""
 
     @property
@@ -766,31 +742,38 @@ class Automorphism:
         return self.center.shape[0]
 
     def plan(self, ref) -> Plan:
-        """g planned against any unit ref, checking the state in and out:
-        its stages (`chain`) where they plan, else one closed form of
-        g = U phi_a, by 1 - <phi_a(z), phi_a(w)> = (1 - |a|^2)(1 - <z, w>)
-        / ((1 - <z, a>)(1 - <a, w>)) (Rudin, *Function Theory in the Unit
-        Ball of C^n*, Thm 2.2.2).  With D = z - ref = -delta ref + tail,
-        om = 1 - <ref, a>, L = (1 - |a|^2)/|om|^2, den = 1 - <D, a>/om and
-        s = sqrt(1 - |a|^2), the image held against eta = U phi_a(ref) (or
-        ref, within FIX_TOL of it) has
+        """g planned against any unit ref, checking the state in and out, by
+        one of three forms; an image reference within FIX_TOL of ref is ref.
 
-            delta' = L delta / den,   margin' = L margin / |den|^2,
+        - Its stage's kernel, where ref is within FIX_TOL of its zeta.
+        - The rotation form at centre 0 (`mobius_shift`'s test): g = -U
+          keeps delta and the margin, and turns the tail and ref by -U.
+        - Elsewhere the closed form of g = U phi_a, by 1 - <phi_a(z),
+          phi_a(w)> = (1 - |a|^2)(1 - <z, w>) / ((1 - <z, a>)(1 - <a, w>))
+          (Rudin, *Function Theory in the Unit Ball of C^n*, Thm 2.2.2).
+          With D = z - ref = -delta ref + tail, om = 1 - <ref, a>,
+          L = (1 - |a|^2)/|om|^2, den = 1 - <D, a>/om and
+          s = sqrt(1 - |a|^2), against eta = U phi_a(ref),
 
-        and as tail the part orthogonal to eta of g(z) - eta =
-        U (phi_a(ref) <D, a> - s D - <D, a> a/(1 + s)) / (om den), 0 in
-        q = 1.  No term cancels near ref."""
-        plan = chain([st.plan for st in self.stages], ref)
-        if plan is not None:
-            return Plan(plan.ref, plan.kernel, True, True)
+              delta' = L delta / den,   margin' = L margin / |den|^2,
+
+          and the tail is the part orthogonal to eta of g(z) - eta =
+          U (phi_a(ref) <D, a> - s D - <D, a> a/(1 + s)) / (om den), 0 in
+          q = 1.  No term cancels near ref."""
+        if self.stage and _same_direction(self.stage.zeta, ref, FIX_TOL):
+            return Plan(ref, self.stage.kernel, True, True)
         a, u, aa = self.center, self.unitary, sq_norm(self.center)
-        s, om = np.sqrt(1.0 - aa), 1.0 - herm(ref, a)
-        lam = (1.0 - aa) / abs_sq(om)
-        image = mobius_shift(a, ref)
+        rotation = aa < 1e-32
+        u, image = (-u, ref) if rotation else (u, mobius_shift(a, ref))
         eta = u @ image
         eta = eta / np.linalg.norm(eta)
         if _same_direction(eta, ref, FIX_TOL):
             eta = ref
+        if rotation:
+            return Plan(eta, lambda d, t, m: (
+                d, np.einsum("ij,...j->...i", u, t), m), True, True)
+        s, om = np.sqrt(1.0 - aa), 1.0 - herm(ref, a)
+        lam = (1.0 - aa) / abs_sq(om)
 
         def kernel(delta, tail, margin):
             d = tail - _cmul(delta[..., None], ref)
@@ -807,12 +790,12 @@ class Automorphism:
         return Plan(eta, kernel, True, True)
 
 
-def _aut(center, unitary, stages=(), label="") -> Automorphism:
+def _aut(center, unitary, stage=None, label="") -> Automorphism:
     center = np.asarray(center, dtype=complex).copy()
     unitary = np.asarray(unitary, dtype=complex).copy()
     center.flags.writeable = False
     unitary.flags.writeable = False
-    return Automorphism(center=center, unitary=unitary, stages=tuple(stages),
+    return Automorphism(center=center, unitary=unitary, stage=stage,
                         label=label)
 
 
@@ -824,7 +807,8 @@ def identity_automorphism(q: int) -> Automorphism:
 
 def mobius_involution(a: BallPoint) -> Automorphism:
     """The involution exchanging a and 0 (phi_0 is the antipodal map); it
-    has no stages, so it plans by the closed form of `Automorphism.plan`."""
+    has no stage, so it plans by the rotation form of `Automorphism.plan`
+    at a = 0 and by its closed form elsewhere."""
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
     return _aut(a.coords, np.eye(a.q, dtype=complex), label="involution")
@@ -833,8 +817,7 @@ def mobius_involution(a: BallPoint) -> Automorphism:
 def unitary_automorphism(v) -> Automorphism:
     v = np.asarray(v, dtype=complex)
     q = v.shape[0]
-    return _aut(np.zeros(q, dtype=complex), -v, stages=(UnitaryStage(v),),
-                label="unitary")
+    return _aut(np.zeros(q, dtype=complex), -v, label="unitary")
 
 
 def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
@@ -848,7 +831,7 @@ def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
         raise DomainError("hyperbolic automorphism needs dilation > 1")
     c = (lam - 1.0) / (lam + 1.0)   # z |-> -phi_{c zeta}(z), one AxialStage
     return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
-                stages=(AxialStage(zeta.coords, lam),),
+                stage=AxialStage(zeta.coords, lam),
                 label=f"hyperbolic(lam={lam:g})")
 
 
@@ -903,7 +886,7 @@ def parabolic_automorphism(zeta: BoundaryPoint, b, t: float) -> Automorphism:
     center = action(np.zeros(q, dtype=complex), -1.0)
     unitary = _linear_part(lambda v: action(mobius_shift(center, v), 1.0), q)
     return _aut(center, unitary,
-                stages=(ParabolicStage(zeta.coords, b, t, rot),),
+                stage=ParabolicStage(zeta.coords, b, t, rot),
                 label=f"parabolic(|b|={np.linalg.norm(b):g}, t={t:g})")
 
 
@@ -935,8 +918,8 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
 
 
 def inverse(g: Automorphism) -> Automorphism:
-    stages = tuple(st.inverse() for st in reversed(g.stages))
-    return _aut(g.unitary @ g.center, g.unitary.conj().T, stages=stages,
+    stage = None if g.stage is None else g.stage.inverse()
+    return _aut(g.unitary @ g.center, g.unitary.conj().T, stage=stage,
                 label=f"inv({g.label})" if g.label else "")
 
 

@@ -78,7 +78,7 @@ def tube_samples(zeta: BoundaryPoint, width: float,
     For each s the batch holds the translates, angle by angle within each
     fraction, then the axis point gamma(s), the translate of the origin;
     with no fractions it holds the axis points alone.  One batch holds the
-    offsets, row for row `adapted_at`; one broadcast `AxialStage` of
+    offsets, row for row `adapted_at`; one broadcast `AxialStage.kernel` of
     dilation e^{-s} at zeta moves them to every row.
     """
     q = zeta.q
@@ -112,15 +112,15 @@ def tube_samples(zeta: BoundaryPoint, width: float,
 def _axial_translates(zeta: BoundaryPoint, s_values, points):
     """The state (delta[k, n], tail[k, n, q], margin[k, n]) of n points
     adapted against zeta, each translated by every s_values[k] toward zeta
-    along the axis: one broadcast `AxialStage` of dilation e^{-s}, whose
-    row (k, i) is `_axial_transport(zeta, s_values[k], points[i])`."""
+    along the axis: one broadcast `AxialStage.kernel` of dilation e^{-s},
+    whose row (k, i) is `_axial_transport(zeta, s_values[k], points[i])`."""
     s = np.asarray(s_values, dtype=float)
     if np.any(np.abs(s) > 700.0):   # e^{-s} leaves the normal floats
         raise DomainError(f"axis parameter s = {s} exceeds float range")
     b = held(points, zeta)
     # the (k, 1) translations broadcast against the n points
     stage = AxialStage(zeta.coords, np.exp(-s)[:, None])
-    return stage.plan(zeta.coords).kernel(b.delta, b.tail, b.margin)
+    return stage.kernel(b.delta, b.tail, b.margin)
 
 
 def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
@@ -131,8 +131,7 @@ def adapted_at(zeta: BoundaryPoint, u) -> BallPoint:
 
 
 def _axial_transport(zeta: BoundaryPoint, s: float, p: BallPoint) -> BallPoint:
-    """Translate p (adapted against zeta) by s toward zeta along the axis."""
+    """p, held against zeta, moved by s toward it: `AxialStage.kernel`."""
     stage = AxialStage(zeta.coords, np.exp(-s))
-    plan = stage.plan(p.ref)
-    delta, tail, margin = plan.kernel(p.delta, p.tail(), p.margin)
-    return boundary_adapted_point(plan.ref, delta, tail=tail, margin=margin)
+    delta, tail, margin = stage.kernel(p.delta, p.tail(), p.margin)
+    return boundary_adapted_point(p.ref, delta, tail=tail, margin=margin)

@@ -5,8 +5,9 @@ Each orbit case runs `ballorbits orbit SPEC --zeta ZETA` with default options
 and compares stdout with `golden/orbit_<name>.txt`.  The cases cover every
 map kind a spec can name: inline Blaschke, an off-axis q = 2 hyperbolic, and
 INI compose, iterate, warped product and a hyperbolic conjugate; two more
-INI maps step a unitary stage (a hyperbolic conjugated by a unitary) and a
-parabolic stage (a hyperbolic composed with a parabolic).  Each
+INI maps step a centre-0 automorphism by its rotation form (a hyperbolic
+conjugated by a unitary) and a parabolic stage (a hyperbolic composed with
+a parabolic).  Each
 compare case runs `ballorbits compare` and checks its exit code and its
 stdout against `golden/compare_<name>.txt`; these pin the preimage march's
 output, and `golden/compare_csv.txt` pins `compare` on two orbit CSVs, the

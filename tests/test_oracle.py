@@ -1,5 +1,6 @@
 """High-precision oracles for the defect recursions of the axial stage, of
-Blaschke factors and of the automorphisms' closed form.
+Blaschke factors and of the automorphisms' closed and rotation forms, and
+the rotation form against the unitary stage it replaced, bit for bit.
 
 Each check rebuilds a float point's image from coordinates with mpmath and
 compares the float defect state (delta, tail, margin) with the image's,
@@ -233,7 +234,7 @@ def _phi_mp(a, z):
 
 def _closed_form_draws(rng, q, n):
     """n automorphisms U phi_a with a reference: a hyperbolic automorphism
-    at its attracting point -zeta, where its stage does not plan, in every
+    at its attracting point -zeta, away from its stage's fixed point, in every
     third draw, else a random unitary and centre (|a| < 0.9, or 0 where the
     draw's index is a multiple of 5) at a random reference, which the map
     moves."""
@@ -250,51 +251,141 @@ def _closed_form_draws(rng, q, n):
         yield geo._aut(a, u), ref
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_automorphism_closed_form_matches_the_map(rng, q):
-    """`Automorphism.plan` where no stage plans, on points held against
-    the reference at |delta| = 1e-2 down to 1e-40, with tails filling 10%
-    to 90% of their room (0 in q = 1), against g = U phi_a on 150 digits.
+def _deep_batch(rng, ref):
+    """Points held against ref at |delta| = 1e-2 down to 1e-40, with tails
+    filling 10% to 90% of their room (0 in q = 1)."""
+    depths = 10.0 ** -np.arange(2.0, 40.1, 2.0)
+    n, q = len(depths), ref.q
+    delta = depths * np.exp(1j * rng.uniform(-1.2, 1.2, n))
+    room = 2.0 * delta.real - np.abs(delta) ** 2
+    tail = rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q))
+    tail -= geo.herm(tail, ref.coords)[:, None] * ref.coords
+    tail *= np.sqrt(rng.uniform(0.1, 0.9, n) * room
+                    / np.maximum(geo.sq_norm(tail), 1e-300))[:, None]
+    if q == 1:
+        tail[:] = 0.0
+    return geo.PointBatch(ref.coords, delta, tail, room - geo.sq_norm(tail))
+
+
+def _assert_steps_as_the_map(g, ref, batch):
+    """g's plan at ref steps the batch as g = U phi_a does on 150 digits.
     The oracle normalises ref and projects the tail orthogonal to it, and
     takes delta and the margin from phi_a before U, which a float U keeps
     unitary only to 1e-16."""
-    depths = 10.0 ** -np.arange(2.0, 40.1, 2.0)
-    n = len(depths)
+    out = g.plan(ref.coords).step(batch)
+    unit = _unit(ref)
+    a = [mp.mpc(x) for x in g.center]
+    u = mp.matrix([[mp.mpc(x) for x in row] for row in g.unitary])
+    image = _phi_mp(a, unit)
+    eta = u * mp.matrix(image)
+    eta = [x / mp.norm(eta) for x in eta]
+    for i in range(len(batch)):
+        w = _phi_mp(a, _coords(unit, batch.delta[i], batch.tail[i]))
+        want_delta = 1 - _dot(w, image)
+        want_margin = 1 - sum(abs(x) ** 2 for x in w)
+        gw = list(u * mp.matrix(w))
+        c = _dot(gw, eta)
+        want_tail = [x - c * e for x, e in zip(gw, eta)]
+        tail_err = mp.sqrt(sum(abs(mp.mpc(x) - y) ** 2
+                               for x, y in zip(out.tail[i], want_tail)))
+        tail_norm = mp.sqrt(sum(abs(y) ** 2 for y in want_tail))
+        assert abs(mp.mpc(out.delta[i]) - want_delta) \
+            <= REL * abs(want_delta)
+        assert abs(mp.mpf(out.margin[i]) - want_margin) <= REL * want_margin
+        assert tail_err <= REL * tail_norm + 100 * mp.eps
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_automorphism_closed_form_matches_the_map(rng, q):
+    """`Automorphism.plan` away from its stage's fixed point, on deep
+    points (`_deep_batch`), against g = U phi_a on 150 digits: the closed
+    form, and the rotation form on the draws with centre 0."""
     with mp.workdps(DPS):
         for g, ref in _closed_form_draws(rng, q, 30):
-            assert all(st.plan(ref.coords) is None for st in g.stages)
-            delta = depths * np.exp(1j * rng.uniform(-1.2, 1.2, n))
-            room = 2.0 * delta.real - np.abs(delta) ** 2
-            tail = rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q))
-            tail -= geo.herm(tail, ref.coords)[:, None] * ref.coords
-            tail *= np.sqrt(rng.uniform(0.1, 0.9, n) * room
-                            / np.maximum(geo.sq_norm(tail), 1e-300))[:, None]
-            if q == 1:
-                tail[:] = 0.0
-            out = g.plan(ref.coords).step(geo.PointBatch(
-                ref.coords, delta, tail, room - geo.sq_norm(tail)))
-            unit = _unit(ref)
-            a = [mp.mpc(x) for x in g.center]
-            u = mp.matrix([[mp.mpc(x) for x in row] for row in g.unitary])
-            image = _phi_mp(a, unit)
-            eta = u * mp.matrix(image)
-            eta = [x / mp.norm(eta) for x in eta]
-            for i in range(n):
-                w = _phi_mp(a, _coords(unit, delta[i], tail[i]))
-                want_delta = 1 - _dot(w, image)
-                want_margin = 1 - sum(abs(x) ** 2 for x in w)
-                gw = list(u * mp.matrix(w))
-                c = _dot(gw, eta)
-                want_tail = [x - c * e for x, e in zip(gw, eta)]
-                tail_err = mp.sqrt(sum(abs(mp.mpc(x) - y) ** 2
-                                       for x, y in zip(out.tail[i],
-                                                       want_tail)))
-                tail_norm = mp.sqrt(sum(abs(y) ** 2 for y in want_tail))
-                assert abs(mp.mpc(out.delta[i]) - want_delta) \
-                    <= REL * abs(want_delta)
-                assert abs(mp.mpf(out.margin[i]) - want_margin) \
-                    <= REL * want_margin
-                assert tail_err <= REL * tail_norm + 100 * mp.eps
+            assert g.stage is None or not geo._same_direction(
+                g.stage.zeta, ref.coords, geo.FIX_TOL)
+            _assert_steps_as_the_map(g, ref, _deep_batch(rng, ref))
+
+
+def _unitary_stage_plan(v, ref):
+    """The unitary stage z |-> V z that centre-0 automorphisms stepped by
+    before their rotation form: delta and margin kept, tail V tail, held
+    against V ref normalised."""
+    image = v @ ref
+    return geo.Plan(image / np.linalg.norm(image), lambda d, t, m: (
+        d, np.einsum("ij,...j->...i", v, t), m))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_centre_zero_steps_as_the_unitary_stage(rng, q):
+    """Every centre-0 automorphism, `unitary_automorphism(v)` and its
+    inverse, steps deep points bit for bit as the unitary stage of v or
+    v^H did."""
+    for _ in range(20):
+        v = geo.project_unitary(rng.normal(size=(q, q))
+                                + 1j * rng.normal(size=(q, q)))
+        g = geo.unitary_automorphism(v)
+        for aut, mat in ((g, v), (geo.inverse(g), v.conj().T)):
+            batch = _deep_batch(rng, _off_axis_zeta(rng, q))
+            plan = aut.plan(batch.ref)
+            want = _unitary_stage_plan(mat, batch.ref).step(batch)
+            out = plan.step(batch)
+            assert plan.check_in and plan.check_out
+            for name in ("ref", "delta", "tail", "margin"):
+                assert getattr(out, name).tobytes() \
+                    == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_identity_and_antipodal_maps_step_exactly(rng, q):
+    """The identity and the involution at 0 (-id) take the rotation form:
+    delta and the margin keep their bytes and the tail is itself or its
+    negative, exactly, against ref or -ref (the closed form gave a tail
+    exact only to roundoff)."""
+    zero = geo.ball_point(np.zeros(q))
+    for g, sign in ((geo.identity_automorphism(q), 1.0),
+                    (geo.mobius_involution(zero), -1.0)):
+        batch = _deep_batch(rng, _off_axis_zeta(rng, q))
+        out = g.plan(batch.ref).step(batch)
+        want_ref = batch.ref if sign > 0 \
+            else -batch.ref / np.linalg.norm(batch.ref)
+        assert np.array_equal(out.ref, want_ref)
+        assert out.delta.tobytes() == batch.delta.tobytes()
+        assert out.margin.tobytes() == batch.margin.tobytes()
+        assert np.array_equal(out.tail, sign * batch.tail)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_tiny_centre_takes_the_closed_form(rng, q):
+    """A centre of modulus 1e-9 is past the rotation form's 1e-16: the
+    closed form steps it, which moves delta by about 1e-9 relative, and
+    agrees with 150 digits."""
+    with mp.workdps(DPS):
+        for _ in range(10):
+            ref = _off_axis_zeta(rng, q)
+            a = 1e-9 * _off_axis_zeta(rng, q).coords
+            u = geo.project_unitary(rng.normal(size=(q, q))
+                                    + 1j * rng.normal(size=(q, q)))
+            g, batch = geo._aut(a, u), _deep_batch(rng, ref)
+            out = g.plan(ref.coords).step(batch)
+            assert (out.delta != batch.delta).all()
+            _assert_steps_as_the_map(g, ref, batch)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_hyperbolic_map_takes_its_stage_at_zeta_only(rng, q):
+    """A hyperbolic automorphism plans by its stage's kernel at zeta, held
+    against zeta's own bytes, and by the closed form at -zeta; both agree
+    with 150 digits."""
+    with mp.workdps(DPS):
+        for _ in range(5):
+            zeta = _off_axis_zeta(rng, q)
+            g = geo.hyperbolic_automorphism(zeta, rng.uniform(1.1, 20.0))
+            at, away = g.plan(zeta.coords), g.plan(-zeta.coords)
+            assert at.kernel == g.stage.kernel and at.ref is zeta.coords
+            assert away.kernel != g.stage.kernel
+            for ref in (zeta, geo.BoundaryPoint(-zeta.coords)):
+                _assert_steps_as_the_map(g, ref, _deep_batch(rng, ref))
 
 
 def test_deep_iterate_off_axis_matches_coordinates(rng):

@@ -36,9 +36,8 @@ def reference_samples(zeta, width, s_values, n_angles, fractions):
         stage = geo.AxialStage(zeta.coords, np.exp(-float(s)))
         for u in offset_coords(zeta.q, width, n_angles, fractions):
             u = sampling.adapted_at(zeta, u)
-            plan = stage.plan(u.ref)
-            delta, tail, margin = plan.kernel(u.delta, u.tail(), u.margin)
-            pts.append(geo.boundary_adapted_point(plan.ref, delta, tail=tail,
+            delta, tail, margin = stage.kernel(u.delta, u.tail(), u.margin)
+            pts.append(geo.boundary_adapted_point(u.ref, delta, tail=tail,
                                                   margin=margin))
     return pts
 

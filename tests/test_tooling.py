@@ -22,10 +22,10 @@ PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 SRC = ROOT / "src" / "ballorbits"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MAX_OPTIONS = 36
+MAX_OPTIONS = 34
 # `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
 # aims at 3,319
-MAX_SRC_LINES = 3644
+MAX_SRC_LINES = 3624
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "geodesic_point",  # the geodesic primitive that tests build points with
