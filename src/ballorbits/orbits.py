@@ -370,21 +370,35 @@ def _cluster_orbit(records, zeta, lam, params, f):
 # Newton preimages
 # ---------------------------------------------------------------------------
 
-def newton_preimage(f: cat.SelfMap, target: BallPoint,
-                    seed: BallPoint) -> BallPoint:
-    """Solve f(z) = target by damped Newton (complex q x q solve).
+def newton_preimage(f: cat.SelfMap, target: BallPoint, seed):
+    """Solve f(z) = target by damped Newton (complex q x q solves).
 
-    With boundary-adapted targets the solve runs in defect coordinates
-    against the target's reference, so deep preimages keep relative
-    accuracy.  Otherwise, or when that solve stalls, Newton runs in
-    coordinates from the seed, its iterates retracted to radius 1 - 1e-12;
-    on stall a coarse polar grid reseeds it, all grid seeds as lanes of one
-    solve, and the first converged lane in seed order is the preimage.
+    A `PointBatch` of seeds held against the target's reference seeds a
+    backward chain, solved as one system (`_newton_adapted`): row 0 maps
+    onto target and row j + 1 onto row j.  The solved chain is returned,
+    or `NumericalError` raised.  With one seed and a boundary-adapted
+    target, the solve is the chain of one row, the seed first held against
+    the target's reference, so deep preimages keep relative accuracy.
+    Otherwise, or when that solve fails, Newton runs in coordinates from
+    the seed, its iterates retracted to radius 1 - 1e-12; on stall a coarse
+    polar grid reseeds it, all grid seeds as lanes of one solve, and the
+    first converged lane in seed order is the preimage.
     """
     tol, max_iter = 1e-12, 100
-    out = _newton_adapted(f, target, seed, tol, max_iter)
-    if out is not None:
+    ref = target.ref
+    if isinstance(seed, PointBatch):
+        out = None if ref is None else _newton_adapted(f, target, seed, tol,
+                                                       max_iter)
+        if out is None:
+            raise NumericalError("no backward chain found from the seeds")
         return out
+    if ref is not None:
+        if seed.ref is None or not np.array_equal(seed.ref, ref):
+            seed = geo.with_reference(seed, BoundaryPoint(ref))
+        seeds = geo.held(seed, BoundaryPoint(ref))
+        out = _newton_adapted(f, target, seeds, tol, max_iter)
+        if out is not None:
+            return seed if out is seeds else out.point(0)
     out, = _newton_coords(f, target.coords, seed.coords[None], tol, max_iter)
     if out is None:
         out = next((z for z in _newton_coords(f, target.coords,
@@ -492,18 +506,23 @@ def _newton_coords(f, target, seeds, tol, max_iter):
     return [zi if k else None for zi, k in zip(z, ok)]
 
 
-def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
-    """`_damped_newton` in defect coordinates against target.ref: exact deep
-    residuals.  Its one lane is (delta, tail, coords); steps solve for delta
-    and the last q - 1 tail components in the frame `rot` taking e_1 to ref.
-    A seed without target.ref takes it, and a seed that solves is kept.  The
-    seed and every trial batch step through one plan of f against ref; None
-    where f has none, or where its images leave ref (f does not fix it)."""
-    if target.ref is None:
-        return None
-    ref, q = target.ref, f.q
-    if seed.ref is None or not np.array_equal(seed.ref, ref):
-        seed = geo.with_reference(seed, geo.BoundaryPoint(ref))
+def _newton_adapted(f, target: BallPoint, seeds: PointBatch, tol, max_iter):
+    """Newton for a backward chain of f in defect coordinates against
+    target.ref, from the n rows of `seeds` held against it: row 0 solves
+    f(z) = target, row j + 1 solves f(z) = row j.  A row's unknowns are its
+    delta and last q - 1 tail components in the frame `rot` taking e_1 to
+    ref; the block bidiagonal Jacobian (each row's on the diagonal, -I
+    below) is solved by forward substitution.  An iteration makes one
+    `Plan.step` and one batched Jacobian of all rows.  A row is solved when
+    its residual is below tol (|delta| + |tail|) of its target, the chain
+    when all are.  All rows take one scale: the full step, or the first of
+    40 halvings (8 a batch) that lowers the worst row's residual against
+    its bound; a trial with a row of nonpositive margin is no point.  A
+    solved chain of several rows takes one more full step, kept if every
+    row stays solved: each row's residual carries to the chain's end.  None
+    where f has no plan at ref or its images leave ref, a Jacobian is
+    singular, 40 halvings or `max_iter` steps fail; `seeds` if they solve."""
+    ref, q, n = target.ref, f.q, len(seeds)
     plan = f._plan(ref)
     if plan is None or not geo._same_direction(plan.ref, ref, geo.FIX_TOL):
         return None
@@ -511,36 +530,57 @@ def _newton_adapted(f, target: BallPoint, seed: BallPoint, tol, max_iter):
     rot_h = rot.conj().T
     sign = np.array([-1.0] + [1.0] * (q - 1))   # d(delta)/d(z_1) = -1
 
-    def residual(img):
-        rt = (rot_h @ (img.tail - target.tail())[..., None])[:, 1:, 0]
-        return np.concatenate([(img.delta - target.delta)[:, None], rt], 1)
+    def residual(delta, tail, img):
+        """Residuals and bounds of chains of n rows laid end to end: each
+        row against the row before it, a chain's first against target."""
+        t_delta, t_tail = np.roll(delta, 1), np.roll(tail, 1, 0)
+        t_delta[::n], t_tail[::n] = target.delta, target.tail()
+        rt = (rot_h @ (img.tail - t_tail)[..., None])[:, 1:, 0]
+        return (np.concatenate([(img.delta - t_delta)[:, None], rt], 1),
+                tol * (np.hypot(t_delta.real, t_delta.imag)
+                       + _row_norms(t_tail) + 1e-300))
 
-    def jacobian(x):   # of the residual in (delta, rotated tail)
-        jw = sign[:, None] * (rot_h @ cat.jacobian(f, x[0, q + 1:]) @ rot)
-        return (jw * sign)[None]
-
-    def trials(x, scales, step):
-        lift = scales[:, None] * step
-        delta = x[:, 0] + lift[:, 0]
-        lift[:, 0] = 0.0
-        tail = x[:, 1:q + 1] + (rot @ lift[..., None])[..., 0]
-        margin = 2.0 * delta.real - geo.abs_sq(delta) - geo.sq_norm(tail)
-        ok = margin > 0.0   # a trial outside the ball is no point
-        res = np.full((len(x), q), np.inf, dtype=complex)
-        if ok.any():
-            res[ok] = residual(plan.step(PointBatch(
-                ref, delta[ok], tail[ok], margin[ok])))
-        coords = geo._defect_coords(ref, delta, tail)
-        return np.concatenate([delta[:, None], tail, coords], 1), res
-
-    x0 = np.concatenate([[seed.delta], seed.tail(), seed.coords])[None]
-    scale = abs(target.delta) + float(np.linalg.norm(target.tail())) + 1e-300
-    img = plan.step(geo.held(seed, geo.BoundaryPoint(ref)))
-    out, = _damped_newton(x0.copy(), residual(img), tol * scale, max_iter,
-                          jacobian, trials)
-    if np.isnan(out[0]) or np.array_equal(out, x0[0]):   # none, or the seed
-        return None if np.isnan(out[0]) else seed
-    return geo.boundary_adapted_point(ref, out[0], tail=out[1:q + 1])
+    delta, tail, coords = seeds.delta, seeds.tail, seeds.coords
+    res, bound = residual(delta, tail, plan.step(seeds))
+    polished = n == 1   # one row takes no step once solved
+    for it in range(max_iter + (n > 1)):
+        worst = (_row_norms(res) / bound).max()
+        if worst < 1.0 and (polished or it == 0):
+            return seeds if it == 0 else PointBatch(
+                ref, delta, tail,
+                2.0 * delta.real - geo.abs_sq(delta) - geo.sq_norm(tail))
+        jac = sign[:, None] * (rot_h @ cat.jacobian(f, coords) @ rot) * sign
+        try:
+            step = np.linalg.solve(jac, -res[..., None])[..., 0]
+            below = np.linalg.inv(jac[1:])
+        except np.linalg.LinAlgError:
+            return None
+        for j in range(1, n):   # the -I below the diagonal
+            step[j] += below[j - 1] @ step[j - 1]
+        polished = polished or worst < 1.0
+        for scales in _TRIAL_SCALES[:1] if worst < 1.0 else _TRIAL_SCALES:
+            k = len(scales)
+            lift = np.repeat(scales, n)[:, None] * np.tile(step, (k, 1))
+            d = np.tile(delta, k) + lift[:, 0]
+            lift[:, 0] = 0.0
+            t = np.tile(tail, (k, 1)) + (rot @ lift[..., None])[..., 0]
+            m = 2.0 * d.real - geo.abs_sq(d) - geo.sq_norm(t)
+            ok = (m > 0.0).reshape(-1, n).all(1).repeat(n)
+            r, b = np.full((len(d), q), np.inf, complex), np.ones(len(d))
+            if ok.any():
+                r[ok], b[ok] = residual(d[ok], t[ok], plan.step(
+                    PointBatch(ref, d[ok], t[ok], m[ok])))
+            hit = np.flatnonzero((_row_norms(r) / b).reshape(-1, n).max(1)
+                                 < max(worst, 1.0))
+            if len(hit):
+                rows = slice(hit[0] * n, hit[0] * n + n)
+                delta, tail, res, bound = d[rows], t[rows], r[rows], b[rows]
+                coords = geo._defect_coords(ref, delta, tail)
+                break
+        else:
+            if worst >= 1.0:
+                return None
+    return None
 
 
 def _grid_seeds(q: int):
@@ -553,59 +593,31 @@ def _grid_seeds(q: int):
                      for t in angles[::2] for t2 in angles[::2]])
 
 
-def _adapted_preimage(f, cur: BallPoint, lam_guess: float) -> BallPoint:
-    """The march's adapted candidate, held against cur's reference: the
-    preimage of cur solved from cur's tail and delta cur.delta / lam_guess."""
-    return geo.held(newton_preimage(f, cur, geo.boundary_adapted_point(
-        cur.ref, cur.delta / lam_guess, tail=cur.tail())),
-        BoundaryPoint(cur.ref)).point(0)
-
-
-def _walk_ahead(f, cur: BallPoint, lam_guess: float, n: int):
-    """The march's first n steps as they go when each step's adapted
-    candidate wins: one (point, lam_guess, candidate) per walked step.  It
-    never raises: a step that raises ends it, and the march then takes that
-    step itself and raises there."""
-    walk = []
-    try:
-        for _ in range(n):
-            cand = _adapted_preimage(f, cur, lam_guess)
-            walk.append((cur, lam_guess, cand))
-            lam_guess = max(float(np.exp(geo.kob_dist(cur, cand))), 1.01)
-            cur = cand
-    except Exception:
-        # any error: the march takes this step itself after the checks of
-        # the steps before it, so what it raises surfaces at its own step
-        pass
-    return walk
-
-
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                                  zeta: BoundaryPoint, n_steps: int,
                                  lam_hint: float | None = None
                                  ) -> BackwardOrbitResult:
-    """Backward orbit by repeated preimage solving with branch selection.
+    """Backward orbit by preimage solving with branch selection.
 
     Among candidate preimages the branch minimising
         kob(current, candidate) + max(horofunction(candidate), 0)
     is taken: the branch staying inside the unit horosphere and moving
     toward zeta.  Two candidates scoring within 0.05 of each other
-    is an ambiguity error listing both.  The winner's distance is the step
-    whose exponential seeds the next adapted solve.  Each of the first 8
-    steps also solves f(z) = current from every grid seed.
+    is an ambiguity error listing both.  Each of the first 8 steps also
+    solves f(z) = current from every grid seed.
 
-    Those grid solves run as one `_newton_coords` call: the march first
-    walks its first min(8, n_steps) steps on the adapted candidates alone
-    (`_walk_ahead`), then solves the grids of all walked points together.
-    A step takes its walked candidate and grid solutions only when its
-    current point is the walked one and its lam_guess equals the walked
-    value; otherwise, and from step 8 on, it solves them itself.  So every
-    step sees the candidates a step-by-step march sees.
-
-    Every point of the march, z_0 included (`geo.held`), and every
-    candidate is held against zeta, and each adapted solve plans f once
-    against zeta (`_newton_adapted`).  Grid solutions equal
-    to an earlier candidate (within 1e-8) are dropped before points are built.
+    The adapted candidates of all steps are one backward chain, solved at
+    once (`newton_preimage` on a `PointBatch`), row j - 1 seeded from z_0
+    along the axial model of dilation lam = lam_hint (3.0 without one):
+    delta_0 lam^-j, tail_0 lam^(-j/2), margin_0 lam^-j.  The grids of z_0
+    and the chain's first seven rows are one `_newton_coords` call.  From
+    the first step whose winner is not the chain's row, or from step 0 if
+    the chain solve raises, the march steps alone: each step solves its
+    own grid below step 8 and its adapted candidate from its point's tail
+    and delta / lam_guess, lam_guess = max(exp(d), 1.01) for the distance
+    d the step before scored its winner with.  Every point, z_0 included,
+    and every candidate is held against zeta (`geo.held`); grid solutions
+    within 1e-8 of an earlier candidate are dropped before points are built.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
@@ -613,22 +625,33 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    walk = _walk_ahead(f, cur, lam_guess, min(8, n_steps))
-    grids = []   # each walked step's grid solutions
-    if walk:
-        targets = np.array([p.coords for p, _, _ in walk]).repeat(len(grid), 0)
-        solved = _newton_coords(f, targets, np.tile(grid, (len(walk), 1)),
-                                1e-12, 60)
+    j = np.arange(1.0, n_steps + 1)
+    scale = np.float_power(lam_guess, -j)
+    try:
+        chain = newton_preimage(f, cur, PointBatch(
+            cur.ref, cur.delta * scale,
+            np.float_power(lam_guess, -j / 2.0)[:, None] * cur.tail(),
+            cur.margin * scale))
+    except (NumericalError, DomainError):
+        chain = None
+    if chain is not None:
+        m = min(8, n_steps)
+        targets = np.concatenate([cur.coords[None], chain.coords[:m - 1]])
+        solved = _newton_coords(f, targets.repeat(len(grid), 0),
+                                np.tile(grid, (m, 1)), 1e-12, 60)
         grids = [solved[i:i + len(grid)]
                  for i in range(0, len(solved), len(grid))]
     for step_idx in range(n_steps):
-        if (step_idx < len(walk) and walk[step_idx][0] is cur
-                and walk[step_idx][1] == lam_guess):
-            uniq, outs = [walk[step_idx][2]], grids[step_idx]
+        if chain is not None:
+            uniq = [chain.point(step_idx)]
+            chained, outs = uniq[0], (grids[step_idx] if step_idx < 8 else ())
         else:
             uniq = []
             try:
-                uniq.append(_adapted_preimage(f, cur, lam_guess))
+                uniq.append(geo.held(newton_preimage(
+                    f, cur, geo.boundary_adapted_point(
+                        cur.ref, cur.delta / lam_guess, tail=cur.tail())),
+                    zeta).point(0))
             except (NumericalError, DomainError):
                 pass
             outs = (_newton_coords(f, cur.coords, grid, 1e-12, 60)
@@ -659,6 +682,8 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 "within 0.05")
         nxt, step = uniq[order[0]], dists[order[0]]
+        if chain is not None and nxt is not chained:
+            chain = None   # the march steps alone from here
         lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt

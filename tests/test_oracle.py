@@ -1,6 +1,7 @@
 """High-precision oracles for the defect recursions of the axial stage, of
-Blaschke factors and of the automorphisms' closed and rotation forms, and
-the rotation form against the unitary stage it replaced, bit for bit.
+Blaschke factors and of the automorphisms' closed and rotation forms, the
+rotation form against the unitary stage it replaced, bit for bit, and the
+preimage march's backward residuals.
 
 Each check rebuilds a float point's image from coordinates with mpmath and
 compares the float defect state (delta, tail, margin) with the image's,
@@ -10,17 +11,23 @@ The input of a translate is the same construction at s = 0, where the
 stage's dilation is 1 and the point is its input bit for bit.
 """
 
+import contextlib
+import io
+
 import mpmath
 import numpy as np
 import pytest
 
+from ballorbits import acceptance
 from ballorbits import catalog as cat
+from ballorbits import cli
 from ballorbits import geometry as geo
 from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DomainError
 
 from conftest import fixed_blaschke, random_interior
+from test_golden import COMPARE_CASES
 
 mp = mpmath.mp
 DPS = 150
@@ -480,3 +487,59 @@ def test_kob_dist_of_close_pairs(rng):
                                _coords(unit, b.delta, b.tail()))
                 assert abs(d - want) <= 1e-12 * want
 
+
+
+def _map_mp(f):
+    """f on coordinates at the working precision, built from its kind and
+    children: a Blaschke product (`_blaschke`) turned by e^{i theta}, an
+    automorphism U phi_a (`_phi_mp`), a warped product, a composition."""
+    if isinstance(f, cat.Blaschke):
+        zeros, theta = f.params
+        b = _blaschke(zeros)
+        return lambda z: [mp.expj(theta) * b(z[0])]
+    if isinstance(f, cat.BallAutomorphism):
+        g = f.params[0]
+        a = [mp.mpc(x) for x in g.center]
+        u = mp.matrix([[mp.mpc(x) for x in row] for row in g.unitary])
+        return lambda z: list(u * mp.matrix(_phi_mp(a, z)))
+    if isinstance(f, cat.WarpedProduct):
+        phi, c = _map_mp(f.children[0]), mp.mpc(f.params[0])
+        return lambda z: phi(z[:1]) + [c * x for x in z[1:]]
+    parts = [_map_mp(g) for g in reversed(f.children)]
+
+    def composed(z):
+        for part in parts:
+            z = part(z)
+        return z
+    return composed
+
+
+@pytest.mark.parametrize("name", ["criterion_06", "blaschke", "conjugate",
+                                  "warped", "hyperbolic_offaxis"])
+def test_march_points_map_onto_their_predecessors(name, monkeypatch):
+    """Each point z_{j+1} of a preimage march, rebuilt from its defect
+    state, maps under f on 150 digits onto z_j within 1e-13 relative in
+    delta: criterion 06's march and four `compare` marches.  The image is
+    held against f's image eta of the unit zeta, as the plan holds it
+    against zeta."""
+    marches, march = [], orb.backward_orbit_via_preimages
+    monkeypatch.setattr(orb, "backward_orbit_via_preimages",
+                        lambda f, *args, **kwargs: marches.append(
+                            (f, march(f, *args, **kwargs))) or marches[-1][1])
+    if name == "criterion_06":
+        assert acceptance.criterion_06_finite_distance(
+            12345, acceptance.PassFixtures()).passed
+    else:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["compare", *COMPARE_CASES[name]]) == 0
+    (f, res), = marches
+    pts, f_mp = res.orbit.points, _map_mp(f)
+    assert len(pts) == 42
+    with mp.workdps(DPS):
+        unit = _unit(res.orbit.zeta)
+        eta = f_mp(unit)
+        eta = [x / mp.sqrt(_dot(eta, eta).real) for x in eta]
+        for j in range(1, len(pts)):
+            w = f_mp(_coords(unit, pts.delta[j], pts.tail[j]))
+            want = pts.delta[j - 1]
+            assert abs(1 - _dot(w, eta) - mp.mpc(want)) <= REL * abs(want)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ballorbits import analysis as ana
 from ballorbits import catalog as cat
 from ballorbits import cli
 from ballorbits import geometry as geo
@@ -646,17 +647,24 @@ def reference_newton_adapted(f, target, seed, tol, max_iter):
 
 def assert_adapted_matches_reference(f, target, seed, tol=1e-12,
                                      max_iter=100):
-    out = orb._newton_adapted(f, target, seed, tol, max_iter)
-    ref = reference_newton_adapted(f, target, seed, tol, max_iter)
+    """`_newton_adapted` on the one-row chain of `seed`, a one-row batch
+    held against the target's reference or a point held against it first,
+    gives the scalar loop's point as bytes; returns that point."""
+    seeds = seed if isinstance(seed, geo.PointBatch) \
+        else geo.held(seed, geo.BoundaryPoint(target.ref))
+    out = orb._newton_adapted(f, target, seeds, tol, max_iter)
+    ref = reference_newton_adapted(f, target, seeds.point(0), tol, max_iter)
     assert (out is None) == (ref is None)
     if ref is not None:
+        out = out.point(0)
         assert _point_bytes(out) == _point_bytes(ref)
         assert out.tail().tobytes() == ref.tail().tobytes()
     return out
 
 
 def _adapted_solves(monkeypatch, march):
-    """The arguments of every defect-coordinate solve that `march()` makes."""
+    """The arguments of every defect-coordinate solve that `march()` makes:
+    each a one-row chain where `march` is `reference_march`."""
     calls = []
     solve = orb._newton_adapted
     monkeypatch.setattr(orb, "_newton_adapted",
@@ -668,9 +676,10 @@ def _adapted_solves(monkeypatch, march):
 
 def test_adapted_solve_matches_reference_c06(cleared_blaschke, blaschke_orbit,
                                              monkeypatch):
-    cleared, _ = cleared_blaschke
-    calls = _adapted_solves(monkeypatch, lambda: orb.offset_preimage_orbit(
-        cleared, blaschke_orbit.orbit, 3.0, 0.05))
+    args, kwargs = _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit,
+                             0.05)
+    calls = _adapted_solves(monkeypatch,
+                            lambda: reference_march(*args, **kwargs))
     assert len(calls) == 41
     for args in calls:
         assert assert_adapted_matches_reference(*args) is not None
@@ -688,9 +697,8 @@ def test_adapted_solve_matches_reference_q2_deep():
 def test_adapted_solve_matches_reference_off_axis_q2(monkeypatch):
     zeta = geo.boundary_point([0.6, 0.8j])
     f = cat.hyperbolic_selfmap(zeta, 3.0)
-    calls = _adapted_solves(
-        monkeypatch, lambda: orb.backward_orbit_via_preimages(
-            f, geo.ball_point([0.1, 0.2j]), zeta, 20, lam_hint=3.0))
+    calls = _adapted_solves(monkeypatch, lambda: reference_march(
+        f, geo.ball_point([0.1, 0.2j]), zeta, 20, lam_hint=3.0))
     assert len(calls) == 20
     for args in calls:
         assert assert_adapted_matches_reference(*args) is not None
@@ -728,15 +736,18 @@ def test_adapted_solve_matches_reference_past_the_sphere(
 
 
 def test_adapted_solve_singular_and_solved_seeds(e1):
-    # z^2 has a zero Jacobian at its critical point z = 0: the lane retires
-    # with None; a seed that already solves comes back as the same point
+    # z^2 has a zero Jacobian at its critical point z = 0: the chain fails
+    # with None; seeds that already solve come back as the same batch, and
+    # a seed point as the same point
     f = cat.blaschke_product([0.0, 0.0])
     target = orb.radial_anchor(e1, 2.0, 3)
     critical = geo.boundary_adapted_point(e1.coords, 1.0)
     assert assert_adapted_matches_reference(f, target, critical) is None
     pre = orb.newton_preimage(f, target,
                               geo.boundary_adapted_point(e1.coords, 0.5))
-    assert orb._newton_adapted(f, target, pre, 1e-12, 100) is pre
+    seeds = geo.held(pre, e1)
+    assert orb._newton_adapted(f, target, seeds, 1e-12, 100) is seeds
+    assert orb.newton_preimage(f, target, pre) is pre
     assert reference_newton_adapted(f, target, pre, 1e-12, 100) is pre
 
 
@@ -820,8 +831,8 @@ def test_newton_singular_lane_retires_alone():
 def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
                                           monkeypatch):
     # one batched grid solve for the first 8 backward steps, 8 x 32 lanes:
-    # the adapted solve gives the candidate on every step, so the walk
-    # ahead reaches step 8 and every step takes its walked grid solutions
+    # the chain's row wins every step, so every step takes the grid
+    # solutions solved at z_0 and the chain's first seven rows
     calls = []
     newton = orb._newton_coords
     monkeypatch.setattr(orb, "_newton_coords",
@@ -834,47 +845,88 @@ def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
 
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
                                             monkeypatch):
-    # each of criterion 06's 41 adapted solves plans the map once and steps
-    # through that plan (every step here is an adapted solve's), and the
-    # march plans no more; it builds points only for grid solutions no
-    # earlier candidate holds
+    # criterion 06's march solves its 41 adapted candidates as one chain:
+    # one `newton_preimage` call, which plans the map once and steps all
+    # rows through that plan once for the seeds and once per Newton
+    # iteration, and one grid solve of 8 x 32 lanes; it builds points only
+    # for grid solutions no earlier candidate holds
     cleared, _ = cleared_blaschke
     calls = count_calls(monkeypatch, (type(cleared), "_plan"),
-                        (geo.Plan, "step"), (geo, "ball_point"))
+                        (geo.Plan, "step"), (geo, "ball_point"),
+                        (orb, "newton_preimage"))
+    lanes, newton = [], orb._newton_coords
+    monkeypatch.setattr(orb, "_newton_coords",
+                        lambda *args: lanes.append(len(args[2]))
+                        or newton(*args))
     orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls["_plan"] == 41
-    assert calls["step"] == 112
+    assert calls["_plan"] == 1
+    assert calls["newton_preimage"] == 1
+    assert calls["step"] <= 9
+    assert lanes == [256]
     assert calls["ball_point"] <= 11
+
+
+def _chain_raises(monkeypatch):
+    """Make every chain solve (`newton_preimage` on a `PointBatch`) raise,
+    so that a march steps alone from step 0."""
+    newton = orb.newton_preimage
+
+    def solve(f, target, seed):
+        if isinstance(seed, geo.PointBatch):
+            raise NumericalError("no backward chain found from the seeds")
+        return newton(f, target, seed)
+    monkeypatch.setattr(orb, "newton_preimage", solve)
 
 
 @pytest.mark.parametrize("run", ["criterion_06", "compare"])
 def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
                                           blaschke_orbit, monkeypatch):
-    """Each adapted solve after the first is seeded with lam_guess =
-    max(exp(kob_dist(previous, current)), 1.01), as bytes: the distance the
-    march scored its winner with is that step."""
-    solves, marches = [], []
-    newton, march = orb.newton_preimage, orb.backward_orbit_via_preimages
+    """The chain solve is seeded from z_0 along the axial model, row j - 1
+    with delta_0 lam^-j, tail_0 lam^(-j/2) and margin_0 lam^-j, as bytes.
+    When it raises, the march steps alone: each adapted solve after the
+    first is seeded with lam_guess = max(exp(kob_dist(previous, current)),
+    1.01), as bytes, the distance the march scored its winner with."""
+    def march_once(alone):
+        solves, marches = [], []
+        newton, march = orb.newton_preimage, orb.backward_orbit_via_preimages
 
-    def record_solve(f, target, seed, *args):
-        solves.append((target, seed))
-        return newton(f, target, seed, *args)
+        def record_solve(f, target, seed, *args):
+            solves.append((target, seed))
+            return newton(f, target, seed, *args)
 
-    def record_march(*args, **kwargs):
-        marches.append((kwargs["lam_hint"], march(*args, **kwargs)))
-        return marches[-1][1]
+        def record_march(*args, **kwargs):
+            marches.append((kwargs["lam_hint"], march(*args, **kwargs)))
+            return marches[-1][1]
 
-    monkeypatch.setattr(orb, "newton_preimage", record_solve)
-    monkeypatch.setattr(orb, "backward_orbit_via_preimages", record_march)
-    if run == "compare":
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["compare", "blaschke:a=1/3", "--zeta", "1",
-                             "--offset", "0.05"]) == 0
-    else:
-        cleared, _ = cleared_blaschke
-        orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    (lam_hint, res), = marches
-    pts = res.orbit.points
+        monkeypatch.setattr(orb, "newton_preimage", record_solve)
+        if alone:
+            _chain_raises(monkeypatch)
+        monkeypatch.setattr(orb, "backward_orbit_via_preimages", record_march)
+        if run == "compare":
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["compare", "blaschke:a=1/3", "--zeta", "1",
+                                 "--offset", "0.05"]) == 0
+        else:
+            cleared, _ = cleared_blaschke
+            orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
+                                      0.05)
+        monkeypatch.undo()
+        (lam_hint, res), = marches
+        return lam_hint, res.orbit.points, solves
+
+    lam, pts, solves = march_once(alone=False)
+    (target, seeds), = solves
+    assert isinstance(seeds, geo.PointBatch) and len(seeds) == len(pts) - 1
+    assert _point_bytes(target) == _point_bytes(pts[0])
+    z0 = pts[0]
+    for j, seed in enumerate(seeds, 1):
+        want = geo.boundary_adapted_point(
+            z0.ref, z0.delta * lam ** -j, tail=z0.tail() * lam ** (-j / 2),
+            margin=z0.margin * lam ** -j)
+        assert (_point_bytes(seed) + (seed.tail().tobytes(),)
+                == _point_bytes(want) + (want.tail().tobytes(),))
+
+    lam_hint, pts, solves = march_once(alone=True)
     assert len(solves) == len(pts) - 1
     for i, (target, seed) in enumerate(solves):
         # the chain holds the march's point as it is
@@ -886,15 +938,17 @@ def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
             pts[i].delta / lam).tobytes()
 
 
-def reference_march(f, z0, zeta, n_steps, lam_hint=None):
+def reference_march(f, z0, zeta, n_steps, lam_hint=None, first=0):
     """`backward_orbit_via_preimages` as a step-by-step loop, each step
     solving its own adapted candidate and its own grid; the points, each
-    held against zeta as every candidate is."""
+    held against zeta as every candidate is.  `first` is the march's index
+    of z0, for a march that steps alone from there: the grids are solved
+    below index 8."""
     grid = orb._grid_seeds(f.q)
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    for step_idx in range(n_steps):
+    for step_idx in range(first, first + n_steps):
         uniq = []
         try:
             seed = geo.boundary_adapted_point(
@@ -967,6 +1021,49 @@ def _compare_args(monkeypatch, argv):
     return _march_args(monkeypatch, lambda: cli.main(["compare", *argv]))
 
 
+def _chained_march(monkeypatch, args, kwargs, chain_upset=None):
+    """The march's points and the chain its chain solve gave (None where it
+    raised), `chain_upset(chain)` standing in for that chain if given."""
+    chains, newton = [], orb.newton_preimage
+
+    def solve(f, target, seed):
+        out = newton(f, target, seed)
+        if isinstance(seed, geo.PointBatch):
+            chains.append(chain_upset(out) if chain_upset else out)
+            return chains[-1]
+        return out
+    monkeypatch.setattr(orb, "newton_preimage", solve)
+    pts = orb.backward_orbit_via_preimages(*args, **kwargs).orbit.points
+    monkeypatch.setattr(orb, "newton_preimage", newton)
+    return pts, (chains or [None])[0]
+
+
+def _check_march(pts, chain, args, kwargs):
+    """Check a march's points against its chain: the rows it took from the
+    chain, z_1..z_s, are the chain's first s rows as bytes, and each maps
+    onto the point before within 1e-12 relative in delta; from the point
+    after the first step whose winner is not the chain's row (z_0 if the
+    chain solve raised) the march equals `reference_march` from there, as
+    bytes.  Returns s."""
+    f, _, zeta, n_steps = args
+    s = 0
+    while chain is not None and s < n_steps and (
+            _point_bytes(pts[s + 1]) == _point_bytes(chain[s])):
+        s += 1
+    img = cat.step_point(f, pts[1:s + 1])
+    assert np.all(np.abs(img.delta - pts.delta[:s])
+                  <= 1e-12 * np.abs(pts.delta[:s]))
+    start = 0 if chain is None else s + 1
+    if start <= n_steps:
+        lam = kwargs.get("lam_hint") if start == 0 else max(
+            float(np.exp(geo.kob_dist(pts[start - 1], pts[start]))), 1.01)
+        ref = _march_outcome(reference_march, (
+            f, pts[start], zeta, n_steps - start),
+            {"lam_hint": lam, "first": start})
+        assert ref == _march_outcome(lambda: pts[start:], (), {})
+    return s
+
+
 MARCHES = {
     **{f"c06_{offset}": offset for offset in (0.02, 0.05, 0.1, 0.3)},
     "warped_q2": [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"],
@@ -980,8 +1077,9 @@ MARCHES = {
 @pytest.mark.parametrize("name", MARCHES)
 def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
                                        e1, monkeypatch):
-    """The march with its walk ahead and one grid solve gives every point
-    of the step-by-step march as bytes."""
+    """The march takes every step's candidate from its one chain solve, and
+    each chained point maps onto the one before; where it steps alone it
+    gives the step-by-step march's points as bytes (`_check_march`)."""
     case = MARCHES[name]
     if name == "unhinted":
         x0 = blaschke_orbit.orbit.points[0]
@@ -992,11 +1090,9 @@ def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
                                  blaschke_orbit, case)
     else:
         args, kwargs = _compare_args(monkeypatch, case)
-    out = _march_outcome(lambda *a, **k: orb.backward_orbit_via_preimages(
-        *a, **k).orbit.points, args, kwargs)
-    ref = _march_outcome(reference_march, args, kwargs)
-    assert isinstance(ref, list) and len(ref) == args[3] + 1
-    assert out == ref
+    pts, chain = _chained_march(monkeypatch, args, kwargs)
+    assert len(pts) == args[3] + 1
+    assert _check_march(pts, chain, args, kwargs) == args[3]
 
 
 @pytest.mark.parametrize("upset, at", [("raise", 0), ("raise", 3),
@@ -1004,59 +1100,79 @@ def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
                                        ("distance", None)])
 def test_march_matches_reference_when_the_walk_goes_astray(
         upset, at, cleared_blaschke, blaschke_orbit, e1, monkeypatch):
-    """Criterion 06's march, upset so that the walk ahead and the march part:
-    - raise: `newton_preimage` raises at step `at`, so the walk stops there
-      and the march takes that step and the next ones itself;
-    - stray: at step `at` the adapted solve gives the origin, a candidate
-      the grid's preimage beats, so the march leaves the walked points;
-      the walk's one-pair distance to the origin is made the winner's
-      scored distance, so the next walked lam_guess is the march's own;
-    - distance: a one-pair `kob_dist` is off by 1e-9, so each walked
-      lam_guess differs from the one the march scores.
-    Every point still equals the step-by-step march's, as bytes.  The
-    step-by-step march runs first, and its scored distance stands in."""
+    """Criterion 06's march, upset so that it leaves its chain:
+    - raise: the chain solve raises, and so does the one-point solve at
+      step `at`, so the march steps alone from step 0 and finds no adapted
+      candidate at step `at`;
+    - stray: the chain's row `at` is the origin, which the grid's preimage
+      beats, so the march steps alone from the step after;
+    - distance: every `kob_dist` is off by 1e-9, which moves each scored
+      step but not the chain, seeded from the hint alone: every point is
+      the march's without the upset, as bytes.
+    Where it steps alone it gives the step-by-step march's points under the
+    same upset, as bytes (`_check_march`)."""
     args, kwargs = _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit,
                              0.05)
-    newton, dist = orb.newton_preimage, geo.kob_dist
-    origin = geo.with_reference(geo.ball_point([0.0]), e1)
-    scored = []   # the distances the march scores its winner at `at` with
-
-    def run(march):
-        targets = []   # the distinct targets in the order they are asked
+    n_steps = args[3]
+    if upset == "raise":
+        _chain_raises(monkeypatch)
+        newton, targets = orb.newton_preimage, []
 
         def upset_solve(f, target, seed):
-            step = next((i for i, t in enumerate(targets) if t is target),
-                        len(targets))
-            if step == len(targets):
+            if not any(t is target for t in targets):
                 targets.append(target)
-            if step == at and upset == "raise":
+            if len(targets) > at and targets[at] is target:
                 raise NumericalError("no preimage found near the seed")
-            return origin if step == at else newton(f, target, seed)
-
-        def upset_dist(z, w):
-            if upset == "distance":
-                d = dist(z, w)
-                return d + 1e-9 if isinstance(z, geo.BallPoint) else d
-            if w is origin:   # the walk measures its step to the stray
-                return scored[0]
-            d = dist(z, w)
-            if isinstance(w, list) and any(p is origin for p in w):
-                scored.extend(x for x, p in zip(d, w) if p is not origin)
-            return d
-
+            return newton(f, target, seed)
         monkeypatch.setattr(orb, "newton_preimage", upset_solve)
-        if upset != "raise":
-            monkeypatch.setattr(geo, "kob_dist", upset_dist)
-        try:
-            return _march_outcome(march, args, kwargs)
-        finally:
-            monkeypatch.undo()
+        pts, chain = _chained_march(monkeypatch, args, kwargs)
+        assert chain is None and len(targets) == n_steps
+        targets.clear()   # the step-by-step march's steps count from 0
+        assert _check_march(pts, chain, args, kwargs) == 0
+    elif upset == "stray":
+        origin = geo.with_reference(geo.ball_point([0.0]), e1)
+        pts, chain = _chained_march(
+            monkeypatch, args, kwargs, lambda chain: geo.held(
+                [origin if i == at else p for i, p in enumerate(chain)], e1))
+        assert _check_march(pts, chain, args, kwargs) == at
+        assert _point_bytes(pts[at + 1]) != _point_bytes(origin)
+    else:
+        want, _ = _chained_march(monkeypatch, args, kwargs)
+        dist = geo.kob_dist
+        monkeypatch.setattr(geo, "kob_dist", lambda z, w: dist(z, w) + 1e-9)
+        pts, chain = _chained_march(monkeypatch, args, kwargs)
+        assert _check_march(pts, chain, args, kwargs) == n_steps
+        assert _march_outcome(lambda: pts, (), {}) == _march_outcome(
+            lambda: want, (), {})
+    monkeypatch.undo()
 
-    ref = run(reference_march)
-    out = run(lambda *a, **k: orb.backward_orbit_via_preimages(
-        *a, **k).orbit.points)
-    assert isinstance(ref, list) and len(ref) == args[3] + 1
-    assert out == ref
+
+def _hyperbolic_draws():
+    """The off-axis golden map, then 12 hyperbolic maps, four in each of
+    q = 1, 2, 3, at a random zeta with lam in [2, 4)."""
+    rng = np.random.default_rng(30)
+    draws = [(geo.boundary_point([0.6, 0.8j]), 3.0)]
+    for q in (1, 2, 3):
+        for _ in range(4):
+            v = rng.normal(size=q) + 1j * rng.normal(size=q)
+            draws.append((geo.boundary_point(v / np.linalg.norm(v)),
+                          float(rng.uniform(2.0, 4.0))))
+    return draws
+
+
+@pytest.mark.parametrize("offset", [0.05, 0.3])
+def test_march_is_an_isometry_for_hyperbolic_maps(offset):
+    """A hyperbolic map is a Kobayashi isometry, so its march from a point
+    at distance `offset` from the construction's start stays at that
+    distance from the construction: every entry of the direct profile is
+    within 1e-12 of `offset`."""
+    for zeta, lam in _hyperbolic_draws():
+        f = cat.hyperbolic_selfmap(zeta, lam)
+        orbit = orb.construct_backward_orbit(f, zeta, lam).orbit
+        march = orb.offset_preimage_orbit(f, orbit, lam, offset).orbit
+        direct = ana.orbit_distance_profile(orbit, march).direct
+        assert len(direct) == len(orbit)
+        assert np.abs(direct - offset).max() <= 1e-12, (zeta.coords, lam)
 
 
 def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
