@@ -218,7 +218,7 @@ CHAIN_COORDS = {
     "orbit_compose_parabolic": "90ddb8635e9e8d51",
     "cluster_blaschke_turned": "d8b51b443521d3dd",
     "offaxis_conjugate": "ba347b2ff7472670",
-    "criterion_06_march": "218962e92cf314e3",
+    "criterion_06_march": "50a6d2c7567f1a5d",
     "read_orbit_csv": "3c12692259ffc3fd",
 }
 
