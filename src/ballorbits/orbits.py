@@ -542,7 +542,7 @@ def _newton_adapted(f, target: BallPoint, seeds: PointBatch, tol, max_iter):
 
     delta, tail, coords = seeds.delta, seeds.tail, seeds.coords
     res, bound = residual(delta, tail, plan.step(seeds))
-    polished = n == 1   # one row takes no step once solved
+    polished = n == 1   # several rows take one more step once solved
     for it in range(max_iter + (n > 1)):
         worst = (_row_norms(res) / bound).max()
         if worst < 1.0 and (polished or it == 0):
@@ -577,7 +577,7 @@ def _newton_adapted(f, target: BallPoint, seeds: PointBatch, tol, max_iter):
                 delta, tail, res, bound = d[rows], t[rows], r[rows], b[rows]
                 coords = geo._defect_coords(ref, delta, tail)
                 break
-        else:
+        else:   # a stall, or an extra step that would unsolve a row
             if worst >= 1.0:
                 return None
     return None
