@@ -1,11 +1,11 @@
 """Catalog of holomorphic self-maps of B^q.
 
 Maps are immutable descriptions.  Each map kind is one `SelfMap` subclass
-that defines evaluation, the Jacobian and the boundary-adapted step.  The
-adapted step is what lets forward iteration run exactly against a boundary
-fixed point: each structured kind plans a closed cancellation-free
-recursion on (delta, tail, margin) into a `geometry.Plan`, and a compose
-chains its children's plans with `geometry.chain`.
+that defines evaluation, the Jacobian, its preimages in closed form and the
+boundary-adapted step.  The adapted step is what lets forward iteration run
+exactly against a boundary fixed point: each structured kind plans a closed
+cancellation-free recursion on (delta, tail, margin) into a `geometry.Plan`,
+and a compose chains its children's plans with `geometry.chain`.
 
 Kinds
 -----
@@ -38,12 +38,14 @@ class SelfMap:
     """A self-map of B^q.  Each subclass is one map kind, with `params` its
     numbers and `children` its sub-maps.  It names its `kind` and defines
     `_evaluate(z)` and `_jacobian(z)` on complex coordinate arrays z[..., q]
-    (broadcasting over leading axes; the Jacobian is [..., q, q]), and
+    (broadcasting over leading axes; the Jacobian is [..., q, q]),
+    `_preimages(w)`: every root of f(z) = w for one point w[q] in closed
+    form, as rows z[m, q], roots outside the ball included, and
     `_plan(ref)`: the map planned against one boundary reference (a
     `geometry.Plan`), made at every ref but by a warped product off its
     invariant circle (None).  A plan depends on ref alone, and a row of its
     kernel rounds as the point alone.  Callers use `evaluate`, `jacobian`,
-    `adapted_step`, `step_point` and `plan_at`."""
+    `preimages`, `adapted_step`, `step_point` and `plan_at`."""
 
     q: int
     params: tuple = ()
@@ -78,6 +80,15 @@ class Blaschke(SelfMap):
         for i in range(len(a)):
             total = total + prods[..., i]
         return geo._cmul(np.exp(1j * theta), total)[..., None, None]
+
+    def _preimages(self, w):
+        """The d roots of e^{i theta} prod (z - a) - w prod (1 - conj(a) z)."""
+        facs, theta = self.params
+        num, den = np.array([np.exp(1j * theta)]), np.ones(1)
+        for a in facs:
+            num = np.convolve(num, [1.0, -a])
+            den = np.convolve(den, [-np.conj(a), 1.0])
+        return np.roots(num - w[0] * den)[:, None]
 
     def _plan(self, ref):
         """Defect recursion at any unimodular ref (Rudin, *Function Theory
@@ -145,6 +156,9 @@ class BallAutomorphism(SelfMap):
                - proj - s * (np.eye(g.q) - proj))
         return u @ (num / (1.0 - herm(z, a))[..., None, None])
 
+    def _preimages(self, w):
+        return geo.apply_raw(geo.inverse(self.params[0]), w)[None]
+
     def _plan(self, ref):
         return self.params[0].plan(ref)
 
@@ -164,6 +178,15 @@ class WarpedProduct(SelfMap):
         tangent = np.arange(1, self.q)
         j[..., tangent, tangent] = c
         return j
+
+    def _preimages(self, w):
+        """The factor's roots of w_1, each with z' = w'/c; none for c = 0,
+        where the Jacobian is singular."""
+        c, = self.params
+        if not c:
+            return np.empty((0, self.q), complex)
+        first = self.children[0]._preimages(w[:1])
+        return np.concatenate([first, np.tile(w[1:] / c, (len(first), 1))], 1)
 
     def _plan(self, ref):
         """The factor's plan, with its checks on the product's state, on the
@@ -201,6 +224,15 @@ class Compose(SelfMap):
         for g, w in zip(self.children[1:], reversed(points[:-1])):
             j = j @ g._jacobian(w)
         return j
+
+    def _preimages(self, w):
+        # the parts' roots, outermost first: a root outside the ball is no
+        # image of the next part, a self-map of the ball
+        roots = w[None]
+        for g in self.children:
+            roots = np.array([z for v in roots if sq_norm(v) < 1.0
+                              for z in g._preimages(v)]).reshape(-1, self.q)
+        return roots
 
     def _plan(self, ref):
         return geo.chain([g._plan for g in reversed(self.children)], ref)
@@ -412,6 +444,13 @@ def jacobian(f: SelfMap, z) -> np.ndarray:
     elif z.shape[1] != f.q:
         raise DimensionMismatch(f"expected dimension {f.q}, got {z.shape[1]}")
     return f._jacobian(z)
+
+
+def preimages(f: SelfMap, w) -> np.ndarray:
+    """Every z in the ball with f(z) = w, one point w[q], as rows z[m, q]: the
+    kind's closed-form roots, dropping those with 1 - |z| < BOUNDARY_GUARD."""
+    roots = f._preimages(geo.as_vector(w, f.q))
+    return roots[1.0 - geo._row_norms(roots) >= geo.BOUNDARY_GUARD]
 
 
 # ---------------------------------------------------------------------------

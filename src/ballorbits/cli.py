@@ -290,6 +290,8 @@ def cmd_compare(args) -> int:
     if args.csv_a or args.csv_b:
         if not (args.csv_a and args.csv_b):
             raise ConfigError("CSV comparison needs both --csv-a and --csv-b")
+        if args.map is not None:
+            raise ConfigError("compare takes a map spec or two CSVs, not both")
         zeta = geo.boundary_point(parse_point(args.zeta))
         xi = read_orbit_csv(args.csv_a, zeta)
         eta = read_orbit_csv(args.csv_b, zeta)

@@ -5,7 +5,9 @@ Two independent builders:
 * the anchor construction: forward-iterate the radial anchor points r_k
   until they first leave the closed unit horosphere, then read the stored
   iterates backward (an exact backward chain of f);
-* a damped-Newton preimage march, used as the cross-check orbit.
+* a preimage march, used as the cross-check orbit: one damped-Newton
+  chain solve in defect coordinates, its branches checked against the
+  closed-form roots of its first steps.
 
 All deep work runs on boundary-adapted points (see geometry), so anchors
 like r_40 for dilation 3 -- whose raw coordinates round to the sphere --
@@ -371,7 +373,7 @@ def _cluster_orbit(records, zeta, lam, params, f):
 # ---------------------------------------------------------------------------
 
 def newton_preimage(f: cat.SelfMap, target: BallPoint, seed):
-    """Solve f(z) = target by damped Newton (complex q x q solves).
+    """Solve f(z) = target by damped Newton in defect coordinates.
 
     A `PointBatch` of seeds held against the target's reference seeds a
     backward chain, solved as one system (`_newton_adapted`): row 0 maps
@@ -379,10 +381,8 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed):
     or `NumericalError` raised.  With one seed and a boundary-adapted
     target, the solve is the chain of one row, the seed first held against
     the target's reference, so deep preimages keep relative accuracy.
-    Otherwise, or when that solve fails, Newton runs in coordinates from
-    the seed, its iterates retracted to radius 1 - 1e-12; on stall a coarse
-    polar grid reseeds it, all grid seeds as lanes of one solve, and the
-    first converged lane in seed order is the preimage.
+    Otherwise, or when that solve fails, the preimage is the root of f(z) =
+    target in the ball nearest the seed (`catalog.preimages`).
     """
     tol, max_iter = 1e-12, 100
     ref = target.ref
@@ -399,111 +399,16 @@ def newton_preimage(f: cat.SelfMap, target: BallPoint, seed):
         out = _newton_adapted(f, target, seeds, tol, max_iter)
         if out is not None:
             return seed if out is seeds else out.point(0)
-    out, = _newton_coords(f, target.coords, seed.coords[None], tol, max_iter)
-    if out is None:
-        out = next((z for z in _newton_coords(f, target.coords,
-                                              _grid_seeds(f.q), tol, max_iter)
-                    if z is not None), None)
-    if out is None:
-        raise NumericalError("no preimage found near the seed")
-    return geo.ball_point(out)
-
-
-def _solve_lanes(jac, rhs):
-    """np.linalg.solve(jac[i], rhs[i]) for each lane, and a mask of the
-    lanes whose Jacobian is not singular; the others get no step."""
-    ok = np.ones(len(rhs), dtype=bool)
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], ok
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros_like(rhs)
-    for i in range(len(rhs)):
-        try:
-            step[i] = np.linalg.solve(jac[i], rhs[i])
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return step, ok
+    roots = cat.preimages(f, target.coords)
+    if not len(roots):
+        raise NumericalError("no preimage of the target in the ball")
+    return geo.ball_point(roots[np.argmin(_row_norms(roots - seed.coords))])
 
 
 # The line search's trial scales 2**-m, m = 0..39: the full step, then the
 # halvings in blocks of up to 8 evaluated together.
 _TRIAL_SCALES = tuple(np.split(np.ldexp(1.0, -np.arange(40)),
                                [1, 9, 17, 25, 33]))
-
-
-def _damped_newton(x, res, tol, max_iter, jacobian, trials):
-    """Damped Newton from each row of x, whose residual is that row of res,
-    the rows running as lanes of one solve; returns the solved rows, NaN
-    where a lane gave up.
-
-    `jacobian(x)` gives each lane's Jacobian of its residual; `trials(x,
-    scales, step)` gives the points x + scales * step and their residuals,
-    inf where a trial is no point.  A lane is solved once its residual is
-    below `tol`; it gives up when its Jacobian is singular, after 40
-    halvings that do not lower its residual, or after `max_iter` steps.  A
-    lane that rejects the full step tries its next 8 halvings with one
-    evaluation and takes the first that lowers its residual; the scales are
-    powers of 2, so each trial rounds as the one-at-a-time halving's.
-    """
-    found, lanes = np.full_like(x, np.nan), np.arange(len(x))
-    for _ in range(max_iter):
-        rnorm = _row_norms(res)
-        done = rnorm < tol
-        if done.any():
-            found[lanes[done]] = x[done]
-            lanes, x, res, rnorm = (a[~done] for a in (lanes, x, res, rnorm))
-        if not len(lanes):
-            break
-        step, ok = _solve_lanes(jacobian(x), -res)
-        if not ok.all():
-            lanes, x, res, rnorm, step = (a[ok] for a in
-                                          (lanes, x, res, rnorm, step))
-        pending = np.arange(len(lanes))
-        for scales in _TRIAL_SCALES:
-            rows = pending.repeat(len(scales))
-            x_new, r_new = trials(x[rows], np.tile(scales, len(pending)),
-                                  step[rows])
-            better = (_row_norms(r_new) < rnorm[rows]).reshape(-1, len(scales))
-            if len(scales) == 1 and better.all():   # all take the full step
-                x, res = x_new, r_new
-                break
-            hit = better.any(axis=1)
-            pick = better.argmax(1)[hit] + np.flatnonzero(hit) * len(scales)
-            took = pending[hit]
-            x[took], res[took] = x_new[pick], r_new[pick]
-            pending = pending[~hit]
-            if not len(pending):
-                break
-        else:   # the stalled lanes retire
-            lanes, x, res = (np.delete(a, pending, 0) for a in (lanes, x, res))
-    return found
-
-
-def _newton_coords(f, target, seeds, tol, max_iter):
-    """`_damped_newton` for f(z) = target from each row of seeds[n, q], where
-    target is one point[q] for every seed or one row of target[n, q] per
-    seed.  Each lane is (z, its target), so a retiring lane takes its target
-    with it.  Trial points are retracted to radius 1 - 1e-12, and a lane
-    converging inside the boundary guard gives None."""
-    z = np.array(seeds, dtype=complex)
-    q = z.shape[1]
-
-    def trials(x, scales, step):
-        z_new = x[:, :q] + scales[:, None] * step
-        n = _row_norms(z_new)
-        out = n > 1.0 - 1e-12
-        z_new[out] = z_new[out] * ((1.0 - 1e-12) / n[out])[:, None]
-        return (np.concatenate([z_new, x[:, q:]], 1),
-                cat.evaluate(f, z_new) - x[:, q:])
-
-    w = np.broadcast_to(np.asarray(target, dtype=complex), z.shape)
-    x = _damped_newton(np.concatenate([z, w], 1), cat.evaluate(f, z) - w,
-                       tol, max_iter,
-                       lambda x: cat.jacobian(f, x[:, :q].copy()), trials)
-    z = x[:, :q]
-    ok = 1.0 - _row_norms(z) >= geo.BOUNDARY_GUARD   # False on NaN rows
-    return [zi if k else None for zi, k in zip(z, ok)]
 
 
 def _newton_adapted(f, target: BallPoint, seeds: PointBatch, tol, max_iter):
@@ -583,16 +488,6 @@ def _newton_adapted(f, target: BallPoint, seeds: PointBatch, tol, max_iter):
     return None
 
 
-def _grid_seeds(q: int):
-    radii = (0.15, 0.45, 0.75, 0.9)
-    angles = np.arange(8) * (np.pi / 4.0)
-    if q == 1:
-        return np.array([[r * np.exp(1j * t)] for r in radii for t in angles])
-    return np.array([[r * np.exp(1j * t) * 0.8, r * np.exp(1j * t2) * 0.5]
-                     + [0.0] * (q - 2) for r in radii
-                     for t in angles[::2] for t2 in angles[::2]])
-
-
 def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                                  zeta: BoundaryPoint, n_steps: int,
                                  lam_hint: float | None = None
@@ -604,24 +499,23 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     is taken: the branch staying inside the unit horosphere and moving
     toward zeta.  Two candidates scoring within 0.05 of each other
     is an ambiguity error listing both.  Each of the first 8 steps also
-    solves f(z) = current from every grid seed.
+    takes every root of f(z) = current in the ball (`catalog.preimages`).
 
     The adapted candidates of all steps are one backward chain, solved at
     once (`newton_preimage` on a `PointBatch`), row j - 1 seeded from z_0
     along the axial model of dilation lam = lam_hint (3.0 without one):
-    delta_0 lam^-j, tail_0 lam^(-j/2), margin_0 lam^-j.  The grids of z_0
-    and the chain's first seven rows are one `_newton_coords` call.  From
-    the first step whose winner is not the chain's row, or from step 0 if
-    the chain solve raises, the march steps alone: each step solves its
-    own grid below step 8 and its adapted candidate from its point's tail
-    and delta / lam_guess, lam_guess = max(exp(d), 1.01) for the distance
-    d the step before scored its winner with.  Every point, z_0 included,
-    and every candidate is held against zeta (`geo.held`); grid solutions
-    within 1e-8 of an earlier candidate are dropped before points are built.
+    delta_0 lam^-j, tail_0 lam^(-j/2), margin_0 lam^-j.  From the first
+    step whose winner is not the chain's row, or from step 0 if the chain
+    solve raises, the march steps alone: each step takes the roots below
+    step 8, or wherever it finds no adapted candidate, and solves its
+    adapted candidate from its point's tail and delta / lam_guess,
+    lam_guess = max(exp(d), 1.01) for the distance d the step before
+    scored its winner with.  Every point, z_0 included, and every
+    candidate is held against zeta (`geo.held`); roots within 1e-8 of an
+    earlier candidate are dropped before points are built.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
-    grid = _grid_seeds(f.q)
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
@@ -634,17 +528,10 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
             cur.margin * scale))
     except (NumericalError, DomainError):
         chain = None
-    if chain is not None:
-        m = min(8, n_steps)
-        targets = np.concatenate([cur.coords[None], chain.coords[:m - 1]])
-        solved = _newton_coords(f, targets.repeat(len(grid), 0),
-                                np.tile(grid, (m, 1)), 1e-12, 60)
-        grids = [solved[i:i + len(grid)]
-                 for i in range(0, len(solved), len(grid))]
     for step_idx in range(n_steps):
         if chain is not None:
             uniq = [chain.point(step_idx)]
-            chained, outs = uniq[0], (grids[step_idx] if step_idx < 8 else ())
+            chained = uniq[0]
         else:
             uniq = []
             try:
@@ -654,14 +541,13 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                     zeta).point(0))
             except (NumericalError, DomainError):
                 pass
-            outs = (_newton_coords(f, cur.coords, grid, 1e-12, 60)
-                    if not uniq or step_idx < 8 else ())
         kept = [c.coords for c in uniq]
-        for out in outs:
-            if out is not None and all(np.linalg.norm(out - u) > 1e-8
-                                       for u in kept):
-                kept.append(out)
-                uniq.append(geo.with_reference(geo.ball_point(out), zeta))
+        if not uniq or step_idx < 8:
+            for out in cat.preimages(f, cur.coords):
+                if all(np.linalg.norm(out - u) > 1e-8 for u in kept):
+                    kept.append(out)
+                    uniq.append(geo.with_reference(geo.ball_point(out),
+                                                   zeta))
         if not uniq:
             raise NumericalError(
                 f"no preimage found at backward step {step_idx}")

@@ -88,6 +88,30 @@ def fixed_blaschke(rng, lam_min=1.6):
     return zeros, cat.blaschke_product(zeros, theta), zeta, lam
 
 
+def preimage_cases():
+    """Maps of every kind with an interior target and the number of its
+    preimages in the ball: name -> (f, w, count).  The Blaschke product has
+    complex zeros and theta != 0; a compose, conjugate or iterate has the
+    product of its parts' counts."""
+    b3 = cat.blaschke_product([0.3 + 0.2j, -0.1j, 0.5], 0.4)
+    b2 = cat.blaschke_product([0.0, -0.4 + 0.3j], -1.1)
+    g = geo.hyperbolic_automorphism(geo.boundary_point([0.6, 0.8j]), 2.5)
+    h = geo.hyperbolic_automorphism(geo.boundary_point([np.exp(0.5j)]), 3.0)
+    warped = cat.warped_product(b2, 0.3 - 0.4j, q=2)
+    return {
+        "blaschke": (b3, [0.2 - 0.3j], 3),
+        "square": (cat.blaschke_product([0.0, 0.0]), [0.25], 2),
+        "automorphism": (cat.ball_automorphism(g), [0.3 - 0.1j, 0.2j], 1),
+        "automorphism_q1": (cat.ball_automorphism(h), [0.3 - 0.5j], 1),
+        "warped": (warped, [0.5 + 0.1j, 0.2 - 0.1j], 2),
+        "compose": (cat.compose_maps(b3, b2), [0.1 + 0.4j], 6),
+        "compose_q2": (cat.compose_maps(warped, cat.ball_automorphism(g)),
+                       [0.4, -0.1 + 0.2j], 2),
+        "conjugate": (cat.conjugate_map(b3, h), [-0.3 + 0.2j], 3),
+        "iterate": (cat.iterate_map(b2, 3), [0.45j], 8),
+    }
+
+
 def jacobian_fd(f, z):
     """Central finite differences, the independent cross-check for
     `catalog.jacobian`."""

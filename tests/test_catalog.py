@@ -16,7 +16,7 @@ from ballorbits.errors import (ConfigError, DilationOutOfScope,
 from ballorbits.sampling import sample_horodisc
 
 from conftest import (apart, count_calls, fixed_blaschke, jacobian_fd,
-                      offaxis_conjugate, random_interior)
+                      offaxis_conjugate, preimage_cases, random_interior)
 
 LOG3 = np.log(3.0)
 
@@ -337,6 +337,53 @@ def test_evaluate_checks_its_shape(make, z):
     # numpy would broadcast the wrong last axis into a wrong answer
     with pytest.raises(DimensionMismatch):
         cat.evaluate(make(), z)
+
+
+# ---------------------------------------------------------------------------
+# closed-form preimages
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", preimage_cases())
+def test_preimages_count_and_map_onto_the_target(name):
+    """Each kind gives its count of distinct roots in the ball: d for a
+    Blaschke product of degree d, one for an automorphism, the factor's for
+    a warped product, the product of the parts' counts for a compose,
+    conjugate or iterate (`test_oracle` checks that each maps onto the
+    target)."""
+    f, w, count = preimage_cases()[name]
+    roots = cat.preimages(f, w)
+    assert roots.shape == (count, f.q)
+    assert np.all(1.0 - np.linalg.norm(roots, axis=1) >= geo.BOUNDARY_GUARD)
+    gaps = np.linalg.norm(roots[:, None] - roots[None], axis=2)
+    assert np.all(gaps[~np.eye(count, dtype=bool)] > 1e-3)
+
+
+def test_automorphism_preimage_is_its_inverse_image():
+    for name in ("automorphism", "automorphism_q1"):
+        f, w, _ = preimage_cases()[name]
+        want = geo.apply_raw(geo.inverse(f.params[0]), np.array(w, complex))
+        assert cat.preimages(f, w).tobytes() == want.tobytes()
+
+
+def test_warped_preimages_need_a_tangent_root():
+    # none where c = 0 (every z' maps onto w' = 0, the Jacobian is
+    # singular) or where z' = w'/c leaves the ball
+    b = cat.blaschke_product([0.0, 0.5])
+    flat = cat.warped_product(b, 0.0, q=2)
+    assert cat.preimages(flat, [0.3, 0.0]).shape == (0, 2)
+    half = cat.warped_product(b, 0.5, q=3)
+    assert cat.preimages(half, [0.1, 0.3, 0.4j]).shape == (0, 3)
+    assert cat.preimages(half, [0.1, 0.3, 0.2j]).shape == (2, 3)
+
+
+def test_preimages_drop_roots_at_the_sphere():
+    # a Blaschke factor sends the boundary to itself: the root of a target
+    # within the guard of the sphere is dropped, as `ball_point` refuses it
+    f = cat.disc_mobius(0.3)
+    assert len(cat.preimages(f, [0.9])) == 1
+    assert len(cat.preimages(f, [1.0 - 1e-16])) == 0
+    with pytest.raises(DimensionMismatch):
+        cat.preimages(f, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,20 @@ def test_compare_missing_csv_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "none.csv" in err and out == ""
 
 
+def test_compare_refuses_a_map_with_csvs(tmp_path, capsys):
+    # the CSV comparison would neither parse the map nor march at --offset
+    path = tmp_path / "a.csv"
+    assert run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1", "--kmax",
+               "12", "--out", str(path))[0] == 0
+    for spec in ("no-such-map:x=1", "blaschke:a=1/3"):
+        code, out, err = run(capsys, "compare", spec, "--zeta=1", "--offset",
+                             "0.3", "--csv-a", str(path), "--csv-b",
+                             str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: compare takes a map spec or two CSVs, not "
+                       "both\n")
+
+
 _Q2_CSV = ("j,re_z1,re_z2,im_z1,im_z2,horofunction,step_to_next,"
            "dist_to_zeta\n"
            + "".join(f"{j},{0.3 + 0.1 * j},0,0,0.4,0,0,0\n" for j in range(5)))

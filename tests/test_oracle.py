@@ -1,7 +1,7 @@
 """High-precision oracles for the defect recursions of the axial stage, of
 Blaschke factors and of the automorphisms' closed and rotation forms, the
-rotation form against the unitary stage it replaced, bit for bit, and the
-preimage march's backward residuals.
+rotation form against the unitary stage it replaced, bit for bit, the
+preimage march's backward residuals, and the closed-form preimages.
 
 Each check rebuilds a float point's image from coordinates with mpmath and
 compares the float defect state (delta, tail, margin) with the image's,
@@ -26,7 +26,7 @@ from ballorbits import orbits as orb
 from ballorbits import sampling
 from ballorbits.errors import DomainError
 
-from conftest import fixed_blaschke, random_interior
+from conftest import fixed_blaschke, preimage_cases, random_interior
 from test_golden import COMPARE_CASES
 
 mp = mpmath.mp
@@ -543,3 +543,18 @@ def test_march_points_map_onto_their_predecessors(name, monkeypatch):
             w = f_mp(_coords(unit, pts.delta[j], pts.tail[j]))
             want = pts.delta[j - 1]
             assert abs(1 - _dot(w, eta) - mp.mpc(want)) <= REL * abs(want)
+
+
+@pytest.mark.parametrize("name", preimage_cases())
+def test_preimages_map_onto_their_target(name):
+    """Each closed-form root of every kind maps on 150 digits onto the
+    target within 1e-14 relative."""
+    f, w, _ = preimage_cases()[name]
+    roots, f_mp = cat.preimages(f, w), _map_mp(f)
+    assert len(roots)
+    with mp.workdps(DPS):
+        want = [mp.mpc(x) for x in w]
+        for z in roots:
+            gap = [x - y for x, y in zip(f_mp([mp.mpc(x) for x in z]), want)]
+            assert mp.sqrt(_dot(gap, gap).real) <= 1e-14 * mp.sqrt(
+                _dot(want, want).real)

@@ -549,8 +549,24 @@ def test_newton_no_preimage_in_ball():
                             geo.ball_point([0.1, 0.1]))
 
 
+# The polar grid of seeds the march once solved from by damped Newton in
+# coordinates at each of its first 8 steps: 4 radii x 8 angles for q = 1,
+# 4 radii x 4 x 4 angles for q = 2.  Kept here as the
+# seeds of `reference_newton`, the independent oracle for the closed-form
+# roots (`catalog.preimages`).
+_RADII, _ANGLES = (0.15, 0.45, 0.75, 0.9), np.arange(8) * (np.pi / 4.0)
+GRID_SEEDS = {
+    1: np.array([[r * np.exp(1j * t)] for r in _RADII for t in _ANGLES]),
+    2: np.array([[r * np.exp(1j * t) * 0.8, r * np.exp(1j * t2) * 0.5]
+                 for r in _RADII for t in _ANGLES[::2] for t2 in _ANGLES[::2]]),
+}
+
+
 def reference_newton(f, target, z0, tol, max_iter):
-    """`_newton_coords` for one seed: the scalar damped Newton loop."""
+    """Damped Newton in coordinates for f(z) = target from one seed, its
+    iterates retracted to radius 1 - 1e-12: the solution, or None where it
+    stalls, meets a singular Jacobian or converges inside the boundary
+    guard."""
     z = np.asarray(z0, dtype=complex).copy()
     res = cat.evaluate(f, z) - target
     for _ in range(max_iter):
@@ -575,17 +591,6 @@ def reference_newton(f, target, z0, tol, max_iter):
         else:
             return None
     return None
-
-
-def assert_lanes_match_reference(f, target, seeds, tol=1e-12, max_iter=60):
-    lanes = orb._newton_coords(f, target, np.asarray(seeds, complex), tol,
-                               max_iter)
-    ref = [reference_newton(f, target, s, tol, max_iter) for s in seeds]
-    assert [z is None for z in lanes] == [z is None for z in ref]
-    for z, r in zip(lanes, ref):
-        if r is not None:
-            assert z.tobytes() == r.tobytes()
-    return lanes
 
 
 def reference_newton_adapted(f, target, seed, tol, max_iter):
@@ -782,65 +787,17 @@ def test_newton_where_the_map_moves_the_reference(make):
                   - target.coords).max() <= 1e-12 * abs(target.delta)
 
 
-@pytest.fixture(scope="module")
-def c06_march(cleared_blaschke, blaschke_orbit):
-    """Criterion 06's preimage march."""
-    cleared, _ = cleared_blaschke
-    return orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-
-
-def test_newton_lanes_match_per_seed_solves(cleared_blaschke, c06_march):
-    # the march solves the grid at its first 8 targets; at depth 26 some
-    # lanes and at depth 40 all lanes stall at the sphere and return None
-    cleared, _ = cleared_blaschke
-    pts = c06_march.orbit.points
-    nones = []
-    for p in list(pts[:8]) + [pts[26], pts[40]]:
-        lanes = assert_lanes_match_reference(cleared, p.coords,
-                                             orb._grid_seeds(1))
-        nones.append(sum(z is None for z in lanes))
-    assert nones[:8] == [0] * 8 and 0 < nones[8] < 32 and nones[9] == 32
-
-
-def test_newton_lanes_match_per_seed_solves_q2(e1_q2):
-    wp = cat.warped_product(cat.blaschke_product([0.0, 0.2]), 0.3 + 0.4j, q=2)
-    march = orb.backward_orbit_via_preimages(wp, geo.ball_point([0.2, 0.02]),
-                                             e1_q2, 3, lam_hint=2.5)
-    for p in march.orbit.points[:-1]:
-        assert_lanes_match_reference(wp, p.coords, orb._grid_seeds(2))
-
-
-def test_newton_lanes_match_per_seed_solves_complex_centre():
-    # a q = 1 automorphism with a complex centre: its batched Jacobian
-    # rows must round as the single-point ones
-    f = cat.hyperbolic_selfmap(geo.boundary_point([np.exp(0.5j)]), 3.0)
-    lanes = assert_lanes_match_reference(f, np.array([0.3 - 0.5j]),
-                                         orb._grid_seeds(1))
-    assert all(z is not None for z in lanes)
-
-
-def test_newton_singular_lane_retires_alone():
-    # z^2 = 1/4: the seed 0 has a zero Jacobian, the seed 0.4 converges
+def test_preimages_of_a_square():
+    """z^2 = 1/4 has the roots +-0.5; the oracle finds 0.5 from the seed
+    0.4 and nothing from the critical point 0, where the Jacobian is
+    zero."""
     f = cat.blaschke_product([0.0, 0.0])
-    lanes = assert_lanes_match_reference(f, np.array([0.25 + 0j]),
-                                         [[0.0], [0.4]], max_iter=100)
-    assert lanes[0] is None
-    assert lanes[1][0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
-                                          monkeypatch):
-    # one batched grid solve for the first 8 backward steps, 8 x 32 lanes:
-    # the chain's row wins every step, so every step takes the grid
-    # solutions solved at z_0 and the chain's first seven rows
-    calls = []
-    newton = orb._newton_coords
-    monkeypatch.setattr(orb, "_newton_coords",
-                        lambda *args: calls.append(len(args[2]))
-                        or newton(*args))
-    cleared, _ = cleared_blaschke
-    orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
-    assert calls == [256]
+    roots = cat.preimages(f, [0.25])
+    assert sorted(roots[:, 0].real) == [-0.5, 0.5] and not roots.imag.any()
+    assert reference_newton(f, np.array([0.25]), np.zeros(1), 1e-12,
+                            100) is None
+    assert reference_newton(f, np.array([0.25]), np.array([0.4]), 1e-12,
+                            100)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
@@ -848,22 +805,24 @@ def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
     # criterion 06's march solves its 41 adapted candidates as one chain:
     # one `newton_preimage` call, which plans the map once and steps all
     # rows through that plan once for the seeds and once per Newton
-    # iteration, and one grid solve of 8 x 32 lanes; it builds points only
-    # for grid solutions no earlier candidate holds
+    # iteration; it takes the closed-form roots at z_0 and the chain's
+    # first seven rows, the targets of its first 8 steps, and builds points
+    # only for roots no earlier candidate holds
     cleared, _ = cleared_blaschke
     calls = count_calls(monkeypatch, (type(cleared), "_plan"),
                         (geo.Plan, "step"), (geo, "ball_point"),
                         (orb, "newton_preimage"))
-    lanes, newton = [], orb._newton_coords
-    monkeypatch.setattr(orb, "_newton_coords",
-                        lambda *args: lanes.append(len(args[2]))
-                        or newton(*args))
-    orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+    targets, roots = [], cat.preimages
+    monkeypatch.setattr(cat, "preimages", lambda f, w: targets.append(w)
+                        or roots(f, w))
+    march = orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
+                                      0.05)
     assert calls["_plan"] == 1
     assert calls["newton_preimage"] == 1
     assert calls["step"] <= 9
-    assert lanes == [256]
     assert calls["ball_point"] <= 11
+    assert [w.tobytes() for w in targets] == [
+        p.coords.tobytes() for p in march.orbit.points[:8]]
 
 
 def _chain_raises(monkeypatch):
@@ -940,11 +899,10 @@ def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
 
 def reference_march(f, z0, zeta, n_steps, lam_hint=None, first=0):
     """`backward_orbit_via_preimages` as a step-by-step loop, each step
-    solving its own adapted candidate and its own grid; the points, each
-    held against zeta as every candidate is.  `first` is the march's index
-    of z0, for a march that steps alone from there: the grids are solved
-    below index 8."""
-    grid = orb._grid_seeds(f.q)
+    solving its own adapted candidate and taking its own roots; the points,
+    each held against zeta as every candidate is.  `first` is the march's
+    index of z0, for a march that steps alone from there: the roots are
+    taken below index 8."""
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
@@ -959,9 +917,8 @@ def reference_march(f, z0, zeta, n_steps, lam_hint=None, first=0):
             pass
         if not uniq or step_idx < 8:
             kept = [c.coords for c in uniq]
-            for out in orb._newton_coords(f, cur.coords, grid, 1e-12, 60):
-                if out is not None and all(np.linalg.norm(out - u) > 1e-8
-                                           for u in kept):
+            for out in cat.preimages(f, cur.coords):
+                if all(np.linalg.norm(out - u) > 1e-8 for u in kept):
                     kept.append(out)
                     uniq.append(geo.with_reference(geo.ball_point(out), zeta))
         if not uniq:
@@ -1074,25 +1031,49 @@ MARCHES = {
 }
 
 
+def _marches_args(name, cleared_blaschke, blaschke_orbit, e1, monkeypatch):
+    """The arguments of the march `MARCHES[name]` names."""
+    case = MARCHES[name]
+    if name == "unhinted":
+        x0 = blaschke_orbit.orbit.points[0]
+        return (cleared_blaschke[0], geo.ball_point(
+            [x0.coords[0].real + 0.02]), e1, 20), {}
+    if isinstance(case, float):
+        return _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit, case)
+    return _compare_args(monkeypatch, case)
+
+
 @pytest.mark.parametrize("name", MARCHES)
 def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
                                        e1, monkeypatch):
     """The march takes every step's candidate from its one chain solve, and
     each chained point maps onto the one before; where it steps alone it
     gives the step-by-step march's points as bytes (`_check_march`)."""
-    case = MARCHES[name]
-    if name == "unhinted":
-        x0 = blaschke_orbit.orbit.points[0]
-        args, kwargs = (cleared_blaschke[0], geo.ball_point(
-            [x0.coords[0].real + 0.02]), e1, 20), {}
-    elif isinstance(case, float):
-        args, kwargs = _c06_args(monkeypatch, cleared_blaschke,
-                                 blaschke_orbit, case)
-    else:
-        args, kwargs = _compare_args(monkeypatch, case)
+    args, kwargs = _marches_args(name, cleared_blaschke, blaschke_orbit, e1,
+                                 monkeypatch)
     pts, chain = _chained_march(monkeypatch, args, kwargs)
     assert len(pts) == args[3] + 1
     assert _check_march(pts, chain, args, kwargs) == args[3]
+
+
+@pytest.mark.parametrize("name", MARCHES)
+def test_preimages_match_newton_from_the_grid(name, cleared_blaschke,
+                                              blaschke_orbit, e1,
+                                              monkeypatch):
+    """At the march's first 8 targets the closed-form roots in the ball are
+    the set that damped Newton in coordinates finds from the grid seeds
+    (`reference_newton`), within 1e-8 both ways."""
+    args, kwargs = _marches_args(name, cleared_blaschke, blaschke_orbit, e1,
+                                 monkeypatch)
+    f = args[0]
+    pts = orb.backward_orbit_via_preimages(*args, **kwargs).orbit.points
+    for w in pts.coords[:8]:
+        roots = cat.preimages(f, w)
+        found = [z for z in (reference_newton(f, w, seed, 1e-12, 60)
+                             for seed in GRID_SEEDS[f.q]) if z is not None]
+        assert len(roots) and len(found)
+        gaps = np.linalg.norm(roots[:, None] - np.array(found)[None], axis=2)
+        assert gaps.min(1).max() <= 1e-8 and gaps.min(0).max() <= 1e-8
 
 
 @pytest.mark.parametrize("upset, at", [("raise", 0), ("raise", 3),
@@ -1104,7 +1085,7 @@ def test_march_matches_reference_when_the_walk_goes_astray(
     - raise: the chain solve raises, and so does the one-point solve at
       step `at`, so the march steps alone from step 0 and finds no adapted
       candidate at step `at`;
-    - stray: the chain's row `at` is the origin, which the grid's preimage
+    - stray: the chain's row `at` is the origin, which a closed-form root
       beats, so the march steps alone from the step after;
     - distance: every `kob_dist` is off by 1e-9, which moves each scored
       step but not the chain, seeded from the hint alone: every point is
@@ -1122,7 +1103,7 @@ def test_march_matches_reference_when_the_walk_goes_astray(
             if not any(t is target for t in targets):
                 targets.append(target)
             if len(targets) > at and targets[at] is target:
-                raise NumericalError("no preimage found near the seed")
+                raise NumericalError("no preimage of the target in the ball")
             return newton(f, target, seed)
         monkeypatch.setattr(orb, "newton_preimage", upset_solve)
         pts, chain = _chained_march(monkeypatch, args, kwargs)
@@ -1173,34 +1154,6 @@ def test_march_is_an_isometry_for_hyperbolic_maps(offset):
         direct = ana.orbit_distance_profile(orbit, march).direct
         assert len(direct) == len(orbit)
         assert np.abs(direct - offset).max() <= 1e-12, (zeta.coords, lam)
-
-
-def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
-                                         monkeypatch):
-    """One call with a target per lane gives, as bytes, what one call per
-    target gives: criterion 06's first 8 march targets and two deep ones
-    whose lanes stall (None), x 32 grid seeds; the q = 2 warped march's
-    first 8 targets x 64 grid seeds."""
-    cleared, _ = cleared_blaschke
-    pts = c06_march.orbit.points
-    args, kwargs = _compare_args(
-        monkeypatch, [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"])
-    warped = orb.backward_orbit_via_preimages(*args, **kwargs)
-    nones = 0
-    for f, targets in ((cleared, list(pts[:8]) + [pts[26], pts[40]]),
-                       (args[0], warped.orbit.points[:8])):
-        grid = orb._grid_seeds(f.q)
-        coords = np.array([p.coords for p in targets])
-        lanes = orb._newton_coords(f, coords.repeat(len(grid), 0),
-                                   np.tile(grid, (len(targets), 1)), 1e-12, 60)
-        alone = [z for w in coords
-                 for z in orb._newton_coords(f, w, grid, 1e-12, 60)]
-        assert len(lanes) == len(alone) == len(targets) * len(grid)
-        assert [z is None for z in lanes] == [z is None for z in alone]
-        assert all(z.tobytes() == r.tobytes()
-                   for z, r in zip(lanes, alone) if r is not None)
-        nones += sum(z is None for z in lanes)
-    assert nones > 32
 
 
 def test_march_holds_its_start_against_zeta(disc_auto, e1):
