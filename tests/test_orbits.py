@@ -787,6 +787,56 @@ def test_newton_where_the_map_moves_the_reference(make):
                   - target.coords).max() <= 1e-12 * abs(target.delta)
 
 
+@pytest.fixture(scope="module")
+def c06_march(cleared_blaschke, blaschke_orbit):
+    """Criterion 06's preimage march."""
+    cleared, _ = cleared_blaschke
+    return orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
+
+
+def test_newton_lanes_match_per_seed_solves(cleared_blaschke, c06_march):
+    """Each grid seed the scalar oracle solves from lands on a closed-form
+    root within 1e-8: at the march's first 8 targets every seed converges;
+    at depth 26 some and at depth 40, where the target rounds onto the
+    sphere and no root lies in the ball, all seeds stall (None)."""
+    cleared, _ = cleared_blaschke
+    pts = c06_march.orbit.points
+    nones, counts = [], []
+    for p in list(pts[:8]) + [pts[26], pts[40]]:
+        roots = cat.preimages(cleared, p.coords)
+        counts.append(len(roots))
+        lanes = [reference_newton(cleared, p.coords, seed, 1e-12, 60)
+                 for seed in GRID_SEEDS[1]]
+        nones.append(sum(z is None for z in lanes))
+        for z in lanes:
+            if z is not None:
+                assert np.linalg.norm(roots - z, axis=1).min() <= 1e-8
+    assert nones[:8] == [0] * 8 and 0 < nones[8] < 32 and nones[9] == 32
+    assert counts == [2] * 9 + [0]
+
+
+def test_newton_lanes_take_a_target_each(cleared_blaschke, c06_march,
+                                         monkeypatch):
+    """The roots of each target solve that target: at criterion 06's first
+    8 march targets and the q = 2 warped march's first 8, the scalar oracle
+    seeded at a root returns it as bytes, and exactly one root lies within
+    1e-8 of the march's next point, the root its dedupe drops."""
+    cleared, _ = cleared_blaschke
+    args, kwargs = _compare_args(
+        monkeypatch, [str(GOLDEN / "warped.ini"), "--zeta=1,0;0,0"])
+    warped = orb.backward_orbit_via_preimages(*args, **kwargs)
+    for f, pts in ((cleared, c06_march.orbit.points),
+                   (args[0], warped.orbit.points)):
+        for cur, nxt in zip(pts[:8], pts[1:9]):
+            roots = cat.preimages(f, cur.coords)
+            assert len(roots) == 2
+            for z in roots:
+                out = reference_newton(f, cur.coords, z, 1e-12, 60)
+                assert out is not None and out.tobytes() == z.tobytes()
+            gaps = np.linalg.norm(roots - nxt.coords, axis=1)
+            assert (gaps <= 1e-8).sum() == 1
+
+
 def test_preimages_of_a_square():
     """z^2 = 1/4 has the roots +-0.5; the oracle finds 0.5 from the seed
     0.4 and nothing from the critical point 0, where the Jacobian is
@@ -805,24 +855,51 @@ def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
     # criterion 06's march solves its 41 adapted candidates as one chain:
     # one `newton_preimage` call, which plans the map once and steps all
     # rows through that plan once for the seeds and once per Newton
-    # iteration; it takes the closed-form roots at z_0 and the chain's
-    # first seven rows, the targets of its first 8 steps, and builds points
-    # only for roots no earlier candidate holds
+    # iteration; it takes the closed-form roots at its first 8 targets
+    # (`test_march_solves_its_grid_in_one_call`) and builds points only for
+    # roots no earlier candidate holds
     cleared, _ = cleared_blaschke
     calls = count_calls(monkeypatch, (type(cleared), "_plan"),
                         (geo.Plan, "step"), (geo, "ball_point"),
-                        (orb, "newton_preimage"))
-    targets, roots = [], cat.preimages
-    monkeypatch.setattr(cat, "preimages", lambda f, w: targets.append(w)
-                        or roots(f, w))
-    march = orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
-                                      0.05)
+                        (orb, "newton_preimage"), (cat, "preimages"))
+    orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0, 0.05)
     assert calls["_plan"] == 1
     assert calls["newton_preimage"] == 1
     assert calls["step"] <= 9
+    assert calls["preimages"] == 8
     assert calls["ball_point"] <= 11
-    assert [w.tobytes() for w in targets] == [
-        p.coords.tobytes() for p in march.orbit.points[:8]]
+
+
+def _preimage_targets(monkeypatch, march):
+    """The targets `catalog.preimages` is called with during `march()`, and
+    the march's points."""
+    targets, roots = [], cat.preimages
+    monkeypatch.setattr(cat, "preimages", lambda f, w: targets.append(w)
+                        or roots(f, w))
+    pts = march().orbit.points
+    monkeypatch.setattr(cat, "preimages", roots)
+    return targets, pts
+
+
+def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
+                                          monkeypatch):
+    """Where the march once solved its grid it takes the closed-form roots,
+    one call per target: at z_0 and the chain's first seven rows, the
+    targets of its first 8 steps.  A march that steps alone takes them at
+    the same steps, its own z_0..z_7, and at no later step, since every
+    step finds an adapted candidate."""
+    cleared, _ = cleared_blaschke
+
+    def march():
+        return orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
+                                         0.05)
+    for alone in (False, True):
+        if alone:
+            _chain_raises(monkeypatch)
+        targets, pts = _preimage_targets(monkeypatch, march)
+        assert len(pts) == 42
+        assert [w.tobytes() for w in targets] == [
+            p.coords.tobytes() for p in pts[:8]]
 
 
 def _chain_raises(monkeypatch):
