@@ -5,9 +5,9 @@ Two independent builders:
 * the anchor construction: forward-iterate the radial anchor points r_k
   until they first leave the closed unit horosphere, then read the stored
   iterates backward (an exact backward chain of f);
-* a preimage march, used as the cross-check orbit: one damped-Newton
-  chain solve in defect coordinates, its branches checked against the
-  closed-form roots of its first steps.
+* a preimage march, used as the cross-check orbit: damped-Newton chain
+  solves in defect coordinates, its branches checked against the
+  closed-form roots of its first steps, which re-seed it where they win.
 
 All deep work runs on boundary-adapted points (see geometry), so anchors
 like r_40 for dilation 3 -- whose raw coordinates round to the sphere --
@@ -16,6 +16,7 @@ stay exactly representable.
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass, replace
 
@@ -372,37 +373,20 @@ def _cluster_orbit(records, zeta, lam, params, f):
 # Newton preimages
 # ---------------------------------------------------------------------------
 
-def newton_preimage(f: cat.SelfMap, target: BallPoint, seed):
-    """Solve f(z) = target by damped Newton in defect coordinates.
-
-    A `PointBatch` of seeds held against the target's reference seeds a
-    backward chain, solved as one system (`_newton_adapted`): row 0 maps
-    onto target and row j + 1 onto row j.  The solved chain is returned,
-    or `NumericalError` raised.  With one seed and a boundary-adapted
-    target, the solve is the chain of one row, the seed first held against
-    the target's reference, so deep preimages keep relative accuracy.
-    Otherwise, or when that solve fails, the preimage is the root of f(z) =
-    target in the ball nearest the seed (`catalog.preimages`).
-    """
-    tol, max_iter = 1e-12, 100
-    ref = target.ref
-    if isinstance(seed, PointBatch):
-        out = None if ref is None else _newton_adapted(f, target, seed, tol,
-                                                       max_iter)
-        if out is None:
-            raise NumericalError("no backward chain found from the seeds")
-        return out
-    if ref is not None:
-        if seed.ref is None or not np.array_equal(seed.ref, ref):
-            seed = geo.with_reference(seed, BoundaryPoint(ref))
-        seeds = geo.held(seed, BoundaryPoint(ref))
-        out = _newton_adapted(f, target, seeds, tol, max_iter)
-        if out is not None:
-            return seed if out is seeds else out.point(0)
-    roots = cat.preimages(f, target.coords)
-    if not len(roots):
-        raise NumericalError("no preimage of the target in the ball")
-    return geo.ball_point(roots[np.argmin(_row_norms(roots - seed.coords))])
+def newton_preimage(f: cat.SelfMap, target: BallPoint,
+                    seeds: PointBatch) -> PointBatch:
+    """The backward chain of f from `target` that damped Newton in defect
+    coordinates (`_newton_adapted`) solves from `seeds`, a `PointBatch`
+    held against the target's reference: row 0 maps onto target, row j + 1
+    onto row j.  `DomainError` for other seeds, `NumericalError` where the
+    solve fails; `catalog.preimages` gives the roots, which need no seeds."""
+    if not (isinstance(seeds, PointBatch) and target.ref is not None
+            and np.array_equal(seeds.ref, target.ref)):
+        raise DomainError("seeds not held against the target's reference")
+    out = _newton_adapted(f, target, seeds, 1e-12, 100)
+    if out is None:
+        raise NumericalError("no backward chain found from the seeds")
+    return out
 
 
 # The line search's trial scales 2**-m, m = 0..39: the full step, then the
@@ -499,55 +483,42 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
     is taken: the branch staying inside the unit horosphere and moving
     toward zeta.  Two candidates scoring within 0.05 of each other
     is an ambiguity error listing both.  Each of the first 8 steps also
-    takes every root of f(z) = current in the ball (`catalog.preimages`).
+    takes every root of f(z) = current in the ball (`catalog.preimages`),
+    and so does a step with no adapted candidate.
 
-    The adapted candidates of all steps are one backward chain, solved at
-    once (`newton_preimage` on a `PointBatch`), row j - 1 seeded from z_0
-    along the axial model of dilation lam = lam_hint (3.0 without one):
-    delta_0 lam^-j, tail_0 lam^(-j/2), margin_0 lam^-j.  From the first
-    step whose winner is not the chain's row, or from step 0 if the chain
-    solve raises, the march steps alone: each step takes the roots below
-    step 8, or wherever it finds no adapted candidate, and solves its
-    adapted candidate from its point's tail and delta / lam_guess,
-    lam_guess = max(exp(d), 1.01) for the distance d the step before
-    scored its winner with.  Every point, z_0 included, and every
-    candidate is held against zeta (`geo.held`); roots within 1e-8 of an
-    earlier candidate are dropped before points are built.
+    A step's adapted candidate is the next row of a backward chain solved
+    at once (`newton_preimage`) for all the steps left, from the step's
+    point z_s, row j - 1 seeded along the axial model of dilation lam:
+    delta_s lam^-j, tail_s lam^(-j/2), margin_s lam^-j.  The first chain
+    starts at z_0 with lam = lam_hint (3.0 without one).  A step whose
+    winner is not the chain's row, or whose chain solve raised, has the
+    next step solve a new chain from that winner, with lam = max(exp(d),
+    1.01) for the distance d it scored the winner with.  Every point, z_0
+    included, and every candidate is held against zeta (`geo.held`);
+    roots within 1e-8 of an earlier candidate are dropped.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    j = np.arange(1.0, n_steps + 1)
-    scale = np.float_power(lam_guess, -j)
-    try:
-        chain = newton_preimage(f, cur, PointBatch(
-            cur.ref, cur.delta * scale,
-            np.float_power(lam_guess, -j / 2.0)[:, None] * cur.tail(),
-            cur.margin * scale))
-    except (NumericalError, DomainError):
-        chain = None
+    rows = []   # the current chain's rows for the steps to come
     for step_idx in range(n_steps):
-        if chain is not None:
-            uniq = [chain.point(step_idx)]
-            chained = uniq[0]
-        else:
-            uniq = []
-            try:
-                uniq.append(geo.held(newton_preimage(
-                    f, cur, geo.boundary_adapted_point(
-                        cur.ref, cur.delta / lam_guess, tail=cur.tail())),
-                    zeta).point(0))
-            except (NumericalError, DomainError):
-                pass
+        if not rows:
+            j = np.arange(1.0, n_steps - step_idx + 1)
+            scale = np.float_power(lam_guess, -j)
+            with contextlib.suppress(NumericalError, DomainError):
+                rows = list(newton_preimage(f, cur, PointBatch(
+                    cur.ref, cur.delta * scale,
+                    np.float_power(lam_guess, -j / 2.0)[:, None] * cur.tail(),
+                    cur.margin * scale)))
+        uniq = rows[:1]
         kept = [c.coords for c in uniq]
         if not uniq or step_idx < 8:
             for out in cat.preimages(f, cur.coords):
                 if all(np.linalg.norm(out - u) > 1e-8 for u in kept):
                     kept.append(out)
-                    uniq.append(geo.with_reference(geo.ball_point(out),
-                                                   zeta))
+                    uniq.append(geo.with_reference(geo.ball_point(out), zeta))
         if not uniq:
             raise NumericalError(
                 f"no preimage found at backward step {step_idx}")
@@ -568,8 +539,7 @@ def backward_orbit_via_preimages(f: cat.SelfMap, z0: BallPoint,
                 f"{np.round(a.coords, 6)} and {np.round(b.coords, 6)} score "
                 "within 0.05")
         nxt, step = uniq[order[0]], dists[order[0]]
-        if chain is not None and nxt is not chained:
-            chain = None   # the march steps alone from here
+        rows = rows[1:] if rows and nxt is rows[0] else []
         lam_guess = max(float(np.exp(step)), 1.01)
         pts.append(nxt)
         cur = nxt

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 from pathlib import Path
 
@@ -509,12 +510,13 @@ def test_horofunction_divergence_along_orbit(blaschke_orbit):
 # ---------------------------------------------------------------------------
 
 def test_newton_matches_automorphism_inverse(disc_auto, e1, rng):
+    # the one root of an automorphism's preimage is its inverse's image
     g = disc_auto.params[0]
     for _ in range(10):
         t = geo.ball_point((rng.normal(size=1) + 1j * rng.normal(size=1)) / 4)
-        pre = orb.newton_preimage(disc_auto, t, geo.ball_point([0.1 + 0j]))
+        pre, = cat.preimages(disc_auto, t.coords)
         exact = geo.apply(geo.inverse(g), t)
-        assert np.linalg.norm(pre.coords - exact.coords) < 1e-10
+        assert np.linalg.norm(pre - exact.coords) < 1e-10
 
 
 def test_newton_finds_both_blaschke_preimages(blaschke):
@@ -523,30 +525,25 @@ def test_newton_finds_both_blaschke_preimages(blaschke):
     w = 0.4 + 0.2j
     roots = sorted(np.roots([1.0, a * (w - 1.0), -w]),
                    key=lambda c: c.real)
-    found = []
-    for seed in (0.8, -0.8):
-        p = orb.newton_preimage(blaschke, geo.ball_point([w]),
-                                geo.ball_point([seed]))
-        resid = abs(cat.evaluate(blaschke, p.coords)[0] - w)
-        assert resid < 1e-12
-        found.append(p.coords[0])
+    found = cat.preimages(blaschke, [w])[:, 0]
+    assert len(found) == 2
+    for p in found:
+        assert abs(cat.evaluate(blaschke, [p])[0] - w) < 1e-12
     found = sorted(found, key=lambda c: c.real)
     assert all(abs(f - r) < 1e-9 for f, r in zip(found, roots))
 
 
 def test_newton_fixed_point(blaschke):
-    p = orb.newton_preimage(blaschke, geo.ball_point([0.0]),
-                            geo.ball_point([0.0]))
-    assert np.linalg.norm(p.coords) < 1e-12
+    # z(z - 1/3) = 0 (1 - z/3): the fixed point 0 is a root, and 1/3
+    roots = cat.preimages(blaschke, [0.0])
+    assert np.linalg.norm(roots, axis=1).min() < 1e-12
 
 
 def test_newton_no_preimage_in_ball():
     # (z1, z') -> (phi(z1), z'/2): a target with |z'| > 1/2 has no preimage
     e1 = geo.basis_boundary_point(1)
     wp = cat.warped_product(cat.hyperbolic_selfmap(e1, 3.0), 0.5, q=2)
-    with pytest.raises(NumericalError):
-        orb.newton_preimage(wp, geo.ball_point([0.0, 0.9]),
-                            geo.ball_point([0.1, 0.1]))
+    assert cat.preimages(wp, [0.0, 0.9]).shape == (0, 2)
 
 
 # The polar grid of seeds the march once solved from by damped Newton in
@@ -748,24 +745,31 @@ def test_adapted_solve_singular_and_solved_seeds(e1):
     target = orb.radial_anchor(e1, 2.0, 3)
     critical = geo.boundary_adapted_point(e1.coords, 1.0)
     assert assert_adapted_matches_reference(f, target, critical) is None
-    pre = orb.newton_preimage(f, target,
-                              geo.boundary_adapted_point(e1.coords, 0.5))
-    seeds = geo.held(pre, e1)
-    assert orb._newton_adapted(f, target, seeds, 1e-12, 100) is seeds
+    pre = orb.newton_preimage(f, target, geo.held(
+        geo.boundary_adapted_point(e1.coords, 0.5), e1))
+    assert orb._newton_adapted(f, target, pre, 1e-12, 100) is pre
     assert orb.newton_preimage(f, target, pre) is pre
-    assert reference_newton_adapted(f, target, pre, 1e-12, 100) is pre
+    point = pre.point(0)
+    assert reference_newton_adapted(f, target, point, 1e-12, 100) is point
 
 
 def test_newton_seed_with_another_reference(disc_auto, e1):
-    # the seed's coordinates are 0.5 against -1 as against +1: the solve
-    # takes the seed to the target's reference instead of mixing defects
+    """The seed's coordinates are 0.5, held against -1: a solve against +1
+    would mix defects, so seeds held against another reference, a seed
+    that is a point and a target without a reference are refused
+    (DomainError).  Held against +1 from its coordinates, the seed solves."""
     target = orb.radial_anchor(e1, 3.0, 30)
-    pre = orb.newton_preimage(disc_auto, target,
-                              geo.boundary_adapted_point([-1.0], 1.5))
-    alike = orb.newton_preimage(disc_auto, target, geo.ball_point([0.5]))
-    assert _point_bytes(pre) == _point_bytes(alike)
+    minus = geo.boundary_point([-1.0])
+    seed = geo.boundary_adapted_point(minus.coords, 1.5)
+    refused = ((target, geo.held(seed, minus)), (target, seed),
+               (target, geo.ball_point([0.5])),
+               (geo.ball_point([0.5]), geo.held(seed, e1)))
+    for tgt, seeds in refused:
+        with pytest.raises(DomainError, match="the target's reference"):
+            orb.newton_preimage(disc_auto, tgt, seeds)
+    pre = orb.newton_preimage(disc_auto, target, geo.held(seed, e1))
     img = cat.step_point(disc_auto, pre)
-    assert abs(img.delta - target.delta) < 1e-12 * abs(target.delta)
+    assert abs(img.delta[0] - target.delta) < 1e-12 * abs(target.delta)
 
 
 @pytest.mark.parametrize("make", [
@@ -775,15 +779,19 @@ def test_newton_seed_with_another_reference(disc_auto, e1):
 def test_newton_where_the_map_moves_the_reference(make):
     """Neither map fixes +1, so their images of points held against +1 hold
     against another reference, and a residual comparing the two defects
-    compares points held against different references.  The solve then
-    leaves the defect form, and its preimage maps onto the target."""
+    would compare points held against different references: the chain
+    solve raises.  The closed-form roots map onto the target."""
     f = make()
     target = geo.boundary_adapted_point([1.0], 0.3 + 0.1j)
     seed = geo.boundary_adapted_point([1.0], 0.25)
     assert not geo._same_direction(f._plan(target.ref).ref, target.ref,
                                    geo.FIX_TOL)
-    pre = orb.newton_preimage(f, target, seed)
-    assert np.abs(cat.evaluate(f, pre.coords)
+    with pytest.raises(NumericalError, match="no backward chain"):
+        orb.newton_preimage(f, target, geo.held(seed, geo.BoundaryPoint(
+            target.ref)))
+    roots = cat.preimages(f, target.coords)
+    assert len(roots)
+    assert np.abs(cat.evaluate(f, roots)
                   - target.coords).max() <= 1e-12 * abs(target.delta)
 
 
@@ -870,128 +878,70 @@ def test_march_probes_adapted_stepping_once(cleared_blaschke, blaschke_orbit,
     assert calls["ball_point"] <= 11
 
 
-def _preimage_targets(monkeypatch, march):
-    """The targets `catalog.preimages` is called with during `march()`, and
-    the march's points."""
-    targets, roots = [], cat.preimages
-    monkeypatch.setattr(cat, "preimages", lambda f, w: targets.append(w)
-                        or roots(f, w))
-    pts = march().orbit.points
-    monkeypatch.setattr(cat, "preimages", roots)
-    return targets, pts
-
-
 def test_march_solves_its_grid_in_one_call(cleared_blaschke, blaschke_orbit,
                                           monkeypatch):
     """Where the march once solved its grid it takes the closed-form roots,
     one call per target: at z_0 and the chain's first seven rows, the
-    targets of its first 8 steps.  A march that steps alone takes them at
-    the same steps, its own z_0..z_7, and at no later step, since every
-    step finds an adapted candidate."""
-    cleared, _ = cleared_blaschke
-
-    def march():
-        return orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
-                                         0.05)
-    for alone in (False, True):
-        if alone:
-            _chain_raises(monkeypatch)
-        targets, pts = _preimage_targets(monkeypatch, march)
-        assert len(pts) == 42
-        assert [w.tobytes() for w in targets] == [
-            p.coords.tobytes() for p in pts[:8]]
+    targets of its first 8 steps.  A march whose first chain solve raises
+    takes them at the same steps, its own z_0..z_7, and at no later step:
+    it solves a new chain from z_1 that gives every later step its
+    candidate (`_check_march`)."""
+    args, kwargs = _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit,
+                             0.05)
+    for upset, starts in ((None, [0]), (_raising(1), [0, 1])):
+        pts, solves, targets = _chained_march(monkeypatch, args, kwargs,
+                                              upset)
+        assert len(pts) == 42 and len(targets) == 8
+        assert _check_march(pts, solves, targets, args, kwargs) == starts
 
 
-def _chain_raises(monkeypatch):
-    """Make every chain solve (`newton_preimage` on a `PointBatch`) raise,
-    so that a march steps alone from step 0."""
-    newton = orb.newton_preimage
-
-    def solve(f, target, seed):
-        if isinstance(seed, geo.PointBatch):
+def _raising(count):
+    """An upset (`_chained_march`) under which the march's first `count`
+    chain solves raise."""
+    def upset(i, solve):
+        if i < count:
             raise NumericalError("no backward chain found from the seeds")
-        return newton(f, target, seed)
-    monkeypatch.setattr(orb, "newton_preimage", solve)
+        return solve()
+    return upset
 
 
 @pytest.mark.parametrize("run", ["criterion_06", "compare"])
 def test_march_seeds_from_the_scored_step(run, cleared_blaschke,
                                           blaschke_orbit, monkeypatch):
     """The chain solve is seeded from z_0 along the axial model, row j - 1
-    with delta_0 lam^-j, tail_0 lam^(-j/2) and margin_0 lam^-j, as bytes.
-    When it raises, the march steps alone: each adapted solve after the
-    first is seeded with lam_guess = max(exp(kob_dist(previous, current)),
-    1.01), as bytes, the distance the march scored its winner with."""
-    def march_once(alone):
-        solves, marches = [], []
-        newton, march = orb.newton_preimage, orb.backward_orbit_via_preimages
-
-        def record_solve(f, target, seed, *args):
-            solves.append((target, seed))
-            return newton(f, target, seed, *args)
-
-        def record_march(*args, **kwargs):
-            marches.append((kwargs["lam_hint"], march(*args, **kwargs)))
-            return marches[-1][1]
-
-        monkeypatch.setattr(orb, "newton_preimage", record_solve)
-        if alone:
-            _chain_raises(monkeypatch)
-        monkeypatch.setattr(orb, "backward_orbit_via_preimages", record_march)
-        if run == "compare":
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["compare", "blaschke:a=1/3", "--zeta", "1",
-                                 "--offset", "0.05"]) == 0
-        else:
-            cleared, _ = cleared_blaschke
-            orb.offset_preimage_orbit(cleared, blaschke_orbit.orbit, 3.0,
-                                      0.05)
-        monkeypatch.undo()
-        (lam_hint, res), = marches
-        return lam_hint, res.orbit.points, solves
-
-    lam, pts, solves = march_once(alone=False)
-    (target, seeds), = solves
-    assert isinstance(seeds, geo.PointBatch) and len(seeds) == len(pts) - 1
-    assert _point_bytes(target) == _point_bytes(pts[0])
-    z0 = pts[0]
-    for j, seed in enumerate(seeds, 1):
-        want = geo.boundary_adapted_point(
-            z0.ref, z0.delta * lam ** -j, tail=z0.tail() * lam ** (-j / 2),
-            margin=z0.margin * lam ** -j)
-        assert (_point_bytes(seed) + (seed.tail().tobytes(),)
-                == _point_bytes(want) + (want.tail().tobytes(),))
-
-    lam_hint, pts, solves = march_once(alone=True)
-    assert len(solves) == len(pts) - 1
-    for i, (target, seed) in enumerate(solves):
-        # the chain holds the march's point as it is
-        assert (_point_bytes(target) + (target.tail().tobytes(),)
-                == _point_bytes(pts[i]) + (pts[i].tail().tobytes(),))
-        lam = lam_hint if i == 0 else max(
-            float(np.exp(geo.kob_dist(pts[i - 1], pts[i]))), 1.01)
-        assert np.complex128(seed.delta).tobytes() == np.complex128(
-            pts[i].delta / lam).tobytes()
+    with delta_0 lam^-j, tail_0 lam^(-j/2) and margin_0 lam^-j, lam the
+    hint, as bytes.  When it raises, the march solves a new chain from z_1,
+    seeded the same way with lam_guess = max(exp(kob_dist(z_0, z_1)),
+    1.01), the distance the march scored its winner with, not the hint
+    (`_check_march`)."""
+    if run == "compare":
+        args, kwargs = _compare_args(monkeypatch, [
+            "blaschke:a=1/3", "--zeta", "1", "--offset", "0.05"])
+    else:
+        args, kwargs = _c06_args(monkeypatch, cleared_blaschke,
+                                 blaschke_orbit, 0.05)
+    pts, solves, targets = _chained_march(monkeypatch, args, kwargs)
+    assert _check_march(pts, solves, targets, args, kwargs) == [0]
+    pts, solves, targets = _chained_march(monkeypatch, args, kwargs,
+                                          _raising(1))
+    assert _check_march(pts, solves, targets, args, kwargs) == [0, 1]
+    lam_guess = max(float(np.exp(geo.kob_dist(pts[0], pts[1]))), 1.01)
+    assert lam_guess != kwargs["lam_hint"]
 
 
-def reference_march(f, z0, zeta, n_steps, lam_hint=None, first=0):
+def reference_march(f, z0, zeta, n_steps, lam_hint=None):
     """`backward_orbit_via_preimages` as a step-by-step loop, each step
-    solving its own adapted candidate and taking its own roots; the points,
-    each held against zeta as every candidate is.  `first` is the march's
-    index of z0, for a march that steps alone from there: the roots are
-    taken below index 8."""
+    solving its own adapted candidate as a one-row chain (`_newton_adapted`)
+    from its point's tail and delta / lam_guess, and taking its own roots;
+    the points, each held against zeta as every candidate is."""
     cur = geo.held(z0, zeta).point(0)
     pts = [cur]
     lam_guess = lam_hint if lam_hint is not None else 3.0
-    for step_idx in range(first, first + n_steps):
-        uniq = []
-        try:
-            seed = geo.boundary_adapted_point(
-                cur.ref, cur.delta / lam_guess, tail=cur.tail())
-            uniq.append(geo.held(orb.newton_preimage(f, cur, seed),
-                                 zeta).point(0))
-        except (NumericalError, DomainError):
-            pass
+    for step_idx in range(n_steps):
+        seed = geo.boundary_adapted_point(cur.ref, cur.delta / lam_guess,
+                                          tail=cur.tail())
+        out = orb._newton_adapted(f, cur, geo.held(seed, zeta), 1e-12, 100)
+        uniq = [] if out is None else [out.point(0)]
         if not uniq or step_idx < 8:
             kept = [c.coords for c in uniq]
             for out in cat.preimages(f, cur.coords):
@@ -1035,16 +985,6 @@ def _march_args(monkeypatch, run):
     return args, kwargs
 
 
-def _march_outcome(march, args, kwargs):
-    """Each point's coordinates, reference, delta, margin and tail as bytes,
-    or the type and message of what the march raised."""
-    try:
-        pts = march(*args, **kwargs)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return [_point_bytes(p) + (p.tail().tobytes(),) for p in pts]
-
-
 def _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit, offset):
     cleared, _ = cleared_blaschke
     return _march_args(monkeypatch, lambda: orb.offset_preimage_orbit(
@@ -1055,47 +995,80 @@ def _compare_args(monkeypatch, argv):
     return _march_args(monkeypatch, lambda: cli.main(["compare", *argv]))
 
 
-def _chained_march(monkeypatch, args, kwargs, chain_upset=None):
-    """The march's points and the chain its chain solve gave (None where it
-    raised), `chain_upset(chain)` standing in for that chain if given."""
-    chains, newton = [], orb.newton_preimage
+def _chained_march(monkeypatch, args, kwargs, upset=None):
+    """The march's points, its chain solves, each [target, seeds, chain]
+    with chain None where the solve raised, and the targets it took the
+    closed-form roots of.  `upset(i, solve)`, if given, stands in for chain
+    solve i, where `solve()` is the solve itself."""
+    solves, targets = [], []
+    newton, roots = orb.newton_preimage, cat.preimages
 
-    def solve(f, target, seed):
-        out = newton(f, target, seed)
-        if isinstance(seed, geo.PointBatch):
-            chains.append(chain_upset(out) if chain_upset else out)
-            return chains[-1]
-        return out
-    monkeypatch.setattr(orb, "newton_preimage", solve)
-    pts = orb.backward_orbit_via_preimages(*args, **kwargs).orbit.points
-    monkeypatch.setattr(orb, "newton_preimage", newton)
-    return pts, (chains or [None])[0]
+    def solve(f, target, seeds):
+        solves.append([target, seeds, None])
+        run = functools.partial(newton, f, target, seeds)
+        solves[-1][2] = upset(len(solves) - 1, run) if upset else run()
+        return solves[-1][2]
+    with monkeypatch.context() as m:
+        m.setattr(orb, "newton_preimage", solve)
+        m.setattr(cat, "preimages",
+                  lambda f, w: targets.append(w) or roots(f, w))
+        pts = orb.backward_orbit_via_preimages(*args, **kwargs).orbit.points
+    return pts, solves, targets
 
 
-def _check_march(pts, chain, args, kwargs):
-    """Check a march's points against its chain: the rows it took from the
-    chain, z_1..z_s, are the chain's first s rows as bytes, and each maps
-    onto the point before within 1e-12 relative in delta; from the point
-    after the first step whose winner is not the chain's row (z_0 if the
-    chain solve raised) the march equals `reference_march` from there, as
-    bytes.  Returns s."""
+def _check_march(pts, solves, targets, args, kwargs):
+    """Check a march against its chain solves and the targets of its roots:
+    - the first solve starts at z_0, and each later one at z_s, the winner
+      of a step whose solve raised or whose chain's row a closed-form root
+      beat, the step before;
+    - each solve is seeded from its z_s along the axial model, row j - 1
+      with delta_s lam^-j, tail_s lam^(-j/2) and margin_s lam^-j, lam the
+      hint (3.0 without one) at z_0, else max(exp(kob_dist(z_{s-1}, z_s)),
+      1.01), as bytes;
+    - every point a chain gave is its row, as bytes, and maps onto the one
+      before within 1e-12 relative in delta;
+    - the roots are taken at exactly z_0..z_7, as bytes, and every other
+      point is one of them: its image lies within 1e-14 of the point
+      before, the roots' bound in coordinates (`catalog.preimages`).
+    Returns the step each solve starts at."""
     f, _, zeta, n_steps = args
-    s = 0
-    while chain is not None and s < n_steps and (
-            _point_bytes(pts[s + 1]) == _point_bytes(chain[s])):
-        s += 1
-    img = cat.step_point(f, pts[1:s + 1])
-    assert np.all(np.abs(img.delta - pts.delta[:s])
-                  <= 1e-12 * np.abs(pts.delta[:s]))
-    start = 0 if chain is None else s + 1
-    if start <= n_steps:
-        lam = kwargs.get("lam_hint") if start == 0 else max(
-            float(np.exp(geo.kob_dist(pts[start - 1], pts[start]))), 1.01)
-        ref = _march_outcome(reference_march, (
-            f, pts[start], zeta, n_steps - start),
-            {"lam_hint": lam, "first": start})
-        assert ref == _march_outcome(lambda: pts[start:], (), {})
-    return s
+    index = {_point_bytes(p) + (p.tail().tobytes(),): i
+             for i, p in enumerate(pts)}
+    starts, chained = [], np.zeros(n_steps + 1, bool)
+    for target, seeds, _ in solves:
+        s = index[_point_bytes(target) + (target.tail().tobytes(),)]
+        lam = (kwargs.get("lam_hint") or 3.0) if s == 0 else max(
+            float(np.exp(geo.kob_dist(pts[s - 1], pts[s]))), 1.01)
+        z = pts[s]
+        assert len(seeds) == n_steps - s
+        for j, seed in enumerate(seeds, 1):
+            want = geo.boundary_adapted_point(
+                z.ref, z.delta * lam ** -j, tail=z.tail() * lam ** (-j / 2),
+                margin=z.margin * lam ** -j)
+            assert (_point_bytes(seed) + (seed.tail().tobytes(),)
+                    == _point_bytes(want) + (want.tail().tobytes(),))
+        starts.append(s)
+    assert starts[:1] == [0]
+    for (_, _, chain), s, e in zip(solves, starts, starts[1:] + [None]):
+        if chain is None:
+            assert e == s + 1 or (e is None and s == n_steps - 1)
+            continue
+        n = (n_steps + 1 if e is None else e) - s - 1   # the rows taken
+        chained[s + 1:s + 1 + n] = True
+        assert [_point_bytes(p) for p in pts[s + 1:s + 1 + n]] == [
+            _point_bytes(p) for p in chain[:n]]
+        if e is not None:
+            assert e <= 8 and _point_bytes(pts[e]) != _point_bytes(chain[n])
+    assert [w.tobytes() for w in targets] == [
+        p.coords.tobytes() for p in pts[:min(8, n_steps)]]
+    img, before = cat.step_point(f, pts[1:]), pts[:-1]
+    assert np.all(np.abs(img.delta - before.delta)[chained[1:]]
+                  <= 1e-12 * np.abs(before.delta[chained[1:]]))
+    roots = ~chained[1:]
+    assert np.linalg.norm(cat.evaluate(f, pts.coords[1:][roots])
+                          - before.coords[roots], axis=1).max(
+                              initial=0.0) <= 1e-14
+    return starts
 
 
 MARCHES = {
@@ -1123,14 +1096,14 @@ def _marches_args(name, cleared_blaschke, blaschke_orbit, e1, monkeypatch):
 @pytest.mark.parametrize("name", MARCHES)
 def test_march_matches_reference_march(name, cleared_blaschke, blaschke_orbit,
                                        e1, monkeypatch):
-    """The march takes every step's candidate from its one chain solve, and
-    each chained point maps onto the one before; where it steps alone it
-    gives the step-by-step march's points as bytes (`_check_march`)."""
+    """The march takes every step's candidate from its one chain solve,
+    seeded from z_0, and each point maps onto the one before
+    (`_check_march`)."""
     args, kwargs = _marches_args(name, cleared_blaschke, blaschke_orbit, e1,
                                  monkeypatch)
-    pts, chain = _chained_march(monkeypatch, args, kwargs)
+    pts, solves, targets = _chained_march(monkeypatch, args, kwargs)
     assert len(pts) == args[3] + 1
-    assert _check_march(pts, chain, args, kwargs) == args[3]
+    assert _check_march(pts, solves, targets, args, kwargs) == [0]
 
 
 @pytest.mark.parametrize("name", MARCHES)
@@ -1159,49 +1132,44 @@ def test_preimages_match_newton_from_the_grid(name, cleared_blaschke,
 def test_march_matches_reference_when_the_walk_goes_astray(
         upset, at, cleared_blaschke, blaschke_orbit, e1, monkeypatch):
     """Criterion 06's march, upset so that it leaves its chain:
-    - raise: the chain solve raises, and so does the one-point solve at
-      step `at`, so the march steps alone from step 0 and finds no adapted
-      candidate at step `at`;
+    - raise: the chain solves of steps 0..`at` raise, so those steps take
+      the closed-form root and the march solves a new chain at each next
+      step, the last from z_{at+1};
     - stray: the chain's row `at` is the origin, which a closed-form root
-      beats, so the march steps alone from the step after;
+      beats, so the march solves a new chain from the step after;
     - distance: every `kob_dist` is off by 1e-9, which moves each scored
       step but not the chain, seeded from the hint alone: every point is
       the march's without the upset, as bytes.
-    Where it steps alone it gives the step-by-step march's points under the
-    same upset, as bytes (`_check_march`)."""
+    Each new chain is seeded from the step the march scored, its rows are
+    the march's points, and each point maps onto the one before
+    (`_check_march`)."""
     args, kwargs = _c06_args(monkeypatch, cleared_blaschke, blaschke_orbit,
                              0.05)
-    n_steps = args[3]
     if upset == "raise":
-        _chain_raises(monkeypatch)
-        newton, targets = orb.newton_preimage, []
-
-        def upset_solve(f, target, seed):
-            if not any(t is target for t in targets):
-                targets.append(target)
-            if len(targets) > at and targets[at] is target:
-                raise NumericalError("no preimage of the target in the ball")
-            return newton(f, target, seed)
-        monkeypatch.setattr(orb, "newton_preimage", upset_solve)
-        pts, chain = _chained_march(monkeypatch, args, kwargs)
-        assert chain is None and len(targets) == n_steps
-        targets.clear()   # the step-by-step march's steps count from 0
-        assert _check_march(pts, chain, args, kwargs) == 0
+        pts, solves, targets = _chained_march(monkeypatch, args, kwargs,
+                                              _raising(at + 1))
+        assert _check_march(pts, solves, targets, args, kwargs) == list(
+            range(at + 2))
     elif upset == "stray":
         origin = geo.with_reference(geo.ball_point([0.0]), e1)
-        pts, chain = _chained_march(
-            monkeypatch, args, kwargs, lambda chain: geo.held(
-                [origin if i == at else p for i, p in enumerate(chain)], e1))
-        assert _check_march(pts, chain, args, kwargs) == at
+
+        def stray(i, solve):
+            chain = solve()
+            return chain if i else geo.held(
+                [origin if j == at else p for j, p in enumerate(chain)], e1)
+        pts, solves, targets = _chained_march(monkeypatch, args, kwargs,
+                                              stray)
+        assert _check_march(pts, solves, targets, args, kwargs) == [
+            0, at + 1]
         assert _point_bytes(pts[at + 1]) != _point_bytes(origin)
     else:
-        want, _ = _chained_march(monkeypatch, args, kwargs)
+        want, _, _ = _chained_march(monkeypatch, args, kwargs)
         dist = geo.kob_dist
         monkeypatch.setattr(geo, "kob_dist", lambda z, w: dist(z, w) + 1e-9)
-        pts, chain = _chained_march(monkeypatch, args, kwargs)
-        assert _check_march(pts, chain, args, kwargs) == n_steps
-        assert _march_outcome(lambda: pts, (), {}) == _march_outcome(
-            lambda: want, (), {})
+        pts, solves, targets = _chained_march(monkeypatch, args, kwargs)
+        assert _check_march(pts, solves, targets, args, kwargs) == [0]
+        assert [_point_bytes(p) + (p.tail().tobytes(),) for p in pts] == [
+            _point_bytes(p) + (p.tail().tobytes(),) for p in want]
     monkeypatch.undo()
 
 
@@ -1231,6 +1199,55 @@ def test_march_is_an_isometry_for_hyperbolic_maps(offset):
         direct = ana.orbit_distance_profile(orbit, march).direct
         assert len(direct) == len(orbit)
         assert np.abs(direct - offset).max() <= 1e-12, (zeta.coords, lam)
+
+
+def _hyperbolic_and_conjugate_draws():
+    """Two hyperbolic maps in each of q = 2, 3, at a random zeta with lam in
+    [2, 6), each with its conjugate by the hyperbolic automorphism h of
+    dilation 2 along a random axis, whose fixed point is zeta too: (zeta,
+    lam, f)."""
+    rng = np.random.default_rng(31)
+    draws = []
+    for q in (2, 2, 3, 3):
+        zeta, axis = (geo.boundary_point(v / np.linalg.norm(v)) for v in (
+            rng.normal(size=(2, q)) + 1j * rng.normal(size=(2, q))))
+        lam = float(rng.uniform(2.0, 6.0))
+        h = geo.hyperbolic_automorphism(axis, 2.0)
+        zeta0 = geo.boundary_point(geo.apply_raw(geo.inverse(h), zeta.coords))
+        draws += [(zeta, lam, cat.hyperbolic_selfmap(zeta, lam)),
+                  (zeta, lam, cat.conjugate_map(
+                      cat.hyperbolic_selfmap(zeta0, lam), h))]
+    return draws
+
+
+def test_march_rechains_when_its_first_chain_solve_raises(monkeypatch):
+    """A march whose first chain solve raises takes the closed-form root at
+    step 0 and solves a new chain from z_1: at offsets 0.05, 0.3 and 1 from
+    the construction, on q = 2 and 3 hyperbolic maps and their conjugates,
+    every march reaches full length, and each point maps onto the one
+    before within 1e-13 relative in delta through the float adapted step.
+    Stepping alone with one-row solves instead, as the march once did, the
+    lam = 5.4 q = 3 marches at offset 1 found no preimage at step 20, and
+    the lam = 5.9 q = 2 residuals reached 8.6e-2."""
+    newton = orb.newton_preimage
+    for zeta, lam, f in _hyperbolic_and_conjugate_draws():
+        orbit = orb.construct_backward_orbit(f, zeta, lam).orbit
+        for offset in (0.05, 0.3, 1.0):
+            solves = []
+
+            def solve(f, target, seeds):
+                solves.append(target)
+                if len(solves) == 1:
+                    raise NumericalError("no backward chain found")
+                return newton(f, target, seeds)
+            monkeypatch.setattr(orb, "newton_preimage", solve)
+            pts = orb.offset_preimage_orbit(f, orbit, lam, offset).orbit.points
+            monkeypatch.undo()
+            assert len(pts) == len(orbit) and len(solves) >= 2
+            img = cat.step_point(f, pts[1:])
+            assert np.all(np.abs(img.delta - pts.delta[:-1])
+                          <= 1e-13 * np.abs(pts.delta[:-1])), (
+                zeta.coords, lam, f.label, offset)
 
 
 def test_march_holds_its_start_against_zeta(disc_auto, e1):
@@ -1332,9 +1349,9 @@ def test_preimage_orbit_q2_deep_adapted():
     wp = cat.warped_product(cat.hyperbolic_selfmap(e1, 3.0), 0.5, q=2)
     target = orb.radial_anchor(e2, 3.0, 25)
     seed = geo.boundary_adapted_point(e2.coords, target.delta / 3.0)
-    pre = orb.newton_preimage(wp, target, seed)
+    pre = orb.newton_preimage(wp, target, geo.held(seed, e2))
     img = cat.step_point(wp, pre)
-    assert abs(img.delta - target.delta) / abs(target.delta) < 1e-10
+    assert abs(img.delta[0] - target.delta) / abs(target.delta) < 1e-10
 
 
 def test_preimage_orbit_off_axis_warped_exits_ball():

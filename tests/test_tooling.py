@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MAX_OPTIONS = 34
 # `wc -l src/ballorbits/*.py`, checked as MAX_OPTIONS is; ROADMAP item 7
 # aims at 3,319
-MAX_SRC_LINES = 3576
+MAX_SRC_LINES = 3560
 # Public names that nothing but the tests reads, each kept for its reason.
 UNREAD_EXPORTS = (
     "geodesic_point",  # the geodesic primitive that tests build points with
