@@ -729,11 +729,12 @@ class ParabolicStage:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Ball automorphism in normal form z -> unitary @ phi_center(z), with
-    its exact `stage` at the stage's fixed point, if it has one."""
+    """Ball automorphism z -> unitary @ phi_center(z), spread = 1 - |center|^2
+    from its parameters, and its exact `stage`, if any, at the stage's zeta."""
 
     center: np.ndarray
     unitary: np.ndarray
+    spread: float
     stage: AxialStage | ParabolicStage | None = None
     label: str = ""
 
@@ -751,9 +752,10 @@ class Automorphism:
         - Elsewhere the closed form of g = U phi_a, by 1 - <phi_a(z),
           phi_a(w)> = (1 - |a|^2)(1 - <z, w>) / ((1 - <z, a>)(1 - <a, w>))
           (Rudin, *Function Theory in the Unit Ball of C^n*, Thm 2.2.2).
-          With D = z - ref = -delta ref + tail, om = 1 - <ref, a>,
-          L = (1 - |a|^2)/|om|^2, den = 1 - <D, a>/om and
-          s = sqrt(1 - |a|^2), against eta = U phi_a(ref),
+          With D = z - ref = -delta ref + tail, r = |a|, om = 1 - <ref, a>
+          = spread/(1 + r) + |r ref - a|^2/(2 r) - i Im<ref, a>, L =
+          spread/|om|^2, den = 1 - <D, a>/om and s = sqrt(spread), against
+          eta = U phi_a(ref),
 
               delta' = L delta / den,   margin' = L margin / |den|^2,
 
@@ -772,8 +774,10 @@ class Automorphism:
         if rotation:
             return Plan(eta, lambda d, t, m: (
                 d, np.einsum("ij,...j->...i", u, t), m), True, True)
-        s, om = np.sqrt(1.0 - aa), 1.0 - herm(ref, a)
-        lam = (1.0 - aa) / abs_sq(om)
+        r, s = np.sqrt(aa), np.sqrt(self.spread)
+        om = (self.spread / (1.0 + r) + sq_norm(r * ref - a) / (2.0 * r)
+              - 1j * herm(ref, a).imag)
+        lam = self.spread / abs_sq(om)
 
         def kernel(delta, tail, margin):
             d = tail - _cmul(delta[..., None], ref)
@@ -790,18 +794,18 @@ class Automorphism:
         return Plan(eta, kernel, True, True)
 
 
-def _aut(center, unitary, stage=None, label="") -> Automorphism:
+def _aut(center, unitary, spread, stage=None, label="") -> Automorphism:
     center = np.asarray(center, dtype=complex).copy()
     unitary = np.asarray(unitary, dtype=complex).copy()
     center.flags.writeable = False
     unitary.flags.writeable = False
-    return Automorphism(center=center, unitary=unitary, stage=stage,
-                        label=label)
+    return Automorphism(center=center, unitary=unitary, spread=float(spread),
+                        stage=stage, label=label)
 
 
 def identity_automorphism(q: int) -> Automorphism:
     # phi_0 = -id, so the identity's unitary part is -I.
-    return _aut(np.zeros(q, dtype=complex), -np.eye(q, dtype=complex),
+    return _aut(np.zeros(q, dtype=complex), -np.eye(q, dtype=complex), 1.0,
                 label="id")
 
 
@@ -811,13 +815,14 @@ def mobius_involution(a: BallPoint) -> Automorphism:
     at a = 0 and by its closed form elsewhere."""
     if 1.0 - a.norm() < BOUNDARY_GUARD:
         raise DomainError("involution center numerically on the sphere")
-    return _aut(a.coords, np.eye(a.q, dtype=complex), label="involution")
+    return _aut(a.coords, np.eye(a.q, dtype=complex), a.margin,
+                label="involution")
 
 
 def unitary_automorphism(v) -> Automorphism:
     v = np.asarray(v, dtype=complex)
     q = v.shape[0]
-    return _aut(np.zeros(q, dtype=complex), -v, label="unitary")
+    return _aut(np.zeros(q, dtype=complex), -v, 1.0, label="unitary")
 
 
 def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
@@ -831,7 +836,7 @@ def hyperbolic_automorphism(zeta: BoundaryPoint, lam: float) -> Automorphism:
         raise DomainError("hyperbolic automorphism needs dilation > 1")
     c = (lam - 1.0) / (lam + 1.0)   # z |-> -phi_{c zeta}(z), one AxialStage
     return _aut(c * zeta.coords, -np.eye(zeta.q, dtype=complex),
-                stage=AxialStage(zeta.coords, lam),
+                4.0 * lam / (lam + 1.0) ** 2, AxialStage(zeta.coords, lam),
                 label=f"hyperbolic(lam={lam:g})")
 
 
@@ -885,7 +890,7 @@ def parabolic_automorphism(zeta: BoundaryPoint, b, t: float) -> Automorphism:
 
     center = action(np.zeros(q, dtype=complex), -1.0)
     unitary = _linear_part(lambda v: action(mobius_shift(center, v), 1.0), q)
-    return _aut(center, unitary,
+    return _aut(center, unitary, 4.0 / (t * t + (2.0 + sq_norm(b)) ** 2),
                 stage=ParabolicStage(zeta.coords, b, t, rot),
                 label=f"parabolic(|b|={np.linalg.norm(b):g}, t={t:g})")
 
@@ -919,7 +924,7 @@ def apply(g: Automorphism, p: BallPoint) -> BallPoint:
 
 def inverse(g: Automorphism) -> Automorphism:
     stage = None if g.stage is None else g.stage.inverse()
-    return _aut(g.unitary @ g.center, g.unitary.conj().T, stage=stage,
+    return _aut(g.unitary @ g.center, g.unitary.conj().T, g.spread, stage,
                 label=f"inv({g.label})" if g.label else "")
 
 

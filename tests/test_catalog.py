@@ -707,9 +707,10 @@ def _check_chains():
     good, good2 = (geo.hyperbolic_automorphism(e, 3.0) for e in (e1, e2))
     # an axial stage of dilation -2 turns every margin negative, and a
     # rotation form that is not unitary turns a tail off its reference
-    bad = geo._aut(np.zeros(1), -np.eye(1),
+    bad = geo._aut(np.zeros(1), -np.eye(1), 1.0,
                    stage=geo.AxialStage(e1.coords, -2.0))
-    skew = geo._aut(np.zeros(2), -np.array([[1.0, 0.5], [0.0, 1.0]], complex))
+    skew = geo._aut(np.zeros(2),
+                    -np.array([[1.0, 0.5], [0.0, 1.0]], complex), 1.0)
     b = cat.blaschke_product([0.0, 1.0 / 3.0])
 
     def conj(outer, mid, inner):

@@ -539,7 +539,7 @@ def _random_automorphism(rng, q):
     a = random_interior(rng, q, scale=0.7)
     m = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
     u = geo.project_unitary(m)
-    return geo._aut(a.coords, u)   # the normal form z -> u phi_a(z)
+    return geo._aut(a.coords, u, a.margin)   # z -> u phi_a(z)
 
 
 def test_automorphism_normal_form_invariants(rng):

@@ -255,7 +255,7 @@ def _closed_form_draws(rng, q, n):
         a *= 0.0 if i % 5 == 0 else rng.uniform(0.0, 0.9) / np.linalg.norm(a)
         u = geo.project_unitary(rng.normal(size=(q, q))
                                 + 1j * rng.normal(size=(q, q)))
-        yield geo._aut(a, u), ref
+        yield geo._aut(a, u, 1.0 - geo.sq_norm(a)), ref
 
 
 def _deep_batch(rng, ref):
@@ -274,14 +274,14 @@ def _deep_batch(rng, ref):
     return geo.PointBatch(ref.coords, delta, tail, room - geo.sq_norm(tail))
 
 
-def _assert_steps_as_the_map(g, ref, batch):
-    """g's plan at ref steps the batch as g = U phi_a does on 150 digits.
-    The oracle normalises ref and projects the tail orthogonal to it, and
-    takes delta and the margin from phi_a before U, which a float U keeps
-    unitary only to 1e-16."""
+def _assert_steps_as_the_map(g, ref, batch, a=None):
+    """g's plan at ref steps the batch as g = U phi_a does on 150 digits,
+    a the float centre of g unless given.  The oracle normalises ref and
+    projects the tail orthogonal to it, and takes delta and the margin from
+    phi_a before U, which a float U keeps unitary only to 1e-16."""
     out = g.plan(ref.coords).step(batch)
     unit = _unit(ref)
-    a = [mp.mpc(x) for x in g.center]
+    a = [mp.mpc(x) for x in g.center] if a is None else a
     u = mp.matrix([[mp.mpc(x) for x in row] for row in g.unitary])
     image = _phi_mp(a, unit)
     eta = u * mp.matrix(image)
@@ -373,7 +373,8 @@ def test_tiny_centre_takes_the_closed_form(rng, q):
             a = 1e-9 * _off_axis_zeta(rng, q).coords
             u = geo.project_unitary(rng.normal(size=(q, q))
                                     + 1j * rng.normal(size=(q, q)))
-            g, batch = geo._aut(a, u), _deep_batch(rng, ref)
+            g = geo._aut(a, u, 1.0 - geo.sq_norm(a))
+            batch = _deep_batch(rng, ref)
             out = g.plan(ref.coords).step(batch)
             assert (out.delta != batch.delta).all()
             _assert_steps_as_the_map(g, ref, batch)
@@ -393,6 +394,23 @@ def test_hyperbolic_map_takes_its_stage_at_zeta_only(rng, q):
             assert away.kernel != g.stage.kernel
             for ref in (zeta, geo.BoundaryPoint(-zeta.coords)):
                 _assert_steps_as_the_map(g, ref, _deep_batch(rng, ref))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("lam", [1e3, 1e6, 1e8])
+def test_large_dilations_step_as_the_exact_map(rng, q, lam):
+    """A hyperbolic automorphism of dilation up to 1e8 steps deep points at
+    zeta and at -zeta as the exact map -phi_{c zeta}, c = (lam - 1)/(lam +
+    1) on 150 digits, within 1e-13 relative: its centre lies within 2/lam
+    of the sphere, so the closed form at -zeta reads 1 - |c|^2 from the
+    automorphism's spread, not from its float centre."""
+    with mp.workdps(DPS):
+        zeta = _off_axis_zeta(rng, q)
+        g = geo.hyperbolic_automorphism(zeta, lam)
+        c = (mp.mpf(lam) - 1) / (mp.mpf(lam) + 1)
+        exact = [c * x for x in _unit(zeta)]
+        for ref in (zeta, geo.BoundaryPoint(-zeta.coords)):
+            _assert_steps_as_the_map(g, ref, _deep_batch(rng, ref), exact)
 
 
 def test_deep_iterate_off_axis_matches_coordinates(rng):
