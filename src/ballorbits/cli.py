@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+# compare's options that only its map path reads, (flag, dest)
+_MAP_ONLY = (("--lambda", "lam"), ("--kmin", "kmin"), ("--kmax", "kmax"),
+             ("--nmax", "nmax"), ("--eps-sigma", "eps_sigma"),
+             ("--mode", "mode"), ("--offset", "offset"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +296,10 @@ def cmd_compare(args) -> int:
             raise ConfigError("CSV comparison needs both --csv-a and --csv-b")
         if args.map is not None:
             raise ConfigError("compare takes a map spec or two CSVs, not both")
+        if given := [flag for flag, dest in _MAP_ONLY
+                     if getattr(args, dest) != args.map_defaults[dest]]:
+            raise ConfigError("the CSV comparison does not read "
+                              + ", ".join(given))
         zeta = geo.boundary_point(parse_point(args.zeta))
         xi = read_orbit_csv(args.csv_a, zeta)
         eta = read_orbit_csv(args.csv_b, zeta)
@@ -410,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--offset", type=float, default=0.05,
                    help="Kobayashi offset of the perturbed seed")
     c.add_argument("--eps-plateau", type=float, default=1e-2)
-    c.set_defaults(func=cmd_compare)
+    c.set_defaults(func=cmd_compare, map_defaults={
+        dest: c.get_default(dest) for _, dest in _MAP_ONLY})
 
     v = sub.add_parser("validate-premodel",
                        help="check an intertwining triple against a map")

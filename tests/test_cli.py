@@ -572,6 +572,25 @@ def test_compare_refuses_a_map_with_csvs(tmp_path, capsys):
                        "both\n")
 
 
+@pytest.mark.parametrize("options, named", [
+    (["--offset", "0.3", "--lambda", "7"], "--lambda, --offset"),
+    (["--kmin=2", "--kmax=12", "--nmax=50"], "--kmin, --kmax, --nmax"),
+    (["--eps-sigma", "0.1", "--mode", "cluster"], "--eps-sigma, --mode"),
+], ids=["offset_lambda", "anchors", "sigma_mode"])
+def test_compare_refuses_map_options_with_csvs(options, named, tmp_path,
+                                               capsys):
+    """The CSV comparison builds no orbit and marches no offset, so an
+    option only the map path reads is an input error naming it, not an
+    option silently ignored."""
+    path = tmp_path / "a.csv"
+    assert run(capsys, "orbit", "blaschke:a=1/3", "--zeta", "1", "--kmax",
+               "12", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "compare", "--zeta=1", *options, "--csv-a",
+                         str(path), "--csv-b", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: the CSV comparison does not read {named}\n"
+
+
 _Q2_CSV = ("j,re_z1,re_z2,im_z1,im_z2,horofunction,step_to_next,"
            "dist_to_zeta\n"
            + "".join(f"{j},{0.3 + 0.1 * j},0,0,0.4,0,0,0\n" for j in range(5)))
